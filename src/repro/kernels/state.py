@@ -19,7 +19,7 @@ contract for callers:
   equivalence is pinned by ``tests/kernels/test_state.py``.
 
 Repeated refinement (multilevel per-level calls, V-cycles, Algorithm-2
-iterations, ``n_initial`` restarts at the coarsest level) therefore pays
+iterations, both FM-refined candidates at the coarsest level) therefore pays
 the ``tolist()`` conversions and the ``net_ids`` expansion once per
 hypergraph instead of once per call.
 """

@@ -24,9 +24,9 @@ Design constraints, in order:
    parent span id, sink path — carried on the task payload (serve
    ``spec`` dict, ``_TreeJob``, ``RunSpec``) and re-armed worker-side
    with :func:`activate`.  Span ids embed the minting pid plus a
-   per-process counter, so retried attempts and respawned workers can
-   never collide, and a watchdog-killed worker leaves no orphans: a
-   worker only ever writes *completed* spans whose parent chain runs
+   per-process counter that outlives each task's tracer, so tasks,
+   retried attempts and respawned workers can never collide, and a
+   watchdog-killed worker leaves no orphans: a worker only ever writes *completed* spans whose parent chain runs
    through the parent-process span that the surviving caller closes.
 """
 
@@ -217,14 +217,37 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+_SPAN_IDS_LOCK = threading.Lock()
+_span_ids = [0, 0]  # [pid that minted, last counter value]
+
+
+def _next_span_id() -> str:
+    """``"<pid hex>-<counter hex>"``, unique for the life of the process.
+
+    The counter belongs to the process, not to a :class:`Tracer`: a pool
+    worker installs a fresh tracer for every task it traces
+    (:class:`_Activation`), and a per-tracer counter would hand the same
+    ids out again within one trace.  A forked child starts its own count
+    under its own pid.
+    """
+    pid = os.getpid()
+    with _SPAN_IDS_LOCK:
+        if _span_ids[0] != pid:
+            _span_ids[:] = [pid, 0]
+        _span_ids[1] += 1
+        n = _span_ids[1]
+    return f"{pid:x}-{n:x}"
+
+
 class Tracer:
     """Mints spans into one trace and appends them to a JSONL sink.
 
     Span ids are hierarchical in the record (explicit ``parent``
-    links) and collision-free across processes by construction: each
-    id is ``"<pid hex>-<per-process counter hex>"``.  The per-thread
-    span stack gives ``span()`` its implicit parent, which keeps
-    instrumentation sites one-liners.
+    links) and collision-free across processes and tasks by
+    construction: each id is ``"<pid hex>-<per-process counter hex>"``
+    (:func:`_next_span_id`).  The per-thread span stack gives
+    ``span()`` its implicit parent, which keeps instrumentation sites
+    one-liners.
     """
 
     def __init__(self, path: str, *, trace_id: Optional[str] = None,
@@ -235,17 +258,9 @@ class Tracer:
             f"{os.getpid():x}-{time.monotonic_ns():x}"
         )
         self.root_parent = root_parent
-        self._counter = 0
-        self._counter_lock = threading.Lock()
         self._local = threading.local()
 
     # -- span lifecycle -------------------------------------------------
-    def _next_id(self) -> str:
-        with self._counter_lock:
-            self._counter += 1
-            n = self._counter
-        return f"{os.getpid():x}-{n:x}"
-
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -261,7 +276,7 @@ class Tracer:
         stack = self._stack()
         if parent is None:
             parent = stack[-1].span_id if stack else self.root_parent
-        sp = Span(self, self.trace_id, self._next_id(), parent, name,
+        sp = Span(self, self.trace_id, _next_span_id(), parent, name,
                   dict(attrs) if attrs else {})
         if not detached:
             stack.append(sp)

@@ -54,8 +54,11 @@ class PartitionerConfig:
     merge_identical_nets:
         Merge nets with identical pin sets during contraction (costs add).
     n_initial:
-        Number of initial-partitioning attempts at the coarsest level
-        (alternating greedy growing and random balanced); best kept.
+        Number of restarts of the k-way constructions at the coarsest
+        level (:func:`~repro.partitioner.initial.initial_kway_parts` and
+        :func:`~repro.partitioner.multilevel.multilevel_kway`); best
+        kept.  The 2-way coarsest level always ranks exactly two
+        candidates, greedy growing and the spectral sweep.
     fm_max_passes:
         Maximum FM passes per refinement call.
     fm_early_exit_frac:

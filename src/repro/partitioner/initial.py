@@ -1,17 +1,22 @@
 """Initial partitioning of the coarsest hypergraph.
 
-Runs ``config.n_initial`` attempts alternating two constructions and keeps
-the FM-refined best:
+Builds two candidates, refines each with FM to convergence, and keeps
+the best by (feasible, cut, balance metric):
 
 * **greedy net growing** — seed a random vertex in part 0 and grow the part
   through incident nets (breadth-first over the net/pin incidence) until the
   part-0 weight reaches its share of the total; vertices left over go to
   part 1.  This biases towards connected, low-cut halves.
-* **random balanced** — shuffle vertices, then assign each to the side with
-  the most remaining capacity (first-fit towards per-side ceilings).
+* **spectral sweep** (De Wit 1991) — order the vertices by the Fiedler
+  vector of the clique-expanded graph and cut that order at the feasible
+  prefix with the smallest cut.  Deterministic: it consumes no RNG, and
+  the Fiedler vector is made canonical so that neither a repeated
+  eigenvalue nor LAPACK's choice of sign or basis changes the order.
 
-Each construction is followed by FM refinement to convergence; candidates
-are ranked by (feasible, cut, balance metric).
+Two candidates rather than many restarts: the sweep sees the global
+structure that random restarts only sample, so on recursive p = 64
+bisection it keeps the geomean volume of eight restarts with a sixth
+of their FM passes.
 
 The k-way constructions live here too (:func:`greedy_kway_vertex_parts`
 and the best-of-restarts :func:`initial_kway_parts`): the direct k-way
@@ -31,38 +36,27 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import KernelBackend
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import FMResult, fm_refine
+from repro.utils.blas import single_thread_blas
 
 __all__ = [
     "initial_partition",
     "greedy_grow",
-    "random_balanced",
+    "spectral_sweep",
     "greedy_kway_vertex_parts",
     "greedy_kway_grow",
     "initial_kway_parts",
 ]
 
+#: Nets per chunk are bounded so the clique expansion's pair arrays stay
+#: at most this many entries (keeps peak memory flat on large nets).
+_MAX_PAIRS = 1 << 16
 
-def random_balanced(
-    h: Hypergraph,
-    max_weights: tuple[int, int],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Random construction: shuffled first-fit towards the side ceilings."""
-    parts = np.zeros(h.nverts, dtype=np.int64)
-    # Target weights proportional to the ceilings (handles asymmetric splits).
-    total = h.total_weight()
-    cap0, cap1 = max_weights
-    share0 = total * (cap0 / (cap0 + cap1)) if (cap0 + cap1) else 0.0
-    w0 = 0.0
-    vw = h.vwgt
-    for v in rng.permutation(h.nverts).tolist():
-        # Assign to side 0 while it lags its proportional share.
-        if w0 < share0:
-            parts[v] = 0
-            w0 += vw[v]
-        else:
-            parts[v] = 1
-    return parts
+#: Largest coarsest level that gets the spectral candidate.  The dense
+#: eigensolve is cubic: on one core of a 2-core VM it took 2.6 ms at 144
+#: vertices (the default coarsening target), 35 ms at 512 and 1.9 s at
+#: 2000.  Only coarsening that stalls leaves more vertices; those levels
+#: get a second greedy grow.
+_SPECTRAL_MAX_NVERTS = 512
 
 
 def greedy_grow(
@@ -118,6 +112,119 @@ def greedy_grow(
     return parts
 
 
+def _clique_laplacian(h: Hypergraph) -> np.ndarray:
+    """Dense Laplacian of the clique expansion of ``h``.
+
+    A net of ``s >= 2`` pins becomes a clique whose edges weigh
+    ``cost / (s - 1)``; smaller nets add nothing.  Accumulated from each
+    net's pin pairs, grouped by net size and chunked to ``_MAX_PAIRS``
+    pairs — never through a dense vertex-by-net incidence matrix.  The
+    pair ``(v, v)`` lands on the diagonal of the adjacency sum and
+    cancels in ``degree - adjacency``.
+    """
+    n = h.nverts
+    sizes = h.net_sizes()
+    nets = np.flatnonzero(sizes >= 2)
+    size = sizes[nets]
+    start = h.xpins[nets]
+    weight = h.ncost[nets] / (size - 1)
+    adj = np.zeros(n * n)
+    for s in np.unique(size).tolist():
+        group = np.flatnonzero(size == s)
+        step = max(1, _MAX_PAIRS // (s * s))
+        for lo in range(0, group.size, step):
+            g = group[lo : lo + step]
+            pins = h.pins[start[g, None] + np.arange(s)]
+            pairs = pins[:, :, None] * n + pins[:, None, :]
+            adj += np.bincount(
+                pairs.ravel(),
+                weights=np.repeat(weight[g], s * s),
+                minlength=n * n,
+            )
+    adj = adj.reshape(n, n)
+    lap = -adj
+    lap[np.diag_indices(n)] += adj.sum(axis=1)
+    return lap
+
+
+def _fiedler_order(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Vertex order along the canonical Fiedler vector.
+
+    ``evals``/``evecs`` are a Laplacian's ascending eigendecomposition.
+    The Fiedler space is spanned by every eigenvector whose eigenvalue
+    lies within a tolerance of λ2 — more than one on symmetric graphs
+    (square grids), and all components' indicators on a disconnected
+    one.  Projecting a fixed probe onto that space picks one vector
+    regardless of the basis and signs LAPACK returned: the centered
+    vertex-index ramp, or, if the ramp is orthogonal to the space, the
+    centered squared ramp; if both vanish, the order is the vertex ids.
+    Values are rounded before a stable sort, so vertices that are equal
+    up to round-off (mirror images) sort by id.
+    """
+    n = evals.size
+    tol = 1e-8 * max(1.0, float(evals[-1]))
+    space = evecs[:, np.abs(evals - evals[1]) <= tol]
+    ramp = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
+    key = np.zeros(n)
+    for probe in (ramp, ramp * ramp - np.mean(ramp * ramp)):
+        fiedler = space @ (space.T @ probe)
+        scale = float(np.abs(fiedler).max())
+        if scale > 1e-6 * float(np.abs(probe).max()):
+            key = np.round(fiedler / scale, 9)
+            break
+    return np.argsort(key, kind="stable")
+
+
+def spectral_sweep(
+    h: Hypergraph,
+    max_weights: tuple[int, int],
+) -> np.ndarray:
+    """Spectral construction: the best prefix of the Fiedler order.
+
+    Sorts the vertices along the Fiedler vector of the clique-expanded
+    graph (:func:`_fiedler_order`; the eigensolve runs in a
+    single-thread BLAS section) and puts a prefix of that order in part
+    0.  Among the ``nverts + 1`` prefixes it takes the feasible one with
+    the smallest cut, ties going to the part-0 weight closest to the
+    ``cap0 / (cap0 + cap1)`` share of the total; when no prefix is
+    feasible, the least overweight one.  A net is cut by the prefix of
+    the first ``k`` vertices exactly when its smallest rank is below
+    ``k`` and its largest is not, so one cumulative sum over the nets'
+    rank ranges gives every prefix's cut.  Consumes no randomness.
+    """
+    n = h.nverts
+    if n < 2:
+        order = np.arange(n)
+    else:
+        with single_thread_blas():
+            evals, evecs = np.linalg.eigh(_clique_laplacian(h))
+            order = _fiedler_order(evals, evecs)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+
+    # ``reduceat`` needs non-empty segments; a one-pin net has
+    # lo == hi and so adds and removes its cost at the same prefix.
+    nets = np.flatnonzero(h.net_sizes())
+    ranks = rank[h.pins]
+    lo = np.minimum.reduceat(ranks, h.xpins[nets])
+    hi = np.maximum.reduceat(ranks, h.xpins[nets])
+    cost = h.ncost[nets]
+    cut = np.cumsum(
+        np.bincount(lo + 1, weights=cost, minlength=n + 1)
+        - np.bincount(hi + 1, weights=cost, minlength=n + 1)
+    )
+
+    w0 = np.concatenate(([0], np.cumsum(h.vwgt[order])))
+    total = int(w0[-1])
+    cap0, cap1 = max_weights
+    over = np.maximum(np.maximum(w0 - cap0, total - w0 - cap1), 0)
+    target = total * (cap0 / (cap0 + cap1)) if (cap0 + cap1) else 0.0
+    k = int(np.lexsort((np.abs(w0 - target), cut, over))[0])
+    parts = np.ones(n, dtype=np.int64)
+    parts[order[:k]] = 0
+    return parts
+
+
 def initial_partition(
     h: Hypergraph,
     max_weights: tuple[int, int],
@@ -125,12 +232,13 @@ def initial_partition(
     rng: np.random.Generator,
     backend: KernelBackend | None = None,
 ) -> FMResult:
-    """Best-of-``n_initial`` construction + FM refinement.
+    """Best of two FM-refined constructions: greedy growing and the
+    spectral sweep (a second greedy grow above ``_SPECTRAL_MAX_NVERTS``
+    vertices, where the eigensolve would cost more than it saves).
 
     Returns the best :class:`~repro.partitioner.fm.FMResult`, ranked by
-    feasibility first, then cut, then balance.  All ``n_initial``
-    refinements run on the same hypergraph, so they share one reusable
-    kernel pass state.
+    feasibility first, then cut, then balance.  Both refinements run on
+    the same hypergraph, so they share one reusable kernel pass state.
     """
     if h.nverts == 0:
         return FMResult(
@@ -142,11 +250,12 @@ def initial_partition(
         )
     best: FMResult | None = None
     best_key: tuple | None = None
-    for attempt in range(config.n_initial):
-        if attempt % 2 == 0:
-            parts = greedy_grow(h, max_weights, rng)
-        else:
-            parts = random_balanced(h, max_weights, rng)
+    for parts in (
+        greedy_grow(h, max_weights, rng),
+        spectral_sweep(h, max_weights)
+        if h.nverts <= _SPECTRAL_MAX_NVERTS
+        else greedy_grow(h, max_weights, rng),
+    ):
         result = fm_refine(h, parts, max_weights, config, rng, backend=backend)
         w1 = int(np.dot(result.parts, h.vwgt))
         w0 = h.total_weight() - w1
@@ -306,9 +415,8 @@ def initial_kway_parts(
     A feasible start provably stays feasible through the FM passes (the
     best-prefix bookkeeping never records an infeasible state once one
     feasible state exists), so the greedy assignment is retried with
-    fresh tie-break orders — up to ``config.n_initial`` times, mirroring
-    the coarsest-level restarts of the 2-way engine — until the packing
-    fits, alternating the even-spread and first-fit disciplines (an
+    fresh tie-break orders — up to ``config.n_initial`` times — until
+    the packing fits, alternating the even-spread and first-fit disciplines (an
     instance of nearly uniform heavy weights against a snug ceiling
     defeats the even spread on *every* order, but first-fit packs it);
     the least-overweight attempt is returned otherwise and the caller's

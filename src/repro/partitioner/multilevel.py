@@ -1,9 +1,10 @@
 """The multilevel V-cycle driver.
 
 Coarsen until the hypergraph is small (or matching stalls), partition the
-coarsest level with best-of-many construction + FM, then project the
-partition back up level by level, refining with FM at each level — the
-scheme shared by Mondriaan, PaToH, hMetis, and MLpart (paper Section II).
+coarsest level with the better of two FM-refined constructions (greedy
+growing and a spectral sweep), then project the partition back up level
+by level, refining with FM at each level — the scheme shared by
+Mondriaan, PaToH, hMetis, and MLpart (paper Section II).
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ def multilevel_bipartition(
                 level.fine, parts, max_weights, cfg, rng, backend=backend
             )
         parts = result.parts
-
-    if not levels:
-        return result
     return result
 
 
@@ -139,15 +137,13 @@ def recursive_kway_parts(
     instances; it is meant for the *coarse* hypergraphs of the k-way
     multilevel engine's coarsest level, where the FM work is cheap.
 
-    The bisections run under a lightened search budget (two initial
-    attempts, at most two FM passes): the construction only has to
-    place boundaries approximately — every level of the k-way
-    uncoarsening refines them afterwards.
+    The bisections run under a lightened search budget (at most two FM
+    passes): the construction only has to place boundaries
+    approximately — every level of the k-way uncoarsening refines them
+    afterwards.
     """
     config = dataclasses.replace(
-        config,
-        n_initial=2,
-        fm_max_passes=min(2, config.fm_max_passes),
+        config, fm_max_passes=min(2, config.fm_max_passes)
     )
     parts = np.zeros(h.nverts, dtype=np.int64)
 

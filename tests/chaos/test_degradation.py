@@ -155,10 +155,12 @@ def test_overload_degrades_queued_requests_instead_of_failing(
         "--overload-deadline-factor", "0.000001",
     )
 
+    # The work must outlast the 50 ms floor by a margin: p=8 on
+    # INSTANCE finishes in about 45 ms and would never degrade.
     def submit(seed):
         try:
             return handle.client(retries=0).partition(
-                instance=INSTANCE, nparts=8, seed=seed,
+                instance="sym_grid2d_m", nparts=16, seed=seed,
                 include_parts=False,
             )
         except ServeError as exc:

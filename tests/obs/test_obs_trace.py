@@ -1,6 +1,7 @@
 """Unit tests for the tracer/span core (:mod:`repro.obs.trace`)."""
 
 import json
+import os
 import pickle
 import threading
 
@@ -284,6 +285,37 @@ class TestActivation:
         # The activation span is closed and carries the error event.
         assert recs["worker.task"]["t1"] is not None
         assert any(ev["name"] == "error" for ev in recs["worker.task"]["events"])
+
+    def test_successive_activations_never_reuse_an_id(self, tmp_path):
+        # A pool worker serves many tasks of one trace, each under a
+        # freshly installed tracer; their spans must stay distinct or
+        # trace-report links children to the wrong task.
+        path = str(tmp_path / "t.jsonl")
+        enable(path)
+        with span("parent") as parent:
+            ctx = parent.context()
+        disable()
+        for task in range(3):
+            with activate(ctx, "worker.task", task=task):
+                span("worker.sub").end()
+        ids = [r["span"] for r in _records(path)]
+        assert len(ids) == 7
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_mints_ids_under_its_own_pid(self):
+        trace_mod._next_span_id()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child process
+            os.close(read_fd)
+            os.write(write_fd, trace_mod._next_span_id().encode())
+            os._exit(0)
+        os.close(write_fd)
+        child_id = os.read(read_fd, 64).decode()
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+        assert child_id == f"{pid:x}-1"
 
 
 class TestSinkResilience:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import part_weights
+from repro.hypergraph.metrics import connectivity_volume, part_weights
+from repro.partitioner import initial
 from repro.partitioner.config import get_config
 from repro.partitioner.initial import (
     greedy_grow,
     initial_partition,
-    random_balanced,
+    spectral_sweep,
 )
 
 
@@ -24,24 +25,17 @@ def clustered_hypergraph() -> Hypergraph:
     return Hypergraph.from_net_lists(10, nets)
 
 
-class TestRandomBalanced:
-    def test_zero_one_output(self, rng):
-        h = clustered_hypergraph()
-        parts = random_balanced(h, (5, 5), rng)
-        assert set(parts.tolist()) <= {0, 1}
-
-    def test_roughly_balanced(self, rng):
-        h = clustered_hypergraph()
-        parts = random_balanced(h, (5, 5), rng)
-        w = part_weights(h, parts, 2)
-        assert abs(int(w[0]) - int(w[1])) <= 2
-
-    def test_asymmetric_share(self, rng):
-        h = Hypergraph.from_net_lists(12, [[i, i + 1] for i in range(11)])
-        parts = random_balanced(h, (3, 9), rng)
-        w = part_weights(h, parts, 2)
-        # Side 0 should get roughly a quarter of the weight.
-        assert w[0] <= 6
+def grid_hypergraph(side: int) -> Hypergraph:
+    """The ``side x side`` grid graph: a repeated Fiedler eigenvalue."""
+    nets = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                nets.append([v, v + 1])
+            if r + 1 < side:
+                nets.append([v, v + side])
+    return Hypergraph.from_net_lists(side * side, nets)
 
 
 class TestGreedyGrow:
@@ -77,6 +71,101 @@ class TestGreedyGrow:
         assert greedy_grow(h, (0, 0), rng).size == 0
 
 
+class TestCliqueLaplacian:
+    def test_matches_pairwise_definition(self):
+        h = Hypergraph.from_net_lists(
+            5, [[0, 1, 2], [1, 3], [4], [2, 3, 4, 0]], ncost=[3, 2, 7, 1]
+        )
+        want = np.zeros((5, 5))
+        for net, cost in ((h.net_pins(i), h.ncost[i]) for i in range(4)):
+            for u in net:
+                for v in net:
+                    if u != v:
+                        want[u, v] -= cost / (len(net) - 1)
+        want[np.diag_indices(5)] = -want.sum(axis=1)
+        np.testing.assert_allclose(initial._clique_laplacian(h), want)
+
+    def test_chunking_does_not_change_the_sum(self, monkeypatch):
+        h = grid_hypergraph(5)
+        full = initial._clique_laplacian(h)
+        monkeypatch.setattr(initial, "_MAX_PAIRS", 1)
+        np.testing.assert_array_equal(initial._clique_laplacian(h), full)
+
+
+class TestSpectralSweep:
+    def test_two_cliques_cut_one_without_fm(self):
+        h = clustered_hypergraph()
+        parts = spectral_sweep(h, (5, 5))
+        assert connectivity_volume(h, parts) == 1
+        assert part_weights(h, parts, 2).tolist() == [5, 5]
+
+    @pytest.mark.parametrize("caps", [(3, 9), (9, 3)])
+    def test_asymmetric_ceilings(self, caps):
+        """A path cut once, at the prefix matching the ceilings."""
+        h = Hypergraph.from_net_lists(12, [[i, i + 1] for i in range(11)])
+        parts = spectral_sweep(h, caps)
+        w = part_weights(h, parts, 2)
+        assert w[0] <= caps[0] and w[1] <= caps[1]
+        assert connectivity_volume(h, parts) == 1
+
+    def test_weighted_share_breaks_cut_ties(self):
+        """No nets: every prefix cuts nothing, so the sweep lands on the
+        ``cap0 / (cap0 + cap1)`` share of the weight."""
+        h = Hypergraph.from_net_lists(8, [], vwgt=[1] * 8)
+        parts = spectral_sweep(h, (4, 8))
+        assert part_weights(h, parts, 2).tolist() == [3, 5]
+
+    def test_disconnected_hypergraph(self):
+        h = Hypergraph.from_net_lists(
+            6, [[0, 2], [2, 4], [1, 3], [3, 5]]
+        )
+        parts = spectral_sweep(h, (3, 3))
+        assert connectivity_volume(h, parts) == 0
+        assert part_weights(h, parts, 2).tolist() == [3, 3]
+
+    def test_no_net_of_two_pins(self):
+        h = Hypergraph.from_net_lists(4, [[0], [2], []])
+        parts = spectral_sweep(h, (2, 2))
+        assert parts.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("nverts", [1, 2])
+    def test_tiny(self, nverts):
+        nets = [[0, 1]] if nverts == 2 else []
+        h = Hypergraph.from_net_lists(nverts, nets)
+        parts = spectral_sweep(h, (1, 1))
+        assert parts.shape == (nverts,)
+        assert part_weights(h, parts, 2).tolist() in ([1, 0], [0, 1], [1, 1])
+        res = initial_partition(
+            h, (1, 1), get_config("mondriaan"), np.random.default_rng(0)
+        )
+        assert res.feasible
+
+    def test_infeasible_everywhere_takes_least_overweight(self):
+        h = Hypergraph.from_net_lists(3, [[0, 1], [1, 2]], vwgt=[5, 5, 5])
+        parts = spectral_sweep(h, (8, 8))
+        assert sorted(part_weights(h, parts, 2).tolist()) == [5, 10]
+
+    def test_rotated_eigenbasis_gives_the_same_order(self):
+        """A repeated λ2 (the square grid) leaves LAPACK free to return
+        any orthonormal basis of the Fiedler space, with any signs; the
+        canonical projection must not see the difference."""
+        lap = initial._clique_laplacian(grid_hypergraph(4))
+        evals, evecs = np.linalg.eigh(lap)
+        space = np.flatnonzero(np.abs(evals - evals[1]) <= 1e-8 * evals[-1])
+        assert space.size == 2
+        theta = 0.7
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        rotated = evecs.copy()
+        rotated[:, space] = evecs[:, space] @ rot
+        rotated[:, space[0]] *= -1
+        rotated[:, space[-1] + 1:] *= -1
+        np.testing.assert_array_equal(
+            initial._fiedler_order(evals, rotated),
+            initial._fiedler_order(evals, evecs),
+        )
+
+
 class TestInitialPartition:
     def test_finds_obvious_split(self, rng):
         h = clustered_hypergraph()
@@ -92,6 +181,16 @@ class TestInitialPartition:
         assert res.feasible
         w = part_weights(h, res.parts, 2)
         assert max(w) <= 6
+
+    def test_large_level_skips_the_eigensolve(self, monkeypatch, rng):
+        def fail(*args):
+            raise AssertionError("spectral sweep above the size cap")
+
+        monkeypatch.setattr(initial, "_SPECTRAL_MAX_NVERTS", 4)
+        monkeypatch.setattr(initial, "spectral_sweep", fail)
+        h = clustered_hypergraph()
+        res = initial_partition(h, (5, 5), get_config("mondriaan"), rng)
+        assert res.feasible
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -1,7 +1,9 @@
 """Tests for the eqn-(1) load ceiling."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.utils.balance import max_allowed_part_size
@@ -38,14 +40,18 @@ class TestMaxAllowedPartSize:
         nparts=st.integers(1, 64),
         eps=st.floats(0, 1, allow_nan=False),
     )
+    # 1.57 * 1100 is 1726.9999999999998 in floats but 1727 as intended.
+    @example(total=1100, nparts=1, eps=0.57)
     def test_always_satisfiable(self, total, nparts, eps):
         """A perfectly balanced integer partitioning always fits."""
         ceiling = max_allowed_part_size(total, nparts, eps)
         perfect_max = -(-total // nparts)
         assert ceiling >= perfect_max
         # And the ceiling never exceeds the eqn-(1) bound by more than the
-        # integrality clamp.
-        assert ceiling <= max(perfect_max, (1.0 + eps) * total / nparts)
+        # integrality clamp.  The bound is exact; the tolerance admits the
+        # decimal eps a float cannot hold (0.57 is stored as 0.5699...).
+        bound = (1 + Fraction(eps)) * total / nparts
+        assert ceiling <= max(perfect_max, bound + Fraction(1, 10**6))
 
     @given(total=st.integers(1, 10_000), nparts=st.integers(1, 64))
     def test_monotone_in_eps(self, total, nparts):
