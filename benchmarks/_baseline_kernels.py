@@ -3,10 +3,12 @@
 These are verbatim copies (modulo plumbing) of the pre-``repro.kernels``
 code: the closure-based FM pass, the convert-per-call matching sweep, the
 per-net ``tobytes()`` identical-net merge, and the independent
-``np.repeat`` net-id expansions.  They exist solely as the **before**
-side of ``bench_regress.py`` so the perf trajectory in
-``BENCH_kernels.json`` measures real, reproducible deltas against the
-seed — do not use them from library code, and do not "fix" them: their
+``np.repeat`` net-id expansions.  The k-way FM pass is frozen as it was
+before its sparse setup: dense ``np.add.at`` scatters (an ``npins x k``
+block for ``connect``) and interpreted scans over all k parts.  They exist
+solely as the **before** side of ``bench_regress.py`` so the perf
+trajectory in ``BENCH_kernels.json`` measures real, reproducible deltas
+— do not use them from library code, and do not "fix" them: their
 slowness is the point.
 """
 
@@ -23,6 +25,8 @@ __all__ = [
     "baseline_match_vertices",
     "baseline_merge_identical",
     "baseline_derived_structures",
+    "baseline_kway_setup",
+    "baseline_kway_fm_pass",
 ]
 
 
@@ -418,3 +422,399 @@ def baseline_derived_structures(h: Hypergraph) -> int:
     # FM net-id mirror (seed _hot_lists).
     net_ids2 = np.repeat(np.arange(h.nnets, dtype=np.int64), h.net_sizes())
     return int(vnets.size + tot.max(initial=0) + net_ids2.size)
+
+
+def baseline_kway_setup(
+    h: Hypergraph,
+    parts: np.ndarray,
+    nparts: int,
+    ceilings: np.ndarray,
+    boundary_only: bool,
+) -> tuple[np.ndarray, ...]:
+    """Pre-sparse ``compute_kway_setup``: dense ``np.add.at`` scatters,
+    including an ``npins x k`` block for ``connect``."""
+    k = int(nparts)
+    net_ids = h.net_ids()
+    pin_parts = parts[h.pins]
+    occ = np.zeros((h.nnets, k), dtype=np.int64)
+    np.add.at(occ, (net_ids, pin_parts), 1)
+    pw = np.bincount(parts, weights=h.vwgt, minlength=k).astype(np.int64)
+
+    costs = h.ncost[net_ids]
+    sole = occ[net_ids, pin_parts] == 1
+    gain_leave = np.zeros(h.nverts, dtype=np.int64)
+    np.add.at(gain_leave, h.pins, costs * sole)
+    cv = np.zeros(h.nverts, dtype=np.int64)
+    np.add.at(cv, h.pins, costs)
+    base = gain_leave - cv
+
+    present = occ > 0
+    connect = np.zeros((h.nverts, k), dtype=np.int64)
+    np.add.at(connect, h.pins, costs[:, None] * present[net_ids])
+
+    # Best admissible-ignoring move per vertex: argmax over t != part[v]
+    # of connect[v, t]; np.argmax resolves ties to the lowest part id,
+    # the discipline the move loops preserve incrementally.
+    vids = np.arange(h.nverts, dtype=np.int64)
+    masked = connect.copy()
+    if h.nverts:
+        masked[vids, parts] = -1
+    best_to = (
+        masked.argmax(axis=1).astype(np.int64)
+        if h.nverts
+        else np.empty(0, dtype=np.int64)
+    )
+    # connect >= 0 and k >= 2, so the best non-own entry is >= 0.
+    best_conn = masked[vids, best_to] if h.nverts else best_to
+    best_gain = base + np.maximum(best_conn, 0)
+
+    if boundary_only and bool(np.all(pw <= np.asarray(ceilings))):
+        cut_net = present.sum(axis=1) >= 2
+        boundary = np.zeros(h.nverts, dtype=bool)
+        np.logical_or.at(boundary, h.pins, cut_net[net_ids])
+        insert_mask = boundary
+    else:
+        insert_mask = np.ones(h.nverts, dtype=bool)
+    return occ, pw, base, connect, best_to, best_gain, insert_mask
+
+
+def _baseline_kw_refile(head, nxt, prv, inside, bgain, offset, u, newg, maxptr):
+    """Seed k-way bucket re-key (unlink or lazy insert, LIFO re-file)."""
+    if inside[u]:
+        p = prv[u]
+        n2 = nxt[u]
+        if p != -1:
+            nxt[p] = n2
+        else:
+            head[bgain[u] + offset] = n2
+        if n2 != -1:
+            prv[n2] = p
+    else:
+        inside[u] = True
+    bgain[u] = newg
+    b = newg + offset
+    f = head[b]
+    nxt[u] = f
+    prv[u] = -1
+    if f != -1:
+        prv[f] = u
+    head[b] = u
+    if b > maxptr:
+        return b
+    return maxptr
+
+
+def baseline_kway_fm_pass(
+    h: Hypergraph,
+    lists: dict,
+    parts: np.ndarray,
+    nparts: int,
+    ceilings: np.ndarray,
+    cfg,
+    rng: np.random.Generator,
+) -> tuple[int, bool]:
+    """Pre-sparse k-way FM pass: dense setup, interpreted k-scans.
+
+    The argmax recompute, the full-target re-aim and the balance metric
+    each loop over all k parts in Python.
+    """
+    nverts = h.nverts
+    k = int(nparts)
+    if nverts == 0:
+        return 0, True
+    occ_np, pw_np, base_np, conn_np, bto_np, bgain_np, mask_np = (
+        baseline_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
+    )
+    insert_order = rng.permutation(nverts)
+
+    xpins_l: list = lists["xpins"]
+    pins_l: list = lists["pins"]
+    xnets_l: list = lists["xnets"]
+    vnets_l: list = lists["vnets"]
+    cost_l: list = lists["cost"]
+    vw_l: list = lists["vwgt"]
+
+    occ = occ_np.ravel().tolist()
+    conn = conn_np.ravel().tolist()
+    pw = pw_np.tolist()
+    ceil_l = [int(c) for c in ceilings]
+    base = base_np.tolist()
+    bto = bto_np.tolist()
+    bgain = bgain_np.tolist()
+    mask_l = mask_np.tolist()
+    parts_l = parts.tolist()
+    offset = h.max_vertex_net_cost()
+    slack = int(h.vwgt.max(initial=0))
+
+    head = [-1] * (2 * offset + 1)
+    nxt = [-1] * nverts
+    prv = [-1] * nverts
+    inside = [False] * nverts
+    locked = [False] * nverts
+    maxptr = -1
+    for v in insert_order.tolist():
+        if mask_l[v]:
+            b = bgain[v] + offset
+            f = head[b]
+            nxt[v] = f
+            prv[v] = -1
+            if f != -1:
+                prv[f] = v
+            head[b] = v
+            inside[v] = True
+            if b > maxptr:
+                maxptr = b
+
+    n_over = 0
+    for p in range(k):
+        if pw[p] > ceil_l[p]:
+            n_over += 1
+    metric = 0.0
+    for p in range(k):
+        cl = ceil_l[p]
+        m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
+        if m > metric:
+            metric = m
+    best_feasible = n_over == 0
+    best_cum = 0
+    best_len = 0
+    best_metric = metric
+    cum = 0
+    moved: list[int] = []
+    moved_from: list[int] = []
+    stall = 0
+    stall_limit = max(32, int(cfg.fm_early_exit_frac * nverts))
+
+    while True:
+        # --------------------------------------------------------- #
+        # Selection: best-gain-first, first admissible vertex wins.
+        # --------------------------------------------------------- #
+        best_v = -1
+        # Transit slack only while feasible: a rebalancing pass that
+        # overshoots a target past its ceiling would strand the
+        # excess on locked vertices (each vertex moves once), so
+        # overweight states fill targets strictly.
+        sl = slack if n_over == 0 else 0
+        while True:  # rescan after any up-refile (see below)
+            raised = False
+            b = maxptr
+            while b >= 0:
+                u = head[b]
+                if u == -1:
+                    # Bucket empty: tighten the cursor — but only if
+                    # no up-refile raised it above this scan, else
+                    # the refiled vertex would become unreachable.
+                    if maxptr == b:
+                        maxptr = b - 1
+                    b -= 1
+                    continue
+                while u != -1:
+                    s = parts_l[u]
+                    if n_over > 0 and pw[s] <= ceil_l[s]:
+                        u = nxt[u]  # rebalancing: only overweight
+                        continue
+                    wu = vw_l[u]
+                    t = bto[u]
+                    if pw[t] + wu <= ceil_l[t] + sl:
+                        best_v = u
+                        break
+                    # Cached target is full: re-aim at the best
+                    # target *with room* (ties lowest id).  Equal
+                    # gain selects immediately; a changed gain
+                    # refiles the vertex at its exact new key and
+                    # the scan carries on — a down-refile is
+                    # re-encountered below, an up-refile (possible
+                    # once earlier down-refiles broke the argmax
+                    # invariant and room has since shifted) is
+                    # picked up by the rescan.  Without the re-aim,
+                    # a rebalancing pass stalls the moment one
+                    # target part fills up.
+                    iu = u * k
+                    bt2 = -1
+                    bc2 = -1
+                    for t2 in range(k):
+                        if t2 == s:
+                            continue
+                        if pw[t2] + wu > ceil_l[t2] + sl:
+                            continue
+                        cval = conn[iu + t2]
+                        if cval > bc2:
+                            bc2 = cval
+                            bt2 = t2
+                    if bt2 == -1:
+                        u = nxt[u]  # no part has room for u at all
+                        continue
+                    newg = base[u] + bc2
+                    bto[u] = bt2
+                    if newg == bgain[u]:
+                        best_v = u
+                        break
+                    if newg > bgain[u]:
+                        raised = True
+                    unext = nxt[u]
+                    maxptr = _baseline_kw_refile(
+                        head, nxt, prv, inside, bgain, offset,
+                        u, newg, maxptr,
+                    )
+                    u = unext
+                if best_v != -1:
+                    break
+                b -= 1
+            # Rescan only when an up-refile may sit above the
+            # descent; each rescan follows a strict key increase, so
+            # this terminates.
+            if best_v != -1 or not raised:
+                break
+        if best_v == -1:
+            break
+
+        v = best_v
+        s = parts_l[v]
+        t = bto[v]
+        g = bgain[v]
+        # Unlink the chosen vertex and lock it.
+        p_ = prv[v]
+        n2 = nxt[v]
+        if p_ != -1:
+            nxt[p_] = n2
+        else:
+            head[g + offset] = n2
+        if n2 != -1:
+            prv[n2] = p_
+        inside[v] = False
+        locked[v] = True
+
+        # k-way gain-update rules around the move of v from s to t.
+        # Occupancy transitions drive four touch kinds: a net gaining
+        # part t (connectivity of every free pin towards t rises), a
+        # net whose sole t-pin loses its leave-gain, a net losing
+        # part s (connectivity towards s drops; cached bests pointing
+        # at s are recomputed), and a net left with a sole s-pin
+        # (which gains the leave bonus).
+        for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
+            c = cost_l[n]
+            if c == 0:
+                continue
+            p0, p1 = xpins_l[n], xpins_l[n + 1]
+            nk = n * k
+            ot = occ[nk + t]
+            if ot == 0:
+                for u in pins_l[p0:p1]:
+                    if locked[u]:
+                        continue
+                    iu = u * k
+                    conn[iu + t] += c
+                    bu = bto[u]
+                    if bu == t:
+                        maxptr = _baseline_kw_refile(
+                            head, nxt, prv, inside, bgain, offset,
+                            u, bgain[u] + c, maxptr,
+                        )
+                    else:
+                        # No pin of this net sits in t (ot == 0), so
+                        # t != parts[u] holds for every free pin.
+                        nc = conn[iu + t]
+                        bc = conn[iu + bu]
+                        if nc > bc:
+                            bto[u] = t
+                            maxptr = _baseline_kw_refile(
+                                head, nxt, prv, inside, bgain, offset,
+                                u, bgain[u] + nc - bc, maxptr,
+                            )
+                        elif nc == bc and t < bu:
+                            bto[u] = t  # lowest-id tie discipline
+            elif ot == 1:
+                for u in pins_l[p0:p1]:
+                    if parts_l[u] == t:
+                        if not locked[u]:
+                            base[u] -= c
+                            maxptr = _baseline_kw_refile(
+                                head, nxt, prv, inside, bgain, offset,
+                                u, bgain[u] - c, maxptr,
+                            )
+                        break
+            occ[nk + s] -= 1
+            occ[nk + t] += 1
+            ns = occ[nk + s]
+            if ns == 0:
+                for u in pins_l[p0:p1]:
+                    if locked[u]:
+                        continue
+                    iu = u * k
+                    conn[iu + s] -= c
+                    if bto[u] == s:
+                        # Free pins cannot sit in s (ns == 0), so the
+                        # recomputed argmax skips parts[u] correctly.
+                        pu = parts_l[u]
+                        bt2 = -1
+                        bc2 = -1
+                        for t2 in range(k):
+                            if t2 == pu:
+                                continue
+                            cval = conn[iu + t2]
+                            if cval > bc2:
+                                bc2 = cval
+                                bt2 = t2
+                        bto[u] = bt2
+                        newg = base[u] + bc2
+                        if newg != bgain[u]:
+                            maxptr = _baseline_kw_refile(
+                                head, nxt, prv, inside, bgain, offset,
+                                u, newg, maxptr,
+                            )
+            elif ns == 1:
+                for u in pins_l[p0:p1]:
+                    if u != v and parts_l[u] == s:
+                        if not locked[u]:
+                            base[u] += c
+                            maxptr = _baseline_kw_refile(
+                                head, nxt, prv, inside, bgain, offset,
+                                u, bgain[u] + c, maxptr,
+                            )
+                        break
+
+        parts_l[v] = t
+        wv = vw_l[v]
+        if pw[s] > ceil_l[s] and pw[s] - wv <= ceil_l[s]:
+            n_over -= 1
+        pw[s] -= wv
+        if pw[t] <= ceil_l[t] and pw[t] + wv > ceil_l[t]:
+            n_over += 1
+        pw[t] += wv
+        cum += g
+        moved.append(v)
+        moved_from.append(s)
+
+        improved = False
+        if n_over == 0:
+            metric = 0.0
+            for p in range(k):
+                cl = ceil_l[p]
+                m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
+                if m > metric:
+                    metric = m
+            if (
+                not best_feasible
+                or cum > best_cum
+                or (cum == best_cum and metric < best_metric)
+            ):
+                best_feasible = True
+                best_cum = cum
+                best_len = len(moved)
+                best_metric = metric
+                improved = True
+        if improved:
+            stall = 0
+        else:
+            stall += 1
+            if stall > stall_limit and best_feasible:
+                break
+
+    # Roll back to the best prefix (each vertex moved at most once).
+    for i in range(best_len, len(moved)):
+        parts_l[moved[i]] = moved_from[i]
+    parts[:] = parts_l
+
+    if not best_feasible:
+        return 0, False
+    return best_cum, True

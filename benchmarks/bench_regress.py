@@ -16,6 +16,10 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
     The derived structures FM needs on a fresh medium-grain hypergraph
     (transpose, gain bound, net ids) — seed per-site ``np.repeat``
     expansions vs. the shared ``Hypergraph.net_ids()`` cache.
+``kway_fm_pass``
+    One k-way FM pass at k=64 on the medium-grain hypergraph — the
+    dense ``np.add.at`` setup with interpreted k-part scans vs. the
+    sparse ``np.bincount`` setup with C-level list scans.
 
 Usage::
 
@@ -48,6 +52,7 @@ from benchmarks._baseline_kernels import (
     baseline_derived_structures,
     baseline_fm_pass,
     baseline_hot_lists,
+    baseline_kway_fm_pass,
     baseline_match_vertices,
     baseline_merge_identical,
 )
@@ -63,8 +68,12 @@ from repro.sparse.collection import load_instance
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 DEFAULT_MATRICES = ("sqr_cl_m", "sym_grid2d_m", "rec_bp_med")
-KERNELS = ("fm_pass", "matching", "contraction", "medium_grain_build")
+KERNELS = (
+    "fm_pass", "matching", "contraction", "medium_grain_build",
+    "kway_fm_pass",
+)
 SEED = 2014
+KWAY_PARTS = 64
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -215,11 +224,64 @@ def bench_medium_grain_build(matrix, backend, repeats: int, after_only: bool = F
     return out
 
 
+def bench_kway_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> dict:
+    """Pre-sparse k-way FM pass vs. backend pass at k=64.
+
+    The start cuts the vertex order into 64 weight-contiguous blocks (a
+    feasible partition with the locality of a row-block split), then
+    refines it with a few untimed passes: the timed pass runs on a
+    nearly converged partition, like most passes of a multilevel
+    uncoarsening.  Every ceiling is 3% over the average part plus the
+    heaviest vertex.
+    """
+    h = _medium_grain_hypergraph(matrix)
+    cfg = get_config("mondriaan")
+    k = KWAY_PARTS
+    total = h.total_weight()
+    cap = int(1.03 * total / k) + int(h.vwgt.max(initial=0))
+    ceilings = np.full(k, cap, dtype=np.int64)
+    lists = baseline_hot_lists(h)
+    state = backend.fm_state(h)
+    parts0 = ((np.cumsum(h.vwgt) - h.vwgt) * k // total).astype(np.int64)
+    for i in range(4):
+        backend.kway_fm_pass(
+            state, parts0, k, ceilings, cfg, np.random.default_rng(100 + i)
+        )
+
+    def run_before():
+        parts = parts0.copy()
+        out = baseline_kway_fm_pass(
+            h, lists, parts, k, ceilings, cfg, np.random.default_rng(7)
+        )
+        return out, parts
+
+    def run_after():
+        parts = parts0.copy()
+        out = backend.kway_fm_pass(
+            state, parts, k, ceilings, cfg, np.random.default_rng(7)
+        )
+        return out, parts
+
+    d_before, p_before = run_before()
+    d_after, p_after = run_after()  # also JIT-warms the numba backend
+    if d_before != (int(d_after[0]), bool(d_after[1])) or (
+        p_before.tolist() != p_after.tolist()
+    ):
+        raise AssertionError(
+            f"kway_fm_pass drift: baseline {d_before} != backend {d_after}"
+        )
+    out = {"after_s": _best_of(repeats, run_after)}
+    if not after_only:
+        out["before_s"] = _best_of(repeats, run_before)
+    return out
+
+
 BENCH_FNS = {
     "fm_pass": bench_fm_pass,
     "matching": bench_matching,
     "contraction": bench_contraction,
     "medium_grain_build": bench_medium_grain_build,
+    "kway_fm_pass": bench_kway_fm_pass,
 }
 
 

@@ -28,6 +28,12 @@ All of it is computed here vectorized, shared by the ``"python"`` and
 what makes the backends bit-compatible (mirroring
 :func:`repro.kernels.state.compute_fm_setup` for the 2-way pass).
 
+Setup cost is O(Σ|n|·λ_n) scatter work plus the O((nnets + nverts)·k)
+zero-fill of the two dense outputs: every array is one ``np.bincount``,
+and ``connect`` scatters each pin's net cost only over its net's λ_n
+present parts.  Under a good partition λ_n is small, so at k=64 this is
+a small fraction of the ``npins x k`` block a dense scatter would touch.
+
 The gain bound of the 2-way pass carries over: ``|base[v] +
 connect[v, t]| <= C_v <= max_vertex_net_cost``, so the k-way buckets
 reuse ``FMPassState.max_gain`` / ``nbuckets`` unchanged (one bucket
@@ -41,6 +47,16 @@ import numpy as np
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["compute_kway_setup"]
+
+
+def _scatter_sum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Integer ``np.add.at`` via ``np.bincount``.
+
+    ``bincount`` accumulates weights in float64, which is exact for the
+    non-negative integer sums here (every one is bounded by the total net
+    cost, far below 2**53), so the cast back to int64 loses nothing.
+    """
+    return np.bincount(idx, weights=weights, minlength=n).astype(np.int64)
 
 
 def compute_kway_setup(
@@ -62,45 +78,58 @@ def compute_kway_setup(
     Requires ``nparts >= 2``.
     """
     k = int(nparts)
+    nverts = h.nverts
     net_ids = h.net_ids()
-    pin_parts = parts[h.pins]
-    occ = np.zeros((h.nnets, k), dtype=np.int64)
-    np.add.at(occ, (net_ids, pin_parts), 1)
+    key = net_ids * k + parts[h.pins]
+    occ_flat = np.bincount(key, minlength=h.nnets * k).astype(
+        np.int64, copy=False
+    )
+    occ = occ_flat.reshape(h.nnets, k)
     pw = np.bincount(parts, weights=h.vwgt, minlength=k).astype(np.int64)
 
     costs = h.ncost[net_ids]
-    sole = occ[net_ids, pin_parts] == 1
-    gain_leave = np.zeros(h.nverts, dtype=np.int64)
-    np.add.at(gain_leave, h.pins, costs * sole)
-    cv = np.zeros(h.nverts, dtype=np.int64)
-    np.add.at(cv, h.pins, costs)
-    base = gain_leave - cv
+    sole = occ_flat[key] == 1
+    base = _scatter_sum(h.pins, costs * sole, nverts) - _scatter_sum(
+        h.pins, costs, nverts
+    )
 
-    present = occ > 0
-    connect = np.zeros((h.nverts, k), dtype=np.int64)
-    np.add.at(connect, h.pins, costs[:, None] * present[net_ids])
+    # The present (net, part) pairs in net-major order, and λ_n per net.
+    pair_net, pair_part = np.divmod(np.flatnonzero(occ_flat), k)
+    lam = np.bincount(pair_net, minlength=h.nnets)
+    # Every pin adds its net's cost to each of the net's λ_n present
+    # parts: Σ|n|·λ_n scatter entries instead of a dense npins x k block.
+    reps = lam[net_ids]
+    pair_start = (np.cumsum(lam) - lam)[net_ids]
+    run_start = np.cumsum(reps) - reps
+    pin_rep = np.repeat(np.arange(h.npins, dtype=np.int64), reps)
+    pair_idx = np.repeat(pair_start - run_start, reps) + np.arange(
+        pin_rep.size, dtype=np.int64
+    )
+    connect = _scatter_sum(
+        h.pins[pin_rep] * k + pair_part[pair_idx],
+        costs[pin_rep],
+        nverts * k,
+    ).reshape(nverts, k)
 
     # Best admissible-ignoring move per vertex: argmax over t != part[v]
     # of connect[v, t]; np.argmax resolves ties to the lowest part id,
     # the discipline the move loops preserve incrementally.
-    vids = np.arange(h.nverts, dtype=np.int64)
+    vids = np.arange(nverts, dtype=np.int64)
     masked = connect.copy()
-    if h.nverts:
+    if nverts:
         masked[vids, parts] = -1
     best_to = (
         masked.argmax(axis=1).astype(np.int64)
-        if h.nverts
+        if nverts
         else np.empty(0, dtype=np.int64)
     )
     # connect >= 0 and k >= 2, so the best non-own entry is >= 0.
-    best_conn = masked[vids, best_to] if h.nverts else best_to
+    best_conn = masked[vids, best_to] if nverts else best_to
     best_gain = base + np.maximum(best_conn, 0)
 
     if boundary_only and bool(np.all(pw <= np.asarray(ceilings))):
-        cut_net = present.sum(axis=1) >= 2
-        boundary = np.zeros(h.nverts, dtype=bool)
-        np.logical_or.at(boundary, h.pins, cut_net[net_ids])
-        insert_mask = boundary
+        insert_mask = np.zeros(nverts, dtype=bool)
+        insert_mask[h.pins[lam[net_ids] >= 2]] = True
     else:
-        insert_mask = np.ones(h.nverts, dtype=bool)
+        insert_mask = np.ones(nverts, dtype=bool)
     return occ, pw, base, connect, best_to, best_gain, insert_mask

@@ -23,6 +23,8 @@ preserved exactly; the golden tests pin this.
 
 from __future__ import annotations
 
+from operator import truediv
+
 import numpy as np
 
 from repro.kernels.base import KernelBackend
@@ -63,6 +65,22 @@ def _kw_refile(head, nxt, prv, inside, bgain, offset, u, newg, maxptr):
     if b > maxptr:
         return b
     return maxptr
+
+
+def _kw_metric_zero_ceiling(pw, ceil_l):
+    """Balance metric ``max(pw[p] / ceil[p])`` when some ceiling is 0.
+
+    A zero-ceiling part scores 1.0 while it holds weight and 0.0 when
+    empty; with every ceiling positive the move loop takes the C-level
+    ``max(map(truediv, pw, ceil_l))`` instead, which gives the same float.
+    """
+    metric = 0.0
+    for p in range(len(pw)):
+        cl = ceil_l[p]
+        m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
+        if m > metric:
+            metric = m
+    return metric
 
 
 class PythonBackend(KernelBackend):
@@ -535,12 +553,12 @@ class PythonBackend(KernelBackend):
         for p in range(k):
             if pw[p] > ceil_l[p]:
                 n_over += 1
-        metric = 0.0
-        for p in range(k):
-            cl = ceil_l[p]
-            m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
-            if m > metric:
-                metric = m
+        ceil_pos = all(ceil_l)  # ceilings are validated non-negative
+        metric = (
+            max(map(truediv, pw, ceil_l))
+            if ceil_pos
+            else _kw_metric_zero_ceiling(pw, ceil_l)
+        )
         best_feasible = n_over == 0
         best_cum = 0
         best_len = 0
@@ -594,22 +612,21 @@ class PythonBackend(KernelBackend):
                         # invariant and room has since shifted) is
                         # picked up by the rescan.  Without the re-aim,
                         # a rebalancing pass stalls the moment one
-                        # target part fills up.
+                        # target part fills up.  Parts without room
+                        # (and u's own) are masked to -1 below every
+                        # connect value; list.index takes the lowest id
+                        # among ties.
                         iu = u * k
-                        bt2 = -1
-                        bc2 = -1
-                        for t2 in range(k):
-                            if t2 == s:
-                                continue
-                            if pw[t2] + wu > ceil_l[t2] + sl:
-                                continue
-                            cval = conn[iu + t2]
-                            if cval > bc2:
-                                bc2 = cval
-                                bt2 = t2
-                        if bt2 == -1:
+                        row = [
+                            c if w + wu <= cl + sl else -1
+                            for c, w, cl in zip(conn[iu:iu + k], pw, ceil_l)
+                        ]
+                        row[s] = -1
+                        bc2 = max(row)
+                        if bc2 < 0:
                             u = nxt[u]  # no part has room for u at all
                             continue
+                        bt2 = row.index(bc2)
                         newg = base[u] + bc2
                         bto[u] = bt2
                         if newg == bgain[u]:
@@ -709,18 +726,14 @@ class PythonBackend(KernelBackend):
                         iu = u * k
                         conn[iu + s] -= c
                         if bto[u] == s:
-                            # Free pins cannot sit in s (ns == 0), so the
-                            # recomputed argmax skips parts[u] correctly.
-                            pu = parts_l[u]
-                            bt2 = -1
-                            bc2 = -1
-                            for t2 in range(k):
-                                if t2 == pu:
-                                    continue
-                                cval = conn[iu + t2]
-                                if cval > bc2:
-                                    bc2 = cval
-                                    bt2 = t2
+                            # Recompute the argmax over t != parts[u]:
+                            # the own part is masked to -1 (connect >= 0
+                            # and k >= 2, so it never wins) and
+                            # list.index takes the lowest id among ties.
+                            row = conn[iu:iu + k]
+                            row[parts_l[u]] = -1
+                            bc2 = max(row)
+                            bt2 = row.index(bc2)
                             bto[u] = bt2
                             newg = base[u] + bc2
                             if newg != bgain[u]:
@@ -753,12 +766,11 @@ class PythonBackend(KernelBackend):
 
             improved = False
             if n_over == 0:
-                metric = 0.0
-                for p in range(k):
-                    cl = ceil_l[p]
-                    m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
-                    if m > metric:
-                        metric = m
+                metric = (
+                    max(map(truediv, pw, ceil_l))
+                    if ceil_pos
+                    else _kw_metric_zero_ceiling(pw, ceil_l)
+                )
                 if (
                     not best_feasible
                     or cum > best_cum

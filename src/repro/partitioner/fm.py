@@ -62,6 +62,14 @@ _FM_GAIN = _metrics.counter(
     "Total cut reduction achieved by improving FM passes",
     ("kind",),
 )
+# Label children bound once: every pass would otherwise pay a locked
+# ``.labels()`` lookup per counter.
+_FM_PASSES_BI = _FM_PASSES.labels(kind="bi")
+_FM_MOVES_BI = _FM_MOVES.labels(kind="bi")
+_FM_GAIN_BI = _FM_GAIN.labels(kind="bi")
+_FM_PASSES_KWAY = _FM_PASSES.labels(kind="kway")
+_FM_MOVES_KWAY = _FM_MOVES.labels(kind="kway")
+_FM_GAIN_KWAY = _FM_GAIN.labels(kind="kway")
 
 
 @dataclass
@@ -188,10 +196,10 @@ def fm_refine(
             sp.set(delta=delta, moved=moved)
         passes_run += 1
         total_delta += delta
-        _FM_PASSES.labels(kind="bi").inc()
-        _FM_MOVES.labels(kind="bi").inc(moved)
+        _FM_PASSES_BI.inc()
+        _FM_MOVES_BI.inc(moved)
         if delta > 0:
-            _FM_GAIN.labels(kind="bi").inc(delta)
+            _FM_GAIN_BI.inc(delta)
         # Stop once a pass that started from a feasible state no longer
         # reduces the cut; a rebalancing pass (infeasible start) may have
         # delta <= 0 yet unlock further improvement, so it never stops us.
@@ -326,10 +334,10 @@ def kway_refine(
             sp.set(delta=delta, moved=moved)
         passes_run += 1
         total_delta += delta
-        _FM_PASSES.labels(kind="kway").inc()
-        _FM_MOVES.labels(kind="kway").inc(moved)
+        _FM_PASSES_KWAY.inc()
+        _FM_MOVES_KWAY.inc(moved)
         if delta > 0:
-            _FM_GAIN.labels(kind="kway").inc(delta)
+            _FM_GAIN_KWAY.inc(delta)
         # Same stopping rule as fm_refine: a feasible-start pass that no
         # longer reduces the cut ends the call; a rebalancing pass never
         # does.

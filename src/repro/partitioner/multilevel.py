@@ -49,6 +49,8 @@ _COARSEN_LEVELS = _metrics.counter(
     "Coarsening levels built by the multilevel engines",
     ("engine",),
 )
+_COARSEN_LEVELS_BI = _COARSEN_LEVELS.labels(engine="bi")
+_COARSEN_LEVELS_KWAY = _COARSEN_LEVELS.labels(engine="kway")
 
 
 def multilevel_bipartition(
@@ -89,7 +91,7 @@ def multilevel_bipartition(
             levels.append(level)
             cur = level.coarse
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
-    _COARSEN_LEVELS.labels(engine="bi").inc(len(levels))
+    _COARSEN_LEVELS_BI.inc(len(levels))
 
     # ------------------------------------------------------------------ #
     # Initial partitioning at the coarsest level.
@@ -264,7 +266,7 @@ def multilevel_kway(
             levels.append(level)
             cur = level.coarse
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
-    _COARSEN_LEVELS.labels(engine="kway").inc(len(levels))
+    _COARSEN_LEVELS_KWAY.inc(len(levels))
 
     # ------------------------------------------------------------------ #
     # Initial k-way partitioning at the coarsest level: one

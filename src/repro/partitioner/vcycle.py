@@ -56,6 +56,11 @@ _VCYCLE_KEEP_BEST = _metrics.counter(
     "Keep-best decisions at k-way V-cycle boundaries",
     ("decision",),
 )
+# Label children bound once, off the per-cycle path.
+_VCYCLE_CYCLES_BI = _VCYCLE_CYCLES.labels(kind="bi")
+_VCYCLE_CYCLES_KWAY = _VCYCLE_CYCLES.labels(kind="kway")
+_VCYCLE_IMPROVED = _VCYCLE_KEEP_BEST.labels(decision="improved")
+_VCYCLE_KEPT = _VCYCLE_KEEP_BEST.labels(decision="kept")
 
 
 @dataclass
@@ -121,7 +126,7 @@ def vcycle_refine(
             parts = _one_cycle(h, parts, max_weights, cfg, rng, backend)
         cuts.append(connectivity_volume(h, parts))
         cycles += 1
-        _VCYCLE_CYCLES.labels(kind="bi").inc()
+        _VCYCLE_CYCLES_BI.inc()
         if cuts[-1] >= cuts[-2]:
             break
 
@@ -248,10 +253,8 @@ def kway_vcycle_refine(
                     (cand_feasible, -cand_cut) > (best_feasible, -best_cut)
                 )
                 sp.set(improved=improved, cut=cand_cut)
-            _VCYCLE_CYCLES.labels(kind="kway").inc()
-            _VCYCLE_KEEP_BEST.labels(
-                decision="improved" if improved else "kept"
-            ).inc()
+            _VCYCLE_CYCLES_KWAY.inc()
+            (_VCYCLE_IMPROVED if improved else _VCYCLE_KEPT).inc()
             if improved:
                 best, best_cut = cand, cand_cut
                 best_feasible = cand_feasible

@@ -38,14 +38,26 @@ CONFIGS = [
 ]
 
 
-def _case(case_seed, extreme=False):
+def _case(case_seed, start="random"):
+    """A random hypergraph, k and ceilings, with a ``"random"`` start,
+    an ``"extreme"`` one (everything on part 0) or a ``"balanced"`` one
+    (each vertex onto the lightest part: within every ceiling)."""
+    # k up to 64: wide connectivity rows make argmax ties across many
+    # parts common, which the python backend resolves with list.index.
     rng = np.random.default_rng(7000 + case_seed)
-    k = int(rng.integers(2, 9))
+    k = int(rng.integers(2, 65))
     h = random_hypergraph(
-        rng, nverts=int(rng.integers(5, 60)), nnets=int(rng.integers(3, 80))
+        rng, nverts=int(rng.integers(5, 60 + k)),
+        nnets=int(rng.integers(3, 80 + k)),
     )
-    if extreme:
+    if start == "extreme":
         parts = np.zeros(h.nverts, dtype=np.int64)
+    elif start == "balanced":
+        parts = np.zeros(h.nverts, dtype=np.int64)
+        pw = np.zeros(k, dtype=np.int64)
+        for v in rng.permutation(h.nverts):
+            parts[v] = int(pw.argmin())
+            pw[parts[v]] += h.vwgt[v]
     else:
         parts = rng.integers(0, k, size=h.nverts).astype(np.int64)
     cap = int(np.ceil(1.1 * h.total_weight() / k)) + int(
@@ -74,11 +86,30 @@ def test_kway_refine_backend_equivalent(cfg, case_seed):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("case_seed", range(4))
+def test_kway_refine_zero_ceiling_part_backend_equivalent(cfg, case_seed):
+    """A part with ceiling 0 takes the balance metric's fallback path."""
+    h, parts, k, ceilings = _case(case_seed)
+    ceilings = ceilings.copy()
+    ceilings[k // 2] = 0
+    py, flat = get_backend("python"), NumbaBackend()
+    r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
+    r_nb = kway_refine(
+        h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
+    )
+    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
+    assert (r_py.cut, r_py.feasible, r_py.passes) == (
+        r_nb.cut, r_nb.feasible, r_nb.passes
+    )
+    assert r_py.feasible
+    assert not np.any(r_py.parts == k // 2)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("case_seed", range(6))
 def test_kway_refine_monotone_from_feasible(cfg, case_seed):
-    h, parts, k, ceilings = _case(case_seed)
-    if not bool(np.all(part_weights(h, parts, k) <= ceilings)):
-        pytest.skip("random start infeasible for this draw")
+    h, parts, k, ceilings = _case(case_seed, start="balanced")
+    assert bool(np.all(part_weights(h, parts, k) <= ceilings))
     before = connectivity_volume(h, parts)
     r = kway_refine(
         h, parts, k, ceilings, cfg, seed=case_seed,
@@ -93,7 +124,7 @@ def test_kway_refine_monotone_from_feasible(cfg, case_seed):
 @pytest.mark.parametrize("case_seed", range(6))
 def test_kway_refine_rebalances_extreme_start(cfg, case_seed):
     """All weight on part 0 (no boundary at all) must still rebalance."""
-    h, parts, k, ceilings = _case(case_seed, extreme=True)
+    h, parts, k, ceilings = _case(case_seed, start="extreme")
     for backend in (get_backend("python"), NumbaBackend()):
         r = kway_refine(
             h, parts, k, ceilings, cfg, seed=case_seed, backend=backend

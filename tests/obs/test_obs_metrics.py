@@ -276,3 +276,49 @@ class TestModuleRegistry:
             "repro_serve_request_seconds",
         ):
             assert m.REGISTRY.get(name) is not None, name
+
+    def test_prebound_hot_path_children_reset_and_render(self):
+        # The FM, coarsening and V-cycle counters bind their label
+        # children once at import; a registry reset must zero those
+        # very objects in place, and they must keep rendering.
+        from repro.obs import metrics as m
+        from repro.partitioner import fm, multilevel, vcycle
+
+        prebound = {
+            ("repro_fm_passes_total", "kind", "bi"): fm._FM_PASSES_BI,
+            ("repro_fm_moves_total", "kind", "bi"): fm._FM_MOVES_BI,
+            ("repro_fm_gain_total", "kind", "bi"): fm._FM_GAIN_BI,
+            ("repro_fm_passes_total", "kind", "kway"): fm._FM_PASSES_KWAY,
+            ("repro_fm_moves_total", "kind", "kway"): fm._FM_MOVES_KWAY,
+            ("repro_fm_gain_total", "kind", "kway"): fm._FM_GAIN_KWAY,
+            ("repro_coarsen_levels_total", "engine", "bi"):
+                multilevel._COARSEN_LEVELS_BI,
+            ("repro_coarsen_levels_total", "engine", "kway"):
+                multilevel._COARSEN_LEVELS_KWAY,
+            ("repro_vcycle_cycles_total", "kind", "bi"):
+                vcycle._VCYCLE_CYCLES_BI,
+            ("repro_vcycle_cycles_total", "kind", "kway"):
+                vcycle._VCYCLE_CYCLES_KWAY,
+            ("repro_vcycle_keep_best_total", "decision", "improved"):
+                vcycle._VCYCLE_IMPROVED,
+            ("repro_vcycle_keep_best_total", "decision", "kept"):
+                vcycle._VCYCLE_KEPT,
+        }
+        for (name, label, value), child in prebound.items():
+            assert m.REGISTRY.get(name).labels(**{label: value}) is child
+            child.inc(3)
+        m.REGISTRY.reset()
+        fams = parse_prometheus(m.render_prometheus())
+        for (name, label, value), child in prebound.items():
+            assert child.value == 0
+            samples = {
+                n + lbl: v for n, lbl, v in fams[name]["samples"]
+            }
+            assert samples[f'{name}{{{label}="{value}"}}'] == 0.0
+            child.inc()
+        fams = parse_prometheus(m.render_prometheus())
+        for (name, label, value), _ in prebound.items():
+            samples = {
+                n + lbl: v for n, lbl, v in fams[name]["samples"]
+            }
+            assert samples[f'{name}{{{label}="{value}"}}'] == 1.0
