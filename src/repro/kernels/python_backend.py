@@ -67,22 +67,6 @@ def _kw_refile(head, nxt, prv, inside, bgain, offset, u, newg, maxptr):
     return maxptr
 
 
-def _kw_metric_zero_ceiling(pw, ceil_l):
-    """Balance metric ``max(pw[p] / ceil[p])`` when some ceiling is 0.
-
-    A zero-ceiling part scores 1.0 while it holds weight and 0.0 when
-    empty; with every ceiling positive the move loop takes the C-level
-    ``max(map(truediv, pw, ceil_l))`` instead, which gives the same float.
-    """
-    metric = 0.0
-    for p in range(len(pw)):
-        cl = ceil_l[p]
-        m = pw[p] / cl if cl else (1.0 if pw[p] > 0 else 0.0)
-        if m > metric:
-            metric = m
-    return metric
-
-
 class PythonBackend(KernelBackend):
     """Reference backend: list-based scalar loops, vectorized merging."""
 
@@ -522,6 +506,11 @@ class PythonBackend(KernelBackend):
         conn = conn_np.ravel().tolist()
         pw = pw_np.tolist()
         ceil_l = [int(c) for c in ceilings]
+        # Balance-metric divisors.  A zero-ceiling part divides by 1: the
+        # metric is only read while every part fits (n_over == 0), and then
+        # such a part is empty and scores 0.0, as the numba loop's
+        # zero-ceiling branch does.
+        div_l = [c or 1 for c in ceil_l]
         base = base_np.tolist()
         bto = bto_np.tolist()
         bgain = bgain_np.tolist()
@@ -553,12 +542,7 @@ class PythonBackend(KernelBackend):
         for p in range(k):
             if pw[p] > ceil_l[p]:
                 n_over += 1
-        ceil_pos = all(ceil_l)  # ceilings are validated non-negative
-        metric = (
-            max(map(truediv, pw, ceil_l))
-            if ceil_pos
-            else _kw_metric_zero_ceiling(pw, ceil_l)
-        )
+        metric = max(map(truediv, pw, div_l))
         best_feasible = n_over == 0
         best_cum = 0
         best_len = 0
@@ -766,11 +750,7 @@ class PythonBackend(KernelBackend):
 
             improved = False
             if n_over == 0:
-                metric = (
-                    max(map(truediv, pw, ceil_l))
-                    if ceil_pos
-                    else _kw_metric_zero_ceiling(pw, ceil_l)
-                )
+                metric = max(map(truediv, pw, div_l))
                 if (
                     not best_feasible
                     or cum > best_cum

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.sparse.matrix import SparseMatrix
+
+# Reference tests import the frozen "before" kernels of the benchmark
+# ledger (``benchmarks._baseline_kernels``); keep the repository root
+# importable when pytest runs without ``python -m``.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 # --------------------------------------------------------------------- #

@@ -2,59 +2,21 @@
 
 The shared k-way setup builds every array with ``np.bincount`` and
 scatters ``connect`` only over each net's present parts.  The reference
-below is the straightforward dense construction (an ``npins x k``
-scatter); all seven outputs must agree exactly on random hypergraphs,
-including the corner cases the sparse path handles implicitly.
+is the pre-sparse dense construction (an ``npins x k`` scatter), frozen
+once in ``benchmarks/_baseline_kernels.py`` as the "before" side of the
+kernel ledger; all seven outputs must agree exactly on random
+hypergraphs, including the corner cases the sparse path handles
+implicitly.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks._baseline_kernels import (
+    baseline_kway_setup as dense_kway_setup,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels.kway import compute_kway_setup
-
-
-def dense_kway_setup(h, parts, nparts, ceilings, boundary_only):
-    """Reference setup: dense ``np.add.at`` scatters over all k parts."""
-    k = int(nparts)
-    net_ids = h.net_ids()
-    pin_parts = parts[h.pins]
-    occ = np.zeros((h.nnets, k), dtype=np.int64)
-    np.add.at(occ, (net_ids, pin_parts), 1)
-    pw = np.bincount(parts, weights=h.vwgt, minlength=k).astype(np.int64)
-
-    costs = h.ncost[net_ids]
-    sole = occ[net_ids, pin_parts] == 1
-    gain_leave = np.zeros(h.nverts, dtype=np.int64)
-    np.add.at(gain_leave, h.pins, costs * sole)
-    cv = np.zeros(h.nverts, dtype=np.int64)
-    np.add.at(cv, h.pins, costs)
-    base = gain_leave - cv
-
-    present = occ > 0
-    connect = np.zeros((h.nverts, k), dtype=np.int64)
-    np.add.at(connect, h.pins, costs[:, None] * present[net_ids])
-
-    vids = np.arange(h.nverts, dtype=np.int64)
-    masked = connect.copy()
-    if h.nverts:
-        masked[vids, parts] = -1
-    best_to = (
-        masked.argmax(axis=1).astype(np.int64)
-        if h.nverts
-        else np.empty(0, dtype=np.int64)
-    )
-    best_conn = masked[vids, best_to] if h.nverts else best_to
-    best_gain = base + np.maximum(best_conn, 0)
-
-    if boundary_only and bool(np.all(pw <= np.asarray(ceilings))):
-        cut_net = present.sum(axis=1) >= 2
-        boundary = np.zeros(h.nverts, dtype=bool)
-        np.logical_or.at(boundary, h.pins, cut_net[net_ids])
-        insert_mask = boundary
-    else:
-        insert_mask = np.ones(h.nverts, dtype=bool)
-    return occ, pw, base, connect, best_to, best_gain, insert_mask
 
 
 OUTPUTS = ("occ", "pw", "base", "connect", "best_to", "best_gain",
