@@ -89,10 +89,12 @@ class BaselineBackend(KernelBackend):
     # FM move loop (pre-PR: closure-based gain updates, scalar seeding).
     # ------------------------------------------------------------------ #
     def fm_pass(self, state, parts, maxw, cfg, rng):
+        # Returns the live contract's ``(delta, feasible, tried)``; the
+        # pass itself (uncapped stall window included) is as frozen.
         h = state.h
         nverts = h.nverts
         if nverts == 0:
-            return 0, True
+            return 0, True, 0
         mirrors = state.list_mirrors()
         xpins_l = mirrors["xpins"]
         pins_l = mirrors["pins"]
@@ -349,8 +351,8 @@ class BaselineBackend(KernelBackend):
         parts[:] = parts_l
 
         if not best_feasible:
-            return 0, False
-        return best_cum, True
+            return 0, False, len(moved)
+        return best_cum, True, len(moved)
 
     # ------------------------------------------------------------------ #
     # Greedy matching (pre-PR: single loop, index-based pin scans).

@@ -36,12 +36,22 @@ tier-1 stays fast).
 
 Every timed pair is verified to produce identical results before the
 numbers are trusted; a benchmark that drifts behaviourally fails loudly.
+
+Timings are *calibrated seconds* (schema 2): every timed call is
+divided by the machine slowdown that ``perfbench.common.slowdown``
+measures just before it, and the median over the repeats is kept, so a
+check run while the machine is slow compares like with like against
+the committed file.  None of the timed FM passes reaches the 512-move
+stall cap (the medium-grain hypergraphs here have at most 2,102
+vertices), so the uncapped frozen baselines stay answer-identical to
+the backends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -56,6 +66,7 @@ from benchmarks._baseline_kernels import (
     baseline_match_vertices,
     baseline_merge_identical,
 )
+from perfbench.common import slowdown
 from repro.core.medium_grain import build_medium_grain
 from repro.core.split import initial_split
 from repro.hypergraph.models import row_net_model
@@ -74,16 +85,29 @@ KERNELS = (
 )
 SEED = 2014
 KWAY_PARTS = 64
+#: Schema 2 records calibrated seconds (see :func:`_calibrated_time`);
+#: schema 1 files hold raw wall-clock seconds and cannot be compared
+#: against.
+SCHEMA = 2
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Minimum wall-clock seconds of ``repeats`` calls (noise-robust)."""
-    best = float("inf")
+def _calibrated_time(repeats: int, fn) -> float:
+    """Median over ``repeats`` calls of each call's wall-clock seconds
+    divided by the machine slowdown measured just before it
+    (:func:`perfbench.common.slowdown`): seconds at the reference
+    speed, comparable across runs while the machine's speed drifts.
+
+    One slowdown sample varies by about ±15% within a second, so the
+    median of the per-call ratios is kept; the minimum would keep the
+    call whose sample happened to read slowest.
+    """
+    samples = []
     for _ in range(repeats):
+        scale = slowdown()
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        samples.append((time.perf_counter() - t0) / scale)
+    return statistics.median(samples)
 
 
 def _balanced_parts(nverts: int, seed: int) -> np.ndarray:
@@ -124,9 +148,9 @@ def bench_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> di
         raise AssertionError(
             f"fm_pass drift: baseline {d_before} != backend {d_after}"
         )
-    out = {"after_s": _best_of(repeats, run_after)}
+    out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
-        out["before_s"] = _best_of(repeats, run_before)
+        out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
@@ -149,9 +173,9 @@ def bench_matching(matrix, backend, repeats: int, after_only: bool = False) -> d
 
     if run_before().tolist() != run_after().tolist():
         raise AssertionError("matching drift between baseline and backend")
-    out = {"after_s": _best_of(repeats, run_after)}
+    out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
-        out["before_s"] = _best_of(repeats, run_before)
+        out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
@@ -184,9 +208,9 @@ def bench_contraction(matrix, backend, repeats: int, after_only: bool = False) -
     for got, want in zip(ra, rb):
         if got.tolist() != want.tolist():
             raise AssertionError("contraction merge drift")
-    out = {"after_s": _best_of(repeats, run_after)}
+    out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
-        out["before_s"] = _best_of(repeats, run_before)
+        out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
@@ -218,9 +242,9 @@ def bench_medium_grain_build(matrix, backend, repeats: int, after_only: bool = F
         h.max_vertex_net_cost()
         h.net_ids()
 
-    out = {"after_s": _best_of(repeats, run_after)}
+    out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
-        out["before_s"] = _best_of(repeats, run_before)
+        out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
@@ -270,9 +294,9 @@ def bench_kway_fm_pass(matrix, backend, repeats: int, after_only: bool = False) 
         raise AssertionError(
             f"kway_fm_pass drift: baseline {d_before} != backend {d_after}"
         )
-    out = {"after_s": _best_of(repeats, run_after)}
+    out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
-        out["before_s"] = _best_of(repeats, run_before)
+        out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
@@ -286,12 +310,12 @@ BENCH_FNS = {
 
 
 def run_benchmarks(
-    matrices=DEFAULT_MATRICES, repeats: int = 5, backend_spec: str = "auto"
+    matrices=DEFAULT_MATRICES, repeats: int = 9, backend_spec: str = "auto"
 ) -> dict:
     """Time every kernel on every matrix; returns the report dict."""
     backend = resolve_backend(backend_spec)
     report = {
-        "schema": 1,
+        "schema": SCHEMA,
         "backend": backend.name,
         "numba_available": numba_available(),
         "repeats": repeats,
@@ -391,9 +415,9 @@ def main(argv=None) -> int:
         default=",".join(DEFAULT_MATRICES),
         help="comma-separated collection instance names",
     )
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repetitions (min is kept); default 7 "
-                             "when writing, 5 in --check mode")
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="timing repetitions per kernel (the median "
+                             "calibrated time is kept)")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="--check relative failure threshold (fraction)")
     parser.add_argument("--min-delta", type=float, default=1e-4,
@@ -413,6 +437,13 @@ def main(argv=None) -> int:
                   f"run `python -m benchmarks.bench_regress` first")
             return 2
         committed = json.loads(out.read_text(encoding="utf-8"))
+        if committed.get("schema") != SCHEMA:
+            print(
+                f"committed file is schema {committed.get('schema')}, not "
+                f"{SCHEMA} (calibrated seconds); re-record it with "
+                f"`python -m benchmarks.bench_regress`"
+            )
+            return 2
         # Timings are only comparable on the backend they were measured
         # with: default to it, and refuse a cross-backend comparison
         # (committed-python vs current-numba would mask real
@@ -430,20 +461,18 @@ def main(argv=None) -> int:
                 f"--backend {resolved.name}`"
             )
             return 2
-        repeats = args.repeats if args.repeats is not None else 5
         print(f"checking against {out} (backend {resolved.name}, "
               f"tolerance {args.tolerance:.0%})")
         return check_regression(
-            committed, matrices, repeats, args.tolerance, resolved,
+            committed, matrices, args.repeats, args.tolerance, resolved,
             min_delta=args.min_delta,
         )
 
-    repeats = args.repeats if args.repeats is not None else 7
     spec = args.backend if args.backend else "auto"
     print(f"timing kernels on {', '.join(matrices)} "
           f"(backend: {resolve_backend(spec).name}, "
-          f"min of {repeats} runs)")
-    report = run_benchmarks(matrices, repeats, spec)
+          f"median of {args.repeats} calibrated runs)")
+    report = run_benchmarks(matrices, args.repeats, spec)
     out.write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )

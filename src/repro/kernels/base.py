@@ -43,12 +43,15 @@ class KernelBackend:
         maxw: tuple[int, int],
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One FM pass; mutates ``parts`` in place.
 
-        Returns ``(cut delta, feasible)`` exactly as the pre-backend
-        ``_fm_pass`` did: *delta* is the cut reduction of the applied
-        best prefix, *feasible* whether the result honours ``maxw``.
+        Returns ``(cut delta, feasible, tried)``: *delta* is the cut
+        reduction of the applied best prefix, *feasible* whether the
+        result honours ``maxw``, and *tried* the number of moves the
+        pass made before rolling back to that prefix.  The pass stops
+        after :func:`~repro.kernels.state.fm_stall_limit` moves in a row
+        that do not improve the best prefix.
         """
         raise NotImplementedError
 
@@ -60,7 +63,7 @@ class KernelBackend:
         ceilings: np.ndarray,
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One k-way FM pass on the connectivity-(λ−1) metric; mutates
         ``parts`` in place.
 
@@ -68,7 +71,7 @@ class KernelBackend:
         per-part weight ceilings (length ``nparts``).  The move loop
         maintains per-net part-occupancy counts and exact connectivity
         gains (see :mod:`repro.kernels.kway`), applies the best feasible
-        prefix, and returns ``(cut delta, feasible)`` exactly like
+        prefix, and returns ``(cut delta, feasible, tried)`` exactly like
         :meth:`fm_pass`.
         """
         raise NotImplementedError

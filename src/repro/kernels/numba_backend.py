@@ -45,7 +45,7 @@ except ImportError:  # numba absent: keep kernels importable, interpreted
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
 from repro.kernels.python_backend import merge_identical_nets
-from repro.kernels.state import FMPassState, compute_fm_setup
+from repro.kernels.state import FMPassState, compute_fm_setup, fm_stall_limit
 
 __all__ = ["NumbaBackend", "NUMBA_JIT"]
 
@@ -183,8 +183,9 @@ def _fm_move_loop(
 ):
     """The sequential FM move loop; mutates ``parts``/``pc0``/``pc1``.
 
-    Returns ``(best_cum, best_feasible)`` with the best-prefix rollback
-    already applied to ``parts``.
+    Returns ``(best_cum, best_feasible, n_moved)`` with the best-prefix
+    rollback already applied to ``parts``; ``n_moved`` counts every move
+    tried, rolled back or not.
     """
     nverts = parts.shape[0]
     head[:, :] = -1
@@ -347,8 +348,8 @@ def _fm_move_loop(
         parts[v] = 1 - parts[v]
 
     if not best_feasible:
-        return 0, False
-    return best_cum, True
+        return 0, False, n_moved
+    return best_cum, True, n_moved
 
 
 @njit(cache=True, nogil=True)
@@ -427,8 +428,9 @@ def _kway_move_loop(
 
     Statement-for-statement transliteration of
     ``PythonBackend.kway_fm_pass`` (same selection order, same touch
-    rules, same tie-breaks); returns ``(best_cum, best_feasible)`` with
-    the best-prefix rollback already applied to ``parts``.
+    rules, same tie-breaks); returns ``(best_cum, best_feasible,
+    n_moved)`` with the best-prefix rollback already applied to
+    ``parts``.
     """
     nverts = parts.shape[0]
     k = pw.shape[0]
@@ -665,8 +667,8 @@ def _kway_move_loop(
         parts[moved[i]] = moved_from[i]
 
     if not best_feasible:
-        return 0, False
-    return best_cum, True
+        return 0, False, n_moved
+    return best_cum, True, n_moved
 
 
 @njit(cache=True, nogil=True)
@@ -782,12 +784,12 @@ class NumbaBackend(KernelBackend):
         maxw: tuple[int, int],
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One FM pass through the JIT move loop; mutates ``parts``."""
         h = state.h
         nverts = h.nverts
         if nverts == 0:
-            return 0, True
+            return 0, True, 0
         pc0_np, pc1_np, gain_np, insert_mask = compute_fm_setup(
             h, parts, cfg.boundary_only
         )
@@ -801,8 +803,8 @@ class NumbaBackend(KernelBackend):
         bgain[:] = gain_np
         maxptr = np.empty(2, dtype=np.int64)
         w1 = int(np.dot(parts, h.vwgt))
-        stall_limit = max(32, int(cfg.fm_early_exit_frac * nverts))
-        delta, feasible = _fm_move_loop(
+        stall_limit = fm_stall_limit(cfg.fm_early_exit_frac, nverts)
+        delta, feasible, tried = _fm_move_loop(
             h.xpins,
             h.pins,
             h.xnets,
@@ -830,7 +832,7 @@ class NumbaBackend(KernelBackend):
             state.total_weight - w1,
             w1,
         )
-        return int(delta), bool(feasible)
+        return int(delta), bool(feasible), int(tried)
 
     def kway_fm_pass(
         self,
@@ -840,13 +842,13 @@ class NumbaBackend(KernelBackend):
         ceilings: np.ndarray,
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One k-way FM pass through the JIT move loop; mutates ``parts``."""
         h = state.h
         nverts = h.nverts
         k = int(nparts)
         if nverts == 0:
-            return 0, True
+            return 0, True, 0
         occ_np, pw_np, base_np, conn_np, bto_np, bgain_np, mask_np = (
             compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
         )
@@ -856,8 +858,8 @@ class NumbaBackend(KernelBackend):
         # scratch is cached on the state.
         scratch = state.kway_arrays()
         ceil_arr = np.ascontiguousarray(ceilings, dtype=np.int64)
-        stall_limit = max(32, int(cfg.fm_early_exit_frac * nverts))
-        delta, feasible = _kway_move_loop(
+        stall_limit = fm_stall_limit(cfg.fm_early_exit_frac, nverts)
+        delta, feasible, tried = _kway_move_loop(
             h.xpins,
             h.pins,
             h.xnets,
@@ -885,7 +887,7 @@ class NumbaBackend(KernelBackend):
             state.slack,
             stall_limit,
         )
-        return int(delta), bool(feasible)
+        return int(delta), bool(feasible), int(tried)
 
     def match_vertices(
         self,

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
-from repro.kernels.state import FMPassState, compute_fm_setup
+from repro.kernels.state import FMPassState, compute_fm_setup, fm_stall_limit
 
 __all__ = ["PythonBackend", "merge_identical_nets"]
 
@@ -82,7 +82,7 @@ class PythonBackend(KernelBackend):
         maxw: tuple[int, int],
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One FM pass on Python lists; mutates ``parts`` in place.
 
         The pass body is deliberately closure-free: nested functions
@@ -94,7 +94,7 @@ class PythonBackend(KernelBackend):
         h = state.h
         nverts = h.nverts
         if nverts == 0:
-            return 0, True
+            return 0, True, 0
         mirrors = state.list_mirrors()
         xpins_l: list = mirrors["xpins"]
         pins_l: list = mirrors["pins"]
@@ -141,7 +141,12 @@ class PythonBackend(KernelBackend):
             rev = seeds[::-1]
             rside = parts[rev]
             rbucket = gain_np[rev] + offset
-            key = rside * nbuckets + rbucket
+            # Keys lie below 2 * nbuckets; in the narrowest unsigned type
+            # that holds them (8 or 16 bits on most levels) numpy's stable
+            # sort is a radix sort, with the same order.
+            key = (rside * nbuckets + rbucket).astype(
+                np.min_scalar_type(2 * nbuckets)
+            )
             perm = np.argsort(key, kind="stable")
             seq = rev[perm]
             kseq = key[perm]
@@ -188,7 +193,7 @@ class PythonBackend(KernelBackend):
         moved: list[int] = []
         moved_append = moved.append
         stall = 0
-        stall_limit = max(32, int(cfg.fm_early_exit_frac * nverts))
+        stall_limit = fm_stall_limit(cfg.fm_early_exit_frac, nverts)
 
         # ------------------------------------------------------------- #
         # Move loop.
@@ -457,9 +462,9 @@ class PythonBackend(KernelBackend):
         if not best_feasible:
             # No feasible prefix was found: everything is rolled back
             # (best_len == 0), the cut is unchanged, still infeasible.
-            return 0, False
+            return 0, False, len(moved)
         # best_cum is the exact cut reduction of the applied prefix.
-        return best_cum, True
+        return best_cum, True, len(moved)
 
     # ------------------------------------------------------------------ #
     # k-way FM move loop (connectivity-(λ−1) metric).
@@ -472,7 +477,7 @@ class PythonBackend(KernelBackend):
         ceilings: np.ndarray,
         cfg,
         rng: np.random.Generator,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, bool, int]:
         """One k-way FM pass on flat Python lists; mutates ``parts``.
 
         The occupancy matrix and per-vertex connectivity table are flat
@@ -488,7 +493,7 @@ class PythonBackend(KernelBackend):
         nverts = h.nverts
         k = int(nparts)
         if nverts == 0:
-            return 0, True
+            return 0, True, 0
         occ_np, pw_np, base_np, conn_np, bto_np, bgain_np, mask_np = (
             compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
         )
@@ -551,7 +556,7 @@ class PythonBackend(KernelBackend):
         moved: list[int] = []
         moved_from: list[int] = []
         stall = 0
-        stall_limit = max(32, int(cfg.fm_early_exit_frac * nverts))
+        stall_limit = fm_stall_limit(cfg.fm_early_exit_frac, nverts)
 
         while True:
             # --------------------------------------------------------- #
@@ -774,8 +779,8 @@ class PythonBackend(KernelBackend):
         parts[:] = parts_l
 
         if not best_feasible:
-            return 0, False
-        return best_cum, True
+            return 0, False, len(moved)
+        return best_cum, True, len(moved)
 
     # ------------------------------------------------------------------ #
     # Greedy matching candidate scoring.

@@ -30,9 +30,19 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 
-__all__ = ["FMPassState", "compute_fm_setup"]
+__all__ = [
+    "FMPassState", "FM_STALL_CAP", "compute_fm_setup", "fm_stall_limit",
+]
 
 _STATE_KEY = "fm_pass_state"
+
+#: Upper bound on an FM pass's stall window.  On the benchmark workloads
+#: improving moves came at most 428 non-improving moves apart, so past
+#: that a ``frac * nverts`` window only tries moves the rollback undoes;
+#: a 256 cap changed benchmark answers, 512 changes none.  Arrow matrices
+#: are the known exception, with improvements up to 1,362 moves apart
+#: (see docs/performance.md, "FM stall window").
+FM_STALL_CAP = 512
 
 
 class FMPassState:
@@ -149,6 +159,16 @@ class FMPassState:
         return self.kway
 
 
+def fm_stall_limit(frac: float, nverts: int) -> int:
+    """Non-improving moves an FM pass makes before it gives up.
+
+    ``max(32, min(int(frac * nverts), FM_STALL_CAP))``: the 2-way and
+    k-way passes of every backend share this one rule, which keeps them
+    bit-compatible.  ``frac`` is ``PartitionerConfig.fm_early_exit_frac``.
+    """
+    return max(32, min(int(frac * nverts), FM_STALL_CAP))
+
+
 def compute_fm_setup(
     h: Hypergraph, parts: np.ndarray, boundary_only: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -161,22 +181,27 @@ def compute_fm_setup(
     backends bit-compatible — only the sequential move loop differs.
     """
     net_ids = h.net_ids()
+    nnets = h.nnets
     pin_parts = parts[h.pins]
-    pc1 = np.zeros(h.nnets, dtype=np.int64)
+    pc1 = np.zeros(nnets, dtype=np.int64)
     np.add.at(pc1, net_ids, pin_parts)
     pc0 = h.net_sizes() - pc1
-    own = np.where(pin_parts == 0, pc0[net_ids], pc1[net_ids])
-    other = np.where(pin_parts == 0, pc1[net_ids], pc0[net_ids])
-    contrib = h.ncost[net_ids] * (
-        (own == 1).astype(np.int64) - (other == 0).astype(np.int64)
+    # A pin's gain term depends only on its net and its side: +cost when
+    # it is its side's only pin, -cost when the other side is empty.
+    # Tabulate the term per (side, net) and gather it once per pin.
+    term = np.empty(2 * nnets, dtype=np.int64)
+    np.multiply(
+        h.ncost, (pc0 == 1).astype(np.int64) - (pc1 == 0), out=term[:nnets]
+    )
+    np.multiply(
+        h.ncost, (pc1 == 1).astype(np.int64) - (pc0 == 0), out=term[nnets:]
     )
     gain = np.zeros(h.nverts, dtype=np.int64)
-    np.add.at(gain, h.pins, contrib)
+    np.add.at(gain, h.pins, term[pin_parts * nnets + net_ids])
     if boundary_only:
         cut_net = (pc0 > 0) & (pc1 > 0)
-        boundary = np.zeros(h.nverts, dtype=bool)
-        np.logical_or.at(boundary, h.pins, cut_net[net_ids])
-        insert_mask = boundary
+        insert_mask = np.zeros(h.nverts, dtype=bool)
+        insert_mask[h.pins[cut_net[net_ids]]] = True
     else:
         insert_mask = np.ones(h.nverts, dtype=bool)
     return pc0, pc1, gain, insert_mask

@@ -57,6 +57,11 @@ _FM_MOVES = _metrics.counter(
     "Vertices left in a moved position by an FM pass's best prefix",
     ("kind",),
 )
+_FM_TRIED = _metrics.counter(
+    "repro_fm_moves_tried_total",
+    "Moves an FM pass made before rolling back to its best prefix",
+    ("kind",),
+)
 _FM_GAIN = _metrics.counter(
     "repro_fm_gain_total",
     "Total cut reduction achieved by improving FM passes",
@@ -66,9 +71,11 @@ _FM_GAIN = _metrics.counter(
 # ``.labels()`` lookup per counter.
 _FM_PASSES_BI = _FM_PASSES.labels(kind="bi")
 _FM_MOVES_BI = _FM_MOVES.labels(kind="bi")
+_FM_TRIED_BI = _FM_TRIED.labels(kind="bi")
 _FM_GAIN_BI = _FM_GAIN.labels(kind="bi")
 _FM_PASSES_KWAY = _FM_PASSES.labels(kind="kway")
 _FM_MOVES_KWAY = _FM_MOVES.labels(kind="kway")
+_FM_TRIED_KWAY = _FM_TRIED.labels(kind="kway")
 _FM_GAIN_KWAY = _FM_GAIN.labels(kind="kway")
 
 
@@ -191,13 +198,16 @@ def fm_refine(
         started_feasible = feasible
         before = parts.copy()
         with _trace.span("fm.pass") as sp:
-            delta, feasible = kb.fm_pass(state, parts, maxw, cfg, rng)
+            delta, feasible, tried = kb.fm_pass(
+                state, parts, maxw, cfg, rng
+            )
             moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved)
+            sp.set(delta=delta, moved=moved, tried=tried)
         passes_run += 1
         total_delta += delta
         _FM_PASSES_BI.inc()
         _FM_MOVES_BI.inc(moved)
+        _FM_TRIED_BI.inc(tried)
         if delta > 0:
             _FM_GAIN_BI.inc(delta)
         # Stop once a pass that started from a feasible state no longer
@@ -327,15 +337,16 @@ def kway_refine(
         started_feasible = feasible
         before = parts.copy()
         with _trace.span("kway_fm.pass") as sp:
-            delta, feasible = kb.kway_fm_pass(
+            delta, feasible, tried = kb.kway_fm_pass(
                 state, parts, nparts, ceilings, cfg, rng
             )
             moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved)
+            sp.set(delta=delta, moved=moved, tried=tried)
         passes_run += 1
         total_delta += delta
         _FM_PASSES_KWAY.inc()
         _FM_MOVES_KWAY.inc(moved)
+        _FM_TRIED_KWAY.inc(tried)
         if delta > 0:
             _FM_GAIN_KWAY.inc(delta)
         # Same stopping rule as fm_refine: a feasible-start pass that no

@@ -53,13 +53,28 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
-@pytest.mark.parametrize("case_seed", range(6))
-def test_fm_refine_equivalent(cfg, case_seed):
+# Seed 6 draws a hypergraph large enough for the FM stall cap to bind:
+# at 2,400 vertices frac * nverts is 528 (frac 0.22) and 720 (frac 0.3),
+# both above the 512 cap, and its random start stalls for longer than
+# that (checked by test_fm_pass_stall_cap_binds).
+CAP_SEED = 6
+
+
+def _fm_case(case_seed):
     rng = np.random.default_rng(1000 + case_seed)
-    h = random_hypergraph(rng, nverts=40, nnets=60)
+    if case_seed == CAP_SEED:
+        h = random_hypergraph(rng, nverts=2400, nnets=3600)
+    else:
+        h = random_hypergraph(rng, nverts=40, nnets=60)
     parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
     cap = int(1.2 * h.total_weight() / 2) + 1
+    return h, parts, cap
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("case_seed", [*range(6), CAP_SEED])
+def test_fm_refine_equivalent(cfg, case_seed):
+    h, parts, cap = _fm_case(case_seed)
     py, flat = backends_under_test()
     r_py = fm_refine(h, parts, (cap, cap), cfg, seed=case_seed, backend=py)
     r_nb = fm_refine(h, parts, (cap, cap), cfg, seed=case_seed, backend=flat)
@@ -70,6 +85,28 @@ def test_fm_refine_equivalent(cfg, case_seed):
     assert r_py.passes == r_nb.passes
     # And the reported cut is the true connectivity volume.
     assert r_py.cut == connectivity_volume(h, r_py.parts)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+def test_fm_pass_stall_cap_binds(cfg):
+    """Both backends stop the first pass of the cap case exactly 513
+    moves (the 512-move stall window, then the move that exceeds it)
+    after its last improvement, and report the same move count."""
+    h, parts, cap = _fm_case(CAP_SEED)
+    outs = []
+    for backend in backends_under_test():
+        p = parts.copy()
+        delta, feasible, tried = backend.fm_pass(
+            backend.fm_state(h), p, (cap, cap), cfg,
+            np.random.default_rng(CAP_SEED),
+        )
+        moved = int(np.count_nonzero(p != parts))
+        assert feasible
+        assert tried - moved == 513
+        outs.append((delta, feasible, tried, p))
+    (d0, f0, t0, p0), (d1, f1, t1, p1) = outs
+    assert (d0, f0, t0) == (d1, f1, t1)
+    np.testing.assert_array_equal(p0, p1)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)

@@ -43,6 +43,11 @@ CONFIGS = [
 # python backend resolves them with list.index.
 SMALL_K_SEEDS = list(range(8))
 WIDE_K_SEEDS = list(range(8, 16))
+# Seed 16 draws a small k on 2,400 vertices: large enough for the FM
+# stall cap to bind (frac * nverts is 528 at frac 0.22, above the 512
+# cap), with a random start that stalls for longer than that (checked
+# by test_kway_fm_pass_stall_cap_binds).
+CAP_SEED = 16
 
 
 def _case(case_seed, start="random"):
@@ -56,10 +61,13 @@ def _case(case_seed, start="random"):
     else:
         k = int(rng.integers(2, 9))
         grow = 0
-    h = random_hypergraph(
-        rng, nverts=int(rng.integers(5, 60 + grow)),
-        nnets=int(rng.integers(3, 80 + grow)),
-    )
+    if case_seed == CAP_SEED:
+        h = random_hypergraph(rng, nverts=2400, nnets=4800)
+    else:
+        h = random_hypergraph(
+            rng, nverts=int(rng.integers(5, 60 + grow)),
+            nnets=int(rng.integers(3, 80 + grow)),
+        )
     if start == "extreme":
         parts = np.zeros(h.nverts, dtype=np.int64)
     elif start == "balanced":
@@ -78,7 +86,9 @@ def _case(case_seed, start="random"):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
-@pytest.mark.parametrize("case_seed", SMALL_K_SEEDS + WIDE_K_SEEDS)
+@pytest.mark.parametrize(
+    "case_seed", SMALL_K_SEEDS + WIDE_K_SEEDS + [CAP_SEED]
+)
 def test_kway_refine_backend_equivalent(cfg, case_seed):
     h, parts, k, ceilings = _case(case_seed)
     py, flat = get_backend("python"), NumbaBackend()
@@ -93,6 +103,28 @@ def test_kway_refine_backend_equivalent(cfg, case_seed):
     assert r_py.passes == r_nb.passes
     # The reported cut is the true connectivity-(λ−1) volume.
     assert r_py.cut == connectivity_volume(h, r_py.parts)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+def test_kway_fm_pass_stall_cap_binds(cfg):
+    """Both backends stop the first k-way pass of the cap case exactly
+    513 moves (the 512-move stall window, then the move that exceeds
+    it) after its last improvement, and report the same move count."""
+    h, parts, k, ceilings = _case(CAP_SEED)
+    outs = []
+    for backend in (get_backend("python"), NumbaBackend()):
+        p = parts.copy()
+        delta, feasible, tried = backend.kway_fm_pass(
+            backend.fm_state(h), p, k, ceilings, cfg,
+            np.random.default_rng(CAP_SEED),
+        )
+        moved = int(np.count_nonzero(p != parts))
+        assert feasible
+        assert tried - moved == 513
+        outs.append((delta, feasible, tried, p))
+    (d0, f0, t0, p0), (d1, f1, t1, p1) = outs
+    assert (d0, f0, t0) == (d1, f1, t1)
+    np.testing.assert_array_equal(p0, p1)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)

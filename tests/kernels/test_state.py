@@ -6,6 +6,7 @@ import pytest
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import FMPassState, get_backend
+from repro.kernels.state import compute_fm_setup, fm_stall_limit
 from repro.partitioner.fm import fm_refine
 
 
@@ -114,3 +115,64 @@ class TestReuse:
         cap = h.total_weight()
         fm_refine(h, parts, (cap, cap), seed=1)
         np.testing.assert_array_equal(parts, before)
+
+
+def _reference_fm_setup(h, parts, boundary_only):
+    """The per-pin form of ``compute_fm_setup``: each pin reads its own
+    side's and the other side's pin count."""
+    net_ids = h.net_ids()
+    pin_parts = parts[h.pins]
+    pc1 = np.zeros(h.nnets, dtype=np.int64)
+    np.add.at(pc1, net_ids, pin_parts)
+    pc0 = h.net_sizes() - pc1
+    own = np.where(pin_parts == 0, pc0[net_ids], pc1[net_ids])
+    other = np.where(pin_parts == 0, pc1[net_ids], pc0[net_ids])
+    contrib = h.ncost[net_ids] * (
+        (own == 1).astype(np.int64) - (other == 0).astype(np.int64)
+    )
+    gain = np.zeros(h.nverts, dtype=np.int64)
+    np.add.at(gain, h.pins, contrib)
+    mask = np.ones(h.nverts, dtype=bool)
+    if boundary_only:
+        mask = np.zeros(h.nverts, dtype=bool)
+        np.logical_or.at(mask, h.pins, ((pc0 > 0) & (pc1 > 0))[net_ids])
+    return pc0, pc1, gain, mask
+
+
+@pytest.mark.parametrize("boundary_only", [False, True])
+@pytest.mark.parametrize("case_seed", range(6))
+def test_fm_setup_matches_per_pin_reference(case_seed, boundary_only):
+    rng = np.random.default_rng(500 + case_seed)
+    h = random_hypergraph(rng, nverts=int(rng.integers(2, 80)),
+                          nnets=int(rng.integers(1, 120)))
+    parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
+    if case_seed == 0:
+        parts[:] = 0  # every net uncut: no boundary at all
+    got = compute_fm_setup(h, parts, boundary_only)
+    want = _reference_fm_setup(h, parts, boundary_only)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestStallLimit:
+    """The one stall rule both FM passes of every backend use."""
+
+    @pytest.mark.parametrize(
+        "frac,nverts,expected",
+        [
+            (0.22, 100, 32),
+            (0.22, 2331, 512),
+            (0.22, 2332, 512),
+            (0.22, 100_000, 512),
+            (0.3, 100, 32),
+            (0.3, 2331, 512),
+            (0.3, 2332, 512),
+            (0.3, 100_000, 512),
+            # Below the cap the window is max(32, int(frac * n)).
+            (0.22, 2000, 440),
+            (0.3, 1000, 300),
+        ],
+    )
+    def test_rule(self, frac, nverts, expected):
+        assert fm_stall_limit(frac, nverts) == expected

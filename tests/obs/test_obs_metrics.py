@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry (:mod:`repro.obs.metrics`)."""
 
+import json
 import math
 import re
 import threading
@@ -287,9 +288,12 @@ class TestModuleRegistry:
         prebound = {
             ("repro_fm_passes_total", "kind", "bi"): fm._FM_PASSES_BI,
             ("repro_fm_moves_total", "kind", "bi"): fm._FM_MOVES_BI,
+            ("repro_fm_moves_tried_total", "kind", "bi"): fm._FM_TRIED_BI,
             ("repro_fm_gain_total", "kind", "bi"): fm._FM_GAIN_BI,
             ("repro_fm_passes_total", "kind", "kway"): fm._FM_PASSES_KWAY,
             ("repro_fm_moves_total", "kind", "kway"): fm._FM_MOVES_KWAY,
+            ("repro_fm_moves_tried_total", "kind", "kway"):
+                fm._FM_TRIED_KWAY,
             ("repro_fm_gain_total", "kind", "kway"): fm._FM_GAIN_KWAY,
             ("repro_coarsen_levels_total", "engine", "bi"):
                 multilevel._COARSEN_LEVELS_BI,
@@ -322,3 +326,55 @@ class TestModuleRegistry:
                 n + lbl: v for n, lbl, v in fams[name]["samples"]
             }
             assert samples[f'{name}{{{label}="{value}"}}'] == 1.0
+
+
+class TestFMMoveAccounting:
+    """Every FM pass reports the moves it tried before its rollback."""
+
+    @staticmethod
+    def _pass_spans(path):
+        spans = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                rec = json.loads(line)
+                if rec.get("name") in ("fm.pass", "kway_fm.pass"):
+                    spans.append(rec)
+        return spans
+
+    def test_tried_at_least_moved_on_every_pass(self, tmp_path):
+        from repro import bipartition, load_instance, partition
+        from repro.obs import trace
+        from repro.partitioner import fm
+
+        counters = (
+            fm._FM_MOVES_BI, fm._FM_TRIED_BI,
+            fm._FM_MOVES_KWAY, fm._FM_TRIED_KWAY,
+        )
+        before = [c.value for c in counters]
+        path = str(tmp_path / "fm.jsonl")
+        trace.enable(path)
+        matrix = load_instance("sym_grid2d_s")
+        bipartition(matrix, method="mediumgrain", refine=True, seed=3)
+        partition(matrix, 4, algo="kway", seed=3, jobs=1)
+        trace.disable()
+
+        spans = self._pass_spans(path)
+        kinds = {s["name"] for s in spans}
+        assert kinds == {"fm.pass", "kway_fm.pass"}
+        for s in spans:
+            attrs = s["attrs"]
+            assert attrs["tried"] >= attrs["moved"] >= 0, attrs
+        # Some pass tried moves that its rollback then undid.
+        assert any(s["attrs"]["tried"] > s["attrs"]["moved"] for s in spans)
+
+        moves_bi, tried_bi, moves_kw, tried_kw = (
+            c.value - b for c, b in zip(counters, before)
+        )
+        for kind, moves, tried in (
+            ("fm.pass", moves_bi, tried_bi),
+            ("kway_fm.pass", moves_kw, tried_kw),
+        ):
+            of_kind = [s["attrs"] for s in spans if s["name"] == kind]
+            assert moves == sum(a["moved"] for a in of_kind)
+            assert tried == sum(a["tried"] for a in of_kind)
+            assert tried >= moves > 0

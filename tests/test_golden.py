@@ -52,6 +52,18 @@ GOLDEN_BIPARTITION = {
 
 SEED = 2014
 
+# MG+IR volumes at seed 2014 where FM passes run long enough for the
+# stall cap to matter.  The pins above all sit below it; the two large
+# instances run medium-grain hypergraphs of 6,092 and 6,906 vertices,
+# where the 512-move cap binds, and ``sqr_cl_m`` moves (234 -> 240)
+# under a 256-move cap.  Pinned from the uncapped code, so they also
+# pin that the 512 cap leaves these answers unchanged.
+GOLDEN_MG_IR_LONG_PASSES = {
+    "sym_grid2d_l": 156,
+    "sqr_band_l": 6,
+    "sqr_cl_m": 234,
+}
+
 
 @pytest.mark.parametrize(
     "instance,method,refine",
@@ -64,6 +76,15 @@ def test_bipartition_volumes_pinned(instance, method, refine):
         matrix, method=method, refine=refine, seed=SEED
     )
     assert result.volume == GOLDEN_BIPARTITION[(instance, method, refine)]
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_MG_IR_LONG_PASSES))
+def test_long_pass_mg_ir_volumes_pinned(instance):
+    matrix = load_instance(instance)
+    result = bipartition(
+        matrix, method="mediumgrain", refine=True, seed=SEED
+    )
+    assert result.volume == GOLDEN_MG_IR_LONG_PASSES[instance]
 
 
 def test_recursive_p8_pinned():
