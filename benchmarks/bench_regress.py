@@ -19,7 +19,12 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
 ``kway_fm_pass``
     One k-way FM pass at k=64 on the medium-grain hypergraph — the
     dense ``np.add.at`` setup with interpreted k-part scans vs. the
-    sparse ``np.bincount`` setup with C-level list scans.
+    backend's setup (pair tables where the density rule picks them)
+    with C-level list scans.
+``kway_fm_pass_k8``
+    The same at k=8, on ``sqr_cl_m`` only: its big nets put every
+    vertex next to most parts, so the setup stays dense — the row that
+    shows the dense regime keeping its cost.
 
 Usage::
 
@@ -50,6 +55,7 @@ the backends.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -81,8 +87,10 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 DEFAULT_MATRICES = ("sqr_cl_m", "sym_grid2d_m", "rec_bp_med")
 KERNELS = (
     "fm_pass", "matching", "contraction", "medium_grain_build",
-    "kway_fm_pass",
+    "kway_fm_pass", "kway_fm_pass_k8",
 )
+#: Kernels timed on some matrices only (every other kernel runs on all).
+KERNEL_MATRICES = {"kway_fm_pass_k8": ("sqr_cl_m",)}
 SEED = 2014
 KWAY_PARTS = 64
 #: Schema 2 records calibrated seconds (see :func:`_calibrated_time`);
@@ -248,10 +256,13 @@ def bench_medium_grain_build(matrix, backend, repeats: int, after_only: bool = F
     return out
 
 
-def bench_kway_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> dict:
-    """Pre-sparse k-way FM pass vs. backend pass at k=64.
+def bench_kway_fm_pass(
+    matrix, backend, repeats: int, after_only: bool = False,
+    k: int = KWAY_PARTS,
+) -> dict:
+    """Pre-sparse k-way FM pass vs. backend pass at ``k`` parts.
 
-    The start cuts the vertex order into 64 weight-contiguous blocks (a
+    The start cuts the vertex order into k weight-contiguous blocks (a
     feasible partition with the locality of a row-block split), then
     refines it with a few untimed passes: the timed pass runs on a
     nearly converged partition, like most passes of a multilevel
@@ -260,7 +271,6 @@ def bench_kway_fm_pass(matrix, backend, repeats: int, after_only: bool = False) 
     """
     h = _medium_grain_hypergraph(matrix)
     cfg = get_config("mondriaan")
-    k = KWAY_PARTS
     total = h.total_weight()
     cap = int(1.03 * total / k) + int(h.vwgt.max(initial=0))
     ceilings = np.full(k, cap, dtype=np.int64)
@@ -306,7 +316,16 @@ BENCH_FNS = {
     "contraction": bench_contraction,
     "medium_grain_build": bench_medium_grain_build,
     "kway_fm_pass": bench_kway_fm_pass,
+    "kway_fm_pass_k8": functools.partial(bench_kway_fm_pass, k=8),
 }
+
+
+def _kernels_for(name: str):
+    """The ``(kernel, bench fn)`` pairs timed on matrix ``name``."""
+    return [
+        (kernel, fn) for kernel, fn in BENCH_FNS.items()
+        if name in KERNEL_MATRICES.get(kernel, (name,))
+    ]
 
 
 def run_benchmarks(
@@ -325,7 +344,7 @@ def run_benchmarks(
     for name in matrices:
         matrix = load_instance(name)
         entry = {}
-        for kernel, fn in BENCH_FNS.items():
+        for kernel, fn in _kernels_for(name):
             timing = fn(matrix, backend, repeats)
             timing["speedup"] = round(
                 timing["before_s"] / timing["after_s"], 3
@@ -343,7 +362,10 @@ def run_benchmarks(
     for kernel in KERNELS:
         speedups = [
             report["matrices"][m][kernel]["speedup"] for m in matrices
+            if kernel in report["matrices"][m]
         ]
+        if not speedups:
+            continue
         report["geomean_speedup"][kernel] = round(
             float(np.exp(np.mean(np.log(speedups)))), 3
         )
@@ -372,7 +394,7 @@ def check_regression(
             print(f"  {name}: not in committed file, skipping")
             continue
         matrix = load_instance(name)
-        for kernel, fn in BENCH_FNS.items():
+        for kernel, fn in _kernels_for(name):
             if kernel not in ref_entry:
                 continue
             cur = fn(matrix, backend, repeats, after_only=True)["after_s"]

@@ -43,7 +43,7 @@ except ImportError:  # numba absent: keep kernels importable, interpreted
 
 
 from repro.kernels.base import KernelBackend
-from repro.kernels.kway import compute_kway_setup
+from repro.kernels.kway import compute_kway_setup, densify
 from repro.kernels.python_backend import merge_identical_nets
 from repro.kernels.state import FMPassState, compute_fm_setup, fm_stall_limit
 
@@ -380,21 +380,6 @@ def _kway_refile(head, nxt, prv, inside, bgain, maxptr, offset, u, newg):
 
 
 @njit(cache=True, nogil=True)
-def _kway_balance_metric(pw, ceilings):
-    """max over parts of the weight/ceiling ratio (ceiling 0 → 0/1 flag)."""
-    metric = 0.0
-    for p in range(pw.shape[0]):
-        cl = ceilings[p]
-        if cl != 0:
-            m = pw[p] / cl
-        else:
-            m = 1.0 if pw[p] > 0 else 0.0
-        if m > metric:
-            metric = m
-    return metric
-
-
-@njit(cache=True, nogil=True)
 def _kway_move_loop(
     xpins,
     pins,
@@ -454,14 +439,21 @@ def _kway_move_loop(
             if b > maxptr[0]:
                 maxptr[0] = b
 
+    # Per-part overweight flags and balance-metric ratios (a zero
+    # ceiling divides by 1, see the reference backend), updated for the
+    # two parts of each move only.
+    over = np.empty(k, dtype=np.bool_)
+    rel = np.empty(k, dtype=np.float64)
     n_over = 0
     for p in range(k):
-        if pw[p] > ceilings[p]:
+        over[p] = pw[p] > ceilings[p]
+        if over[p]:
             n_over += 1
+        rel[p] = pw[p] / max(ceilings[p], 1)
     best_feasible = n_over == 0
     best_cum = 0
     best_len = 0
-    best_metric = _kway_balance_metric(pw, ceilings)
+    best_metric = rel.max()
     cum = 0
     n_moved = 0
     stall = 0
@@ -487,7 +479,7 @@ def _kway_move_loop(
                     continue
                 while u != -1:
                     s = parts[u]
-                    if n_over > 0 and pw[s] <= ceilings[s]:
+                    if n_over > 0 and not over[s]:
                         u = nxt[u]
                         continue
                     wu = vwgt[u]
@@ -631,12 +623,16 @@ def _kway_move_loop(
 
         parts[v] = t
         wv = vwgt[v]
-        if pw[s] > ceilings[s] and pw[s] - wv <= ceilings[s]:
-            n_over -= 1
         pw[s] -= wv
-        if pw[t] <= ceilings[t] and pw[t] + wv > ceilings[t]:
-            n_over += 1
+        rel[s] = pw[s] / max(ceilings[s], 1)
+        if over[s] and pw[s] <= ceilings[s]:
+            over[s] = False
+            n_over -= 1
         pw[t] += wv
+        rel[t] = pw[t] / max(ceilings[t], 1)
+        if not over[t] and pw[t] > ceilings[t]:
+            over[t] = True
+            n_over += 1
         cum += g
         moved[n_moved] = v
         moved_from[n_moved] = s
@@ -644,7 +640,7 @@ def _kway_move_loop(
 
         improved = False
         if n_over == 0:
-            metric = _kway_balance_metric(pw, ceilings)
+            metric = rel.max()
             if (
                 not best_feasible
                 or cum > best_cum
@@ -850,12 +846,15 @@ class NumbaBackend(KernelBackend):
         if nverts == 0:
             return 0, True, 0
         occ_np, pw_np, base_np, conn_np, bto_np, bgain_np, mask_np = (
-            compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
+            densify(
+                compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
+            )
         )
         insert_order = rng.permutation(nverts)
-        # The setup arrays are freshly allocated each pass and mutated
-        # by the move loop directly; only the nparts-independent bucket
-        # scratch is cached on the state.
+        # The setup's arrays belong to this pass (pair tables expanded to
+        # dense ones by densify) and the move loop mutates them directly;
+        # only the nparts-independent bucket scratch is cached on the
+        # state.
         scratch = state.kway_arrays()
         ceil_arr = np.ascontiguousarray(ceilings, dtype=np.int64)
         stall_limit = fm_stall_limit(cfg.fm_early_exit_frac, nverts)

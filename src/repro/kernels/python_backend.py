@@ -29,7 +29,12 @@ import numpy as np
 
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
-from repro.kernels.state import FMPassState, compute_fm_setup, fm_stall_limit
+from repro.kernels.state import (
+    FMPassState,
+    compute_fm_setup,
+    fm_stall_limit,
+    seed_buckets,
+)
 
 __all__ = ["PythonBackend", "merge_identical_nets"]
 
@@ -65,6 +70,28 @@ def _kw_refile(head, nxt, prv, inside, bgain, offset, u, newg, maxptr):
     if b > maxptr:
         return b
     return maxptr
+
+
+def _flat_table(table) -> list:
+    """A k-way setup table as the move loop's flat ``row * k + col`` list.
+
+    A dense table is one ``tolist``; a
+    :class:`~repro.kernels.kway.PairTable` fills a list of zeros (one
+    pointer fill, no per-entry conversion) at its entries only.
+    """
+    if isinstance(table, np.ndarray):
+        return table.ravel().tolist()
+    nrows, k = table.shape
+    flat = [0] * (nrows * k)
+    for key, val in zip(table.keys.tolist(), table.vals.tolist()):
+        flat[key] = val
+    return flat
+
+
+def _top_bucket(head: np.ndarray) -> int:
+    """Index of the highest non-empty bucket in ``head``, or -1."""
+    filled = np.flatnonzero(head != -1)
+    return int(filled[-1]) if filled.size else -1
 
 
 class PythonBackend(KernelBackend):
@@ -128,56 +155,21 @@ class PythonBackend(KernelBackend):
         slack = state.slack
 
         # ------------------------------------------------------------- #
-        # Bucket seeding, vectorized.  Inserting each masked vertex at
-        # the head of bucket (side, gain) in visit order leaves every
-        # bucket holding its vertices in *reverse* visit order, so the
-        # chains can be built in one stable sort of (side, bucket) over
-        # the reversed visit sequence — identical lists and cursors to
-        # the per-vertex insertion loop.
+        # Bucket seeding, vectorized: both sides' buckets form one key
+        # range, side * nbuckets + bucket.
         # ------------------------------------------------------------- #
-        maxptr = [-1, -1]
         seeds = insert_order[insert_mask[insert_order]]
-        if seeds.size:
-            rev = seeds[::-1]
-            rside = parts[rev]
-            rbucket = gain_np[rev] + offset
-            # Keys lie below 2 * nbuckets; in the narrowest unsigned type
-            # that holds them (8 or 16 bits on most levels) numpy's stable
-            # sort is a radix sort, with the same order.
-            key = (rside * nbuckets + rbucket).astype(
-                np.min_scalar_type(2 * nbuckets)
-            )
-            perm = np.argsort(key, kind="stable")
-            seq = rev[perm]
-            kseq = key[perm]
-            nxt_np = np.full(nverts, -1, dtype=np.int64)
-            prv_np = np.full(nverts, -1, dtype=np.int64)
-            same = kseq[1:] == kseq[:-1]
-            nxt_np[seq[:-1][same]] = seq[1:][same]
-            prv_np[seq[1:][same]] = seq[:-1][same]
-            head_np = np.full(2 * nbuckets, -1, dtype=np.int64)
-            first = np.empty(seq.size, dtype=bool)
-            first[0] = True
-            np.logical_not(same, out=first[1:])
-            head_np[kseq[first]] = seq[first]
-            heads0 = head_np[:nbuckets].tolist()
-            heads1 = head_np[nbuckets:].tolist()
-            nxt = nxt_np.tolist()
-            prv = prv_np.tolist()
-            inside_np = np.zeros(nverts, dtype=bool)
-            inside_np[seeds] = True
-            inside = inside_np.tolist()
-            on0 = rside == 0
-            if on0.any():
-                maxptr[0] = int(rbucket[on0].max())
-            if not on0.all():
-                maxptr[1] = int(rbucket[~on0].max())
-        else:
-            heads0 = [-1] * nbuckets
-            heads1 = [-1] * nbuckets
-            nxt = [-1] * nverts
-            prv = [-1] * nverts
-            inside = [False] * nverts
+        head_np, nxt_np, prv_np, inside_np = seed_buckets(
+            seeds, parts[seeds] * nbuckets + gain_np[seeds] + offset,
+            2 * nbuckets, nverts,
+        )
+        heads0 = head_np[:nbuckets].tolist()
+        heads1 = head_np[nbuckets:].tolist()
+        nxt = nxt_np.tolist()
+        prv = prv_np.tolist()
+        inside = inside_np.tolist()
+        maxptr = [_top_bucket(head_np[:nbuckets]),
+                  _top_bucket(head_np[nbuckets:])]
 
         # ------------------------------------------------------------- #
         # Best-prefix tracking.
@@ -478,25 +470,26 @@ class PythonBackend(KernelBackend):
         cfg,
         rng: np.random.Generator,
     ) -> tuple[int, bool, int]:
-        """One k-way FM pass on flat Python lists; mutates ``parts``.
+        """One k-way FM pass on flat Python tables; mutates ``parts``.
 
-        The occupancy matrix and per-vertex connectivity table are flat
-        lists indexed ``n * k + p`` / ``v * k + p``; every cached best
-        move is kept *exact* after each move (see
-        :mod:`repro.kernels.kway`), so the single bucket array is always
-        keyed by true gains.  Selection walks buckets downward and takes
-        the first vertex whose cached target has room (and, while some
-        part is overweight, whose own part is overweight — the
-        rebalancing discipline of the 2-way pass).
+        The occupancy and connectivity tables are flat lists indexed
+        ``n * k + p`` / ``v * k + p``, converted from dense setup tables
+        or filled from pair tables (see :func:`_flat_table` and
+        :mod:`repro.kernels.kway`).  Every cached best move is
+        kept *exact* after each move, so the single bucket array is
+        always keyed by true gains.  Selection walks buckets downward and
+        takes the first vertex whose cached target has room (and, while
+        some part is overweight, whose own part is overweight — the
+        rebalancing discipline of the 2-way pass).  Per-part overweight
+        flags and weight ratios are updated for the two parts of each
+        move only.
         """
         h = state.h
         nverts = h.nverts
         k = int(nparts)
         if nverts == 0:
             return 0, True, 0
-        occ_np, pw_np, base_np, conn_np, bto_np, bgain_np, mask_np = (
-            compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
-        )
+        setup = compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
         insert_order = rng.permutation(nverts)
 
         mirrors = state.list_mirrors()
@@ -507,47 +500,37 @@ class PythonBackend(KernelBackend):
         cost_l: list = mirrors["cost"]
         vw_l: list = mirrors["vwgt"]
 
-        occ = occ_np.ravel().tolist()
-        conn = conn_np.ravel().tolist()
-        pw = pw_np.tolist()
+        occ = _flat_table(setup.occ)
+        conn = _flat_table(setup.connect)
+        pw = setup.pw.tolist()
         ceil_l = [int(c) for c in ceilings]
-        # Balance-metric divisors.  A zero-ceiling part divides by 1: the
+        over = [w > c for w, c in zip(pw, ceil_l)]
+        n_over = sum(over)
+        # Balance-metric ratios.  A zero-ceiling part divides by 1: the
         # metric is only read while every part fits (n_over == 0), and then
         # such a part is empty and scores 0.0, as the numba loop's
         # zero-ceiling branch does.
         div_l = [c or 1 for c in ceil_l]
-        base = base_np.tolist()
-        bto = bto_np.tolist()
-        bgain = bgain_np.tolist()
-        mask_l = mask_np.tolist()
+        rel = list(map(truediv, pw, div_l))
+        base = setup.base.tolist()
+        bto = setup.best_to.tolist()
+        bgain = setup.best_gain.tolist()
         parts_l = parts.tolist()
         offset = state.max_gain
         slack = state.slack
 
-        head = [-1] * state.nbuckets
-        nxt = [-1] * nverts
-        prv = [-1] * nverts
-        inside = [False] * nverts
+        seeds = insert_order[setup.insert_mask[insert_order]]
+        head_np, nxt_np, prv_np, inside_np = seed_buckets(
+            seeds, setup.best_gain[seeds] + offset, state.nbuckets, nverts
+        )
+        head = head_np.tolist()
+        nxt = nxt_np.tolist()
+        prv = prv_np.tolist()
+        inside = inside_np.tolist()
+        maxptr = _top_bucket(head_np)
         locked = [False] * nverts
-        maxptr = -1
-        for v in insert_order.tolist():
-            if mask_l[v]:
-                b = bgain[v] + offset
-                f = head[b]
-                nxt[v] = f
-                prv[v] = -1
-                if f != -1:
-                    prv[f] = v
-                head[b] = v
-                inside[v] = True
-                if b > maxptr:
-                    maxptr = b
 
-        n_over = 0
-        for p in range(k):
-            if pw[p] > ceil_l[p]:
-                n_over += 1
-        metric = max(map(truediv, pw, div_l))
+        metric = max(rel)
         best_feasible = n_over == 0
         best_cum = 0
         best_len = 0
@@ -581,11 +564,14 @@ class PythonBackend(KernelBackend):
                             maxptr = b - 1
                         b -= 1
                         continue
-                    while u != -1:
+                    while True:
+                        if n_over:
+                            # Rebalancing: only overweight parts move.
+                            while u != -1 and not over[parts_l[u]]:
+                                u = nxt[u]
+                        if u == -1:
+                            break
                         s = parts_l[u]
-                        if n_over > 0 and pw[s] <= ceil_l[s]:
-                            u = nxt[u]  # rebalancing: only overweight
-                            continue
                         wu = vw_l[u]
                         t = bto[u]
                         if pw[t] + wu <= ceil_l[t] + sl:
@@ -743,19 +729,25 @@ class PythonBackend(KernelBackend):
 
             parts_l[v] = t
             wv = vw_l[v]
-            if pw[s] > ceil_l[s] and pw[s] - wv <= ceil_l[s]:
+            w = pw[s] - wv
+            pw[s] = w
+            rel[s] = w / div_l[s]
+            if over[s] and w <= ceil_l[s]:
+                over[s] = False
                 n_over -= 1
-            pw[s] -= wv
-            if pw[t] <= ceil_l[t] and pw[t] + wv > ceil_l[t]:
+            w = pw[t] + wv
+            pw[t] = w
+            rel[t] = w / div_l[t]
+            if not over[t] and w > ceil_l[t]:
+                over[t] = True
                 n_over += 1
-            pw[t] += wv
             cum += g
             moved.append(v)
             moved_from.append(s)
 
             improved = False
             if n_over == 0:
-                metric = max(map(truediv, pw, div_l))
+                metric = max(rel)
                 if (
                     not best_feasible
                     or cum > best_cum

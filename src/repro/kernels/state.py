@@ -32,6 +32,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = [
     "FMPassState", "FM_STALL_CAP", "compute_fm_setup", "fm_stall_limit",
+    "seed_buckets",
 ]
 
 _STATE_KEY = "fm_pass_state"
@@ -140,10 +141,11 @@ class FMPassState:
         Only the buffers the vectorized setup does *not* produce live
         here (bucket chains, lock flags, the move log — all independent
         of ``nparts``); the ``k``-wide state (occupancy, connectivity,
-        part weights, cached best moves) is freshly allocated by
-        :func:`repro.kernels.kway.compute_kway_setup` each pass and
-        handed to the move loop directly — copying it into cached
-        buffers would be pure overhead.
+        part weights, cached best moves) comes from
+        :func:`repro.kernels.kway.compute_kway_setup` each pass, densified
+        by :func:`repro.kernels.kway.densify`, and is handed to the move
+        loop directly — copying it into cached buffers would be pure
+        overhead.
         """
         if self.kway is None:
             n = self.h.nverts
@@ -205,3 +207,41 @@ def compute_fm_setup(
     else:
         insert_mask = np.ones(h.nverts, dtype=bool)
     return pc0, pc1, gain, insert_mask
+
+
+def seed_buckets(
+    seeds: np.ndarray, keys: np.ndarray, nkeys: int, nverts: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gain-bucket chains after LIFO-inserting ``seeds`` in order.
+
+    Vertex ``seeds[i]`` goes to the head of bucket ``keys[i]`` (each
+    key below ``nkeys``).  Returns ``(head, nxt, prv, inside)``: the
+    chains as ``int64`` arrays (``-1`` for "none"), exactly as that
+    insertion loop leaves them, and the filed-vertex flags.  The loop
+    leaves every bucket holding its vertices in *reverse* visit order,
+    so the chains come from one stable sort of the keys over the
+    reversed visit sequence.  In the narrowest unsigned type that holds
+    the keys (8 or 16 bits on most levels) numpy's stable sort is a
+    radix sort, with the same order.  Both FM passes of the python
+    backend seed their buckets through this.
+    """
+    head = np.full(nkeys, -1, dtype=np.int64)
+    nxt = np.full(nverts, -1, dtype=np.int64)
+    prv = np.full(nverts, -1, dtype=np.int64)
+    inside = np.zeros(nverts, dtype=bool)
+    if seeds.size == 0:
+        return head, nxt, prv, inside
+    inside[seeds] = True
+    rev = seeds[::-1]
+    rkey = keys[::-1].astype(np.min_scalar_type(nkeys))
+    perm = np.argsort(rkey, kind="stable")
+    seq = rev[perm]
+    kseq = rkey[perm]
+    same = kseq[1:] == kseq[:-1]
+    nxt[seq[:-1][same]] = seq[1:][same]
+    prv[seq[1:][same]] = seq[:-1][same]
+    first = np.empty(seq.size, dtype=bool)
+    first[0] = True
+    np.logical_not(same, out=first[1:])
+    head[kseq[first]] = seq[first]
+    return head, nxt, prv, inside

@@ -202,7 +202,7 @@ def fm_refine(
                 state, parts, maxw, cfg, rng
             )
             moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved, tried=tried)
+            sp.set(delta=delta, moved=moved, tried=tried, nverts=h.nverts)
         passes_run += 1
         total_delta += delta
         _FM_PASSES_BI.inc()
@@ -341,7 +341,10 @@ def kway_refine(
                 state, parts, nparts, ceilings, cfg, rng
             )
             moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved, tried=tried)
+            sp.set(
+                delta=delta, moved=moved, tried=tried, nverts=h.nverts,
+                k=nparts,
+            )
         passes_run += 1
         total_delta += delta
         _FM_PASSES_KWAY.inc()

@@ -11,8 +11,10 @@ import pytest
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import get_backend
-from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels import get_backend, kway
+from repro.kernels.kway import compute_kway_setup, densify
+from repro.kernels.numba_backend import NumbaBackend, _kway_move_loop
+from repro.kernels.state import fm_stall_limit
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import kway_refine
 
@@ -212,3 +214,114 @@ def test_kway_refine_validation():
         kway_refine(h, np.full(h.nverts, k, dtype=np.int64), k, ceilings)
     with pytest.raises(PartitioningError):
         kway_refine(h, parts, k, np.zeros(k, dtype=np.int64))
+
+
+# --------------------------------------------------------------------- #
+# Both sides of the density rule, and transit overweight mid-pass.
+# --------------------------------------------------------------------- #
+REGIMES = pytest.mark.parametrize(
+    "sparse", [False, True], ids=["dense", "sparse"]
+)
+
+
+def _force_regime(monkeypatch, sparse):
+    monkeypatch.setattr(kway, "sparse_tables", lambda h, k: sparse)
+
+
+@REGIMES
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize(
+    "case_seed", SMALL_K_SEEDS[:4] + WIDE_K_SEEDS[:4] + [CAP_SEED]
+)
+def test_kway_refine_backend_equivalent_per_regime(
+    cfg, case_seed, sparse, monkeypatch
+):
+    """The python pass on flat lists filled from either kind of setup
+    table equals the transliteration, which always runs densified."""
+    _force_regime(monkeypatch, sparse)
+    h, parts, k, ceilings = _case(case_seed)
+    py, flat = get_backend("python"), NumbaBackend()
+    r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
+    r_nb = kway_refine(
+        h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
+    )
+    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
+    assert (r_py.cut, r_py.improvement, r_py.feasible, r_py.passes) == (
+        r_nb.cut, r_nb.improvement, r_nb.feasible, r_nb.passes
+    )
+    assert r_py.cut == connectivity_volume(h, r_py.parts)
+
+
+class _WeightLog(np.ndarray):
+    """Part weights that keep a copy of every state written to them."""
+
+    def __setitem__(self, idx, val):
+        super().__setitem__(idx, val)
+        self.states.append(np.array(self))
+
+
+def _transit_overweight_moves(h, parts, k, ceilings, cfg, seed):
+    """Moves of one interpreted transliteration pass after which some
+    part is over its ceiling (each move writes ``pw`` twice: source,
+    then target)."""
+    setup = densify(
+        compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
+    )
+    pw = setup.pw.view(_WeightLog)
+    pw.states = []
+    state = NumbaBackend().fm_state(h)
+    scratch = state.kway_arrays()
+    loop = getattr(_kway_move_loop, "py_func", _kway_move_loop)
+    loop(
+        h.xpins, h.pins, h.xnets, h.vnets, h.ncost, h.vwgt, parts.copy(),
+        setup.occ, setup.connect, pw, ceilings, setup.base,
+        setup.best_to, setup.best_gain, setup.insert_mask,
+        np.random.default_rng(seed).permutation(h.nverts),
+        scratch["head"], scratch["nxt"], scratch["prv"], scratch["inside"],
+        scratch["locked"], scratch["moved"], scratch["moved_from"],
+        state.max_gain, state.slack,
+        fm_stall_limit(cfg.fm_early_exit_frac, h.nverts),
+    )
+    after_move = pw.states[1::2]
+    return sum(bool(np.any(w > ceilings)) for w in after_move)
+
+
+def _tight_case(case_seed):
+    """A balanced start under ceilings at its heaviest part: feasible,
+    but a transit-slack move overfills its target."""
+    h, parts, k, _ = _case(case_seed, start="balanced")
+    cap = int(part_weights(h, parts, k).max())
+    return h, parts, k, np.full(k, cap, dtype=np.int64)
+
+
+TIGHT_SEEDS = [0, 2, 9, 11]
+
+
+@REGIMES
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("case_seed", TIGHT_SEEDS)
+def test_kway_fm_pass_transit_overweight_backend_equivalent(
+    cfg, case_seed, sparse, monkeypatch
+):
+    """Tight ceilings: the pass starts feasible, some moves leave a part
+    overweight (the rebalancing selection then runs mid-pass), and the
+    python pass still equals the transliteration move for move."""
+    _force_regime(monkeypatch, sparse)
+    h, parts, k, ceilings = _tight_case(case_seed)
+    assert bool(np.all(part_weights(h, parts, k) <= ceilings))
+    assert _transit_overweight_moves(
+        h, parts, k, ceilings, cfg, case_seed
+    ) > 0
+    outs = []
+    for backend in (get_backend("python"), NumbaBackend()):
+        p = parts.copy()
+        res = backend.kway_fm_pass(
+            backend.fm_state(h), p, k, ceilings, cfg,
+            np.random.default_rng(case_seed),
+        )
+        outs.append((res, p))
+    (r0, p0), (r1, p1) = outs
+    assert r0 == r1
+    np.testing.assert_array_equal(p0, p1)
+    assert r0[1]  # feasible: the rollback keeps a feasible prefix
+    assert bool(np.all(part_weights(h, p0, k) <= ceilings))

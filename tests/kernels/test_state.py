@@ -6,7 +6,11 @@ import pytest
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import FMPassState, get_backend
-from repro.kernels.state import compute_fm_setup, fm_stall_limit
+from repro.kernels.state import (
+    compute_fm_setup,
+    fm_stall_limit,
+    seed_buckets,
+)
 from repro.partitioner.fm import fm_refine
 
 
@@ -176,3 +180,29 @@ class TestStallLimit:
     )
     def test_rule(self, frac, nverts, expected):
         assert fm_stall_limit(frac, nverts) == expected
+
+
+@pytest.mark.parametrize("nkeys", [1, 7, 300, 70_000])
+@pytest.mark.parametrize("case_seed", range(4))
+def test_seed_buckets_matches_insertion_loop(case_seed, nkeys):
+    """The vectorized seeding equals LIFO-inserting the seeds one by
+    one, for key ranges held in 8, 16 and 32 bits."""
+    rng = np.random.default_rng(case_seed)
+    nverts = 60
+    seeds = rng.permutation(nverts)[: int(rng.integers(0, nverts + 1))]
+    keys = rng.integers(0, nkeys, size=seeds.size)
+    head = [-1] * nkeys
+    nxt = [-1] * nverts
+    prv = [-1] * nverts
+    inside = [False] * nverts
+    for v, b in zip(seeds.tolist(), keys.tolist()):
+        f = head[b]
+        nxt[v] = f
+        prv[v] = -1
+        if f != -1:
+            prv[f] = v
+        head[b] = v
+        inside[v] = True
+    got = seed_buckets(seeds, keys, nkeys, nverts)
+    for g, w in zip(got, (head, nxt, prv, inside)):
+        assert g.tolist() == w

@@ -378,3 +378,32 @@ class TestFMMoveAccounting:
             assert moves == sum(a["moved"] for a in of_kind)
             assert tried == sum(a["tried"] for a in of_kind)
             assert tried >= moves > 0
+
+    def test_pass_spans_carry_level_size(self, tmp_path):
+        """``nverts`` on both pass spans and ``k`` on the k-way one, so
+        pass time can be split by level size."""
+        from repro import bipartition, load_instance, partition
+        from repro.obs import trace
+
+        path = str(tmp_path / "fm.jsonl")
+        trace.enable(path)
+        matrix = load_instance("sym_grid2d_s")
+        bipartition(matrix, method="mediumgrain", refine=True, seed=3)
+        partition(matrix, 4, algo="kway", seed=3, jobs=1)
+        trace.disable()
+
+        spans = self._pass_spans(path)
+        sizes = {}
+        for name in ("fm.pass", "kway_fm.pass"):
+            sizes[name] = {
+                s["attrs"]["nverts"] for s in spans if s["name"] == name
+            }
+            assert sizes[name]
+            assert all(isinstance(n, int) and n > 0 for n in sizes[name])
+        # The multilevel bisection refines on several levels.
+        assert len(sizes["fm.pass"]) > 1, sizes
+        assert {
+            s["attrs"]["k"] for s in spans if s["name"] == "kway_fm.pass"
+        } == {4}
+        assert all("k" not in s["attrs"] for s in spans
+                   if s["name"] == "fm.pass")
