@@ -2,9 +2,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-numba test-chaos serve-smoke bench-regress \
+.PHONY: test test-chaos serve-smoke bench-regress \
         bench-regress-update bench bench-e2e bench-e2e-update \
-        bench-e2e-smoke bench-serve bench-serve-update install-numba
+        bench-e2e-smoke bench-serve bench-serve-update
 
 # Tier-1 verification: the fast test suite (bench/chaos deselected).
 test:
@@ -23,15 +23,6 @@ test-chaos:
 # clock (see docs/serving.md).
 serve-smoke:
 	$(PYTHON) -m benchmarks.bench_serve --smoke
-
-# Install the optional numba JIT (see setup.py extras) and run the suite
-# with the JIT path exercised end to end.  The tests auto-detect numba:
-# when it is importable, "auto" resolves to the JIT backend everywhere
-# and the numba-marked equivalence tests stop being interpreted-only.
-install-numba:
-	$(PYTHON) -m pip install numba
-
-test-numba: install-numba test
 
 # Compare current kernel timings against the committed BENCH_kernels.json;
 # exits non-zero on a >25% regression in any kernel.
@@ -54,9 +45,9 @@ bench-e2e:
 bench-e2e-update:
 	$(PYTHON) -m benchmarks.bench_e2e
 
-# CI smoke for the execution layer: tiny instances, every kernel x
-# execution backend with --jobs 2, gated on completion + bit-identity
-# only (never on wall clock — CI runners are noisy).
+# CI smoke for the execution layer: tiny instances, every execution
+# backend with --jobs 2, gated on completion + bit-identity only (never
+# on wall clock — CI runners are noisy).
 bench-e2e-smoke:
 	$(PYTHON) -m benchmarks.bench_e2e --smoke --jobs 2
 

@@ -9,7 +9,7 @@ frozen here verbatim:
 * :class:`BaselineBackend` — the FM move loop and greedy-matching sweep
   exactly as PR 1 left them (closure-based gain updates, per-vertex
   bucket seeding loop, index-based pin scans).  Identical-net merging is
-  shared with the live backend (unchanged by this PR).
+  the live code (unchanged by this PR).
 * :func:`baseline_distribute_vectors` — lexsort-based incidence lists
   plus the all-lines Python greedy owner loop.
 * :func:`baseline_simulate_spmv` — the dict-based fan-out / partial-sum
@@ -22,6 +22,11 @@ frozen here verbatim:
   Its volumes are *not* expected to match the live ``partition`` — the
   seed discipline intentionally changed — so the p-way benchmark records
   both sides' volumes instead of asserting bit-identity against it.
+* :class:`PickledMatrixExecutor` / :func:`baseline_pickled_pool` — the
+  pickled-payload process pool the shared-memory store replaced: the
+  parent selects each task's submatrix and pickles all of it (rows, cols
+  and values) into the worker.  The execution-layer stage measures the
+  store against it.
 
 The orchestration around these (split, model build, coarsening,
 contraction, recursion) is the *live* code — it was not changed by this
@@ -44,13 +49,15 @@ import contextlib
 
 import numpy as np
 
+import repro.core.recursive as _recursive_mod
 import repro.core.volume as _volume_mod
 import repro.hypergraph.metrics as _metrics_mod
 from repro.kernels.base import KernelBackend
 from repro.kernels.gains import GainBuckets
-from repro.kernels.python_backend import merge_identical_nets
-from repro.kernels.state import FMPassState, compute_fm_setup
+from repro.kernels.state import compute_fm_setup
 from repro.spmv.vector_dist import VectorDistribution
+from repro.utils import faults
+from repro.utils.executor import MatrixExecutor
 
 
 def _lexsort_axis_lambdas(index, parts, extent, nparts=None):
@@ -416,12 +423,50 @@ class BaselineBackend(KernelBackend):
                     match[best_u] = v
         return np.asarray(match, dtype=np.int64)
 
-    def merge_identical(self, xpins, pins, ncost):
-        """Unchanged by this PR; shared with the live backend."""
-        return merge_identical_nets(xpins, pins, ncost)
-
 
 BASELINE_BACKEND = BaselineBackend()
+
+
+# --------------------------------------------------------------------- #
+# Pre-store execution layer: every task ships its whole submatrix.
+# --------------------------------------------------------------------- #
+def _pickle_task(arg):
+    """Process worker: the submatrix arrived pickled."""
+    fn, sub, extra = arg
+    faults.fault_point("executor.task")
+    return faults.fault_point("executor.result", fn(sub, extra))
+
+
+#: The label ``BENCH_e2e.json`` records for this pool: its name when it
+#: was the ``exec_backend="process-pickle"`` option.
+PICKLED_POOL = "process-pickle"
+
+
+class PickledMatrixExecutor(MatrixExecutor):
+    """:class:`~repro.utils.executor.MatrixExecutor` whose process
+    backend pickles each selected submatrix instead of shipping a
+    shared-memory handle plus indices.  Serial and thread delivery are
+    unchanged."""
+
+    def _process_items(self, fn, tasks):
+        return _pickle_task, [
+            (fn, self.matrix if idx is None else self.matrix.select(idx),
+             extra)
+            for idx, extra in tasks
+        ]
+
+
+@contextlib.contextmanager
+def baseline_pickled_pool():
+    """Run recursive bisection's worker pool on the pickled payloads:
+    inside the block, ``partition(..., exec_backend="process")`` ships
+    whole submatrices as the pre-store layer did."""
+    saved = _recursive_mod.MatrixExecutor
+    _recursive_mod.MatrixExecutor = PickledMatrixExecutor
+    try:
+        yield
+    finally:
+        _recursive_mod.MatrixExecutor = saved
 
 
 # --------------------------------------------------------------------- #

@@ -26,27 +26,26 @@ volume must equal the partitioner's volume, the baseline volumes must be
 bit-identical to the live ones (the kernel contract), and the parallel
 sweep's records must equal the serial sweep's (modulo measured seconds).
 
-A third stage measures the **execution layer** itself: the legacy
-pickled-payload pool (``exec_backend="process-pickle"`` — every task
+A third stage measures the **execution layer** itself: the frozen
+pickled-payload pool
+(:class:`benchmarks._baseline_e2e.PickledMatrixExecutor` — every task
 ships a full submatrix) versus the shared-memory store
 (``exec_backend="process"`` — tasks ship a segment handle plus an index
 range).  Per (matrix, p): the real p-way partitioning is verified
-bit-identical to serial under every backend and its shipped bytes are
+bit-identical to serial under both pools and its shipped bytes are
 audited (:func:`repro.utils.executor.payload_audit`, untimed); the
 ``speedup_shm`` gate then times *delivery* — a no-op probe mapped over
 the p-way task shapes — because whole-run wall clock on a single-core
 host cannot resolve the few-millisecond payload delta that the layer
-removes (the full-partition times are recorded as context).  When numba
-is installed the ``"thread"`` backend (nogil kernels, zero payload) is
-measured as well.
+removes (the full-partition times are recorded as context).
 
 A fourth stage benchmarks the **direct k-way partitioner**
 (``algo="kway"`` — :mod:`repro.core.kway`) head-to-head against
 recursive bisection at the same p values, on the bench set plus the
 k-diagonal structured instance: per (matrix, p) it verifies the k-way
-result is bit-identical across every kernel backend, execution backend
-and ``jobs`` value (the partitioner has no recursion tree, so the knobs
-must be exact no-ops), that every part respects the eqn-(1) ceiling,
+result is bit-identical across every execution backend and ``jobs``
+value (the partitioner has no recursion tree, so the knobs must be exact
+no-ops), that every part respects the eqn-(1) ceiling,
 and records interleaved min-of wall clocks and the volume ratio
 ``kway / recursive`` — the quality/speed trade-off the ROADMAP's
 bisection-vs-direct comparison asks for.
@@ -59,7 +58,7 @@ volume for speed, the multilevel stage must close the quality gap while
 keeping a decisive speed edge; both sides are *gated at generation
 time*: geomean volume ratio <= ``KWAY_ML_RATIO_GATE`` AND geomean
 speedup >= ``KWAY_ML_SPEEDUP_GATE``, plus the usual bit-identity
-(kernel backends, exec backends, jobs) and eqn-(1) feasibility checks
+(exec backends, jobs) and eqn-(1) feasibility checks
 per cell.  ``tests/test_bench_e2e.py`` re-asserts the committed
 numbers under ``pytest -m bench``.
 
@@ -87,6 +86,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -97,9 +97,12 @@ import numpy as np
 
 from benchmarks._baseline_e2e import (
     BASELINE_BACKEND,
+    PICKLED_POOL,
+    PickledMatrixExecutor,
     baseline_distribute_vectors,
     baseline_lambda_kernels,
     baseline_partition,
+    baseline_pickled_pool,
     baseline_simulate_spmv,
 )
 from repro.core.methods import bipartition
@@ -107,7 +110,6 @@ from repro.core.recursive import partition
 from repro.core.volume import max_allowed_part_size
 from repro.eval.geomean import geometric_mean as _geomean
 from repro.eval.sweep import RunSpec, run_sweep
-from repro.kernels import available_backends, numba_available, resolve_backend
 from repro.partitioner.config import get_config
 from repro.sparse.collection import build_collection, load_instance
 from repro.utils.executor import JobsBudget, MatrixExecutor, payload_audit
@@ -122,6 +124,8 @@ BASE_SEED = 2014
 #: Recursive-bisection depths of the p-way stage (the paper's Fig. 6b /
 #: Table II run at p = 64; 4 and 16 chart how speedup grows with depth).
 PWAY_PARTS = (4, 16, 64)
+#: The live parallel execution backends (``"serial"`` is the reference).
+EXEC_BACKENDS = ("process", "thread")
 PIPELINE = (
     "split -> medium-grain build -> multilevel partition -> "
     "iterative refinement -> volume -> vector distribution -> "
@@ -323,9 +327,9 @@ def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
 
     Gates before any timing is trusted, per p:
 
-    * the k-way partition is **bit-identical** across every available
-      kernel backend, every execution backend, and ``jobs`` in
-      ``{1, jobs}`` (no recursion tree — the knobs must change nothing);
+    * the k-way partition is **bit-identical** across every execution
+      backend and ``jobs`` in ``{1, jobs}`` (no recursion tree — the
+      knobs must change nothing);
     * every part respects the eqn-(1) ceiling (``feasible``).
 
     Timings are interleaved min-of wall clocks of the two algorithms;
@@ -347,21 +351,7 @@ def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                 f"{name} p={p}: kway max part {kw.max_part} exceeds the "
                 f"eqn-(1) ceiling {ceiling}"
             )
-        for kb in available_backends():
-            cfg = dataclasses.replace(
-                get_config("mondriaan"), kernel_backend=kb
-            )
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, algo="kway",
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway partition differs under kernel "
-                    f"backend {kb!r}"
-                )
-        exec_backends = ["process-pickle", "process", "thread"]
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in exec_backends]:
+        for jv, eb in [(1, "serial")] + [(jobs, m) for m in EXEC_BACKENDS]:
             res = partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
                 algo="kway", jobs=jv, exec_backend=eb,
@@ -424,9 +414,8 @@ def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
     The same contract as :func:`bench_kway_matrix`, with the k-way side
     running the multilevel engine (``kway_vcycles=KWAY_ML_VCYCLES``)
     instead of the flat pipeline: per p, the partition must be
-    bit-identical across every available kernel backend, every execution
-    backend, and ``jobs`` in ``{1, jobs}``, and every part must respect
-    the eqn-(1) ceiling.  Timings are interleaved min-of wall clocks;
+    bit-identical across every execution backend and ``jobs`` in
+    ``{1, jobs}``, and every part must respect the eqn-(1) ceiling.  Timings are interleaved min-of wall clocks;
     ``volume_ratio`` (kway-ml / recursive) is the quantity the
     generation-time geomean gates aggregate.
     """
@@ -449,19 +438,7 @@ def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                 f"{name} p={p}: kway-ml max part {kw.max_part} exceeds "
                 f"the eqn-(1) ceiling {ceiling}"
             )
-        for kb in available_backends():
-            cfg = dataclasses.replace(ml_cfg, kernel_backend=kb)
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, algo="kway",
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway-ml partition differs under "
-                    f"kernel backend {kb!r}"
-                )
-        exec_backends = ["process-pickle", "process", "thread"]
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in exec_backends]:
+        for jv, eb in [(1, "serial")] + [(jobs, m) for m in EXEC_BACKENDS]:
             res = partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
                 config=ml_cfg, algo="kway", jobs=jv, exec_backend=eb,
@@ -513,11 +490,12 @@ def _delivery_probe(sub, extra):
 
 
 def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
-    """Time the execution backends against each other on one matrix.
+    """Time the pickled-payload pool against the shared-memory store on
+    one matrix.
 
     For every p, three measurements:
 
-    * **Identity + payload** on the real partitioning: each backend's
+    * **Identity + payload** on the real partitioning: each pool's
       p-way partition is verified bit-identical to the serial reference,
       and its per-run shipped bytes are recorded by an (untimed)
       :func:`~repro.utils.executor.payload_audit` run — the direct
@@ -532,13 +510,23 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
       partitioning compute, so the full-partition timings below are
       context, not the gate.
     * **Full-partition timing** (context): interleaved min-of wall
-      clock of the real p-way run under both backends.
+      clock of the real p-way run under both pools.
     """
     matrix = load_instance(name)
     entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    modes = ["process-pickle", "process"]
-    if numba_available():
-        modes.append("thread")
+    # Mode -> (executor class, context swapping it into the recursion).
+    modes = {
+        "pickled": (PickledMatrixExecutor, baseline_pickled_pool),
+        "shm": (MatrixExecutor, contextlib.nullcontext),
+    }
+
+    def run(mode: str, p: int):
+        with modes[mode][1]():
+            return partition(
+                matrix, p, method="mediumgrain", seed=BASE_SEED,
+                jobs=jobs, exec_backend="process",
+            )
+
     for p in ps:
         serial = partition(
             matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
@@ -547,28 +535,18 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
         part_best = {mode: float("inf") for mode in modes}
         for mode in modes:
             # Warm pools/caches and verify identity; then audit payloads.
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                jobs=jobs, exec_backend=mode,
-            )
-            if not np.array_equal(serial.parts, res.parts):
+            if not np.array_equal(serial.parts, run(mode, p).parts):
                 raise AssertionError(
-                    f"{name} p={p} exec_backend={mode}: partition "
-                    f"differs from serial"
+                    f"{name} p={p} {mode} pool: partition differs from "
+                    f"serial"
                 )
             with payload_audit() as audit:
-                partition(
-                    matrix, p, method="mediumgrain", seed=BASE_SEED,
-                    jobs=jobs, exec_backend=mode,
-                )
+                run(mode, p)
             payloads[mode] = audit["bytes"]
         for _ in range(repeats):
             for mode in modes:
                 t0 = time.perf_counter()
-                partition(
-                    matrix, p, method="mediumgrain", seed=BASE_SEED,
-                    jobs=jobs, exec_backend=mode,
-                )
+                run(mode, p)
                 part_best[mode] = min(
                     part_best[mode], time.perf_counter() - t0
                 )
@@ -580,7 +558,8 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
         tasks = [(np.flatnonzero(owner == k), k) for k in range(p)]
         delivery_best = {mode: float("inf") for mode in modes}
         executors = {
-            mode: MatrixExecutor(matrix, jobs, mode) for mode in modes
+            mode: cls(matrix, jobs, "process")
+            for mode, (cls, _) in modes.items()
         }
         try:
             for mode, ex in executors.items():
@@ -595,34 +574,27 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                     if [o[0] for o in out] != [t[0].size for t in tasks]:
                         raise AssertionError(
                             f"{name} p={p}: delivery probe returned "
-                            f"wrong submatrices under {mode}"
+                            f"wrong submatrices under the {mode} pool"
                         )
         finally:
             for ex in executors.values():
                 ex.close()
-        cell = {
+        entry["by_p"][str(p)] = {
             "volume": serial.volume,
             "bit_identical": True,
-            "pickled_s": round(delivery_best["process-pickle"], 6),
-            "shm_s": round(delivery_best["process"], 6),
+            "pickled_s": round(delivery_best["pickled"], 6),
+            "shm_s": round(delivery_best["shm"], 6),
             "speedup_shm": round(
-                delivery_best["process-pickle"] / delivery_best["process"], 3
+                delivery_best["pickled"] / delivery_best["shm"], 3
             ),
-            "partition_pickled_s": round(part_best["process-pickle"], 6),
-            "partition_shm_s": round(part_best["process"], 6),
-            "payload_pickled_bytes": payloads["process-pickle"],
-            "payload_shm_bytes": payloads["process"],
+            "partition_pickled_s": round(part_best["pickled"], 6),
+            "partition_shm_s": round(part_best["shm"], 6),
+            "payload_pickled_bytes": payloads["pickled"],
+            "payload_shm_bytes": payloads["shm"],
             "payload_cut": round(
-                payloads["process-pickle"] / payloads["process"], 2
-            ) if payloads["process"] else float("inf"),
+                payloads["pickled"] / payloads["shm"], 2
+            ) if payloads["shm"] else float("inf"),
         }
-        if "thread" in modes:
-            cell["thread_s"] = round(delivery_best["thread"], 6)
-            cell["partition_thread_s"] = round(part_best["thread"], 6)
-            cell["speedup_thread"] = round(
-                delivery_best["process-pickle"] / delivery_best["thread"], 3
-            )
-        entry["by_p"][str(p)] = cell
     return entry
 
 
@@ -635,12 +607,9 @@ def run_benchmarks(
 ) -> dict:
     """Time every matrix; returns the report dict."""
     seeds = spawn_seeds(BASE_SEED, nseeds)
-    backend = resolve_backend("auto")
     report = {
         "schema": 1,
         "pipeline": PIPELINE,
-        "backend": backend.name,
-        "numba_available": numba_available(),
         "repeats": repeats,
         "base_seed": BASE_SEED,
         "seeds": seeds,
@@ -706,7 +675,7 @@ def run_benchmarks(
 
     # Execution-layer stage: pickled pool vs shared-memory workers.
     exec_section: dict = {
-        "baseline": "process-pickle",
+        "baseline": PICKLED_POOL,
         "current": "process",
         "ps": [int(p) for p in pway_parts],
         "jobs": jobs,
@@ -840,97 +809,84 @@ SMOKE_MATRICES = ("sym_grid2d_s", "rec_td_small_a", "sqr_er_s")
 
 
 def run_smoke(jobs: int) -> int:
-    """CI smoke: completion + bit-identity across every backend combo.
+    """CI smoke: completion + bit-identity across every exec backend.
 
     Runs the whole-pipeline sweep, a p=4 recursive bisection, a p=4 flat
     direct k-way partitioning (``--algo kway``), and a p=4 *multilevel*
     k-way partitioning (``kway_vcycles=2`` — one multilevel construction
     plus one restricted V-cycle, so both halves of the multilevel engine
     execute) on tiny instances with ``--jobs`` workers, under every
-    available kernel backend x execution backend, asserting the results
-    equal the serial reference and (for both k-way flavours) that every
-    part respects the eqn-(1) ceiling.  **No wall-clock gating** — this
-    exists so a cold CI runner proves the parallel plumbing end to end,
-    not to race it.
+    execution backend, asserting the results equal the serial reference
+    and (for both k-way flavours) that every part respects the eqn-(1)
+    ceiling.  **No wall-clock gating** — this exists so a cold CI runner
+    proves the parallel plumbing end to end, not to race it.
     """
-    import repro.kernels as kernels
-
-    kernel_backends = ["python"] + (
-        ["numba"] if numba_available() else []
-    )
-    exec_backends = ["process-pickle", "process", "thread"]
     seeds = spawn_seeds(BASE_SEED, 1)
+    cfg = get_config("mondriaan")
+    ml_cfg = dataclasses.replace(cfg, kway_vcycles=2)
     failures = 0
-    for kb in kernel_backends:
-        cfg = dataclasses.replace(get_config("mondriaan"), kernel_backend=kb)
-        for name in SMOKE_MATRICES:
-            matrix = load_instance(name)
-            specs = [
-                dataclasses.replace(s, backend=kb)
-                for s in make_specs(name, seeds)
-            ]
-            serial_records = list(run_sweep(specs, jobs=1))
-            strip = lambda rs: [
-                dataclasses.replace(r, seconds=0.0) for r in rs
-            ]
-            for sweep_jobs in (jobs, JobsBudget(jobs)):
-                records = list(run_sweep(specs, jobs=sweep_jobs))
-                if strip(records) != strip(serial_records):
-                    print(f"FAIL sweep {name} kernel={kb} jobs={sweep_jobs}")
-                    failures += 1
-            serial = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=1,
-            )
-            kway_serial = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=1, algo="kway",
-            )
-            ml_cfg = dataclasses.replace(cfg, kway_vcycles=2)
-            ml_serial = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, jobs=1, algo="kway",
-            )
-            ceiling = max_allowed_part_size(matrix.nnz, 4, 0.03)
-            if kway_serial.max_part > ceiling:
-                print(f"FAIL kway ceiling {name} kernel={kb}")
+    for name in SMOKE_MATRICES:
+        matrix = load_instance(name)
+        specs = make_specs(name, seeds)
+        serial_records = list(run_sweep(specs, jobs=1))
+        strip = lambda rs: [
+            dataclasses.replace(r, seconds=0.0) for r in rs
+        ]
+        for sweep_jobs in (jobs, JobsBudget(jobs)):
+            records = list(run_sweep(specs, jobs=sweep_jobs))
+            if strip(records) != strip(serial_records):
+                print(f"FAIL sweep {name} jobs={sweep_jobs}")
                 failures += 1
-            if ml_serial.max_part > ceiling:
-                print(f"FAIL kway-ml ceiling {name} kernel={kb}")
-                failures += 1
-            for eb in exec_backends:
-                res = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=cfg, jobs=jobs, exec_backend=eb,
-                )
-                ok = np.array_equal(serial.parts, res.parts)
-                kres = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=cfg, jobs=jobs, exec_backend=eb, algo="kway",
-                )
-                kok = np.array_equal(kway_serial.parts, kres.parts)
-                mres = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=ml_cfg, jobs=jobs, exec_backend=eb, algo="kway",
-                )
-                mok = np.array_equal(ml_serial.parts, mres.parts)
-                failures += (not ok) + (not kok) + (not mok)
-                print(
-                    f"  {name:14s} kernel={kb:6s} exec={eb:14s} "
-                    f"volume={res.volume:<6d} "
-                    f"{'ok' if ok else 'MISMATCH'}  "
-                    f"kway={kres.volume:<6d} "
-                    f"{'ok' if kok else 'MISMATCH'}  "
-                    f"kway-ml={mres.volume:<6d} "
-                    f"{'ok' if mok else 'MISMATCH'}"
-                )
+        serial = partition(
+            matrix, 4, method="mediumgrain", seed=BASE_SEED,
+            config=cfg, jobs=1,
+        )
+        kway_serial = partition(
+            matrix, 4, method="mediumgrain", seed=BASE_SEED,
+            config=cfg, jobs=1, algo="kway",
+        )
+        ml_serial = partition(
+            matrix, 4, method="mediumgrain", seed=BASE_SEED,
+            config=ml_cfg, jobs=1, algo="kway",
+        )
+        ceiling = max_allowed_part_size(matrix.nnz, 4, 0.03)
+        if kway_serial.max_part > ceiling:
+            print(f"FAIL kway ceiling {name}")
+            failures += 1
+        if ml_serial.max_part > ceiling:
+            print(f"FAIL kway-ml ceiling {name}")
+            failures += 1
+        for eb in EXEC_BACKENDS:
+            res = partition(
+                matrix, 4, method="mediumgrain", seed=BASE_SEED,
+                config=cfg, jobs=jobs, exec_backend=eb,
+            )
+            ok = np.array_equal(serial.parts, res.parts)
+            kres = partition(
+                matrix, 4, method="mediumgrain", seed=BASE_SEED,
+                config=cfg, jobs=jobs, exec_backend=eb, algo="kway",
+            )
+            kok = np.array_equal(kway_serial.parts, kres.parts)
+            mres = partition(
+                matrix, 4, method="mediumgrain", seed=BASE_SEED,
+                config=ml_cfg, jobs=jobs, exec_backend=eb, algo="kway",
+            )
+            mok = np.array_equal(ml_serial.parts, mres.parts)
+            failures += (not ok) + (not kok) + (not mok)
+            print(
+                f"  {name:14s} exec={eb:8s} "
+                f"volume={res.volume:<6d} "
+                f"{'ok' if ok else 'MISMATCH'}  "
+                f"kway={kres.volume:<6d} "
+                f"{'ok' if kok else 'MISMATCH'}  "
+                f"kway-ml={mres.volume:<6d} "
+                f"{'ok' if mok else 'MISMATCH'}"
+            )
     failures += _smoke_retry_path(jobs)
-    resolved = kernels.resolve_backend("auto").name
     print(
-        f"\nsmoke: {len(kernel_backends)} kernel backend(s) x "
-        f"{len(exec_backends)} exec backend(s) x {len(SMOKE_MATRICES)} "
-        f"matrices x (recursive + kway + kway-ml + retry-path), jobs={jobs} "
-        f"(auto kernel backend: {resolved}); {failures} failure(s)"
+        f"\nsmoke: {len(EXEC_BACKENDS)} exec backend(s) x "
+        f"{len(SMOKE_MATRICES)} matrices x (recursive + kway + kway-ml + "
+        f"retry-path), jobs={jobs}; {failures} failure(s)"
     )
     return 1 if failures else 0
 
@@ -946,7 +902,7 @@ def _smoke_retry_path(jobs: int) -> int:
     The overhead gate then times the same sweep plain vs armed (deadline
     + retries configured, nothing failing) and requires the armed path
     to stay within 2% of the plain one plus a small absolute slack for
-    CI timer noise — min over repeats, so pool/JIT warm-up cancels out.
+    CI timer noise — min over repeats, so pool warm-up cancels out.
     """
     import tempfile
 
@@ -1062,7 +1018,7 @@ def main(argv=None) -> int:
                         help="compare against the committed JSON instead "
                              "of rewriting it")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke: tiny instances, every kernel x "
+                        help="CI smoke: tiny instances, every "
                              "execution backend, gate on completion and "
                              "bit-identity only (no timings, no JSON)")
     parser.add_argument("--out", default=str(DEFAULT_OUT))

@@ -5,10 +5,10 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
 
 ``fm_pass``
     One FM pass on the medium-grain hypergraph — seed closure-based loop
-    vs. the ``repro.kernels`` backend with its reusable pass state.
+    vs. the ``repro.kernels`` pass with its reusable pass state.
 ``matching``
     One greedy matching sweep — seed convert-per-call loop vs. the
-    backend sweep on cached mirrors.
+    kernel sweep on cached mirrors.
 ``contraction``
     Identical-net merging on a duplicate-heavy net list — seed per-net
     ``tobytes()`` hashing vs. the vectorized group-by-size merge.
@@ -19,7 +19,7 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
 ``kway_fm_pass``
     One k-way FM pass at k=64 on the medium-grain hypergraph — the
     dense ``np.add.at`` setup with interpreted k-part scans vs. the
-    backend's setup (pair tables where the density rule picks them)
+    kernel's setup (pair tables where the density rule picks them)
     with C-level list scans.
 ``kway_fm_pass_k8``
     The same at k=8, on ``sqr_cl_m`` only: its big nets put every
@@ -49,7 +49,7 @@ check run while the machine is slow compares like with like against
 the committed file.  None of the timed FM passes reaches the 512-move
 stall cap (the medium-grain hypergraphs here have at most 2,102
 vertices), so the uncapped frozen baselines stay answer-identical to
-the backends.
+the kernels.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from perfbench.common import slowdown
 from repro.core.medium_grain import build_medium_grain
 from repro.core.split import initial_split
 from repro.hypergraph.models import row_net_model
-from repro.kernels import BACKEND_CHOICES, numba_available, resolve_backend
+from repro.kernels import PYTHON_KERNELS
 from repro.kernels.python_backend import merge_identical_nets
 from repro.partitioner.coarsen import match_vertices
 from repro.partitioner.config import get_config
@@ -130,15 +130,15 @@ def _medium_grain_hypergraph(matrix):
     return build_medium_grain(split).hypergraph
 
 
-def bench_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> dict:
-    """Seed FM pass vs. backend FM pass on the medium-grain hypergraph."""
+def bench_fm_pass(matrix, repeats: int, after_only: bool = False) -> dict:
+    """Seed FM pass vs. the kernel FM pass on the medium-grain hypergraph."""
     h = _medium_grain_hypergraph(matrix)
     cfg = get_config("mondriaan")
     parts0 = _balanced_parts(h.nverts, SEED)
     cap = int(1.03 * h.total_weight() / 2) + 1
     maxw = (cap, cap)
     lists = baseline_hot_lists(h)  # seed cached these per hypergraph too
-    state = backend.fm_state(h)
+    state = PYTHON_KERNELS.fm_state(h)
 
     def run_before():
         return baseline_fm_pass(
@@ -146,15 +146,15 @@ def bench_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> di
         )
 
     def run_after():
-        return backend.fm_pass(
+        return PYTHON_KERNELS.fm_pass(
             state, parts0.copy(), maxw, cfg, np.random.default_rng(7)
         )
 
     d_before = run_before()
-    d_after = run_after()  # also JIT-warms the numba backend
+    d_after = run_after()
     if d_before != (int(d_after[0]), bool(d_after[1])):
         raise AssertionError(
-            f"fm_pass drift: baseline {d_before} != backend {d_after}"
+            f"fm_pass drift: baseline {d_before} != kernel {d_after}"
         )
     out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
@@ -162,12 +162,12 @@ def bench_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> di
     return out
 
 
-def bench_matching(matrix, backend, repeats: int, after_only: bool = False) -> dict:
-    """Seed matching sweep vs. backend sweep (same RNG per run)."""
+def bench_matching(matrix, repeats: int, after_only: bool = False) -> dict:
+    """Seed matching sweep vs. the kernel sweep (same RNG per run)."""
     h = _medium_grain_hypergraph(matrix)
     cfg = get_config("mondriaan")
     cap = max(1, int(0.35 * h.total_weight() / 2))
-    backend.fm_state(h).list_mirrors()  # warm, like repeated coarsening
+    PYTHON_KERNELS.fm_state(h).list_mirrors()  # warm, like repeated coarsening
 
     def run_before():
         return baseline_match_vertices(
@@ -175,19 +175,17 @@ def bench_matching(matrix, backend, repeats: int, after_only: bool = False) -> d
         )
 
     def run_after():
-        return match_vertices(
-            h, cfg, np.random.default_rng(9), cap, backend=backend
-        )
+        return match_vertices(h, cfg, np.random.default_rng(9), cap)
 
     if run_before().tolist() != run_after().tolist():
-        raise AssertionError("matching drift between baseline and backend")
+        raise AssertionError("matching drift between baseline and kernel")
     out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
         out["before_s"] = _calibrated_time(repeats, run_before)
     return out
 
 
-def bench_contraction(matrix, backend, repeats: int, after_only: bool = False) -> dict:
+def bench_contraction(matrix, repeats: int, after_only: bool = False) -> dict:
     """Identical-net merge on a duplicate-heavy net list.
 
     The rows of the row-net model are tiled four times, mimicking the
@@ -210,7 +208,7 @@ def bench_contraction(matrix, backend, repeats: int, after_only: bool = False) -
         return baseline_merge_identical(xpins, pins, ncost)
 
     def run_after():
-        return backend.merge_identical(xpins, pins, ncost)
+        return merge_identical_nets(xpins, pins, ncost)
 
     rb, ra = run_before(), run_after()
     for got, want in zip(ra, rb):
@@ -222,7 +220,7 @@ def bench_contraction(matrix, backend, repeats: int, after_only: bool = False) -
     return out
 
 
-def bench_medium_grain_build(matrix, backend, repeats: int, after_only: bool = False) -> dict:
+def bench_medium_grain_build(matrix, repeats: int, after_only: bool = False) -> dict:
     """Derived-structure build on fresh medium-grain hypergraphs.
 
     Times what the partitioner computes between building the model and
@@ -257,10 +255,9 @@ def bench_medium_grain_build(matrix, backend, repeats: int, after_only: bool = F
 
 
 def bench_kway_fm_pass(
-    matrix, backend, repeats: int, after_only: bool = False,
-    k: int = KWAY_PARTS,
+    matrix, repeats: int, after_only: bool = False, k: int = KWAY_PARTS,
 ) -> dict:
-    """Pre-sparse k-way FM pass vs. backend pass at ``k`` parts.
+    """Pre-sparse k-way FM pass vs. the kernel pass at ``k`` parts.
 
     The start cuts the vertex order into k weight-contiguous blocks (a
     feasible partition with the locality of a row-block split), then
@@ -275,10 +272,10 @@ def bench_kway_fm_pass(
     cap = int(1.03 * total / k) + int(h.vwgt.max(initial=0))
     ceilings = np.full(k, cap, dtype=np.int64)
     lists = baseline_hot_lists(h)
-    state = backend.fm_state(h)
+    state = PYTHON_KERNELS.fm_state(h)
     parts0 = ((np.cumsum(h.vwgt) - h.vwgt) * k // total).astype(np.int64)
     for i in range(4):
-        backend.kway_fm_pass(
+        PYTHON_KERNELS.kway_fm_pass(
             state, parts0, k, ceilings, cfg, np.random.default_rng(100 + i)
         )
 
@@ -291,18 +288,18 @@ def bench_kway_fm_pass(
 
     def run_after():
         parts = parts0.copy()
-        out = backend.kway_fm_pass(
+        out = PYTHON_KERNELS.kway_fm_pass(
             state, parts, k, ceilings, cfg, np.random.default_rng(7)
         )
         return out, parts
 
     d_before, p_before = run_before()
-    d_after, p_after = run_after()  # also JIT-warms the numba backend
+    d_after, p_after = run_after()
     if d_before != (int(d_after[0]), bool(d_after[1])) or (
         p_before.tolist() != p_after.tolist()
     ):
         raise AssertionError(
-            f"kway_fm_pass drift: baseline {d_before} != backend {d_after}"
+            f"kway_fm_pass drift: baseline {d_before} != kernel {d_after}"
         )
     out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:
@@ -328,15 +325,10 @@ def _kernels_for(name: str):
     ]
 
 
-def run_benchmarks(
-    matrices=DEFAULT_MATRICES, repeats: int = 9, backend_spec: str = "auto"
-) -> dict:
+def run_benchmarks(matrices=DEFAULT_MATRICES, repeats: int = 9) -> dict:
     """Time every kernel on every matrix; returns the report dict."""
-    backend = resolve_backend(backend_spec)
     report = {
         "schema": SCHEMA,
-        "backend": backend.name,
-        "numba_available": numba_available(),
         "repeats": repeats,
         "matrices": {},
         "geomean_speedup": {},
@@ -345,7 +337,7 @@ def run_benchmarks(
         matrix = load_instance(name)
         entry = {}
         for kernel, fn in _kernels_for(name):
-            timing = fn(matrix, backend, repeats)
+            timing = fn(matrix, repeats)
             timing["speedup"] = round(
                 timing["before_s"] / timing["after_s"], 3
             ) if timing["after_s"] > 0 else float("inf")
@@ -374,7 +366,7 @@ def run_benchmarks(
 
 def check_regression(
     committed: dict, matrices, repeats: int, tolerance: float,
-    backend_spec="auto", min_delta: float = 1e-4,
+    min_delta: float = 1e-4,
 ) -> int:
     """Re-time the *after* side and compare against the committed file.
 
@@ -386,7 +378,6 @@ def check_regression(
     regression.  Returns a process exit code: 0 when every kernel is
     within budget, 1 otherwise.
     """
-    backend = resolve_backend(backend_spec)
     failures = []
     for name in matrices:
         ref_entry = committed.get("matrices", {}).get(name)
@@ -397,7 +388,7 @@ def check_regression(
         for kernel, fn in _kernels_for(name):
             if kernel not in ref_entry:
                 continue
-            cur = fn(matrix, backend, repeats, after_only=True)["after_s"]
+            cur = fn(matrix, repeats, after_only=True)["after_s"]
             ref = ref_entry[kernel]["after_s"]
             ratio = cur / ref if ref > 0 else 1.0
             regressed = ratio > 1.0 + tolerance and cur - ref > min_delta
@@ -445,10 +436,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-delta", type=float, default=1e-4,
                         help="--check absolute floor in seconds: slower by "
                              "less than this is treated as timing noise")
-    parser.add_argument("--backend", default=None,
-                        choices=BACKEND_CHOICES,
-                        help="kernel backend to time; in --check mode "
-                             "defaults to the committed file's backend")
     args = parser.parse_args(argv)
     matrices = tuple(m for m in args.matrices.split(",") if m)
     out = Path(args.out)
@@ -466,35 +453,16 @@ def main(argv=None) -> int:
                 f"`python -m benchmarks.bench_regress`"
             )
             return 2
-        # Timings are only comparable on the backend they were measured
-        # with: default to it, and refuse a cross-backend comparison
-        # (committed-python vs current-numba would mask real
-        # regressions; the reverse would flag spurious ones).
-        spec = args.backend if args.backend else committed.get(
-            "backend", "auto"
-        )
-        resolved = resolve_backend(spec)
-        if resolved.name != committed.get("backend", resolved.name):
-            print(
-                f"committed file was measured with backend "
-                f"{committed.get('backend')!r} but {resolved.name!r} is "
-                f"selected here; timings are not comparable — regenerate "
-                f"with `python -m benchmarks.bench_regress "
-                f"--backend {resolved.name}`"
-            )
-            return 2
-        print(f"checking against {out} (backend {resolved.name}, "
-              f"tolerance {args.tolerance:.0%})")
+        print(f"checking against {out} "
+              f"(tolerance {args.tolerance:.0%})")
         return check_regression(
-            committed, matrices, args.repeats, args.tolerance, resolved,
+            committed, matrices, args.repeats, args.tolerance,
             min_delta=args.min_delta,
         )
 
-    spec = args.backend if args.backend else "auto"
     print(f"timing kernels on {', '.join(matrices)} "
-          f"(backend: {resolve_backend(spec).name}, "
-          f"median of {args.repeats} calibrated runs)")
-    report = run_benchmarks(matrices, args.repeats, spec)
+          f"(median of {args.repeats} calibrated runs)")
+    report = run_benchmarks(matrices, args.repeats)
     out.write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )

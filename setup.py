@@ -6,13 +6,12 @@ This shim enables the legacy editable path::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-All project metadata lives in ``pyproject.toml``.  The ``numba`` extra
-(``pip install -e .[numba]`` or ``make install-numba``) pulls in the
-optional JIT compiler: every kernel backend falls back to pure Python
-without it, but installing it makes ``"auto"`` resolve to the JIT
-backend so the tests and benchmarks exercise that path end to end.
+There is no other project metadata: setuptools discovers the ``repro``
+package under ``src/`` on its own, so the install is the package alone,
+with no extras and no console script (run the CLI as
+``python -m repro.cli``).
 """
 
 from setuptools import setup
 
-setup(extras_require={"numba": ["numba"]})
+setup()

@@ -14,11 +14,11 @@ Five subcommands:
     or ``all``) and write text + CSV reports to an output directory.
     ``--jobs N`` runs the underlying sweep on N worker processes
     (``--jobs 0`` = CPU count); results are bit-identical to the serial
-    sweep.  ``--backend`` picks the kernel backend inside every run.
+    sweep.
 
 ``serve``
     Run the always-available partitioning daemon (:mod:`repro.serve`):
-    matrices stay resident and JIT-warm, requests execute through the
+    matrices stay resident and warm, requests execute through the
     hardened worker path with admission control and a crash-safe
     partition cache.  See ``docs/serving.md``.
 
@@ -40,7 +40,7 @@ Examples
     repro-partition partition --instance sym_grid2d_m --method mediumgrain \
         --refine --nparts 64 --jobs 4 --seed 7
     repro-partition experiment fig4 --max-tier small --nruns 1 --out results/
-    repro-partition experiment all --jobs 4 --backend auto --out results/
+    repro-partition experiment all --jobs 4 --out results/
     repro-partition serve --port 8642 --cache /tmp/parts.cache &
     repro-partition submit --port 8642 --instance sym_grid2d_s --nparts 4
 """
@@ -57,7 +57,6 @@ import dataclasses
 from repro.core.methods import ALGO_NAMES, METHOD_NAMES, bipartition
 from repro.core.recursive import partition
 from repro.eval import experiments as exp
-from repro.kernels import BACKEND_CHOICES, resolve_backend
 from repro.utils.executor import EXEC_BACKEND_CHOICES, JobsBudget
 from repro.partitioner.config import get_config
 from repro.sparse.collection import collection_names, load_instance
@@ -117,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--config", default="mondriaan",
                         choices=("mondriaan", "patoh"))
     p_part.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help=(
-            "kernel backend for the hot loops (auto = numba when "
-            "installed, pure Python otherwise; results are identical)"
-        ),
-    )
-    p_part.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -141,9 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXEC_BACKEND_CHOICES,
         help=(
             "how parallel bisection workers run and receive submatrices: "
-            "threads over the nogil kernels, shared-memory worker "
-            "processes, or the legacy pickled-payload pool (auto picks "
-            "per environment; results are identical)"
+            "shared-memory worker processes (auto), threads, or serial; "
+            "results are identical"
         ),
     )
     _add_hardening_flags(p_part)
@@ -195,16 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             "count), split automatically between sweep-level and "
             "recursion-level parallelism for p-way artifacts; results "
             "are bit-identical to the serial sweep, only faster"
-        ),
-    )
-    p_exp.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help=(
-            "kernel backend for the hot loops in every run (combines "
-            "freely with --jobs: each worker process resolves it "
-            "independently, so numba JIT warm-up is paid once per worker)"
         ),
     )
     p_exp.add_argument(
@@ -435,7 +414,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
           f"nnz = {matrix.nnz}")
     cfg = dataclasses.replace(
         get_config(args.config),
-        kernel_backend=args.backend,
         jobs=args.jobs,
         exec_backend=args.exec_backend,
         algo=args.algo,
@@ -443,8 +421,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         task_timeout=args.task_timeout or None,
         retries=args.retries,
     )
-    print(f"kernel backend    : {resolve_backend(args.backend).name} "
-          f"(requested: {args.backend})")
     if args.nparts == 2:
         res = bipartition(
             matrix,
@@ -544,7 +520,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             progress=args.progress,
             jobs=args.jobs,
-            backend=args.backend,
             task_timeout=args.task_timeout or None,
             retries=args.retries,
         )
@@ -563,7 +538,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             with_bsp=True,
             progress=args.progress,
             jobs=args.jobs,
-            backend=args.backend,
             task_timeout=args.task_timeout or None,
             retries=args.retries,
         )
@@ -577,7 +551,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             min_nnz=6400,
             progress=args.progress,
             jobs=args.jobs,
-            backend=args.backend,
             algo=args.algo,
             kway_vcycles=args.kway_vcycles,
             task_timeout=args.task_timeout or None,
@@ -598,7 +571,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     base_seed=args.seed,
                     progress=args.progress,
                     jobs=args.jobs,
-                    backend=args.backend,
                     task_timeout=args.task_timeout or None,
                     retries=args.retries,
                 )

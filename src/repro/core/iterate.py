@@ -30,7 +30,6 @@ from repro.core.medium_grain import build_medium_grain
 from repro.core.refine import iterative_refine
 from repro.core.split import initial_split, split_from_bipartition
 from repro.errors import PartitioningError
-from repro.kernels import KernelBackend, resolve_backend
 from repro.partitioner.bipartition import bipartition_hypergraph
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.sparse.matrix import SparseMatrix
@@ -111,10 +110,6 @@ def full_iterative_bipartition(
         )
     cfg = get_config(config)
     rng = as_generator(seed)
-    # One backend resolution for the whole run; every multilevel pass and
-    # Algorithm-2 KL run below shares it (and each hypergraph's pass
-    # state is cached, so repeated refinement on a level is setup-free).
-    backend = resolve_backend(cfg.kernel_backend)
     if max_weights is None:
         check_eps(eps)
         ceiling = max_allowed_part_size(matrix.nnz, 2, eps)
@@ -125,7 +120,7 @@ def full_iterative_bipartition(
         # Iteration 0: the standard medium-grain pipeline.
         split = initial_split(matrix, rng)
         best_parts, best_vol = _partition_split(
-            matrix, split, cfg, rng, max_weights, refine_each, eps, backend
+            matrix, split, cfg, rng, max_weights, refine_each, eps
         )
         volumes = [best_vol]
         attempts = [best_vol]
@@ -135,8 +130,7 @@ def full_iterative_bipartition(
             split = split_from_bipartition(matrix, best_parts, direction)
             direction = 1 - direction
             parts, vol = _partition_split(
-                matrix, split, cfg, rng, max_weights, refine_each, eps,
-                backend,
+                matrix, split, cfg, rng, max_weights, refine_each, eps
             )
             attempts.append(vol)
             if vol < best_vol:
@@ -164,7 +158,6 @@ def _partition_split(
     max_weights: tuple[int, int],
     refine_each: bool,
     eps: float,
-    backend: KernelBackend,
 ) -> tuple[np.ndarray, int]:
     """One full multilevel run on a given split (+ optional Algorithm 2).
 
@@ -177,13 +170,12 @@ def _partition_split(
     instance = build_medium_grain(split)
     hres = bipartition_hypergraph(
         instance.hypergraph, eps, cfg, rng, max_weights=max_weights,
-        backend=backend,
     )
     parts = instance.nonzero_parts(hres.parts)
     if not refine_each:
         return parts, hres.cut
     parts, trace = iterative_refine(
         matrix, parts, eps, cfg, rng, max_weights=max_weights,
-        backend=backend, initial_volume=hres.cut,
+        initial_volume=hres.cut,
     )
     return parts, trace.final_volume

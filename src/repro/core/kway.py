@@ -17,7 +17,7 @@ Pipeline (``method="mediumgrain"``):
    ceiling (:func:`greedy_kway_vertex_parts`);
 3. k-way FM refinement (:func:`repro.partitioner.fm.kway_refine`) whose
    move loop maintains per-net part-occupancy counts and exact
-   connectivity-λ gains through the kernel backends;
+   connectivity-λ gains through the k-way FM kernel;
 4. eqn-(5) mapping back to the nonzeros; by eqn (6) the hypergraph's
    connectivity-(λ−1) cut *is* the matrix communication volume.
 5. optionally (``refine=True``) the k-way iterate loop: re-encode the
@@ -40,8 +40,7 @@ lacks.  ``kway_vcycles=0`` keeps the flat path bit-for-bit.
 Determinism: the result is a pure function of ``(matrix, arguments,
 seed)``.  There is no recursion tree to schedule, so ``jobs`` and
 ``exec_backend`` do not apply — the partition is trivially bit-identical
-across every parallelism knob, and across kernel backends by the usual
-bit-compatibility contract.
+across every parallelism knob.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from repro.core.volume import (
 )
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import trace as _obs
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import kway_refine
@@ -88,7 +86,6 @@ def _kway_vertex_partition(
     ceilings: np.ndarray,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend,
     vcycles: int = 0,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, tuple[Degraded, ...]]:
@@ -111,20 +108,17 @@ def _kway_vertex_partition(
     if vcycles <= 0:
         best = initial_kway_parts(h, nparts, ceilings, cfg, rng)
         result = kway_refine(
-            h, best, nparts, ceilings, cfg, rng, backend=backend,
-            deadline=deadline,
+            h, best, nparts, ceilings, cfg, rng, deadline=deadline
         )
         degraded = (result.degraded,) if result.degraded else ()
         return result.parts, degraded
-    result = multilevel_kway(
-        h, nparts, ceilings, cfg, rng, backend=backend, deadline=deadline
-    )
+    result = multilevel_kway(h, nparts, ceilings, cfg, rng, deadline=deadline)
     degraded = (result.degraded,) if result.degraded else ()
     parts = result.parts
     if vcycles > 1:
         vres = kway_vcycle_refine(
             h, parts, nparts, ceilings, cfg, rng,
-            max_cycles=vcycles - 1, backend=backend, deadline=deadline,
+            max_cycles=vcycles - 1, deadline=deadline,
         )
         parts = vres.parts
         if vres.degraded:
@@ -186,7 +180,6 @@ def partition_kway(
             "vcycles must be non-negative (0 = flat direct k-way)"
         )
     rng = as_generator(seed)
-    backend = resolve_backend(cfg.kernel_backend)
     n = matrix.nnz
     if nparts > max(n, 1):
         raise PartitioningError(
@@ -206,22 +199,21 @@ def partition_kway(
             parts = np.zeros(n, dtype=np.int64)
         elif method == "localbest":
             parts, degraded = _run_localbest_kway(
-                matrix, nparts, ceilings, cfg, rng, backend, vcycles,
-                deadline,
+                matrix, nparts, ceilings, cfg, rng, vcycles, deadline,
             )
         elif method == "mediumgrain":
             split = initial_split(matrix, rng)
             instance = build_medium_grain(split)
             vparts, degraded = _kway_vertex_partition(
-                instance.hypergraph, nparts, ceilings, cfg, rng, backend,
-                vcycles, deadline,
+                instance.hypergraph, nparts, ceilings, cfg, rng, vcycles,
+                deadline,
             )
             parts = instance.nonzero_parts(vparts)
         else:
             model = _build_model(matrix, method)
             vparts, degraded = _kway_vertex_partition(
-                model.hypergraph, nparts, ceilings, cfg, rng, backend,
-                vcycles, deadline,
+                model.hypergraph, nparts, ceilings, cfg, rng, vcycles,
+                deadline,
             )
             parts = model.nonzero_parts(vparts)
         if refine and nparts > 1:
@@ -234,7 +226,6 @@ def partition_kway(
                 rng,
                 nparts=nparts,
                 max_weights=ceilings if nparts > 2 else (ceiling, ceiling),
-                backend=backend,
                 deadline=deadline,
             )
             iterate_span.end()
@@ -269,7 +260,6 @@ def _run_localbest_kway(
     ceilings: np.ndarray,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend,
     vcycles: int = 0,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, tuple[Degraded, ...]]:
@@ -281,8 +271,7 @@ def _run_localbest_kway(
     for name in ("rownet", "colnet"):
         model = _build_model(matrix, name)
         vparts, degraded = _kway_vertex_partition(
-            model.hypergraph, nparts, ceilings, cfg, rng, backend, vcycles,
-            deadline,
+            model.hypergraph, nparts, ceilings, cfg, rng, vcycles, deadline,
         )
         all_degraded += degraded
         parts = model.nonzero_parts(vparts)

@@ -38,12 +38,10 @@ hands each worker a whole subtree to solve serially — within a worker
 the usual per-object caches (``FMPassState`` per hypergraph,
 ``SpMVState`` per matrix) are reused across that subtree's bisections
 exactly as in a serial run.  How a worker *receives* its subproblem is
-the ``exec_backend`` knob: threads share the matrix in-process (the
-numba kernels run ``nogil``), the default process backend publishes the
+the ``exec_backend`` knob: the default process backend publishes the
 matrix once to a shared-memory store and ships only index ranges, and
-the legacy ``"process-pickle"`` backend pickles whole submatrices.  The
-partition returned is **bit-identical** for every ``jobs`` value and
-every backend.
+threads share the matrix in-process.  The partition returned is
+**bit-identical** for every ``jobs`` value and every backend.
 """
 
 from __future__ import annotations
@@ -200,11 +198,11 @@ def partition(
     ``exec_backend`` are validated but do not apply there.
 
     ``exec_backend`` picks how those workers run and receive their
-    submatrices (threads / shared-memory processes / pickled-payload
-    processes; ``None`` = the config's
+    submatrices (shared-memory processes / threads; ``None`` = the
+    config's
     :attr:`~repro.partitioner.config.PartitionerConfig.exec_backend`,
-    whose ``"auto"`` default resolves per environment).  Also a pure
-    speed knob — every backend returns the identical partition.
+    whose ``"auto"`` default is ``"process"``).  Also a pure speed knob
+    — every backend returns the identical partition.
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the

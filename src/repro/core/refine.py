@@ -27,7 +27,6 @@ from repro.core.medium_grain import build_medium_grain
 from repro.core.split import split_from_bipartition, split_from_kway
 from repro.core.volume import check_nonzero_parts, communication_volume
 from repro.errors import PartitioningError
-from repro.kernels import KernelBackend, resolve_backend
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import fm_refine, kway_refine
 from repro.sparse.matrix import SparseMatrix
@@ -92,7 +91,6 @@ def iterative_refine(
     max_iterations: int = 64,
     start_direction: int = 0,
     alternate: bool = True,
-    backend: KernelBackend | None = None,
     initial_volume: int | None = None,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, RefinementTrace]:
@@ -139,9 +137,6 @@ def iterative_refine(
         iteration stagnates (default).  ``alternate=False`` keeps a single
         direction and stops at its first stagnation — the weaker variant
         the ablation benchmark compares against.
-    backend:
-        Pre-resolved kernel backend shared by all KL runs; defaults to
-        ``config.kernel_backend``.
     initial_volume:
         The communication volume of ``parts``, when the caller already
         knows it (a multilevel run's connectivity-1 cut *is* the matrix
@@ -181,7 +176,6 @@ def iterative_refine(
             max_iterations=max_iterations,
             start_direction=start_direction,
             alternate=alternate,
-            backend=backend,
             initial_volume=initial_volume,
             deadline=deadline,
         )
@@ -198,8 +192,6 @@ def iterative_refine(
         ceiling = max_allowed_part_size(matrix.nnz, 2, eps)
         max_weights = (ceiling, ceiling)
 
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
     trace = RefinementTrace()
     if initial_volume is None:
         initial_volume = communication_volume(matrix, parts)
@@ -218,7 +210,7 @@ def iterative_refine(
         vparts = instance.vertex_parts_from_nonzero(parts)
         result = fm_refine(
             instance.hypergraph, vparts, max_weights, cfg, rng,
-            backend=backend, deadline=deadline,
+            deadline=deadline,
         )
         parts = instance.nonzero_parts(result.parts)
         vk = communication_volume(matrix, parts)
@@ -253,7 +245,6 @@ def _kway_iterative_refine(
     max_iterations: int,
     start_direction: int,
     alternate: bool,
-    backend: KernelBackend | None,
     initial_volume: int | None,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, RefinementTrace]:
@@ -270,8 +261,6 @@ def _kway_iterative_refine(
                 f"max_weights must have length {nparts}, "
                 f"got shape {ceilings.shape}"
             )
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
     trace = RefinementTrace()
     if initial_volume is None:
         initial_volume = communication_volume(matrix, parts)
@@ -298,7 +287,7 @@ def _kway_iterative_refine(
         vparts = instance.vertex_parts_majority(best, nparts)
         result = kway_refine(
             instance.hypergraph, vparts, nparts, ceilings, cfg, rng,
-            backend=backend, deadline=deadline,
+            deadline=deadline,
         )
         cand = instance.nonzero_parts(result.parts)
         vol = communication_volume(matrix, cand)

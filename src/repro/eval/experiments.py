@@ -154,7 +154,6 @@ def collect_paper_runs(
     min_nnz: int = 0,
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
-    backend: str = "auto",
     algo: str = "recursive",
     kway_vcycles: int = 0,
     task_timeout: float | None = None,
@@ -166,17 +165,14 @@ def collect_paper_runs(
     (the parallel sweep is bit-identical to the serial one), so it is
     not part of the memoization key; ``task_timeout`` / ``retries`` (the
     hardened-execution knobs, see ``docs/robustness.md``) never change
-    results either and are likewise excluded.  ``backend`` IS part of
-    the key: volumes are bit-compatible across backends, but the
-    recorded ``seconds`` — a first-class metric (Fig. 5, Table I) —
-    depends systematically on which backend ran.  ``algo`` (the p-way
+    results either and are likewise excluded.  ``algo`` (the p-way
     scheme for ``nparts > 2``) and ``kway_vcycles`` (flat vs multilevel
-    direct k-way) change results outright, so they are part of the key
-    too.
+    direct k-way) change results outright, so they are part of the
+    key.
     """
     key = (
         tier, max_tier, nruns, nparts, config, base_seed, with_bsp,
-        min_nnz, backend, algo, kway_vcycles,
+        min_nnz, algo, kway_vcycles,
     )
     if key in _sweep_cache:
         return _sweep_cache[key]
@@ -197,7 +193,6 @@ def collect_paper_runs(
         with_bsp=with_bsp,
         progress=progress,
         jobs=jobs,
-        backend=backend,
         algo=algo,
         kway_vcycles=kway_vcycles,
         task_timeout=task_timeout,
@@ -226,7 +221,6 @@ def collect_kway_runs(
     min_nnz: int = 6400,
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
-    backend: str = "auto",
     task_timeout: float | None = None,
     retries: int = 0,
 ) -> dict[str, ExperimentData]:
@@ -240,8 +234,7 @@ def collect_kway_runs(
     so records line up per instance.  Memoized like the paper sweeps.
     """
     key = (
-        "kway-families", max_tier, nparts, base_seed, with_bsp,
-        min_nnz, backend,
+        "kway-families", max_tier, nparts, base_seed, with_bsp, min_nnz,
     )
     if key in _sweep_cache:
         return _sweep_cache[key]
@@ -264,7 +257,6 @@ def collect_kway_runs(
             with_bsp=with_bsp,
             progress=progress,
             jobs=jobs,
-            backend=backend,
             algo="kway",
             kway_vcycles=vcycles,
             task_timeout=task_timeout,

@@ -179,7 +179,6 @@ def run_methods(
     with_bsp: bool = False,
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
-    backend: str = "auto",
     algo: str = "recursive",
     kway_vcycles: int = 0,
     task_timeout: float | None = None,
@@ -217,14 +216,11 @@ def run_methods(
         each p-way run (no nested-pool oversubscription).  Results are
         bit-identical to the serial sweep apart from the measured
         ``seconds``.
-    backend:
-        Kernel backend for the hot loops (``"auto"`` / ``"python"`` /
-        ``"numba"``); bit-compatible, so a speed knob only.
     algo:
         p-way partitioning scheme for ``nparts > 2`` runs:
         ``"recursive"`` bisection (default) or the direct ``"kway"``
-        partitioner.  Unlike ``backend`` this changes the results — it
-        is the comparison axis of the kway-vs-recursive experiments.
+        partitioner.  Unlike ``jobs`` this changes the results — it is
+        the comparison axis of the kway-vs-recursive experiments.
     kway_vcycles:
         Multilevel V-cycle count for ``algo="kway"`` runs (``0`` = the
         flat direct k-way path; ``N >= 1`` = multilevel construction
@@ -253,7 +249,6 @@ def run_methods(
         config=config,
         base_seed=base_seed,
         with_bsp=with_bsp,
-        backend=backend,
         algo=algo,
         kway_vcycles=kway_vcycles,
     )

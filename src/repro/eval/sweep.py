@@ -119,7 +119,6 @@ class RunSpec:
     nparts: int = 2
     eps: float = 0.03
     config: str = "mondriaan"
-    backend: str = "auto"
     with_bsp: bool = False
     #: Run the full downstream pipeline as well: greedy vector
     #: distribution plus the verified SpMV simulation, with the simulated
@@ -161,7 +160,6 @@ def build_runspecs(
     config: str = "mondriaan",
     base_seed: int = 2014,
     with_bsp: bool = False,
-    backend: str = "auto",
     verify_spmv: bool = False,
     algo: str = "recursive",
     kway_vcycles: int = 0,
@@ -192,7 +190,6 @@ def build_runspecs(
                         nparts=nparts,
                         eps=eps,
                         config=config,
-                        backend=backend,
                         with_bsp=with_bsp,
                         verify_spmv=verify_spmv,
                         algo=algo,
@@ -224,8 +221,6 @@ def execute_runspec(spec: RunSpec, matrix=None):
     if matrix is None:
         matrix = load_instance(spec.instance)
     cfg = get_config(spec.config)
-    if spec.backend != cfg.kernel_backend:
-        cfg = dataclasses.replace(cfg, kernel_backend=spec.backend)
     if spec.kway_vcycles != cfg.kway_vcycles:
         cfg = dataclasses.replace(cfg, kway_vcycles=spec.kway_vcycles)
     if spec.nparts == 2:
@@ -572,10 +567,10 @@ def run_sweep(
     instead *splits* its total between sweep workers and the recursion
     workers inside each p-way run — chunks then stay instance-aligned
     and the remainder of the budget is handed down via ``RunSpec.jobs``.
-    Records are bit-identical across every ``jobs`` value and backend
-    except for the measured ``seconds`` (and any ``failures``
-    annotations — like ``seconds``, they describe how a run went, not
-    its result).
+    Records are bit-identical across every ``jobs`` value and
+    ``exec_backend`` except for the measured ``seconds`` (and any
+    ``failures`` annotations — like ``seconds``, they describe how a run
+    went, not its result).
 
     ``exec_backend`` selects the worker flavour: ``"process"`` (the
     default — sweeps are dominated by per-run Python orchestration, so

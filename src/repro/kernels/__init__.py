@@ -1,26 +1,19 @@
-"""Pluggable kernel backends for the pipeline's scalar hot loops.
+"""The kernels behind the pipeline's scalar hot loops.
 
-The loops that dominate end-to-end runtime — the FM move loop,
-greedy-matching candidate scoring, identical-net merging, and (since the
-sweep-engine PR) the greedy vector-owner assignment of the SpMV side —
-live here behind a small registry:
+The loops that dominate end-to-end runtime — the 2-way and k-way FM move
+loops, greedy-matching candidate scoring and identical-net merging —
+live in :class:`~repro.kernels.python_backend.PythonBackend`: the seed
+implementation relocated from ``partitioner/`` and tightened (no
+per-move closures, direct bucket linking, vectorized net merging).  It
+is the one kernel implementation; :func:`kernels_for` hands it to every
+engine.
 
-``"python"``
-    The reference backend: the seed implementation relocated from
-    ``partitioner/`` and tightened (no per-move closures, direct bucket
-    linking, vectorized net merging).  Always available.
-``"numba"``
-    A JIT backend running the same loops on flat int64/float64 arrays.
-    Detected automatically; when numba is not installed the registry
-    falls back to ``"python"`` silently, so callers never need to guard.
+:class:`~repro.kernels.base.KernelBackend` stays as the interface, so
+the benchmark harness can inject its frozen baseline kernels through
+``PartitionerConfig.kernel_backend``.  Every kernel is checked against
+those frozen references (``tests/kernels/test_equivalence.py``).
 
-Backends are *bit-compatible*: for the same hypergraph, configuration,
-and seed they produce identical partitions, cuts, and matchings (pinned
-by ``tests/kernels/test_equivalence.py``).  Select a backend with
-``PartitionerConfig.kernel_backend`` (``"auto"`` / ``"python"`` /
-``"numba"``) or the ``--backend`` CLI flag.
-
-Alongside the backends, :class:`~repro.kernels.state.FMPassState` keeps
+Alongside the kernels, :class:`~repro.kernels.state.FMPassState` keeps
 the per-hypergraph buffers (list mirrors, gain/bucket storage, pin-count
 scratch) alive across refinement calls, so multilevel refinement,
 V-cycles, and iterative medium-grain runs stop paying per-call
@@ -35,9 +28,6 @@ partial sums) used by ``core.volume``, ``spmv.*``, and
 
 from __future__ import annotations
 
-import importlib.util
-
-from repro.errors import PartitioningError
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
 from repro.kernels.python_backend import PythonBackend
@@ -48,95 +38,21 @@ __all__ = [
     "KernelBackend",
     "FMPassState",
     "SpMVState",
+    "PYTHON_KERNELS",
     "compute_fm_setup",
     "compute_kway_setup",
-    "available_backends",
-    "numba_available",
-    "get_backend",
-    "resolve_backend",
-    "BACKEND_CHOICES",
+    "kernels_for",
 ]
 
-#: Valid values of ``PartitionerConfig.kernel_backend`` / ``--backend``.
-BACKEND_CHOICES = ("auto", "python", "numba")
-
-_BACKENDS: dict[str, KernelBackend] = {"python": PythonBackend()}
-
-_NUMBA_SPEC_CHECKED: list[bool] = []  # memoized find_spec result
+#: The kernel implementation every engine runs.
+PYTHON_KERNELS: KernelBackend = PythonBackend()
 
 
-def numba_available() -> bool:
-    """Whether the numba JIT compiler can be imported (checked lazily)."""
-    if not _NUMBA_SPEC_CHECKED:
-        _NUMBA_SPEC_CHECKED.append(
-            importlib.util.find_spec("numba") is not None
-        )
-    return _NUMBA_SPEC_CHECKED[0]
+def kernels_for(cfg) -> KernelBackend:
+    """The kernels a run under ``cfg`` uses.
 
-
-def _load_numba() -> KernelBackend | None:
-    """Import and register the numba backend, or ``None`` if unavailable."""
-    backend = _BACKENDS.get("numba")
-    if backend is not None:
-        return backend
-    if not numba_available():
-        return None
-    try:
-        from repro.kernels.numba_backend import NumbaBackend
-    except Exception:  # pragma: no cover - numba present but broken
-        return None
-    backend = NumbaBackend()
-    _BACKENDS["numba"] = backend
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends usable in this environment."""
-    names = ["python"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Exact lookup by backend name; raises when the backend is missing.
-
-    Unlike :func:`resolve_backend` this never falls back — use it when
-    you need to *know* which backend you are timing or testing.
+    The python kernels, unless ``cfg.kernel_backend`` holds an injected
+    :class:`KernelBackend` (the benchmark harness's frozen baselines).
     """
-    if name == "numba":
-        backend = _load_numba()
-        if backend is None:
-            raise PartitioningError(
-                "kernel backend 'numba' requested but numba is not installed"
-            )
-        return backend
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise PartitioningError(
-            f"unknown kernel backend {name!r}; "
-            f"available: {sorted(available_backends())}"
-        ) from None
-
-
-def resolve_backend(spec: "KernelBackend | str" = "auto") -> KernelBackend:
-    """Resolve a backend spec to a live backend, with silent fallback.
-
-    ``"auto"`` picks numba when importable, the reference backend
-    otherwise; an explicit ``"numba"`` also degrades silently to
-    ``"python"`` when numba is absent, so configs are portable across
-    environments.  Backend instances pass through unchanged.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec in ("auto", "numba"):
-        backend = _load_numba()
-        if backend is not None:
-            return backend
-        return _BACKENDS["python"]
-    if spec == "python":
-        return _BACKENDS["python"]
-    raise PartitioningError(
-        f"unknown kernel backend {spec!r}; expected one of {BACKEND_CHOICES}"
-    )
+    kb = cfg.kernel_backend
+    return PYTHON_KERNELS if kb is None else kb

@@ -1,11 +1,13 @@
-"""Abstract interface of a kernel backend.
+"""Interface of the partitioner's kernels.
 
-A backend owns the three scalar hot loops of the partitioner — the FM
-move loop, greedy-matching candidate scoring, and identical-net merging —
-behind a uniform, state-passing API.  Everything *around* the loops
-(vectorized pass setup, RNG consumption, validation, pass orchestration)
-is shared, which is what makes backends bit-compatible: for a fixed
-hypergraph and seed, every backend must return identical results.
+A kernel backend owns the scalar hot loops of the partitioner — the
+2-way and k-way FM move loops and greedy-matching candidate scoring —
+behind a uniform, state-passing API.  Everything
+*around* the loops (vectorized pass setup, RNG consumption, validation,
+pass orchestration) lives outside it.  The python kernels
+(:class:`~repro.kernels.python_backend.PythonBackend`) are the one
+implementation; the interface is the seam through which the benchmark
+harness injects its frozen baselines.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ __all__ = ["KernelBackend"]
 class KernelBackend:
     """Base class for kernel backends (see :mod:`repro.kernels`).
 
-    Subclasses set :attr:`name` and implement the three kernels.  The
-    contract for every kernel: bit-identical results to the ``"python"``
-    reference backend for the same inputs and RNG stream.
+    Subclasses set :attr:`name` and implement the kernels.  The contract
+    for every kernel: bit-identical results to the python kernels for
+    the same inputs and RNG stream.
     """
 
-    #: Registry key; also the ``PartitionerConfig.kernel_backend`` value.
+    #: Key of this backend's cached :class:`FMPassState`.
     name: str = "abstract"
 
     def fm_state(self, h: Hypergraph) -> FMPassState:
@@ -34,7 +36,7 @@ class KernelBackend:
         return FMPassState.for_hypergraph(h, self.name)
 
     # ------------------------------------------------------------------ #
-    # The three hot loops.
+    # The hot loops.
     # ------------------------------------------------------------------ #
     def fm_pass(
         self,
@@ -90,33 +92,3 @@ class KernelBackend:
         Returns the partner array (``-1`` for unmatched vertices).
         """
         raise NotImplementedError
-
-    def merge_identical(
-        self, xpins: np.ndarray, pins: np.ndarray, ncost: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merge nets with identical (sorted) pin sets, summing costs."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # The SpMV-side sequential kernel (see :mod:`repro.kernels.spmv`).
-    # ------------------------------------------------------------------ #
-    def greedy_owners(
-        self,
-        ptr: np.ndarray,
-        flat: np.ndarray,
-        extent: int,
-        nparts: int,
-        fallback_balance: np.ndarray,
-    ) -> np.ndarray:
-        """Greedy vector-owner assignment for one SpMV phase.
-
-        ``(ptr, flat)`` is the CSR incidence list from
-        :func:`repro.kernels.spmv.axis_incidences`.  The default is the
-        reference scalar loop; backends may override it with a faster
-        implementation under the usual bit-compatibility contract.
-        """
-        from repro.kernels.spmv import greedy_owners_reference
-
-        return greedy_owners_reference(
-            ptr, flat, extent, nparts, fallback_balance
-        )

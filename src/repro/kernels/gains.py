@@ -1,8 +1,7 @@
 """Array-based gain buckets for Fiduccia–Mattheyses refinement.
 
-(Part of the kernel engine: the ``"python"`` backend's move loop links
-and unlinks these buckets directly; the ``"numba"`` backend mirrors the
-same discipline on flat arrays.)
+(Part of the kernel engine: the python FM move loop links and unlinks
+these buckets directly.)
 
 The classic FM data structure: one bucket array per side, each bucket a
 doubly-linked list of vertices threaded through flat ``next``/``prev``

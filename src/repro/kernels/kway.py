@@ -23,9 +23,8 @@ directly, which needs richer state:
     and its gain.  The move loops keep these caches *exact* after every
     move, so the gain-bucket key is always the true best gain.
 
-All of it is computed here vectorized, shared by the ``"python"`` and
-``"numba"`` backends — only the sequential move loop differs, which is
-what makes the backends bit-compatible (mirroring
+All of it is computed here vectorized, so the python move loop only
+keeps it up to date (mirroring
 :func:`repro.kernels.state.compute_fm_setup` for the 2-way pass).
 
 **Dense and sparse tables.**  ``connect[v, part[v]]`` is ``C_v``; every
@@ -50,8 +49,7 @@ the entries that may be nonzero:
   ``k``.
 
 The python move loop fills its flat lists from the pair tables without
-converting the zeros; :func:`densify` expands them for the numba loop,
-so both backends run the same setup.
+converting the zeros.
 
 The gain bound of the 2-way pass carries over: ``|base[v] +
 connect[v, t]| <= C_v <= max_vertex_net_cost``, so the k-way buckets
@@ -68,8 +66,7 @@ import numpy as np
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = [
-    "KwaySetup", "PairTable", "compute_kway_setup", "densify",
-    "sparse_tables",
+    "KwaySetup", "PairTable", "compute_kway_setup", "sparse_tables",
 ]
 
 
@@ -154,7 +151,7 @@ def compute_kway_setup(
     ceilings: np.ndarray,
     boundary_only: bool,
 ) -> KwaySetup:
-    """Vectorized per-pass k-way FM setup, shared by every backend.
+    """Vectorized per-pass k-way FM setup.
 
     Returns a :class:`KwaySetup` ``(occ, pw, base, connect, best_to,
     best_gain, insert_mask)`` as described in the module docstring;
@@ -295,17 +292,3 @@ def _sparse_connect(ent_key, ent_w, cv, parts, k):
         best_to[ent_v[hit[first]]] = ent_p[hit[first]]
     return connect, best_to, best_conn
 
-
-def densify(setup: KwaySetup) -> KwaySetup:
-    """``setup`` with pair tables expanded to dense 2-D arrays.
-
-    Either way the arrays belong to this pass alone, so the numba move
-    loop may mutate them.
-    """
-    occ, connect = setup.occ, setup.connect
-    return setup._replace(
-        occ=occ.toarray() if isinstance(occ, PairTable) else occ,
-        connect=(
-            connect.toarray() if isinstance(connect, PairTable) else connect
-        ),
-    )

@@ -1,4 +1,4 @@
-"""The pure-Python reference backend.
+"""The python kernels: the one implementation of the hot loops.
 
 This is the seed implementation of the three hot loops, relocated from
 ``partitioner/fm.py`` and ``partitioner/coarsen.py`` and tightened for
@@ -95,7 +95,7 @@ def _top_bucket(head: np.ndarray) -> int:
 
 
 class PythonBackend(KernelBackend):
-    """Reference backend: list-based scalar loops, vectorized merging."""
+    """The kernels: list-based scalar loops, vectorized merging."""
 
     name = "python"
 
@@ -131,7 +131,7 @@ class PythonBackend(KernelBackend):
         vw_l: list = mirrors["vwgt"]
 
         # ------------------------------------------------------------- #
-        # Vectorized setup (shared across backends), then list mirrors.
+        # Vectorized setup, then list mirrors.
         # ------------------------------------------------------------- #
         pc0_np, pc1_np, gain_np, insert_mask = compute_fm_setup(
             h, parts, cfg.boundary_only
@@ -508,8 +508,8 @@ class PythonBackend(KernelBackend):
         n_over = sum(over)
         # Balance-metric ratios.  A zero-ceiling part divides by 1: the
         # metric is only read while every part fits (n_over == 0), and then
-        # such a part is empty and scores 0.0, as the numba loop's
-        # zero-ceiling branch does.
+        # such a part is empty and scores 0.0, as the frozen reference
+        # pass's zero-ceiling branch does.
         div_l = [c or 1 for c in ceil_l]
         rel = list(map(truediv, pw, div_l))
         base = setup.base.tolist()
@@ -868,15 +868,6 @@ class PythonBackend(KernelBackend):
                     match[v] = best_u
                     match[best_u] = v
         return np.asarray(match, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Identical-net merging.
-    # ------------------------------------------------------------------ #
-    def merge_identical(
-        self, xpins: np.ndarray, pins: np.ndarray, ncost: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized duplicate-net detection (see module docstring)."""
-        return merge_identical_nets(xpins, pins, ncost)
 
 
 #: Size classes below this many nets, or wider than this many pins, use

@@ -1,8 +1,7 @@
 """Flat-array kernels for the SpMV/volume side of the pipeline.
 
-PR 1 put the *partitioner's* scalar hot loops behind the backend
-registry; this module extends the same engine to everything downstream of
-a partitioning — connectivity-``lambda`` counting, the distinct
+The partitioner's scalar hot loops live in :mod:`repro.kernels`; this
+module holds the kernels of everything downstream of a partitioning — connectivity-``lambda`` counting, the distinct
 ``(line, part)`` incidence lists that drive vector distribution and BSP
 phase loads, the greedy vector-owner assignment, and the per-part partial
 sums of the SpMV simulator.
@@ -16,17 +15,13 @@ fallback for pathologically large ``extent * nparts`` products.  Both
 paths return identical arrays (parts ascending within each line).
 
 The one genuinely sequential loop — greedy vector-owner assignment,
-where every choice updates the running send/receive loads — is a
-:class:`~repro.kernels.base.KernelBackend` method like the FM loops:
-``"python"`` runs the reference scalar loop (restricted to the cut lines;
-singleton lines are assigned vectorized), ``"numba"`` runs the same loop
-JIT-compiled.  The bit-compatibility contract is unchanged: every backend
-returns identical owners for identical inputs.
+where every choice updates the running send/receive loads — is
+:func:`greedy_owners_reference`: a scalar loop over the cut lines only
+(singleton lines are assigned vectorized).
 
-Float contract: partial sums are accumulated by shared NumPy code
+Float contract: partial sums are accumulated by NumPy code
 (``np.add.reduceat`` over a fixed ``(part, row)`` grouping), so the
-simulated SpMV result is deterministic and identical across backends —
-backends only ever differ in integer-loop implementation.
+simulated SpMV result is deterministic.
 
 :class:`SpMVState` mirrors the ``FMPassState`` pattern from PR 1 on the
 matrix side: per-matrix buffers (the default input vector, its reference
@@ -46,7 +41,6 @@ __all__ = [
     "axis_incidences",
     "axis_lambdas",
     "greedy_owners_reference",
-    "greedy_owners",
     "partial_sums",
 ]
 
@@ -199,40 +193,6 @@ def axis_lambdas(
 # --------------------------------------------------------------------- #
 # Greedy vector-owner assignment (the sequential kernel).
 # --------------------------------------------------------------------- #
-def _owner_setup(
-    ptr: np.ndarray, flat: np.ndarray, extent: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized prelude shared by every backend.
-
-    Assigns all singleton lines (their only touching part must own them;
-    they move no words, so order does not matter) and returns the cut
-    lines in the reference processing order — decreasing connectivity,
-    stable in the line index, exactly the seed's
-    ``np.argsort(-lam, kind="stable")`` restricted to ``lam >= 2``.
-    """
-    owners = np.full(extent, -1, dtype=np.int64)
-    lam = np.diff(ptr)
-    single = lam == 1
-    if single.any():
-        owners[single] = flat[ptr[:-1][single]]
-    multi = np.flatnonzero(lam >= 2)
-    if multi.size:
-        multi = multi[np.argsort(-lam[multi], kind="stable")]
-    return owners, multi
-
-
-def _owner_finalize(
-    owners: np.ndarray, fallback_balance: np.ndarray, nparts: int
-) -> np.ndarray:
-    """Round-robin empty lines over ``fallback_balance`` (shared by every
-    backend — they cause no traffic, only storage)."""
-    empty = owners < 0
-    if empty.any():
-        idx = np.flatnonzero(empty)
-        owners[idx] = fallback_balance[np.arange(idx.size) % nparts]
-    return owners
-
-
 def greedy_owners_reference(
     ptr: np.ndarray,
     flat: np.ndarray,
@@ -249,8 +209,18 @@ def greedy_owners_reference(
     Empty lines round-robin over ``fallback_balance`` — they cause no
     traffic, only storage.
     """
-    owners, multi = _owner_setup(ptr, flat, extent)
+    owners = np.full(extent, -1, dtype=np.int64)
+    lam = np.diff(ptr)
+    # Singleton lines: their only touching part must own them; they move
+    # no words, so order does not matter.
+    single = lam == 1
+    if single.any():
+        owners[single] = flat[ptr[:-1][single]]
+    # Cut lines in the seed's order: decreasing connectivity, stable in
+    # the line index (``np.argsort(-lam, kind="stable")``).
+    multi = np.flatnonzero(lam >= 2)
     if multi.size:
+        multi = multi[np.argsort(-lam[multi], kind="stable")]
         send = [0] * nparts
         recv = [0] * nparts
         ptr_l = ptr.tolist()
@@ -271,28 +241,11 @@ def greedy_owners_reference(
                 s = flat_l[t]
                 if s != best_s:
                     recv[s] += 1
-    return _owner_finalize(owners, fallback_balance, nparts)
-
-
-def _resolve(backend):
-    """Late import of the registry to avoid a package-import cycle."""
-    from repro.kernels import resolve_backend
-
-    return resolve_backend(backend)
-
-
-def greedy_owners(
-    ptr: np.ndarray,
-    flat: np.ndarray,
-    extent: int,
-    nparts: int,
-    fallback_balance: np.ndarray,
-    backend="auto",
-) -> np.ndarray:
-    """Backend-dispatched greedy owner assignment (see the reference)."""
-    return _resolve(backend).greedy_owners(
-        ptr, flat, extent, nparts, fallback_balance
-    )
+    empty = owners < 0
+    if empty.any():
+        idx = np.flatnonzero(empty)
+        owners[idx] = fallback_balance[np.arange(idx.size) % nparts]
+    return owners
 
 
 # --------------------------------------------------------------------- #

@@ -2,9 +2,8 @@
 
 :class:`FMPassState` owns every buffer an FM pass (or a matching sweep)
 needs beyond the partition vector itself: the Python-list mirrors of the
-CSR arrays used by the ``"python"`` backend, the flat scratch arrays used
-by the ``"numba"`` backend, the gain-bucket storage, and the derived
-scalars (gain bound, transit slack, total weight).
+CSR arrays the move loops read, and the derived scalars (gain bound,
+bucket count, transit slack, total weight).
 
 The state is keyed on the hypergraph and cached in ``Hypergraph._cache``
 — hypergraphs are immutable, so the state is **never invalidated**.  The
@@ -61,8 +60,6 @@ class FMPassState:
         "slack",
         "total_weight",
         "lists",
-        "arrays",
-        "kway",
     )
 
     def __init__(self, h: Hypergraph, backend_name: str) -> None:
@@ -72,13 +69,8 @@ class FMPassState:
         self.nbuckets = 2 * self.max_gain + 1
         self.slack = int(h.vwgt.max(initial=0))
         self.total_weight = h.total_weight()
-        #: Python-list mirrors (built on demand by the python backend).
+        #: Python-list mirrors (built on demand, see :meth:`list_mirrors`).
         self.lists: dict | None = None
-        #: Flat scratch arrays (built on demand by the numba backend).
-        self.arrays: dict | None = None
-        #: k-way bucket/move scratch (built on demand, see
-        #: :meth:`kway_arrays`).
-        self.kway: dict | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -111,62 +103,12 @@ class FMPassState:
             }
         return self.lists
 
-    def flat_arrays(self) -> dict:
-        """Reusable flat scratch arrays for the JIT backend.
-
-        All int64 / bool, sized once per hypergraph: bucket heads and
-        links, gains, lock flags, per-side pin counts, and the move log.
-        """
-        if self.arrays is None:
-            h = self.h
-            n = h.nverts
-            self.arrays = {
-                "head": np.empty((2, self.nbuckets), dtype=np.int64),
-                "nxt": np.empty(n, dtype=np.int64),
-                "prv": np.empty(n, dtype=np.int64),
-                "bgain": np.empty(n, dtype=np.int64),
-                "inside": np.empty(n, dtype=np.bool_),
-                "locked": np.empty(n, dtype=np.bool_),
-                "pc0": np.empty(h.nnets, dtype=np.int64),
-                "pc1": np.empty(h.nnets, dtype=np.int64),
-                "moved": np.empty(n, dtype=np.int64),
-                "score": np.empty(n, dtype=np.float64),
-                "touched": np.empty(n, dtype=np.int64),
-            }
-        return self.arrays
-
-    def kway_arrays(self) -> dict:
-        """Reusable bucket/move scratch for the k-way FM kernels.
-
-        Only the buffers the vectorized setup does *not* produce live
-        here (bucket chains, lock flags, the move log — all independent
-        of ``nparts``); the ``k``-wide state (occupancy, connectivity,
-        part weights, cached best moves) comes from
-        :func:`repro.kernels.kway.compute_kway_setup` each pass, densified
-        by :func:`repro.kernels.kway.densify`, and is handed to the move
-        loop directly — copying it into cached buffers would be pure
-        overhead.
-        """
-        if self.kway is None:
-            n = self.h.nverts
-            self.kway = {
-                "head": np.empty(self.nbuckets, dtype=np.int64),
-                "nxt": np.empty(n, dtype=np.int64),
-                "prv": np.empty(n, dtype=np.int64),
-                "inside": np.empty(n, dtype=np.bool_),
-                "locked": np.empty(n, dtype=np.bool_),
-                "moved": np.empty(n, dtype=np.int64),
-                "moved_from": np.empty(n, dtype=np.int64),
-            }
-        return self.kway
-
 
 def fm_stall_limit(frac: float, nverts: int) -> int:
     """Non-improving moves an FM pass makes before it gives up.
 
     ``max(32, min(int(frac * nverts), FM_STALL_CAP))``: the 2-way and
-    k-way passes of every backend share this one rule, which keeps them
-    bit-compatible.  ``frac`` is ``PartitionerConfig.fm_early_exit_frac``.
+    k-way passes share this one rule.  ``frac`` is ``PartitionerConfig.fm_early_exit_frac``.
     """
     return max(32, min(int(frac * nverts), FM_STALL_CAP))
 
@@ -174,13 +116,13 @@ def fm_stall_limit(frac: float, nverts: int) -> int:
 def compute_fm_setup(
     h: Hypergraph, parts: np.ndarray, boundary_only: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-pass FM setup, shared by every backend.
+    """Vectorized per-pass FM setup.
 
     Returns ``(pc0, pc1, gain, insert_mask)``: per-net pin counts on each
     side, the initial move gain per vertex, and the bucket-seeding mask
     (all vertices, or only boundary vertices when ``boundary_only``).
-    Identical across backends by construction, which is what makes the
-    backends bit-compatible — only the sequential move loop differs.
+    The frozen benchmark baselines share it with the python pass, so
+    only their sequential move loops differ.
     """
     net_ids = h.net_ids()
     nnets = h.nnets
@@ -222,8 +164,8 @@ def seed_buckets(
     so the chains come from one stable sort of the keys over the
     reversed visit sequence.  In the narrowest unsigned type that holds
     the keys (8 or 16 bits on most levels) numpy's stable sort is a
-    radix sort, with the same order.  Both FM passes of the python
-    backend seed their buckets through this.
+    radix sort, with the same order.  Both FM passes seed their
+    buckets through this.
     """
     head = np.full(nkeys, -1, dtype=np.int64)
     nxt = np.full(nverts, -1, dtype=np.int64)

@@ -9,7 +9,6 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import KernelBackend
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.multilevel import multilevel_bipartition
 from repro.utils.balance import max_allowed_part_size
@@ -50,7 +49,6 @@ def bipartition_hypergraph(
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
     max_weights: tuple[int, int] | None = None,
-    backend: KernelBackend | None = None,
 ) -> BipartitionHResult:
     """Bipartition a hypergraph minimizing the connectivity-1 cut.
 
@@ -71,9 +69,6 @@ def bipartition_hypergraph(
     max_weights:
         Optional explicit per-side ceilings, overriding ``eps`` (used by
         recursive bisection to hand down its global budget).
-    backend:
-        Pre-resolved kernel backend (callers doing many runs resolve it
-        once); defaults to ``config.kernel_backend``.
 
     Returns
     -------
@@ -96,7 +91,7 @@ def bipartition_hypergraph(
             f"{max_weights}: infeasible"
         )
 
-    result = multilevel_bipartition(h, max_weights, cfg, rng, backend=backend)
+    result = multilevel_bipartition(h, max_weights, cfg, rng)
     weights = part_weights(h, result.parts, 2)
     cut = connectivity_volume(h, result.parts)
     return BipartitionHResult(

@@ -16,9 +16,8 @@ deduplicated with one lexsort, nets that shrink below two pins are dropped
 are merged with their costs added, which both shrinks the problem and
 sharpens FM gains on the coarse levels.
 
-The scalar matching sweep and the identical-net merge are kernel-backend
-calls (:mod:`repro.kernels`), so the JIT backend accelerates coarsening
-exactly as it does FM refinement.
+The scalar matching sweep and the identical-net merge are kernels
+(:mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels import kernels_for
+from repro.kernels.python_backend import merge_identical_nets as _merge_nets
 from repro.partitioner.config import PartitionerConfig
 
 __all__ = ["match_vertices", "contract", "coarsen_level", "CoarseLevel"]
@@ -50,7 +50,6 @@ def match_vertices(
     rng: np.random.Generator,
     max_cluster_weight: int,
     restrict_parts: np.ndarray | None = None,
-    backend: KernelBackend | None = None,
 ) -> np.ndarray:
     """Greedy matching; returns ``match`` with ``match[v]`` the partner of
     ``v`` or ``-1`` for unmatched vertices.
@@ -63,18 +62,17 @@ def match_vertices(
     vertices in the same part may match, so any partitioning constant on
     the clusters projects exactly (used by V-cycle refinement).
 
-    The candidate-scoring sweep runs on the kernel backend selected by
-    ``config.kernel_backend`` (or the explicit ``backend``); the RNG is
-    consumed here, identically for every backend.
+    The candidate-scoring sweep is a kernel
+    (:meth:`~repro.kernels.base.KernelBackend.match_vertices`); the RNG
+    is consumed here.
     """
     nverts = h.nverts
     if nverts == 0 or h.npins == 0:
         return np.full(nverts, -1, dtype=np.int64)
-    if backend is None:
-        backend = resolve_backend(config.kernel_backend)
+    kernels = kernels_for(config)
     order = rng.permutation(nverts)
-    return backend.match_vertices(
-        backend.fm_state(h),
+    return kernels.match_vertices(
+        kernels.fm_state(h),
         order,
         config.matching == "absorption",
         config.max_net_size_matching,
@@ -88,7 +86,6 @@ def contract(
     match: np.ndarray,
     *,
     merge_identical_nets: bool = True,
-    backend: KernelBackend | None = None,
 ) -> tuple[np.ndarray, Hypergraph]:
     """Contract matched pairs; returns ``(cmap, coarse_hypergraph)``.
 
@@ -147,12 +144,7 @@ def contract(
     pins = sp  # already grouped by net in ascending net order
 
     if merge_identical_nets and live_ids.size > 1:
-        if backend is None:
-            # No config reaches a bare contract() call: default to the
-            # reference backend (predictable, and every backend's merge
-            # must be bit-identical to it anyway) rather than "auto".
-            backend = resolve_backend("python")
-        xpins, pins, ncost = backend.merge_identical(xpins, pins, ncost)
+        xpins, pins, ncost = _merge_nets(xpins, pins, ncost)
 
     coarse = Hypergraph(
         ncoarse, xpins, pins, vwgt=cvwgt, ncost=ncost, validate=False
@@ -165,18 +157,10 @@ def coarsen_level(
     config: PartitionerConfig,
     rng: np.random.Generator,
     max_cluster_weight: int,
-    backend: KernelBackend | None = None,
 ) -> CoarseLevel:
     """Run one matching + contraction step."""
-    if backend is None:
-        backend = resolve_backend(config.kernel_backend)
-    match = match_vertices(
-        h, config, rng, max_cluster_weight, backend=backend
-    )
+    match = match_vertices(h, config, rng, max_cluster_weight)
     cmap, coarse = contract(
-        h,
-        match,
-        merge_identical_nets=config.merge_identical_nets,
-        backend=backend,
+        h, match, merge_identical_nets=config.merge_identical_nets
     )
     return CoarseLevel(fine=h, cmap=cmap, coarse=coarse)

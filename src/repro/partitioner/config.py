@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PartitioningError
-from repro.kernels import BACKEND_CHOICES, KernelBackend
+from repro.kernels import KernelBackend
 from repro.utils.executor import EXEC_BACKEND_CHOICES
 
 __all__ = ["PartitionerConfig", "get_config", "PRESETS", "ALGO_CHOICES"]
@@ -70,39 +70,35 @@ class PartitionerConfig:
         Seed FM's buckets with boundary vertices only (vertices on cut
         nets), inserting interior vertices lazily when touched.
     kernel_backend:
-        Which :mod:`repro.kernels` backend runs the scalar hot loops:
-        ``"auto"`` (numba when installed, pure Python otherwise),
-        ``"python"``, or ``"numba"`` (silently degrades to Python when
-        numba is absent).  A live :class:`~repro.kernels.KernelBackend`
-        instance is also accepted (the benchmark harness injects frozen
-        baselines this way).  Backends are bit-compatible, so this is a
-        speed knob only.
+        ``None`` (the default): the python kernels of
+        :mod:`repro.kernels` run the scalar hot loops.  The field exists
+        only as the seam through which the benchmark harness injects a
+        frozen :class:`~repro.kernels.KernelBackend` instance; it is not
+        a user option, and a string value is rejected.
     jobs:
         Default worker-process count for recursive bisection
         (:func:`repro.core.recursive.partition`): ``1`` walks the
         recursion tree serially, ``N >= 2`` schedules independent
         subtrees on a process pool, ``0`` means one worker per CPU.
-        Like ``kernel_backend`` this is a speed knob only — the
-        partition is bit-identical for every value (each bisection's
-        randomness is keyed on its tree position).  An explicit
-        ``jobs=`` argument to ``partition`` overrides it.
+        This is a speed knob only — the partition is bit-identical for
+        every value (each bisection's randomness is keyed on its tree
+        position).  An explicit ``jobs=`` argument to ``partition``
+        overrides it.
     exec_backend:
         How parallel bisection workers execute and receive their
-        submatrices (see :mod:`repro.utils.executor`): ``"auto"``
-        (threads over the nogil numba kernels when numba is installed,
-        shared-memory worker processes otherwise), ``"thread"``,
-        ``"process"`` (shared-memory store), ``"process-pickle"`` (the
-        legacy pickled-payload pool), or ``"serial"``.  Bit-identical by
-        contract — a delivery knob only.
+        submatrices (see :mod:`repro.utils.executor`): ``"auto"`` (the
+        same as ``"process"``), ``"process"`` (worker processes over the
+        shared-memory store), ``"thread"``, or ``"serial"``.
+        Bit-identical by contract — a delivery knob only.
     algo:
         How ``partition(matrix, nparts)`` produces a p-way partitioning:
         ``"recursive"`` (the paper's recursive-bisection scheme, default)
         or ``"kway"`` (the direct k-way partitioner of
         :mod:`repro.core.kway`, optimizing the connectivity-(λ−1) volume
-        in one shot).  Unlike the backend knobs this genuinely changes
+        in one shot).  Unlike the speed knobs this genuinely changes
         the result — the two algorithms explore different search spaces;
-        it does *not* change results across kernel/exec backends or
-        ``jobs`` values within either algorithm.
+        it does *not* change results across exec backends or ``jobs``
+        values within either algorithm.
     kway_vcycles:
         Multilevel V-cycles for the direct k-way partitioner
         (``algo="kway"``; see :mod:`repro.core.kway`).  ``0`` (default)
@@ -115,9 +111,9 @@ class PartitionerConfig:
         *restricted* V-cycle (:func:`repro.partitioner.vcycle.
         kway_vcycle_refine`) that re-coarsens respecting the current
         partitioning and can move whole clusters between parts.  Unlike
-        the backend knobs this genuinely changes the result (better
+        the speed knobs this genuinely changes the result (better
         volume for more time); within a fixed value results stay
-        bit-identical across kernel/exec backends and ``jobs``.
+        bit-identical across exec backends and ``jobs``.
     task_timeout:
         Per-task deadline in seconds for pool-executed work (see
         ``docs/robustness.md``): a task still running past it is killed
@@ -144,7 +140,7 @@ class PartitionerConfig:
     fm_max_passes: int = 4
     fm_early_exit_frac: float = 0.22
     boundary_only: bool = False
-    kernel_backend: str = "auto"
+    kernel_backend: KernelBackend | None = None
     jobs: int = 1
     exec_backend: str = "auto"
     algo: str = "recursive"
@@ -157,15 +153,13 @@ class PartitionerConfig:
             raise PartitioningError(
                 f"unknown matching scheme {self.matching!r}"
             )
-        if (
-            not isinstance(self.kernel_backend, KernelBackend)
-            and self.kernel_backend not in BACKEND_CHOICES
+        if self.kernel_backend is not None and not isinstance(
+            self.kernel_backend, KernelBackend
         ):
-            # A live backend instance is also accepted — that is how the
-            # benchmark harness injects frozen baseline kernels.
             raise PartitioningError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {BACKEND_CHOICES}"
+                f"kernel_backend={self.kernel_backend!r}: the kernel "
+                f"backends were removed; the python kernels always run "
+                f"(leave kernel_backend unset)"
             )
         if self.coarse_target < 2:
             raise PartitioningError("coarse_target must be at least 2")

@@ -16,8 +16,7 @@ best prefixes at feasible states.
 
 The pass itself — vectorized setup plus the sequential move loop — lives
 in :mod:`repro.kernels`: this module validates inputs, orchestrates the
-pass schedule, and delegates each pass to the selected kernel backend
-(``PartitionerConfig.kernel_backend``), reusing one
+pass schedule, and delegates each pass to the kernels, reusing one
 :class:`~repro.kernels.state.FMPassState` per hypergraph so repeated
 refinement calls pay the array-to-list conversions only once.
 """
@@ -31,7 +30,7 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import FMPassState, KernelBackend, resolve_backend
+from repro.kernels import FMPassState, kernels_for
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.partitioner.config import PartitionerConfig, get_config
@@ -117,7 +116,6 @@ def fm_refine(
     seed: SeedLike = None,
     max_passes: int | None = None,
     *,
-    backend: KernelBackend | str | None = None,
     state: FMPassState | None = None,
     deadline: Deadline | None = None,
 ) -> FMResult:
@@ -133,15 +131,11 @@ def fm_refine(
         Per-side weight ceilings ``(maxW0, maxW1)``.
     config:
         Preset name or :class:`PartitionerConfig` (controls pass count,
-        early exit, boundary-only seeding, kernel backend).
+        early exit, boundary-only seeding).
     seed:
         RNG for tie-breaking insertion order.
     max_passes:
         Overrides ``config.fm_max_passes`` when given.
-    backend:
-        Kernel backend (instance or name) overriding
-        ``config.kernel_backend``; callers running many refinements
-        resolve once and pass it down.
     state:
         Explicit reusable pass state for ``h``.  Defaults to the state
         cached on the hypergraph; results are identical either way.
@@ -158,7 +152,7 @@ def fm_refine(
         when the input is feasible.
     """
     cfg = get_config(config)
-    kb = resolve_backend(backend if backend is not None else cfg.kernel_backend)
+    kb = kernels_for(cfg)
     parts = np.asarray(parts)
     if parts.shape != (h.nverts,):
         raise PartitioningError(
@@ -256,17 +250,17 @@ def kway_refine(
     seed: SeedLike = None,
     max_passes: int | None = None,
     *,
-    backend: KernelBackend | str | None = None,
     state: FMPassState | None = None,
     deadline: Deadline | None = None,
 ) -> KWayFMResult:
     """Refine a k-way partitioning of ``h`` with repeated k-way FM passes.
 
     The direct k-way counterpart of :func:`fm_refine`: each pass
-    (``backend.kway_fm_pass``) maintains per-net part-occupancy counts
-    and exact connectivity-λ gains instead of two-sided cut gains, moves
-    vertices best-gain-first under per-part weight ``ceilings`` (length
-    ``nparts``), and rolls back to its best feasible prefix.  An
+    (:meth:`~repro.kernels.base.KernelBackend.kway_fm_pass`) maintains
+    per-net part-occupancy counts and exact connectivity-λ gains instead
+    of two-sided cut gains, moves vertices best-gain-first under per-part
+    weight ``ceilings`` (length ``nparts``), and rolls back to its best
+    feasible prefix.  An
     infeasible input is first driven feasible by forced moves off
     overweight parts, exactly like the 2-way pass.
 
@@ -274,7 +268,7 @@ def kway_refine(
     ``[0, nparts)`` and is not modified.  Requires ``nparts >= 2``.
     """
     cfg = get_config(config)
-    kb = resolve_backend(backend if backend is not None else cfg.kernel_backend)
+    kb = kernels_for(cfg)
     nparts = int(nparts)
     if nparts < 2:
         raise PartitioningError(

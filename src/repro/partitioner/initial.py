@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernels import KernelBackend
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import FMResult, fm_refine
 from repro.utils.blas import single_thread_blas
@@ -230,7 +229,6 @@ def initial_partition(
     max_weights: tuple[int, int],
     config: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend | None = None,
 ) -> FMResult:
     """Best of two FM-refined constructions: greedy growing and the
     spectral sweep (a second greedy grow above ``_SPECTRAL_MAX_NVERTS``
@@ -256,7 +254,7 @@ def initial_partition(
         if h.nverts <= _SPECTRAL_MAX_NVERTS
         else greedy_grow(h, max_weights, rng),
     ):
-        result = fm_refine(h, parts, max_weights, config, rng, backend=backend)
+        result = fm_refine(h, parts, max_weights, config, rng)
         w1 = int(np.dot(result.parts, h.vwgt))
         w0 = h.total_weight() - w1
         balance = max(

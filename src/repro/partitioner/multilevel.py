@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.partitioner.coarsen import CoarseLevel, coarsen_level
@@ -58,19 +57,14 @@ def multilevel_bipartition(
     max_weights: tuple[int, int],
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
-    backend: KernelBackend | None = None,
 ) -> FMResult:
     """Bipartition ``h`` under per-side weight ceilings ``max_weights``.
 
     Returns an :class:`~repro.partitioner.fm.FMResult` for the finest level
-    (``parts`` has one entry per vertex of ``h``).  The kernel backend is
-    resolved once (from ``config.kernel_backend`` unless given) and shared
-    by every matching sweep and FM call of the run.
+    (``parts`` has one entry per vertex of ``h``).
     """
     cfg = get_config(config)
     rng = as_generator(seed)
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
 
     # ------------------------------------------------------------------ #
     # Coarsening phase.
@@ -84,7 +78,7 @@ def multilevel_bipartition(
     cur = h
     with _trace.span("multilevel.coarsen") as sp:
         while cur.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-            level = coarsen_level(cur, cfg, rng, cluster_cap, backend=backend)
+            level = coarsen_level(cur, cfg, rng, cluster_cap)
             reduction = 1.0 - level.coarse.nverts / cur.nverts
             if reduction < cfg.min_reduction:
                 break  # matching stalled; further levels would be wasted work
@@ -97,9 +91,7 @@ def multilevel_bipartition(
     # Initial partitioning at the coarsest level.
     # ------------------------------------------------------------------ #
     with _trace.span("multilevel.initial"):
-        result = initial_partition(
-            cur, max_weights, cfg, rng, backend=backend
-        )
+        result = initial_partition(cur, max_weights, cfg, rng)
     parts = result.parts
 
     # ------------------------------------------------------------------ #
@@ -108,9 +100,7 @@ def multilevel_bipartition(
     for i, level in enumerate(reversed(levels)):
         parts = parts[level.cmap]
         with _trace.span("multilevel.uncoarsen_level", level=i):
-            result = fm_refine(
-                level.fine, parts, max_weights, cfg, rng, backend=backend
-            )
+            result = fm_refine(level.fine, parts, max_weights, cfg, rng)
         parts = result.parts
     return result
 
@@ -121,7 +111,6 @@ def recursive_kway_parts(
     ceilings: np.ndarray,
     config: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend | None = None,
 ) -> np.ndarray:
     """Recursive-bisection construction of an initial k-way assignment.
 
@@ -167,14 +156,10 @@ def recursive_kway_parts(
             )
             left = two == 0
         elif sub.nverts > config.coarse_target:
-            result = multilevel_bipartition(
-                sub, (cap0, cap1), config, rng, backend=backend
-            )
+            result = multilevel_bipartition(sub, (cap0, cap1), config, rng)
             left = result.parts == 0
         else:
-            result = initial_partition(
-                sub, (cap0, cap1), config, rng, backend=backend
-            )
+            result = initial_partition(sub, (cap0, cap1), config, rng)
             left = result.parts == 0
         lids, rids = ids[left], ids[~left]
         split(sub.induce(np.flatnonzero(left)), lids, lo, lo + k0)
@@ -190,7 +175,6 @@ def multilevel_kway(
     ceilings: np.ndarray,
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
-    backend: KernelBackend | None = None,
     deadline: Deadline | None = None,
 ) -> KWayFMResult:
     """Partition ``h`` into ``nparts`` parts under per-part ``ceilings``.
@@ -228,8 +212,6 @@ def multilevel_kway(
         raise PartitioningError(
             f"ceilings must have shape ({nparts},), got {ceilings.shape}"
         )
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
     if h.nverts == 0:
         return KWayFMResult(
             parts=np.zeros(0, dtype=np.int64),
@@ -259,7 +241,7 @@ def multilevel_kway(
                 cut_short = True
                 sp.event("deadline", where="coarsen")
                 break  # partition whatever granularity we reached
-            level = coarsen_level(cur, cfg, rng, cluster_cap, backend=backend)
+            level = coarsen_level(cur, cfg, rng, cluster_cap)
             reduction = 1.0 - level.coarse.nverts / cur.nverts
             if reduction < cfg.min_reduction:
                 break  # matching stalled; further levels would be wasted work
@@ -296,9 +278,7 @@ def multilevel_kway(
                 kway_rebalance(cur, best, nparts, ceilings)
             break
         if attempt == 0:
-            cand = recursive_kway_parts(
-                cur, nparts, ceilings, cfg, rng, backend=backend
-            )
+            cand = recursive_kway_parts(cur, nparts, ceilings, cfg, rng)
         elif attempt % 2 == 1:
             cand = greedy_kway_grow(cur, nparts, ceilings, rng)
         else:
@@ -317,8 +297,7 @@ def multilevel_kway(
     assert best is not None
     with _trace.span("multilevel_kway.coarsest_refine"):
         result = kway_refine(
-            cur, best, nparts, ceilings, cfg, rng, backend=backend,
-            deadline=deadline,
+            cur, best, nparts, ceilings, cfg, rng, deadline=deadline
         )
     parts = result.parts
     cut_short = cut_short or result.degraded is not None
@@ -346,7 +325,7 @@ def multilevel_kway(
                          nverts=level.fine.nverts):
             result = kway_refine(
                 level.fine, parts, nparts, ceilings, cfg, rng,
-                max_passes=2 if finest else 1, backend=backend,
+                max_passes=2 if finest else 1,
                 deadline=deadline,
             )
         parts = result.parts

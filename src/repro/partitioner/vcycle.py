@@ -35,7 +35,6 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.partitioner.coarsen import contract, match_vertices
@@ -118,12 +117,11 @@ def vcycle_refine(
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
 
-    backend = resolve_backend(cfg.kernel_backend)
     cuts = [connectivity_volume(h, parts)]
     cycles = 0
     for _ in range(max_cycles):
         with _trace.span("vcycle.cycle", kind="bi", cycle=cycles):
-            parts = _one_cycle(h, parts, max_weights, cfg, rng, backend)
+            parts = _one_cycle(h, parts, max_weights, cfg, rng)
         cuts.append(connectivity_volume(h, parts))
         cycles += 1
         _VCYCLE_CYCLES_BI.inc()
@@ -162,7 +160,6 @@ def kway_vcycle_refine(
     seed: SeedLike = None,
     max_cycles: int = 3,
     *,
-    backend: KernelBackend | None = None,
     deadline: Deadline | None = None,
 ) -> VCycleResult:
     """Refine a k-way partitioning of ``h`` with repeated V-cycles.
@@ -218,8 +215,6 @@ def kway_vcycle_refine(
         )
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
 
     best = parts
     best_cut = connectivity_volume(h, best)
@@ -243,8 +238,7 @@ def kway_vcycle_refine(
             with _trace.span("vcycle.cycle", kind="kway",
                              cycle=cycles) as sp:
                 cand = _one_kway_cycle(
-                    h, best, nparts, ceilings, cfg, rng, backend,
-                    deadline=deadline,
+                    h, best, nparts, ceilings, cfg, rng, deadline=deadline,
                 )
                 cand_cut = connectivity_volume(h, cand)
                 cand_feasible = _parts_feasible(h, cand, nparts, ceilings)
@@ -278,7 +272,6 @@ def _one_kway_cycle(
     ceilings: np.ndarray,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend,
     deadline: Deadline | None = None,
 ) -> np.ndarray:
     """One restricted-coarsen / k-way-refine-up pass.
@@ -298,14 +291,10 @@ def _one_kway_cycle(
         if deadline is not None and deadline.expired():
             break  # refine whatever granularity we reached
         match = match_vertices(
-            cur_h, cfg, rng, cluster_cap,
-            restrict_parts=cur_parts, backend=backend,
+            cur_h, cfg, rng, cluster_cap, restrict_parts=cur_parts
         )
         cmap, coarse = contract(
-            cur_h,
-            match,
-            merge_identical_nets=cfg.merge_identical_nets,
-            backend=backend,
+            cur_h, match, merge_identical_nets=cfg.merge_identical_nets
         )
         if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
             break
@@ -316,8 +305,7 @@ def _one_kway_cycle(
         cur_h, cur_parts = coarse, coarse_parts
 
     cur_parts = kway_refine(
-        cur_h, cur_parts, nparts, ceilings, cfg, rng, backend=backend,
-        deadline=deadline,
+        cur_h, cur_parts, nparts, ceilings, cfg, rng, deadline=deadline
     ).parts
     for fine, cmap in reversed(levels):
         # Restricted coarsening means projection alone reproduces the
@@ -327,8 +315,7 @@ def _one_kway_cycle(
         if deadline is not None and deadline.expired():
             continue
         cur_parts = kway_refine(
-            fine, cur_parts, nparts, ceilings, cfg, rng, backend=backend,
-            deadline=deadline,
+            fine, cur_parts, nparts, ceilings, cfg, rng, deadline=deadline
         ).parts
     return cur_parts
 
@@ -339,7 +326,6 @@ def _one_cycle(
     max_weights: tuple[int, int],
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    backend: KernelBackend,
 ) -> np.ndarray:
     """One restricted-coarsen / refine-up pass."""
     cluster_cap = max(
@@ -350,14 +336,10 @@ def _one_cycle(
     cur_parts = parts
     while cur_h.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
         match = match_vertices(
-            cur_h, cfg, rng, cluster_cap,
-            restrict_parts=cur_parts, backend=backend,
+            cur_h, cfg, rng, cluster_cap, restrict_parts=cur_parts
         )
         cmap, coarse = contract(
-            cur_h,
-            match,
-            merge_identical_nets=cfg.merge_identical_nets,
-            backend=backend,
+            cur_h, match, merge_identical_nets=cfg.merge_identical_nets
         )
         if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
             break
@@ -367,12 +349,8 @@ def _one_cycle(
         levels.append((cur_h, cmap))
         cur_h, cur_parts = coarse, coarse_parts
 
-    cur_parts = fm_refine(
-        cur_h, cur_parts, max_weights, cfg, rng, backend=backend
-    ).parts
+    cur_parts = fm_refine(cur_h, cur_parts, max_weights, cfg, rng).parts
     for fine, cmap in reversed(levels):
         cur_parts = cur_parts[cmap]
-        cur_parts = fm_refine(
-            fine, cur_parts, max_weights, cfg, rng, backend=backend
-        ).parts
+        cur_parts = fm_refine(fine, cur_parts, max_weights, cfg, rng).parts
     return cur_parts

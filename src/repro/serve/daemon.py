@@ -2,8 +2,8 @@
 
 ``repro-partition serve`` turns the batch pipeline into a resident
 service: matrices stay published in the shared-memory store, worker
-pools stay warm (JIT compilation is paid once, at startup), and every
-partitioning request is executed through the hardened
+pools stay warm (worker spawn and imports are paid once, at startup),
+and every partitioning request is executed through the hardened
 :func:`repro.utils.executor.resilient_call` path — a request that
 crashes, hangs, or poisons its worker gets a structured failure brief in
 *its own* response while every concurrent request completes untouched.
@@ -140,7 +140,7 @@ class ServeConfig:
     #: Pool size backing request execution.
     jobs: int = 2
     #: ``"process"`` isolates requests in pool workers (the point);
-    #: ``"thread"`` exists for tests and numba-less environments.
+    #: ``"thread"`` runs them in-process, for tests.
     backend: str = "process"
     #: Partition-cache journal path (``None``/empty = in-memory only).
     cache_path: Optional[str] = None
@@ -651,7 +651,7 @@ class PartitionDaemon:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _warmup(self) -> None:
-        """Pay the cold-start costs (pool spawn, JIT compilation) before
+        """Pay the cold-start costs (pool spawn, worker imports) before
         declaring readiness, through the exact serving path."""
         rng = np.random.default_rng(0)
         n = 24
@@ -682,7 +682,7 @@ class PartitionDaemon:
             try:
                 await loop.run_in_executor(self._exec, self._warmup)
             except Exception as exc:  # noqa: BLE001 - warmup is advisory
-                # A failed warmup costs the first caller the JIT time;
+                # A failed warmup costs the first caller the cold start;
                 # refusing to serve over it would cost everyone.
                 print(
                     f"repro-serve: warmup failed "

@@ -86,7 +86,7 @@ class PartitionRequest:
     MatrixMarket text, parsed — and rejected with a 400 — at admission)
     identifies the matrix.  The remaining fields mirror the
     ``repro-partition partition`` knobs that determine the result;
-    speed-only knobs (kernel/exec backends, jobs) deliberately have no
+    speed-only knobs (exec backend, jobs) deliberately have no
     place in a request — they would fragment the cache without changing
     any answer.
     """

@@ -76,7 +76,7 @@ def start_daemon(
     overlay the inherited environment (e.g. ``REPRO_FAULTS`` plans).
     The daemon binds an ephemeral port, discovered via ``--port-file``;
     startup warmup is disabled so harness-driven daemons come up fast
-    (the first request pays the JIT instead).
+    (the first request pays the cold start instead).
     """
     tmp_path = Path(tmp_path)
     port_file = tmp_path / f"port-{os.getpid()}-{time.monotonic_ns()}"

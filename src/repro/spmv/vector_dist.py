@@ -17,10 +17,10 @@ standard greedy used for Mondriaan-style vector distribution.
 The incidence lists and the greedy loop itself run through
 :mod:`repro.kernels.spmv`: incidences come from the boolean-scatter
 group-by (no per-call lexsort), singleton lines are assigned vectorized,
-and only the cut lines go through the sequential greedy kernel (scalar
-reference or numba JIT, bit-identical by contract).  The ``equal=True``
-path applies the same split: forced zero-cost indices are assigned
-vectorized and only contended indices run through its greedy loop.
+and only the cut lines go through the sequential greedy kernel.  The
+``equal=True`` path applies the same split: forced zero-cost indices are
+assigned vectorized and only contended indices run through its greedy
+loop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.volume import check_nonzero_parts
 from repro.errors import SimulationError
-from repro.kernels.spmv import axis_incidences
+from repro.kernels.spmv import axis_incidences, greedy_owners_reference
 from repro.sparse.matrix import SparseMatrix
 from repro.utils.validation import check_pos_int
 
@@ -94,7 +94,6 @@ def distribute_vectors(
     nparts: int,
     *,
     equal: bool = False,
-    backend="auto",
 ) -> VectorDistribution:
     """Assign owners to all input/output vector components.
 
@@ -111,13 +110,7 @@ def distribute_vectors(
     costs extra communicated words exactly as the paper notes ("may cause
     extra communication for matrices with zeros on the main diagonal").
     Use :func:`expected_phase_words` to account for the surplus.
-
-    ``backend`` selects the :mod:`repro.kernels` backend running the
-    greedy loop (``"auto"`` / ``"python"`` / ``"numba"`` or an instance);
-    backends are bit-compatible, so this is a speed knob only.
     """
-    from repro.kernels import resolve_backend
-
     nparts = check_pos_int(nparts, "nparts")
     parts = check_nonzero_parts(matrix, parts, nparts)
     m, n = matrix.shape
@@ -136,11 +129,10 @@ def distribute_vectors(
             input_owner=owner, output_owner=owner.copy(), nparts=nparts
         )
     else:
-        kernels = resolve_backend(backend)
-        input_owner = kernels.greedy_owners(
+        input_owner = greedy_owners_reference(
             col_ptr, col_parts, n, nparts, fallback
         )
-        output_owner = kernels.greedy_owners(
+        output_owner = greedy_owners_reference(
             row_ptr, row_parts, m, nparts, fallback
         )
         dist = VectorDistribution(

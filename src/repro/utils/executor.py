@@ -20,14 +20,11 @@ Shared-memory matrix store
 
 Execution backends
     :class:`MatrixExecutor` delivers ``(submatrix, extra)`` tasks to
-    workers under four interchangeable backends: ``"serial"`` (inline),
+    workers under three interchangeable backends: ``"serial"`` (inline),
     ``"thread"`` (a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    — zero-copy by construction; the numba kernels are compiled with
-    ``nogil=True`` so threads genuinely overlap in the hot loops),
-    ``"process"`` (process pool + shared-memory store), and
-    ``"process-pickle"`` (the legacy pickled-payload pool, kept as the
-    fallback and the benchmark baseline).  ``"auto"`` picks ``"thread"``
-    when the numba JIT is importable and ``"process"`` otherwise.  All
+    — zero-copy by construction), and ``"process"`` (process pool +
+    shared-memory store).  ``"auto"`` is ``"process"``: the python
+    kernels hold the GIL, so only processes run them in parallel.  All
     backends are bit-identical by construction: they only change how a
     task's inputs travel, never what the task computes.
 
@@ -101,7 +98,7 @@ __all__ = [
 ]
 
 #: Valid values of ``PartitionerConfig.exec_backend`` / ``--exec-backend``.
-EXEC_BACKEND_CHOICES = ("auto", "serial", "thread", "process", "process-pickle")
+EXEC_BACKEND_CHOICES = ("auto", "serial", "thread", "process")
 
 # Observability (see docs/observability.md): dispatch volume, hardened
 # task latency, and the hardening events.  Plain process-local adds —
@@ -141,15 +138,11 @@ _PAYLOAD_TASKS = _metrics.counter(
 def resolve_exec_backend(spec: str = "auto") -> str:
     """Resolve an execution-backend spec to a concrete backend name.
 
-    ``"auto"`` picks ``"thread"`` when the numba JIT is importable (the
-    kernels are compiled ``nogil=True``, so threads overlap in the hot
-    loops and share the address space for free) and ``"process"`` —
-    worker processes over the shared-memory matrix store — otherwise.
+    ``"auto"`` is ``"process"``: worker processes over the shared-memory
+    matrix store.
     """
     if spec == "auto":
-        from repro.kernels import numba_available
-
-        return "thread" if numba_available() else "process"
+        return "process"
     if spec not in EXEC_BACKEND_CHOICES:
         raise ValueError(
             f"unknown execution backend {spec!r}; "
@@ -1079,16 +1072,9 @@ def _shm_task(arg):
     return faults.fault_point("executor.result", fn(sub, extra))
 
 
-def _pickle_task(arg):
-    """Process worker (legacy path): the submatrix arrived pickled."""
-    fn, sub, extra = arg
-    faults.fault_point("executor.task")
-    return faults.fault_point("executor.result", fn(sub, extra))
-
-
 def _thread_task(arg):
-    """Thread worker: select *inside* the worker so the nogil kernels and
-    the NumPy select of sibling tasks overlap."""
+    """Thread worker: select *inside* the worker so the NumPy selects of
+    sibling tasks overlap."""
     matrix, fn, indices, extra = arg
     faults.fault_point("executor.task")
     sub = matrix if indices is None else matrix.select(indices)
@@ -1132,10 +1118,6 @@ class MatrixExecutor:
         its index array — 8 bytes per selected nonzero instead of the
         24-plus of a pickled submatrix, and nothing at all for the
         nonzero values.
-    ``"process-pickle"``
-        The legacy path: the parent selects and pickles each submatrix.
-        Kept as the portable fallback and as the benchmark baseline the
-        shared-memory path is measured against.
     """
 
     def __init__(
@@ -1180,10 +1162,11 @@ class MatrixExecutor:
             self._store = SharedMatrixStore.for_matrix(self.matrix)
         return self._store.handle
 
-    def _sub(self, indices) -> SparseMatrix:
-        if indices is None:
-            return self.matrix
-        return self.matrix.select(indices)
+    def _process_items(self, fn, tasks: list) -> tuple:
+        """``(worker, items)`` a process pool runs for ``tasks``: a
+        handle to the published matrix plus each task's index array."""
+        handle = self._handle()
+        return _shm_task, [(handle, fn, idx, extra) for idx, extra in tasks]
 
     # ------------------------------------------------------------------ #
     def map(self, fn, tasks: list, validate=None) -> list:
@@ -1210,15 +1193,8 @@ class MatrixExecutor:
             ]
             values = list(pool_map("thread", self.jobs, _thread_task, items))
             return self._validated(values, validate)
-        if self.backend == "process":
-            handle = self._handle()
-            items = [
-                (handle, fn, idx, extra) for idx, extra in tasks
-            ]
-        else:  # process-pickle
-            items = [(fn, self._sub(idx), extra) for idx, extra in tasks]
+        worker, items = self._process_items(fn, tasks)
         _account(items)
-        worker = _shm_task if self.backend == "process" else _pickle_task
         # Batch small tasks per pipe round-trip (map preserves order for
         # any chunksize): a p = 64 schedule on 2 workers would otherwise
         # pay 64 dispatch round-trips of per-task fixed cost.
@@ -1282,14 +1258,9 @@ class MatrixExecutor:
         if self.backend == "thread":
             kind, worker = "thread", _thread_task
             items = [(self.matrix, fn, idx, extra) for idx, extra in tasks]
-        elif self.backend == "process":
-            kind, worker = "process", _shm_task
-            handle = self._handle()
-            items = [(handle, fn, idx, extra) for idx, extra in tasks]
-            _account(items)
-        else:  # process-pickle
-            kind, worker = "process", _pickle_task
-            items = [(fn, self._sub(idx), extra) for idx, extra in tasks]
+        else:
+            kind = "process"
+            worker, items = self._process_items(fn, tasks)
             _account(items)
 
         def fallback(i: int):
@@ -1312,10 +1283,7 @@ class MatrixExecutor:
         """
         if not tasks or self.backend in ("serial", "thread") or len(tasks) == 1:
             return 0
-        if self.backend == "process":
-            items = [(self._handle(), None, idx, extra) for idx, extra in tasks]
-        else:
-            items = [(None, self._sub(idx), extra) for idx, extra in tasks]
+        _, items = self._process_items(None, tasks)
         return sum(
             len(pickle.dumps(it, protocol=pickle.HIGHEST_PROTOCOL))
             for it in items

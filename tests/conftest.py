@@ -18,6 +18,34 @@ _ROOT = str(Path(__file__).resolve().parents[1])
 if _ROOT not in sys.path:
     sys.path.append(_ROOT)
 
+from benchmarks._baseline_e2e import BaselineBackend  # noqa: E402
+from benchmarks._baseline_kernels import baseline_kway_fm_pass  # noqa: E402
+
+
+# --------------------------------------------------------------------- #
+# The frozen reference kernels the python kernels are checked against
+# --------------------------------------------------------------------- #
+class ReferenceKernels(BaselineBackend):
+    """The frozen seed loops behind the kernel interface: the 2-way FM
+    pass and matching sweep of :class:`BaselineBackend`, plus the
+    pre-sparse k-way FM pass.  The frozen passes have no stall cap, and
+    the k-way one does not count the moves it tried (reported as 0)."""
+
+    name = "reference"
+
+    def kway_fm_pass(self, state, parts, nparts, ceilings, cfg, rng):
+        delta, feasible = baseline_kway_fm_pass(
+            state.h, state.list_mirrors(), parts, nparts, ceilings, cfg,
+            rng,
+        )
+        return delta, feasible, 0
+
+
+@pytest.fixture(scope="session")
+def reference_kernels() -> ReferenceKernels:
+    """Inject with ``PartitionerConfig(kernel_backend=reference_kernels)``."""
+    return ReferenceKernels()
+
 
 # --------------------------------------------------------------------- #
 # Deterministic example matrices

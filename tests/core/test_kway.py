@@ -114,22 +114,24 @@ def test_kway_ignores_jobs_and_exec_backend():
     """No recursion tree: every parallelism knob is a bit-identical no-op."""
     m = MATRICES["grid"]()
     ref = partition(m, 4, algo="kway", seed=5)
-    for jobs, eb in ((2, "process"), (2, "thread"), (3, "process-pickle")):
+    for jobs, eb in ((2, "process"), (2, "thread")):
         res = partition(m, 4, algo="kway", seed=5, jobs=jobs, exec_backend=eb)
         np.testing.assert_array_equal(ref.parts, res.parts)
     with pytest.raises(PartitioningError):
         partition(m, 4, algo="kway", exec_backend="bogus")
 
 
-def test_kway_bit_identical_across_kernel_backends():
-    from repro.kernels.numba_backend import NumbaBackend
-
+def test_kway_bit_identical_across_kernel_backends(reference_kernels):
+    """The python kernels and the frozen reference kernels give the same
+    flat and multilevel k-way partitions."""
     m = MATRICES["kdiag"]()
-    ref = partition_kway(m, 6, seed=13, config=PartitionerConfig(
-        kernel_backend="python"))
-    flat = partition_kway(m, 6, seed=13, config=PartitionerConfig(
-        kernel_backend=NumbaBackend()))
-    np.testing.assert_array_equal(ref.parts, flat.parts)
+    for vcycles in (0, 2):
+        py = partition_kway(m, 6, seed=13, vcycles=vcycles)
+        ref = partition_kway(
+            m, 6, seed=13, vcycles=vcycles,
+            config=PartitionerConfig(kernel_backend=reference_kernels),
+        )
+        np.testing.assert_array_equal(py.parts, ref.parts)
 
 
 # --------------------------------------------------------------------- #

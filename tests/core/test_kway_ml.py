@@ -2,12 +2,14 @@
 
 The multilevel engine (``kway_vcycles >= 1``) is pure in ``(matrix,
 knobs, seed)``; these pins make every silent drift — a reordered
-matching sweep, a changed coarse target, an RNG consumed on one backend
-but not another — a loud test failure.  Three layers:
+matching sweep, a changed coarse target, an RNG consumed by the python
+kernels but not by the frozen reference ones — a loud test failure.
+Three layers:
 
 * pinned ``(instance, p, seed, vcycles)`` → exact parts hashes,
-* bit-identity across kernel backends and the jobs/exec_backend speed
-  knobs (the k-way path has no recursion tree — they must be no-ops),
+* bit-identity with the frozen reference kernels, and across the
+  jobs/exec_backend speed knobs (the k-way path has no recursion tree —
+  they must be no-ops),
 * checkpointed sweeps over ``kway_vcycles`` that resume bit-identically.
 
 Regenerate the table below (and say so in the commit) with::
@@ -35,7 +37,6 @@ import pytest
 from repro.core.kway import partition_kway
 from repro.core.recursive import partition
 from repro.errors import PartitioningError
-from repro.kernels import available_backends
 from repro.partitioner.config import get_config
 from repro.sparse.collection import load_instance
 
@@ -76,19 +77,22 @@ def test_kway_ml_pinned(instance, p, vcycles):
     assert res.method.endswith("+ml") == (vcycles >= 1)
 
 
-def test_bit_identical_across_kernel_backends():
-    """Same parts, bit for bit, from every registered kernel backend
-    (the RNG must be consumed identically on each)."""
+def test_bit_identical_across_kernel_backends(reference_kernels):
+    """Same parts, bit for bit, from the python kernels and the frozen
+    reference kernels (the RNG must be consumed identically by both)."""
     matrix = load_instance("sym_grid2d_s")
-    results = {}
-    for kb in available_backends():
-        cfg = dataclasses.replace(
-            get_config("mondriaan"), kernel_backend=kb, kway_vcycles=2
+    cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=2)
+    results = {
+        name: partition_kway(matrix, 4, config=c, seed=SEED)
+        for name, c in (
+            ("python", cfg),
+            ("reference", dataclasses.replace(
+                cfg, kernel_backend=reference_kernels
+            )),
         )
-        res = partition_kway(matrix, 4, config=cfg, seed=SEED)
-        results[kb] = res
+    }
     hashes = {parts_hash(r.parts) for r in results.values()}
-    assert len(hashes) == 1, f"backends disagree: {results}"
+    assert len(hashes) == 1, f"kernels disagree: {results}"
 
 
 def test_jobs_and_exec_backend_are_noops():
@@ -100,9 +104,7 @@ def test_jobs_and_exec_backend_are_noops():
         matrix, 4, algo="kway", config=cfg, seed=SEED, jobs=1,
         exec_backend="serial",
     )
-    for jobs, exec_backend in [
-        (2, "thread"), (2, "process-pickle"), (4, "process")
-    ]:
+    for jobs, exec_backend in [(2, "thread"), (4, "process")]:
         res = partition(
             matrix, 4, algo="kway", config=cfg, seed=SEED,
             jobs=jobs, exec_backend=exec_backend,

@@ -5,8 +5,8 @@ derives every bisection's randomness from the node's position in the
 recursion tree, so any schedule — serial depth-first, frontier rounds on
 a process pool, whole subtrees per worker — produces the same partition
 bit for bit.  These tests pin that contract across worker counts, part
-counts, and kernel backends, plus the seed-stream properties it rests on
-and the asymmetric load-budget hand-down at deep recursion levels.
+counts, and execution backends, plus the seed-stream properties it rests
+on and the asymmetric load-budget hand-down at deep recursion levels.
 """
 
 import numpy as np
@@ -31,14 +31,10 @@ def er():
 class TestParallelDeterminism:
     """jobs is a speed knob only: identical output for every value."""
 
-    @pytest.mark.parametrize("backend", ["python", "numba"])
     @pytest.mark.parametrize("p", [2, 4, 64])
-    def test_bit_identical_across_jobs(self, er, p, backend):
-        cfg = PartitionerConfig(kernel_backend=backend)
+    def test_bit_identical_across_jobs(self, er, p):
         results = [
-            partition(
-                er, p, method="mediumgrain", config=cfg, seed=SEED, jobs=j
-            )
+            partition(er, p, method="mediumgrain", seed=SEED, jobs=j)
             for j in (1, 2, 4)
         ]
         ref = results[0]
@@ -54,12 +50,10 @@ class TestParallelDeterminism:
         np.testing.assert_array_equal(ref.parts, par.parts)
         assert ref.bisection_volumes == par.bisection_volumes
 
-    @pytest.mark.parametrize(
-        "exec_backend", ["thread", "process", "process-pickle"]
-    )
+    @pytest.mark.parametrize("exec_backend", ["thread", "process"])
     def test_bit_identical_across_exec_backends(self, er, exec_backend):
         """The execution backend only changes how submatrices travel
-        (shared address space / shared-memory store / pickle), never the
+        (shared address space / shared-memory store), never the
         partition."""
         ref = partition(er, 16, seed=SEED, jobs=1)
         res = partition(er, 16, seed=SEED, jobs=3, exec_backend=exec_backend)
@@ -67,7 +61,7 @@ class TestParallelDeterminism:
         assert ref.bisection_volumes == res.bisection_volumes
 
     def test_config_exec_backend_is_the_default(self, er):
-        cfg = PartitionerConfig(jobs=2, exec_backend="process-pickle")
+        cfg = PartitionerConfig(jobs=2, exec_backend="thread")
         res = partition(er, 4, config=cfg, seed=SEED)
         ref = partition(er, 4, seed=SEED, jobs=1)
         np.testing.assert_array_equal(ref.parts, res.parts)
@@ -81,6 +75,16 @@ class TestParallelDeterminism:
             partition(er, 8, seed=SEED, jobs=1, exec_backend="proces")
         with pytest.raises(PartitioningError):
             partition(er, 8, seed=SEED, jobs=4, exec_backend="mpi")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_removed_pickled_pool_rejected(self, er, jobs):
+        """The pickled-payload pool is gone from the library: naming it
+        fails loudly on the serial and the pool path alike."""
+        with pytest.raises(PartitioningError, match="process-pickle"):
+            partition(er, 4, seed=SEED, jobs=jobs,
+                      exec_backend="process-pickle")
+        with pytest.raises(PartitioningError, match="process-pickle"):
+            PartitionerConfig(jobs=jobs, exec_backend="process-pickle")
 
     def test_non_power_of_two_identical(self, er):
         """Uneven splits schedule unequal subtrees; results still match."""

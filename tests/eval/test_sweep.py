@@ -312,8 +312,7 @@ class TestSweepFingerprint:
         assert self._spec(task_timeout=30.0, retries=2) == base
         assert self._spec(jobs=8, exec_backend="thread") == base
         assert self._spec(
-            jobs=4, exec_backend="process-pickle",
-            task_timeout=5.0, retries=1,
+            jobs=4, exec_backend="process", task_timeout=5.0, retries=1,
         ) == base
 
     def test_result_determining_knobs_do_change_identity(self):

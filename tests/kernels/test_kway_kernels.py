@@ -1,20 +1,21 @@
-"""k-way FM kernels: cross-backend bit-identity and metric invariants.
+"""k-way FM kernels: bit-identity with the frozen reference and metric
+invariants.
 
 Mirrors ``tests/kernels/test_equivalence.py`` for the k-way pass: the
-flat-array loop of the ``"numba"`` backend runs interpreted when numba is
-absent, so the transliteration is checked in every environment; with real
-numba installed the same checks exercise the JIT.
+python pass must equal the pre-sparse k-way pass frozen in
+``benchmarks/`` (``ReferenceKernels`` in ``conftest.py``) on random
+hypergraphs, under both kinds of setup table.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.kernels.python_backend as python_backend
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import get_backend, kway
-from repro.kernels.kway import compute_kway_setup, densify
-from repro.kernels.numba_backend import NumbaBackend, _kway_move_loop
-from repro.kernels.state import fm_stall_limit
+from repro.kernels import PYTHON_KERNELS, kway
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import kway_refine
 
@@ -42,7 +43,7 @@ CONFIGS = [
 
 # Seeds 0-7 draw the usual small k (2..8); seeds 8-15 draw wide rows
 # (k 9..64), where argmax ties across many parts are common and the
-# python backend resolves them with list.index.
+# python pass resolves them with list.index.
 SMALL_K_SEEDS = list(range(8))
 WIDE_K_SEEDS = list(range(8, 16))
 # Seed 16 draws a small k on 2,400 vertices: large enough for the FM
@@ -87,64 +88,71 @@ def _case(case_seed, start="random"):
     return h, parts, k, ceilings
 
 
+def _refine_both(h, parts, k, ceilings, cfg, seed, reference):
+    """``kway_refine`` on the python kernels, then on the reference."""
+    ref_cfg = dataclasses.replace(cfg, kernel_backend=reference)
+    return (
+        kway_refine(h, parts, k, ceilings, cfg, seed=seed),
+        kway_refine(h, parts, k, ceilings, ref_cfg, seed=seed),
+    )
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize(
     "case_seed", SMALL_K_SEEDS + WIDE_K_SEEDS + [CAP_SEED]
 )
-def test_kway_refine_backend_equivalent(cfg, case_seed):
+def test_kway_refine_backend_equivalent(cfg, case_seed, reference_kernels):
     h, parts, k, ceilings = _case(case_seed)
-    py, flat = get_backend("python"), NumbaBackend()
-    r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
-    r_nb = kway_refine(
-        h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
+    r_py, r_ref = _refine_both(
+        h, parts, k, ceilings, cfg, case_seed, reference_kernels
     )
-    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
-    assert r_py.cut == r_nb.cut
-    assert r_py.improvement == r_nb.improvement
-    assert r_py.feasible == r_nb.feasible
-    assert r_py.passes == r_nb.passes
+    np.testing.assert_array_equal(r_py.parts, r_ref.parts)
+    assert r_py.cut == r_ref.cut
+    assert r_py.improvement == r_ref.improvement
+    assert r_py.feasible == r_ref.feasible
+    assert r_py.passes == r_ref.passes
     # The reported cut is the true connectivity-(λ−1) volume.
     assert r_py.cut == connectivity_volume(h, r_py.parts)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
-def test_kway_fm_pass_stall_cap_binds(cfg):
-    """Both backends stop the first k-way pass of the cap case exactly
-    513 moves (the 512-move stall window, then the move that exceeds
-    it) after its last improvement, and report the same move count."""
+def test_kway_fm_pass_stall_cap_binds(cfg, reference_kernels):
+    """The python pass stops the first k-way pass of the cap case
+    exactly 513 moves (the 512-move stall window, then the move that
+    exceeds it) after its last improvement, and keeps the same prefix
+    as the uncapped reference pass."""
     h, parts, k, ceilings = _case(CAP_SEED)
     outs = []
-    for backend in (get_backend("python"), NumbaBackend()):
+    for kernels in (PYTHON_KERNELS, reference_kernels):
         p = parts.copy()
-        delta, feasible, tried = backend.kway_fm_pass(
-            backend.fm_state(h), p, k, ceilings, cfg,
+        delta, feasible, tried = kernels.kway_fm_pass(
+            kernels.fm_state(h), p, k, ceilings, cfg,
             np.random.default_rng(CAP_SEED),
         )
-        moved = int(np.count_nonzero(p != parts))
-        assert feasible
-        assert tried - moved == 513
         outs.append((delta, feasible, tried, p))
-    (d0, f0, t0, p0), (d1, f1, t1, p1) = outs
-    assert (d0, f0, t0) == (d1, f1, t1)
+    (d0, f0, t0, p0), (d1, f1, _, p1) = outs
+    assert f0
+    assert t0 - int(np.count_nonzero(p0 != parts)) == 513
+    assert (d0, f0) == (d1, f1)
     np.testing.assert_array_equal(p0, p1)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("case_seed", WIDE_K_SEEDS[:4])
-def test_kway_refine_zero_ceiling_part_backend_equivalent(cfg, case_seed):
+def test_kway_refine_zero_ceiling_part_backend_equivalent(
+    cfg, case_seed, reference_kernels
+):
     """A part with ceiling 0 must stay empty; the balance metric divides
     by its ceiling.  Wide k leaves the other parts room for its weight."""
     h, parts, k, ceilings = _case(case_seed)
     ceilings = ceilings.copy()
     ceilings[k // 2] = 0
-    py, flat = get_backend("python"), NumbaBackend()
-    r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
-    r_nb = kway_refine(
-        h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
+    r_py, r_ref = _refine_both(
+        h, parts, k, ceilings, cfg, case_seed, reference_kernels
     )
-    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
+    np.testing.assert_array_equal(r_py.parts, r_ref.parts)
     assert (r_py.cut, r_py.feasible, r_py.passes) == (
-        r_nb.cut, r_nb.feasible, r_nb.passes
+        r_ref.cut, r_ref.feasible, r_ref.passes
     )
     assert r_py.feasible
     assert not np.any(r_py.parts == k // 2)
@@ -156,10 +164,7 @@ def test_kway_refine_monotone_from_feasible(cfg, case_seed):
     h, parts, k, ceilings = _case(case_seed, start="balanced")
     assert bool(np.all(part_weights(h, parts, k) <= ceilings))
     before = connectivity_volume(h, parts)
-    r = kway_refine(
-        h, parts, k, ceilings, cfg, seed=case_seed,
-        backend=get_backend("python"),
-    )
+    r = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed)
     assert r.cut <= before
     assert r.feasible
     assert bool(np.all(part_weights(h, r.parts, k) <= ceilings))
@@ -167,13 +172,14 @@ def test_kway_refine_monotone_from_feasible(cfg, case_seed):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("case_seed", SMALL_K_SEEDS[:6] + WIDE_K_SEEDS[:3])
-def test_kway_refine_rebalances_extreme_start(cfg, case_seed):
+def test_kway_refine_rebalances_extreme_start(
+    cfg, case_seed, reference_kernels
+):
     """All weight on part 0 (no boundary at all) must still rebalance."""
     h, parts, k, ceilings = _case(case_seed, start="extreme")
-    for backend in (get_backend("python"), NumbaBackend()):
-        r = kway_refine(
-            h, parts, k, ceilings, cfg, seed=case_seed, backend=backend
-        )
+    for r in _refine_both(
+        h, parts, k, ceilings, cfg, case_seed, reference_kernels
+    ):
         assert r.feasible, part_weights(h, r.parts, k)
         assert bool(np.all(part_weights(h, r.parts, k) <= ceilings))
 
@@ -181,23 +187,13 @@ def test_kway_refine_rebalances_extreme_start(cfg, case_seed):
 def test_kway_refine_input_not_modified_and_state_reuse():
     h, parts, k, ceilings = _case(3)
     keep = parts.copy()
-    py = get_backend("python")
-    r1 = kway_refine(h, parts, k, ceilings, seed=5, backend=py)
+    r1 = kway_refine(h, parts, k, ceilings, seed=5)
     np.testing.assert_array_equal(parts, keep)
-    # Cached FMPassState (and its per-nparts k-way scratch) reused across
-    # calls must be bit-identical to the first run.
-    r2 = kway_refine(h, parts, k, ceilings, seed=5, backend=py)
+    # The cached FMPassState reused across calls must be bit-identical
+    # to the first run.
+    r2 = kway_refine(h, parts, k, ceilings, seed=5)
     np.testing.assert_array_equal(r1.parts, r2.parts)
     assert r1.cut == r2.cut
-    # The flat-array backend caches the k-way bucket scratch on the
-    # hypergraph's pass state; a second call reuses it bit-identically.
-    flat = NumbaBackend()
-    f1 = kway_refine(h, parts, k, ceilings, seed=5, backend=flat)
-    assert flat.fm_state(h).kway is not None
-    assert "moved_from" in flat.fm_state(h).kway
-    f2 = kway_refine(h, parts, k, ceilings, seed=5, backend=flat)
-    np.testing.assert_array_equal(f1.parts, f2.parts)
-    assert f1.cut == f2.cut
 
 
 def test_kway_refine_validation():
@@ -234,56 +230,62 @@ def _force_regime(monkeypatch, sparse):
     "case_seed", SMALL_K_SEEDS[:4] + WIDE_K_SEEDS[:4] + [CAP_SEED]
 )
 def test_kway_refine_backend_equivalent_per_regime(
-    cfg, case_seed, sparse, monkeypatch
+    cfg, case_seed, sparse, monkeypatch, reference_kernels
 ):
     """The python pass on flat lists filled from either kind of setup
-    table equals the transliteration, which always runs densified."""
+    table equals the reference, which always builds dense tables."""
     _force_regime(monkeypatch, sparse)
     h, parts, k, ceilings = _case(case_seed)
-    py, flat = get_backend("python"), NumbaBackend()
-    r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
-    r_nb = kway_refine(
-        h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
+    r_py, r_ref = _refine_both(
+        h, parts, k, ceilings, cfg, case_seed, reference_kernels
     )
-    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
+    np.testing.assert_array_equal(r_py.parts, r_ref.parts)
     assert (r_py.cut, r_py.improvement, r_py.feasible, r_py.passes) == (
-        r_nb.cut, r_nb.improvement, r_nb.feasible, r_nb.passes
+        r_ref.cut, r_ref.improvement, r_ref.feasible, r_ref.passes
     )
     assert r_py.cut == connectivity_volume(h, r_py.parts)
 
 
-class _WeightLog(np.ndarray):
+class _WeightLog(list):
     """Part weights that keep a copy of every state written to them."""
 
     def __setitem__(self, idx, val):
         super().__setitem__(idx, val)
-        self.states.append(np.array(self))
+        self.states.append(list(self))
 
 
-def _transit_overweight_moves(h, parts, k, ceilings, cfg, seed):
-    """Moves of one interpreted transliteration pass after which some
-    part is over its ceiling (each move writes ``pw`` twice: source,
-    then target)."""
-    setup = densify(
-        compute_kway_setup(h, parts, k, ceilings, cfg.boundary_only)
+class _LoggedWeights(np.ndarray):
+    """Setup part weights whose ``tolist()`` is a :class:`_WeightLog`."""
+
+    def tolist(self):
+        log = _WeightLog(super().tolist())
+        log.states = []
+        self.logs.append(log)
+        return log
+
+
+def _transit_overweight_moves(h, parts, k, ceilings, cfg, seed, monkeypatch):
+    """Moves of one python pass after which some part is over its
+    ceiling (each move writes ``pw`` twice: source, then target)."""
+    logs = []
+
+    def logged_setup(*args):
+        setup = kway.compute_kway_setup(*args)
+        pw = setup.pw.view(_LoggedWeights)
+        pw.logs = logs
+        return setup._replace(pw=pw)
+
+    with monkeypatch.context() as m:
+        m.setattr(python_backend, "compute_kway_setup", logged_setup)
+        PYTHON_KERNELS.kway_fm_pass(
+            PYTHON_KERNELS.fm_state(h), parts.copy(), k, ceilings, cfg,
+            np.random.default_rng(seed),
+        )
+    (log,) = logs
+    after_move = log.states[1::2]
+    return sum(
+        any(w > c for w, c in zip(state, ceilings)) for state in after_move
     )
-    pw = setup.pw.view(_WeightLog)
-    pw.states = []
-    state = NumbaBackend().fm_state(h)
-    scratch = state.kway_arrays()
-    loop = getattr(_kway_move_loop, "py_func", _kway_move_loop)
-    loop(
-        h.xpins, h.pins, h.xnets, h.vnets, h.ncost, h.vwgt, parts.copy(),
-        setup.occ, setup.connect, pw, ceilings, setup.base,
-        setup.best_to, setup.best_gain, setup.insert_mask,
-        np.random.default_rng(seed).permutation(h.nverts),
-        scratch["head"], scratch["nxt"], scratch["prv"], scratch["inside"],
-        scratch["locked"], scratch["moved"], scratch["moved_from"],
-        state.max_gain, state.slack,
-        fm_stall_limit(cfg.fm_early_exit_frac, h.nverts),
-    )
-    after_move = pw.states[1::2]
-    return sum(bool(np.any(w > ceilings)) for w in after_move)
 
 
 def _tight_case(case_seed):
@@ -301,27 +303,27 @@ TIGHT_SEEDS = [0, 2, 9, 11]
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("case_seed", TIGHT_SEEDS)
 def test_kway_fm_pass_transit_overweight_backend_equivalent(
-    cfg, case_seed, sparse, monkeypatch
+    cfg, case_seed, sparse, monkeypatch, reference_kernels
 ):
     """Tight ceilings: the pass starts feasible, some moves leave a part
     overweight (the rebalancing selection then runs mid-pass), and the
-    python pass still equals the transliteration move for move."""
+    python pass still equals the reference pass."""
     _force_regime(monkeypatch, sparse)
     h, parts, k, ceilings = _tight_case(case_seed)
     assert bool(np.all(part_weights(h, parts, k) <= ceilings))
     assert _transit_overweight_moves(
-        h, parts, k, ceilings, cfg, case_seed
+        h, parts, k, ceilings, cfg, case_seed, monkeypatch
     ) > 0
     outs = []
-    for backend in (get_backend("python"), NumbaBackend()):
+    for kernels in (PYTHON_KERNELS, reference_kernels):
         p = parts.copy()
-        res = backend.kway_fm_pass(
-            backend.fm_state(h), p, k, ceilings, cfg,
+        res = kernels.kway_fm_pass(
+            kernels.fm_state(h), p, k, ceilings, cfg,
             np.random.default_rng(case_seed),
         )
         outs.append((res, p))
     (r0, p0), (r1, p1) = outs
-    assert r0 == r1
+    assert r0[:2] == r1[:2]
     np.testing.assert_array_equal(p0, p1)
     assert r0[1]  # feasible: the rollback keeps a feasible prefix
     assert bool(np.all(part_weights(h, p0, k) <= ceilings))

@@ -20,12 +20,7 @@ from benchmarks._baseline_kernels import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import kway
-from repro.kernels.kway import (
-    PairTable,
-    compute_kway_setup,
-    densify,
-    sparse_tables,
-)
+from repro.kernels.kway import PairTable, compute_kway_setup, sparse_tables
 
 
 OUTPUTS = ("occ", "pw", "base", "connect", "best_to", "best_gain",
@@ -67,6 +62,15 @@ def _case(seed, k, feasible):
         parts = np.zeros(h.nverts, dtype=np.int64)
         ceilings = np.full(k, -(-h.total_weight() // k), dtype=np.int64)
     return h, parts, ceilings
+
+
+def densify(setup):
+    """``setup`` with its pair tables expanded to dense 2-D arrays."""
+    return setup._replace(**{
+        name: table.toarray()
+        for name, table in (("occ", setup.occ), ("connect", setup.connect))
+        if isinstance(table, PairTable)
+    })
 
 
 def _assert_setups_equal(got, want):

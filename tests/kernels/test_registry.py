@@ -1,81 +1,49 @@
-"""Tests for the kernel-backend registry and selection semantics."""
+"""The one kernel tier: the python kernels, and the injection seam."""
 
 import pytest
 
 from repro.errors import PartitioningError
-from repro.kernels import (
-    BACKEND_CHOICES,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    numba_available,
-    resolve_backend,
-)
+from repro.kernels import PYTHON_KERNELS, KernelBackend, kernels_for
+from repro.kernels.python_backend import PythonBackend
 from repro.partitioner.config import PartitionerConfig
 
 
 class TestRegistry:
     def test_python_always_available(self):
-        assert "python" in available_backends()
-        assert get_backend("python").name == "python"
+        assert isinstance(PYTHON_KERNELS, PythonBackend)
+        assert kernels_for(PartitionerConfig()) is PYTHON_KERNELS
 
-    def test_available_matches_numba_presence(self):
-        names = available_backends()
-        assert ("numba" in names) == numba_available()
-
-    def test_get_backend_unknown_raises(self):
-        with pytest.raises(PartitioningError, match="unknown kernel backend"):
-            get_backend("fortran")
-
-    def test_get_backend_numba_raises_when_absent(self):
-        if numba_available():
-            pytest.skip("numba installed: strict lookup succeeds")
-        with pytest.raises(PartitioningError, match="numba"):
-            get_backend("numba")
-
-    def test_resolve_auto(self):
-        backend = resolve_backend("auto")
-        expected = "numba" if numba_available() else "python"
-        assert backend.name == expected
-
-    def test_resolve_numba_falls_back_silently(self):
-        # Explicit "numba" must degrade to the reference backend rather
-        # than raise when numba is not installed.
-        backend = resolve_backend("numba")
-        expected = "numba" if numba_available() else "python"
-        assert backend.name == expected
-
-    def test_resolve_passthrough_instance(self):
-        backend = get_backend("python")
-        assert resolve_backend(backend) is backend
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(PartitioningError, match="unknown kernel backend"):
-            resolve_backend("cython")
-
-    def test_resolve_default_is_auto(self):
-        assert resolve_backend().name == resolve_backend("auto").name
+    def test_resolve_passthrough_instance(self, reference_kernels):
+        cfg = PartitionerConfig(kernel_backend=reference_kernels)
+        assert kernels_for(cfg) is reference_kernels
 
     def test_backends_are_singletons(self):
-        assert get_backend("python") is get_backend("python")
-
-    def test_choices_cover_config_values(self):
-        assert set(BACKEND_CHOICES) == {"auto", "python", "numba"}
+        assert kernels_for(PartitionerConfig(name="a")) is kernels_for(
+            PartitionerConfig(name="b")
+        )
 
     def test_base_class_is_abstract(self):
         kb = KernelBackend()
         with pytest.raises(NotImplementedError):
-            kb.merge_identical(None, None, None)
+            kb.fm_pass(None, None, None, None, None)
 
 
 class TestConfigKnob:
-    def test_default_is_auto(self):
-        assert PartitionerConfig().kernel_backend == "auto"
+    def test_default_is_python_kernels(self):
+        assert PartitionerConfig().kernel_backend is None
 
-    def test_explicit_backend_accepted(self):
-        assert PartitionerConfig(kernel_backend="python").kernel_backend == (
-            "python"
-        )
+    def test_explicit_backend_accepted(self, reference_kernels):
+        """A :class:`KernelBackend` instance is the one accepted value:
+        the seam the benchmark harness injects its baselines through."""
+        cfg = PartitionerConfig(kernel_backend=reference_kernels)
+        assert cfg.kernel_backend is reference_kernels
+
+    @pytest.mark.parametrize("name", ["numba", "python", "auto"])
+    def test_backend_names_rejected(self, name):
+        """The kernel backends were removed: a name fails loudly instead
+        of being silently ignored."""
+        with pytest.raises(PartitioningError, match="removed"):
+            PartitionerConfig(kernel_backend=name)
 
     def test_bad_backend_rejected(self):
         with pytest.raises(PartitioningError, match="kernel backend"):

@@ -1,23 +1,22 @@
 """Tests for the SpMV-side kernels (incidences, owners, partial sums).
 
-The reference (python) and flat-array (numba, interpreted when numba is
-absent) backends must agree bit-for-bit on the greedy owner assignment,
-and every kernel must match a brute-force reimplementation on random
-inputs.
+The greedy owner assignment must agree bit-for-bit with the seed's loop
+and with the frozen pre-PR distribution of the end-to-end benchmark, and
+every kernel must match a brute-force reimplementation on random inputs.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import SpMVState, get_backend
-from repro.kernels.numba_backend import NumbaBackend
+from benchmarks._baseline_e2e import baseline_distribute_vectors
+from repro.kernels import SpMVState
 from repro.kernels.spmv import (
     axis_incidences,
     axis_lambdas,
-    greedy_owners,
     greedy_owners_reference,
     partial_sums,
 )
+from repro.spmv.vector_dist import distribute_vectors
 from repro.sparse.generators import erdos_renyi
 from repro.sparse.matrix import SparseMatrix
 
@@ -150,24 +149,17 @@ class TestGreedyOwners:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_backends_bit_identical(self, seed):
-        index, parts, extent, nparts = random_case(seed, extent=31, nnz=150)
-        ptr, flat = axis_incidences(index, parts, extent, nparts)
-        fallback = np.arange(nparts, dtype=np.int64)
-        ref = get_backend("python").greedy_owners(
-            ptr, flat, extent, nparts, fallback
-        )
-        jit = NumbaBackend().greedy_owners(
-            ptr, flat, extent, nparts, fallback
-        )
-        assert np.array_equal(ref, jit)
-
-    def test_dispatch_helper(self):
-        index, parts, extent, nparts = random_case(3)
-        ptr, flat = axis_incidences(index, parts, extent, nparts)
-        fallback = np.arange(nparts, dtype=np.int64)
-        a = greedy_owners(ptr, flat, extent, nparts, fallback, "python")
-        b = greedy_owners(ptr, flat, extent, nparts, fallback, "auto")
-        assert np.array_equal(a, b)
+        """The live distribution equals the frozen pre-PR one (lexsort
+        incidences, all-lines greedy loop) that ``bench_e2e`` times."""
+        matrix = erdos_renyi(31, 29, 150, seed=seed)
+        nparts = 4
+        parts = np.random.default_rng(seed).integers(
+            0, nparts, size=matrix.nnz
+        ).astype(np.int64)
+        live = distribute_vectors(matrix, parts, nparts)
+        frozen = baseline_distribute_vectors(matrix, parts, nparts)
+        assert np.array_equal(live.input_owner, frozen.input_owner)
+        assert np.array_equal(live.output_owner, frozen.output_owner)
 
     def test_empty_lines_round_robin(self):
         ptr = np.zeros(5, dtype=np.int64)  # four empty lines

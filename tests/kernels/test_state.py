@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernels import FMPassState, get_backend
+from repro.kernels import PYTHON_KERNELS, FMPassState
 from repro.kernels.state import (
     compute_fm_setup,
     fm_stall_limit,
@@ -32,8 +32,7 @@ def h():
 
 class TestCaching:
     def test_state_cached_per_backend(self, h):
-        backend = get_backend("python")
-        assert backend.fm_state(h) is backend.fm_state(h)
+        assert PYTHON_KERNELS.fm_state(h) is PYTHON_KERNELS.fm_state(h)
 
     def test_for_hypergraph_same_instance(self, h):
         s1 = FMPassState.for_hypergraph(h, "python")
@@ -66,13 +65,12 @@ class TestReuse:
         rng = np.random.default_rng(3)
         parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
         cap = int(1.2 * h.total_weight() / 2) + 1
-        backend = get_backend("python")
 
         # Reused path: one cached state across several calls with
         # different seeds and start vectors.
         reused = []
         for seed in range(5):
-            r = fm_refine(h, parts, (cap, cap), seed=seed, backend=backend)
+            r = fm_refine(h, parts, (cap, cap), seed=seed)
             reused.append((r.parts.copy(), r.cut, r.improvement))
             parts = r.parts
 
@@ -84,18 +82,14 @@ class TestReuse:
         ).astype(np.int64)
         for seed, (p_ref, cut_ref, imp_ref) in enumerate(reused):
             state = FMPassState(h2, "python")  # brand-new, uncached
-            r = fm_refine(
-                h2, parts2, (cap, cap), seed=seed,
-                backend=backend, state=state,
-            )
+            r = fm_refine(h2, parts2, (cap, cap), seed=seed, state=state)
             np.testing.assert_array_equal(r.parts, p_ref)
             assert r.cut == cut_ref
             assert r.improvement == imp_ref
             parts2 = r.parts
 
     def test_explicit_state_accepted(self, h):
-        backend = get_backend("python")
-        state = backend.fm_state(h)
+        state = PYTHON_KERNELS.fm_state(h)
         rng = np.random.default_rng(4)
         parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
         cap = h.total_weight()

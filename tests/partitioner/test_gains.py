@@ -1,7 +1,7 @@
 """Tests for the FM gain-bucket structure.
 
 ``best_movable(side, room, vw)`` scans for the highest-gain vertex whose
-weight fits in ``room`` — the closure-free form the kernel backends use.
+weight fits in ``room`` — the closure-free form the kernels use.
 ``FREE`` is a unit-weight vector with unlimited room for tests that only
 exercise the bucket discipline.
 """

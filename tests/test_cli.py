@@ -47,6 +47,17 @@ class TestParser:
                 ["partition", "--instance", "a", "--algo", "magic"]
             )
 
+    @pytest.mark.parametrize("command", [
+        ["partition", "--instance", "sqr_er_s"], ["experiment", "fig3"],
+    ])
+    def test_removed_backend_flag_rejected(self, command, capsys):
+        """``--backend`` went with the kernel backends: argparse refuses
+        it (exit status 2) instead of ignoring it."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--backend", "python"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestPartitionCommand:
     def test_instance_bipartition(self, capsys):

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from benchmarks._baseline_e2e import PickledMatrixExecutor
 from repro.sparse.generators import erdos_renyi
 from repro.utils.executor import (
     EXEC_BACKEND_CHOICES,
@@ -86,7 +87,7 @@ class TestJobsBudget:
 
 class TestResolveExecBackend:
     def test_auto_resolves_to_a_concrete_backend(self):
-        assert resolve_exec_backend("auto") in ("thread", "process")
+        assert resolve_exec_backend("auto") == "process"
 
     def test_explicit_choices_pass_through(self):
         for spec in EXEC_BACKEND_CHOICES[1:]:
@@ -149,9 +150,7 @@ class TestSharedMatrixStore:
 class TestMatrixExecutorBackends:
     """Every backend returns identical, ordered results."""
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "process-pickle"]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_map_matches_serial(self, matrix, backend):
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [
@@ -176,11 +175,12 @@ class TestMatrixExecutorBackends:
             assert ex.map(_nnz_and_rowsum, []) == []
 
     def test_shm_payload_smaller_than_pickled(self, matrix):
-        """The point of the store: handles + indices beat submatrices."""
+        """The point of the store: handles + indices beat the submatrices
+        the frozen pickled-payload pool ships."""
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[: matrix.nnz // 2], 0), (idx[matrix.nnz // 2:], 1)]
         with MatrixExecutor(matrix, 2, "process") as shm_ex, \
-                MatrixExecutor(matrix, 2, "process-pickle") as pkl_ex:
+                PickledMatrixExecutor(matrix, 2, "process") as pkl_ex:
             shm_bytes = shm_ex.payload_nbytes(tasks)
             pkl_bytes = pkl_ex.payload_nbytes(tasks)
         assert 0 < shm_bytes < pkl_bytes
@@ -348,9 +348,7 @@ class TestFailurePaths:
 class TestRecursionIntegration:
     """partition() through each backend: the end-to-end invisibility."""
 
-    @pytest.mark.parametrize(
-        "backend", ["thread", "process", "process-pickle"]
-    )
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_partition_bit_identical(self, matrix, backend):
         from repro.core.recursive import partition
 
