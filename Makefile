@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-chaos serve-smoke bench-regress \
         bench-regress-update bench bench-e2e bench-e2e-update \
-        bench-e2e-smoke bench-serve bench-serve-update
+        bench-e2e-smoke bench-serve bench-serve-update bench-deadline
 
 # Tier-1 verification: the fast test suite (bench/chaos deselected).
 test:
@@ -60,6 +60,13 @@ bench-serve:
 # Re-time the serving tier and rewrite BENCH_serve.json (commit it).
 bench-serve-update:
 	$(PYTHON) -m benchmarks.bench_serve
+
+# Anytime deadlines on sym_grid2d_l: overshoot past a 10 ms deadline
+# (informational) and degraded volume / contiguous floor for the
+# recursive and k-way engines at p in {2, 4, 16, 64}; exits non-zero
+# when a degraded answer is invalid or loses to the floor.
+bench-deadline:
+	$(PYTHON) -m benchmarks.bench_deadline
 
 # The full pytest-benchmark micro-bench suite (slow, informational).
 bench:

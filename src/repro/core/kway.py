@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.floor import keep_best
 from repro.core.medium_grain import build_medium_grain
 from repro.core.methods import METHOD_NAMES, _build_model
 from repro.core.recursive import PartitionResult
@@ -162,10 +163,12 @@ def partition_kway(
     An optional ``deadline`` (:class:`~repro.utils.deadline.Deadline` or
     the deterministic :class:`~repro.utils.deadline.SoftBudget`) makes
     the run *anytime*: every engine stops at its next pass/level/cycle
-    boundary once it expires, the incumbent is returned, and each
-    cut-short loop contributes a ``Degraded[...]`` brief to the result's
-    ``failures`` tuple.  With ``deadline=None`` the run is byte-for-byte
-    the pre-deadline pipeline.
+    boundary once it expires, and each cut-short loop contributes a
+    ``Degraded[...]`` brief to the result's ``failures`` tuple.  A
+    cut-short run returns the best of its incumbent and the two
+    contiguous splits (:func:`repro.core.floor.keep_best`), ranked by
+    feasibility, then volume.  With ``deadline=None`` the run is
+    byte-for-byte the pre-deadline pipeline.
     """
     nparts = check_pos_int(nparts, "nparts")
     check_eps(eps)
@@ -231,17 +234,22 @@ def partition_kway(
             iterate_span.end()
             if _trace.degraded is not None:
                 degraded += (_trace.degraded,)
+        volume = None
+        if degraded:
+            parts, volume = keep_best(matrix, parts, ceilings)
 
     # The k-way kernels are trusted the same amount as every other
     # partitioning producer: not at all.  Structural invariants are
     # checked before the result is wrapped (the volume/balance metrics
     # below are recomputed from ``parts`` here, so they cannot lie).
     validate_parts(parts, n, nparts, context=f"kway:{method}")
+    if volume is None:
+        volume = communication_volume(matrix, parts)
     biggest = max_part_size(matrix, parts, nparts)
     return PartitionResult(
         parts=parts,
         nparts=nparts,
-        volume=communication_volume(matrix, parts),
+        volume=volume,
         max_part=biggest,
         feasible=biggest <= ceiling,
         imbalance=imbalance(matrix, parts, nparts),

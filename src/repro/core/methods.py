@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.floor import keep_best
 from repro.core.medium_grain import build_medium_grain
 from repro.core.refine import RefinementTrace, iterative_refine
 from repro.core.split import initial_split
@@ -52,7 +53,7 @@ from repro.partitioner.config import (
 )
 from repro.sparse.matrix import SparseMatrix
 from repro.utils.balance import max_allowed_part_size
-from repro.utils.deadline import Deadline
+from repro.utils.deadline import Deadline, Degraded, observe_overshoot
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
 from repro.utils.validation import check_eps
@@ -101,6 +102,10 @@ class BipartitionResult:
         The Algorithm-2 trace when ``refine=True``, else ``None``.
     details:
         Free-form diagnostics (e.g. which 1D model localbest chose).
+    degraded:
+        The :class:`~repro.utils.deadline.Degraded` records of every
+        run a deadline cut short (multilevel runs, then the iterate
+        loop); empty when nothing was cut.
     """
 
     parts: np.ndarray
@@ -112,6 +117,7 @@ class BipartitionResult:
     seconds: float
     refinement: Optional[RefinementTrace] = None
     details: dict = field(default_factory=dict)
+    degraded: tuple[Degraded, ...] = ()
 
 
 def bipartition(
@@ -147,16 +153,39 @@ def bipartition(
         Optional per-side nonzero ceilings overriding ``eps`` (recursive
         bisection uses this).
     deadline:
-        Optional anytime deadline for the ``refine=True`` iterate loop
-        (:func:`repro.core.refine.iterative_refine` stops at its next
-        iteration boundary and keeps the incumbent); the base
-        multilevel run itself is not interrupted here.  ``None`` (the
-        default) is byte-for-byte the undeadlined run.
+        Optional anytime deadline.  The multilevel run checks it at its
+        coarsening, coarsest-level and uncoarsening boundaries
+        (:func:`repro.partitioner.multilevel.multilevel_bipartition`),
+        and the ``refine=True`` iterate loop between iterations
+        (:func:`repro.core.refine.iterative_refine`).  A cut-short run
+        returns the best of its answer and the two contiguous splits
+        (:func:`repro.core.floor.keep_best`), ranked by feasibility,
+        then volume, and lists what was cut in ``degraded``.  ``None``
+        (the default) is byte-for-byte the undeadlined run.
 
     Returns
     -------
     BipartitionResult
     """
+    result = _bipartition(
+        matrix, method, eps, refine, config, seed, max_weights, deadline
+    )
+    observe_overshoot(deadline, "bipartition")
+    return result
+
+
+def _bipartition(
+    matrix: SparseMatrix,
+    method: str,
+    eps: float,
+    refine: bool,
+    config: PartitionerConfig | str,
+    seed: SeedLike,
+    max_weights: tuple[int, int] | None,
+    deadline: Deadline | None,
+) -> BipartitionResult:
+    """:func:`bipartition` without the overshoot observation (recursive
+    bisection calls this once per node and observes its own call)."""
     if method not in METHOD_NAMES:
         raise PartitioningError(
             f"unknown method {method!r}; expected one of {METHOD_NAMES}"
@@ -172,12 +201,18 @@ def bipartition(
     timer = Timer()
     with timer:
         if method == "localbest":
-            parts = _run_localbest(matrix, eps, cfg, rng, max_weights, details)
+            parts, degraded = _run_localbest(
+                matrix, eps, cfg, rng, max_weights, details, deadline
+            )
         elif method == "mediumgrain":
-            parts = _run_medium_grain(matrix, eps, cfg, rng, max_weights, details)
+            parts, degraded = _run_medium_grain(
+                matrix, eps, cfg, rng, max_weights, details, deadline
+            )
         else:
             model = _build_model(matrix, method)
-            parts = _partition_model(model, eps, cfg, rng, max_weights)
+            parts, degraded = _partition_model(
+                model, eps, cfg, rng, max_weights, deadline
+            )
         trace: Optional[RefinementTrace] = None
         if refine:
             parts, trace = iterative_refine(
@@ -189,8 +224,14 @@ def bipartition(
                 max_weights=max_weights,
                 deadline=deadline,
             )
+            if trace.degraded is not None:
+                degraded += (trace.degraded,)
+        volume = None
+        if degraded:
+            parts, volume = keep_best(matrix, parts, max_weights)
 
-    volume = communication_volume(matrix, parts)
+    if volume is None:
+        volume = communication_volume(matrix, parts)
     biggest = max_part_size(matrix, parts, 2)
     return BipartitionResult(
         parts=parts,
@@ -203,6 +244,7 @@ def bipartition(
         seconds=timer.elapsed,
         refinement=trace,
         details=details,
+        degraded=degraded,
     )
 
 
@@ -230,11 +272,14 @@ def _partition_model(
     cfg: PartitionerConfig,
     rng: np.random.Generator,
     max_weights: tuple[int, int],
-) -> np.ndarray:
+    deadline: Deadline | None = None,
+) -> tuple[np.ndarray, tuple[Degraded, ...]]:
     result = bipartition_hypergraph(
-        model.hypergraph, eps, cfg, rng, max_weights=max_weights
+        model.hypergraph, eps, cfg, rng, max_weights=max_weights,
+        deadline=deadline,
     )
-    return model.nonzero_parts(result.parts)
+    degraded = (result.degraded,) if result.degraded else ()
+    return model.nonzero_parts(result.parts), degraded
 
 
 def _run_localbest(
@@ -244,14 +289,19 @@ def _run_localbest(
     rng: np.random.Generator,
     max_weights: tuple[int, int],
     details: dict,
-) -> np.ndarray:
+    deadline: Deadline | None = None,
+) -> tuple[np.ndarray, tuple[Degraded, ...]]:
     """Row-net and column-net, keep the lower communication volume
     (ties: better balance, then row-net)."""
     best_parts: np.ndarray | None = None
     best_key: tuple | None = None
+    all_degraded: tuple[Degraded, ...] = ()
     for name in ("rownet", "colnet"):
         model = _build_model(matrix, name)
-        parts = _partition_model(model, eps, cfg, rng, max_weights)
+        parts, degraded = _partition_model(
+            model, eps, cfg, rng, max_weights, deadline
+        )
+        all_degraded += degraded
         key = (
             communication_volume(matrix, parts),
             max_part_size(matrix, parts, 2),
@@ -261,7 +311,7 @@ def _run_localbest(
             details["localbest_choice"] = name
             details["localbest_volume"] = key[0]
     assert best_parts is not None
-    return best_parts
+    return best_parts, all_degraded
 
 
 def _run_medium_grain(
@@ -271,7 +321,8 @@ def _run_medium_grain(
     rng: np.random.Generator,
     max_weights: tuple[int, int],
     details: dict,
-) -> np.ndarray:
+    deadline: Deadline | None = None,
+) -> tuple[np.ndarray, tuple[Degraded, ...]]:
     """Algorithm-1 split, composite hypergraph, multilevel bipartitioning,
     eqn-(5) mapping back to the nonzeros."""
     split = initial_split(matrix, rng)
@@ -279,6 +330,8 @@ def _run_medium_grain(
     details["mg_vertices"] = instance.hypergraph.nverts
     details["mg_nets"] = instance.hypergraph.nnets
     result = bipartition_hypergraph(
-        instance.hypergraph, eps, cfg, rng, max_weights=max_weights
+        instance.hypergraph, eps, cfg, rng, max_weights=max_weights,
+        deadline=deadline,
     )
-    return instance.nonzero_parts(result.parts)
+    degraded = (result.degraded,) if result.degraded else ()
+    return instance.nonzero_parts(result.parts), degraded

@@ -49,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from repro.core.methods import bipartition
+from repro.core.floor import keep_best
+from repro.core.methods import _bipartition
 from repro.core.validate import validate_parts
 from repro.core.volume import (
     communication_volume,
@@ -62,7 +63,7 @@ from repro.partitioner.config import PartitionerConfig, get_config
 from repro.sparse.matrix import SparseMatrix
 from repro.utils import faults
 from repro.utils.balance import max_allowed_part_size
-from repro.utils.deadline import Deadline, Degraded
+from repro.utils.deadline import Deadline, Degraded, observe_overshoot
 from repro.utils.executor import (
     MatrixExecutor,
     RetryPolicy,
@@ -206,16 +207,24 @@ def partition(
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the
-    run *anytime*: the recursion checks it before each bisection and,
-    once expired, finishes the remaining subtrees with an even
-    contiguous fallback split instead of further method runs — every
-    nonzero still gets a part in ``[0, nparts)`` and per-part sizes stay
-    within one of each other, so the result passes validation, just at
-    degraded quality.  The cut-short run reports a
-    ``Degraded[recursive]`` brief in ``failures``; under
-    ``algo="kway"`` the deadline is threaded into every engine loop
-    instead (see :func:`repro.core.kway.partition_kway`).  With
-    ``deadline=None`` nothing changes, bit for bit.
+    run *anytime*.  The serial recursion checks it before each bisection
+    and hands it to the bisection itself, whose multilevel run and
+    iterate loop stop at their next boundary
+    (:func:`repro.core.methods.bipartition`).  Once it has expired, the
+    remaining subtrees are finished with an even contiguous fallback
+    split instead of further method runs — every nonzero still gets a
+    part in ``[0, nparts)`` and per-part sizes stay within one of each
+    other, so the result passes validation, just at degraded quality.
+    Pool workers never see the deadline (the calling process checks it
+    between frontier rounds), so a dispatched subtree always completes.  A
+    cut-short run returns the best of its answer and the two contiguous
+    splits of the whole matrix (:func:`repro.core.floor.keep_best`) and
+    reports each cut-short bisection's ``Degraded[...]`` brief and a
+    ``Degraded[recursive]`` brief for the skipped subtrees in
+    ``failures``.  Under ``algo="kway"`` the deadline is threaded into
+    every engine loop instead (see
+    :func:`repro.core.kway.partition_kway`).  With ``deadline=None``
+    nothing changes, bit for bit.
     """
     nparts = check_pos_int(nparts, "nparts")
     check_eps(eps)
@@ -237,10 +246,12 @@ def partition(
     if algo == "kway":
         from repro.core.kway import partition_kway
 
-        return partition_kway(
+        result = partition_kway(
             matrix, nparts, method=method, eps=eps, refine=refine,
             config=cfg, seed=seed, deadline=deadline,
         )
+        observe_overshoot(deadline, "kway")
+        return result
     if algo != "recursive":
         from repro.partitioner.config import ALGO_CHOICES
 
@@ -259,6 +270,7 @@ def partition(
     ceiling = max_allowed_part_size(n, nparts, eps)
     volumes: dict[tuple[int, ...], int] = {}
     failures: tuple = ()
+    degraded: list[str] = []
     skipped = 0
     policy = RetryPolicy.resolve(cfg.task_timeout, cfg.retries)
     timer = Timer()
@@ -282,20 +294,31 @@ def partition(
                 )
             else:
                 skipped = _solve_serial(
-                    matrix, root, job, parts, volumes, deadline
+                    matrix, root, job, parts, volumes, deadline, degraded
                 )
+        volume = None
+        # At p = 2 a bisected root is the whole answer, and the
+        # bisection already kept its best against this same floor.
+        if skipped or (degraded and nparts > 2):
+            parts, volume = keep_best(
+                matrix, parts, np.full(nparts, ceiling, dtype=np.int64)
+            )
+    failures += tuple(degraded)
     if skipped:
-        failures = failures + (
+        failures += (
             Degraded(
                 "recursive", completed=len(volumes), skipped=skipped
             ).brief(),
         )
 
+    if volume is None:
+        volume = communication_volume(matrix, parts)
+    observe_overshoot(deadline, "recursive")
     biggest = max_part_size(matrix, parts, nparts)
     return PartitionResult(
         parts=parts,
         nparts=nparts,
-        volume=communication_volume(matrix, parts),
+        volume=volume,
         max_part=biggest,
         feasible=biggest <= ceiling,
         imbalance=imbalance(matrix, parts, nparts),
@@ -323,10 +346,14 @@ class _TreeJob:
 
 
 def _bisect_node(
-    matrix: SparseMatrix, node: _Node, job: _TreeJob
-) -> tuple[np.ndarray, int]:
+    matrix: SparseMatrix,
+    node: _Node,
+    job: _TreeJob,
+    deadline: Deadline | None = None,
+) -> tuple[np.ndarray, int, tuple[str, ...]]:
     """Run one bisection; returns the 0/1 parts (aligned with
-    ``node.indices``) and its communication volume."""
+    ``node.indices``), its communication volume and the ``Degraded``
+    briefs of whatever ``deadline`` cut short in it."""
     faults.fault_point("recursive.bisect")
     q0 = node.nparts // 2
     q1 = node.nparts - q0
@@ -352,15 +379,18 @@ def _bisect_node(
         path="".join(map(str, node.path)) or "root",
         nnz=int(node.indices.size),
     ):
-        result = bipartition(
+        result = _bipartition(
             sub,
-            method=job.method,
-            refine=job.refine,
-            config=job.cfg,
-            seed=as_generator(child_sequence(job.root_seed, *node.path)),
-            max_weights=(cap0, cap1),
+            job.method,
+            job.eps,
+            job.refine,
+            job.cfg,
+            as_generator(child_sequence(job.root_seed, *node.path)),
+            (cap0, cap1),
+            deadline,
         )
-    return result.parts, result.volume
+    briefs = tuple(d.brief() for d in result.degraded)
+    return result.parts, result.volume, briefs
 
 
 def _fallback_split(node: _Node, out: np.ndarray) -> None:
@@ -385,12 +415,15 @@ def _solve_serial(
     out: np.ndarray,
     volumes: dict,
     deadline: Deadline | None = None,
+    degraded: list | None = None,
 ) -> int:
     """Depth-first reference traversal; assigns parts ``node.first_part ..
     first_part + nparts - 1`` to the nonzeros in ``node.indices``.
 
-    Returns the number of subtrees an expired ``deadline`` finished with
-    the fallback split instead of bisections (0 on a normal run).
+    Each bisection receives ``deadline``; the ``Degraded`` briefs of the
+    bisections it cut short are appended to ``degraded``.  Returns the
+    number of subtrees an expired ``deadline`` finished with the
+    fallback split instead of bisections (0 on a normal run).
     """
     if node.nparts == 1:
         out[node.indices] = node.first_part
@@ -398,11 +431,17 @@ def _solve_serial(
     if deadline is not None and deadline.expired():
         _fallback_split(node, out)
         return 1
-    parts01, volume = _bisect_node(matrix, node, job)
+    parts01, volume, briefs = _bisect_node(matrix, node, job, deadline)
     volumes[node.path] = volume
+    if briefs:
+        degraded.extend(briefs)
     left, right = node.children(parts01)
-    skipped = _solve_serial(matrix, left, job, out, volumes, deadline)
-    skipped += _solve_serial(matrix, right, job, out, volumes, deadline)
+    skipped = _solve_serial(
+        matrix, left, job, out, volumes, deadline, degraded
+    )
+    skipped += _solve_serial(
+        matrix, right, job, out, volumes, deadline, degraded
+    )
     return skipped
 
 
@@ -416,7 +455,8 @@ def _bisect_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, int]:
         job.trace, "worker.bisect",
         path="".join(map(str, path)) or "root",
     ):
-        return _bisect_node(sub, local, job)
+        parts01, volume, _ = _bisect_node(sub, local, job)
+    return parts01, volume
 
 
 def _subtree_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, dict]:

@@ -12,6 +12,7 @@ from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.multilevel import multilevel_bipartition
 from repro.utils.balance import max_allowed_part_size
+from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_eps
 
@@ -34,6 +35,9 @@ class BipartitionHResult:
         The ceilings the run was given.
     feasible:
         Whether ``weights[k] <= max_weights[k]`` for both sides.
+    degraded:
+        The :class:`~repro.utils.deadline.Degraded` record when a
+        deadline cut the multilevel run short, else ``None``.
     """
 
     parts: np.ndarray
@@ -41,6 +45,7 @@ class BipartitionHResult:
     weights: tuple[int, int]
     max_weights: tuple[int, int]
     feasible: bool
+    degraded: Degraded | None = None
 
 
 def bipartition_hypergraph(
@@ -49,6 +54,7 @@ def bipartition_hypergraph(
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
     max_weights: tuple[int, int] | None = None,
+    deadline: Deadline | None = None,
 ) -> BipartitionHResult:
     """Bipartition a hypergraph minimizing the connectivity-1 cut.
 
@@ -69,6 +75,11 @@ def bipartition_hypergraph(
     max_weights:
         Optional explicit per-side ceilings, overriding ``eps`` (used by
         recursive bisection to hand down its global budget).
+    deadline:
+        Optional anytime deadline for the multilevel run, checked at its
+        level boundaries (see
+        :func:`~repro.partitioner.multilevel.multilevel_bipartition`).
+        ``None`` is byte-for-byte the undeadlined run.
 
     Returns
     -------
@@ -91,7 +102,7 @@ def bipartition_hypergraph(
             f"{max_weights}: infeasible"
         )
 
-    result = multilevel_bipartition(h, max_weights, cfg, rng)
+    result = multilevel_bipartition(h, max_weights, cfg, rng, deadline)
     weights = part_weights(h, result.parts, 2)
     cut = connectivity_volume(h, result.parts)
     return BipartitionHResult(
@@ -102,4 +113,5 @@ def bipartition_hypergraph(
         feasible=bool(
             weights[0] <= max_weights[0] and weights[1] <= max_weights[1]
         ),
+        degraded=result.degraded,
     )

@@ -57,11 +57,20 @@ def multilevel_bipartition(
     max_weights: tuple[int, int],
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
+    deadline: Deadline | None = None,
 ) -> FMResult:
     """Bipartition ``h`` under per-side weight ceilings ``max_weights``.
 
     Returns an :class:`~repro.partitioner.fm.FMResult` for the finest level
     (``parts`` has one entry per vertex of ``h``).
+
+    An expired ``deadline`` degrades each phase at its boundary, as in
+    :func:`multilevel_kway`: coarsening stops adding levels, the
+    coarsest level gets one unrefined greedy grow (see
+    :func:`~repro.partitioner.initial.initial_partition`), and
+    uncoarsening projects the remaining levels without refining them.
+    The result is still a complete finest-level assignment, with its
+    true cut and a ``Degraded[multilevel]`` record.
     """
     cfg = get_config(config)
     rng = as_generator(seed)
@@ -74,10 +83,15 @@ def multilevel_bipartition(
     cluster_cap = max(
         1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
     )
+    cut_short = False  # any phase stopped at a deadline boundary
     levels: list[CoarseLevel] = []
     cur = h
     with _trace.span("multilevel.coarsen") as sp:
         while cur.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
+            if deadline is not None and deadline.expired():
+                cut_short = True
+                sp.event("deadline", where="coarsen")
+                break  # partition whatever granularity we reached
             level = coarsen_level(cur, cfg, rng, cluster_cap)
             reduction = 1.0 - level.coarse.nverts / cur.nverts
             if reduction < cfg.min_reduction:
@@ -91,17 +105,45 @@ def multilevel_bipartition(
     # Initial partitioning at the coarsest level.
     # ------------------------------------------------------------------ #
     with _trace.span("multilevel.initial"):
-        result = initial_partition(cur, max_weights, cfg, rng)
+        result = initial_partition(cur, max_weights, cfg, rng, deadline)
     parts = result.parts
+    cut_short = cut_short or result.degraded is not None
 
     # ------------------------------------------------------------------ #
     # Uncoarsening: project and refine at every level.
     # ------------------------------------------------------------------ #
+    refined_levels = 0
+    skipped_levels = 0
     for i, level in enumerate(reversed(levels)):
         parts = parts[level.cmap]
+        if deadline is not None and deadline.expired():
+            # Projection keeps the assignment complete and the side
+            # weights unchanged; only the per-level polish is lost.
+            skipped_levels += 1
+            _trace.event("level_skipped", level=i)
+            continue
         with _trace.span("multilevel.uncoarsen_level", level=i):
-            result = fm_refine(level.fine, parts, max_weights, cfg, rng)
+            result = fm_refine(
+                level.fine, parts, max_weights, cfg, rng, deadline=deadline
+            )
         parts = result.parts
+        refined_levels += 1
+        cut_short = cut_short or result.degraded is not None
+    if skipped_levels or cut_short:
+        # ``result`` may describe a coarser level than ``parts``; rebuild
+        # the outcome from the finest-level vector with its true cut.
+        w0, w1 = part_weights(h, parts, 2)
+        return FMResult(
+            parts=parts,
+            cut=connectivity_volume(h, parts),
+            feasible=bool(w0 <= max_weights[0] and w1 <= max_weights[1]),
+            passes=result.passes,
+            improvement=result.improvement,
+            degraded=Degraded(
+                "multilevel", completed=refined_levels,
+                skipped=skipped_levels,
+            ),
+        )
     return result
 
 

@@ -19,6 +19,11 @@ A :class:`Deadline` carries an *absolute* ``time.monotonic`` expiry and
 is picklable; on Linux ``CLOCK_MONOTONIC`` is system-wide, so a
 deadline minted in the serving daemon keeps its meaning inside a forked
 pool worker.
+
+:func:`observe_overshoot` records how late a deadline-bound
+``partition`` / ``bipartition`` call returned in the
+``repro_deadline_overshoot_seconds`` histogram (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-__all__ = ["Deadline", "SoftBudget", "Degraded"]
+from repro.obs import metrics as _metrics
+
+__all__ = ["Deadline", "SoftBudget", "Degraded", "observe_overshoot"]
+
+_OVERSHOOT = _metrics.histogram(
+    "repro_deadline_overshoot_seconds",
+    "Time past a wall-clock deadline at which a partition/bipartition "
+    "call returned (0 when it finished in time).",
+    ("algo",),
+)
 
 
 class Deadline:
@@ -57,6 +71,13 @@ class Deadline:
         if self._expiry is None:
             return None
         return max(0.0, self._expiry - time.monotonic())
+
+    def overshoot(self) -> float | None:
+        """Seconds past the expiry (clamped at 0), or ``None`` when
+        unbounded."""
+        if self._expiry is None:
+            return None
+        return max(0.0, time.monotonic() - self._expiry)
 
     # Explicit state methods: __slots__ classes have no __dict__, and
     # the absolute monotonic expiry is exactly what must cross a fork.
@@ -132,3 +153,16 @@ class Degraded:
             f"Degraded[{self.where}]@{self.completed}done"
             f"+{self.skipped}skipped"
         )
+
+
+def observe_overshoot(deadline, algo: str) -> None:
+    """Record how late a deadline-bound call returned.
+
+    Only a wall-clock :class:`Deadline` with an expiry is observed; a
+    :class:`SoftBudget` counts checks, not seconds, and ``None`` or
+    ``Deadline(None)`` bound nothing.
+    """
+    if isinstance(deadline, Deadline):
+        late = deadline.overshoot()
+        if late is not None:
+            _OVERSHOOT.labels(algo=algo).observe(late)

@@ -14,13 +14,19 @@ pinned, not racy.  Three invariants are pinned for every engine:
   until it fires.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core.floor import contiguous_splits, keep_best
 from repro.core.kway import partition_kway
 from repro.core.methods import bipartition
 from repro.core.recursive import partition
 from repro.core.validate import validate_partition
+from repro.core.volume import communication_volume
+from repro.hypergraph.models import row_net_model
+from repro.partitioner.bipartition import bipartition_hypergraph
 from repro.sparse.collection import load_instance
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, SoftBudget
@@ -57,6 +63,28 @@ def test_unbounded_deadlines_are_bit_identical(matrix, vcycles):
         np.testing.assert_array_equal(run.parts, base.parts)
         assert run.volume == base.volume
         assert run.failures == ()
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_bipartition_unbounded_deadlines_are_bit_identical(matrix, refine):
+    base = bipartition(matrix, refine=refine, seed=SEED)
+    for idle in (Deadline(None), Deadline(3600.0), _Probe()):
+        run = bipartition(matrix, refine=refine, seed=SEED, deadline=idle)
+        np.testing.assert_array_equal(run.parts, base.parts)
+        assert run.volume == base.volume
+        assert run.degraded == ()
+
+
+def test_bipartition_hypergraph_unbounded_deadlines_are_bit_identical(
+    matrix,
+):
+    h = row_net_model(matrix).hypergraph
+    base = bipartition_hypergraph(h, seed=SEED)
+    for idle in (Deadline(None), Deadline(3600.0)):
+        run = bipartition_hypergraph(h, seed=SEED, deadline=idle)
+        np.testing.assert_array_equal(run.parts, base.parts)
+        assert run.cut == base.cut
+        assert run.degraded is None
 
 
 def test_recursive_unbounded_deadline_is_bit_identical(matrix):
@@ -133,14 +161,171 @@ def test_parallel_recursion_budget_matches_serial(matrix):
 
 
 def test_iterative_refine_expired_budget_keeps_base_partition(matrix):
-    # Budget 0 stops the Algorithm-2 iterate loop before its first
-    # iteration: the refined run must return exactly the unrefined
-    # partition, flagged degraded in the trace.
-    base = bipartition(matrix, seed=SEED)
+    # A budget that lets the whole base multilevel run through and
+    # expires at the Algorithm-2 iterate loop's first check: the refined
+    # run returns the unrefined partition kept-best against the
+    # contiguous floor, flagged degraded in the trace.
+    base_checks = _Probe()
+    base = bipartition(matrix, seed=SEED, deadline=base_checks)
+    assert "iterative_refine" not in base_checks.callers()
     cut = bipartition(
-        matrix, refine=True, seed=SEED, deadline=SoftBudget(0)
+        matrix, refine=True, seed=SEED,
+        deadline=SoftBudget(len(base_checks.checks)),
     )
-    np.testing.assert_array_equal(cut.parts, base.parts)
+    ceiling = max_allowed_part_size(matrix.nnz, 2, 0.03)
+    kept, volume = keep_best(matrix, base.parts, (ceiling, ceiling))
+    np.testing.assert_array_equal(cut.parts, kept)
+    assert cut.volume == volume <= base.volume
     assert cut.refinement is not None
     assert cut.refinement.degraded is not None
     assert cut.refinement.degraded.where == "iterate"
+    assert [d.where for d in cut.degraded] == ["iterate"]
+
+
+# --------------------------------------------------------------------- #
+# The 2-way engine stops at every boundary, never below the floor
+# --------------------------------------------------------------------- #
+class _Probe:
+    """A deadline that never expires and records who checked it, as
+    ``(function, line)`` pairs in check order."""
+
+    def __init__(self):
+        self.checks: list[tuple[str, int]] = []
+
+    def expired(self) -> bool:
+        frame = sys._getframe(1)
+        self.checks.append((frame.f_code.co_name, frame.f_lineno))
+        return False
+
+    def callers(self) -> list[str]:
+        return [name for name, _ in self.checks]
+
+    def boundaries(self) -> dict[str, int]:
+        """Check index of the first and the last check at each
+        multilevel boundary.  ``multilevel_bipartition`` checks at two
+        lines: the coarsening loop's comes first in the source, the
+        uncoarsening loop's second."""
+        ml_lines = sorted(
+            {line for name, line in self.checks
+             if name == "multilevel_bipartition"}
+        )
+        stage_of = {("initial_partition", None): "initial"}
+        if ml_lines:
+            stage_of[("multilevel_bipartition", ml_lines[0])] = "coarsen"
+            stage_of[("multilevel_bipartition", ml_lines[-1])] = "uncoarsen"
+        found: dict[str, int] = {}
+        for i, (name, line) in enumerate(self.checks):
+            stage = stage_of.get((name, line)) or stage_of.get((name, None))
+            if stage is not None:
+                found.setdefault(f"first-{stage}", i)
+                found[f"last-{stage}"] = i
+        return found
+
+
+def _floor_volume(matrix, nparts, eps=0.03):
+    ceilings = np.full(
+        nparts, max_allowed_part_size(matrix.nnz, nparts, eps)
+    )
+    return min(
+        communication_volume(matrix, split)
+        for split in contiguous_splits(matrix, ceilings)
+    )
+
+
+def _assert_valid_and_within_floor(matrix, res, nparts):
+    _assert_complete_and_valid(matrix, res, nparts)
+    assert res.feasible is True
+    assert res.volume <= _floor_volume(matrix, nparts)
+
+
+def test_probe_sees_every_multilevel_boundary(matrix):
+    probe = _Probe()
+    bipartition(matrix, refine=True, seed=SEED, deadline=probe)
+    stages = probe.boundaries()
+    for stage in ("coarsen", "initial", "uncoarsen"):
+        assert f"first-{stage}" in stages, probe.checks
+    assert stages["last-coarsen"] < stages["first-initial"]
+    assert stages["last-initial"] < stages["first-uncoarsen"]
+    assert "iterative_refine" in probe.callers()
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_bipartition_budget_expiring_at_each_boundary(matrix, refine):
+    probe = _Probe()
+    bipartition(matrix, refine=refine, seed=SEED, deadline=probe)
+    for stage, budget in sorted(probe.boundaries().items()):
+        res = bipartition(
+            matrix, refine=refine, seed=SEED, deadline=SoftBudget(budget)
+        )
+        _assert_valid_and_within_floor(matrix, res, 2)
+        assert res.degraded[0].where == "multilevel", stage
+
+
+@pytest.mark.parametrize("nparts", [2, 4, 16, 64])
+def test_recursive_budget_expiring_at_each_boundary(matrix, nparts):
+    probe = _Probe()
+    full = partition(matrix, nparts, seed=SEED, deadline=probe)
+    assert full.failures == ()
+    stages = probe.boundaries()
+    assert {"first-coarsen", "first-initial", "first-uncoarsen"} <= set(
+        stages
+    ), probe.checks
+    for stage, budget in sorted(stages.items()):
+        res = partition(
+            matrix, nparts, seed=SEED, deadline=SoftBudget(budget)
+        )
+        _assert_valid_and_within_floor(matrix, res, nparts)
+        assert any(
+            b.startswith("Degraded[multilevel]") for b in res.failures
+        ), (stage, res.failures)
+
+
+@pytest.mark.parametrize("nparts", [2, 4, 16, 64])
+@pytest.mark.parametrize("vcycles", [1, 2])
+@pytest.mark.parametrize("budget", [0, 1, 8])
+def test_kway_degraded_answer_keeps_best_against_floor(
+    matrix, nparts, vcycles, budget
+):
+    res = partition_kway(
+        matrix, nparts, seed=SEED, vcycles=vcycles,
+        deadline=SoftBudget(budget),
+    )
+    _assert_valid_and_within_floor(matrix, res, nparts)
+    assert any(b.startswith("Degraded[") for b in res.failures)
+
+
+def test_recursive_expired_root_keeps_best_against_floor(matrix):
+    # Budget 0 skips the root: the fallback split is kept-best against
+    # the contiguous floor of the whole matrix.
+    for nparts in (2, 8):
+        res = partition(matrix, nparts, seed=SEED, deadline=SoftBudget(0))
+        _assert_valid_and_within_floor(matrix, res, nparts)
+
+
+# --------------------------------------------------------------------- #
+# The contiguous floor
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("ceilings", [(608, 608), (700, 516), (19,) * 64])
+def test_contiguous_splits_fit_the_ceilings(matrix, ceilings):
+    for split in contiguous_splits(matrix, ceilings):
+        sizes = np.bincount(split, minlength=len(ceilings))
+        assert sizes.sum() == matrix.nnz
+        assert (sizes <= np.asarray(ceilings)).all()
+    row_major, col_major = contiguous_splits(matrix, ceilings)
+    # Row-major is the canonical order itself: the part ids never fall.
+    assert (np.diff(row_major) >= 0).all()
+    assert (np.diff(col_major[matrix.col_order()]) >= 0).all()
+
+
+def test_keep_best_prefers_feasible_then_lower_volume(matrix):
+    ceiling = max_allowed_part_size(matrix.nnz, 2, 0.03)
+    lopsided = np.zeros(matrix.nnz, dtype=np.int64)  # volume 0, infeasible
+    parts, volume = keep_best(matrix, lopsided, (ceiling, ceiling))
+    assert volume == _floor_volume(matrix, 2) > 0
+    assert np.bincount(parts).max() <= ceiling
+    # A feasible answer below the floor is kept as it is.
+    good = bipartition(matrix, seed=SEED)
+    kept, kept_volume = keep_best(matrix, good.parts, (ceiling, ceiling))
+    assert kept_volume == min(good.volume, _floor_volume(matrix, 2))
+    if good.volume <= _floor_volume(matrix, 2):
+        assert kept is good.parts

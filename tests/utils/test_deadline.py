@@ -95,3 +95,50 @@ def test_degraded_is_frozen_and_comparable():
         pass
     else:  # pragma: no cover
         raise AssertionError("Degraded must be immutable")
+
+
+# --------------------------------------------------------------------- #
+# Overshoot
+# --------------------------------------------------------------------- #
+def test_overshoot_is_time_past_expiry():
+    assert Deadline(None).overshoot() is None
+    assert Deadline(3600.0).overshoot() == 0.0
+    d = Deadline(0)
+    time.sleep(0.02)
+    assert 0.02 <= d.overshoot() < 60.0
+
+
+def _overshoot_child(algo):
+    from repro.obs.metrics import REGISTRY
+
+    return REGISTRY.get("repro_deadline_overshoot_seconds").labels(algo=algo)
+
+
+def test_overshoot_histogram_observes_wall_clock_deadlines_only():
+    from repro import bipartition, partition
+    from repro.sparse.collection import load_instance
+
+    a = load_instance("sym_gd97_like")
+    rec, bi = _overshoot_child("recursive"), _overshoot_child("bipartition")
+    kway = _overshoot_child("kway")
+    counts = (rec.count, bi.count, kway.count)
+    sums = (rec.sum, bi.sum, kway.sum)
+
+    # Unbounded and check-counting deadlines are not observed.
+    partition(a, 4, seed=1, deadline=Deadline(None))
+    partition(a, 4, seed=1, deadline=SoftBudget(0))
+    bipartition(a, seed=1)
+    assert (rec.count, bi.count, kway.count) == counts
+
+    # A far-future deadline is met: one observation of 0 seconds.
+    partition(a, 4, seed=1, deadline=Deadline(3600.0))
+    assert rec.count == counts[0] + 1 and rec.sum == sums[0]
+    # An expired one is late; the recursive bisections inside a
+    # partition call are not observed as bipartition calls.
+    partition(a, 4, seed=1, deadline=Deadline(0))
+    assert rec.count == counts[0] + 2 and rec.sum > sums[0]
+    assert bi.count == counts[1]
+    bipartition(a, seed=1, deadline=Deadline(0))
+    assert bi.count == counts[1] + 1 and bi.sum > sums[1]
+    partition(a, 4, seed=1, algo="kway", deadline=Deadline(0))
+    assert kway.count == counts[2] + 1 and kway.sum > sums[2]
