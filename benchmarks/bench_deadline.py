@@ -4,8 +4,8 @@ Every engine stops at its next boundary once its deadline expires and
 keeps the best of its answer and the contiguous floor (the row-major and
 column-major contiguous splits, :mod:`repro.core.floor`).  For the
 recursive engine and the direct k-way engine (``kway_vcycles`` 1 and 2)
-at p in {2, 4, 16, 64} on ``sym_grid2d_l``, this prints one row per
-cell:
+at p in {2, 4, 16, 64} on ``sym_grid2d_l``, under a 10 ms deadline
+with seeds 1-5, this prints one row per cell:
 
 ``overshoot``
     median wall-clock time past the deadline's expiry over the seeds
@@ -40,9 +40,8 @@ import sys
 import numpy as np
 
 from repro import partition
-from repro.core.floor import contiguous_splits
+from repro.core.floor import floor_volume
 from repro.core.validate import validate_partition
-from repro.core.volume import communication_volume
 from repro.errors import ResultValidationError
 from repro.partitioner.config import get_config
 from repro.sparse.collection import load_instance
@@ -58,18 +57,12 @@ ENGINES = (
     ("kway+ml", "kway", 1),
     ("kway+ml+vc", "kway", 2),
 )
+#: The wall-clock deadline, and the partitioning seeds of every cell.
+DEADLINE_S = 0.01
+SEEDS = range(1, 6)
 #: Smoke budgets: boundary checks granted before expiry.  Every engine
 #: checks more than 12 times on this instance, so all of them degrade.
 SMOKE_BUDGETS = (0, 3, 12)
-
-
-def floor_volume(matrix, nparts: int) -> int:
-    """Volume of the better contiguous split under the eqn-(1) ceiling."""
-    ceilings = np.full(nparts, max_allowed_part_size(matrix.nnz, nparts, EPS))
-    return min(
-        communication_volume(matrix, split)
-        for split in contiguous_splits(matrix, ceilings)
-    )
 
 
 def check(matrix, res, nparts: int) -> str | None:
@@ -92,7 +85,8 @@ def run_cell(matrix, algo: str, vcycles: int, nparts: int, deadlines,
              must_degrade: bool):
     """Run one engine x p cell under each ``(seed, deadline factory)``."""
     cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=vcycles)
-    floor = floor_volume(matrix, nparts)
+    ceilings = np.full(nparts, max_allowed_part_size(matrix.nnz, nparts, EPS))
+    floor = floor_volume(matrix, ceilings)
     overshoots, ratios, problems = [], [], []
     for seed, make_deadline in deadlines:
         deadline = make_deadline()
@@ -130,31 +124,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--smoke", action="store_true",
                         help="deterministic SoftBudget budgets; gates only")
-    parser.add_argument("--deadline-ms", type=float, default=10.0,
-                        help="wall-clock deadline (default 10 ms)")
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="partitioning seeds per cell (default 3)")
     args = parser.parse_args(argv)
 
     matrix = load_instance(INSTANCE)
     # Warm up lazy imports and caches before the first timed run.
     partition(matrix, 2, seed=0)
-    seeds = range(1, args.seeds + 1)
     if args.smoke:
         deadlines = [
             (seed, lambda b=budget: SoftBudget(b))
-            for seed in seeds for budget in SMOKE_BUDGETS
+            for seed in SEEDS for budget in SMOKE_BUDGETS
         ]
-    else:
-        seconds = args.deadline_ms / 1000.0
-        deadlines = [(seed, lambda: Deadline(seconds)) for seed in seeds]
-
-    if args.smoke:
         mode = "SoftBudget " + "/".join(map(str, SMOKE_BUDGETS))
     else:
-        mode = f"Deadline({args.deadline_ms:g} ms)"
+        deadlines = [(seed, lambda: Deadline(DEADLINE_S)) for seed in SEEDS]
+        mode = f"Deadline({1000 * DEADLINE_S:g} ms)"
     print(f"# {INSTANCE}, mediumgrain, eps={EPS}, {mode}, "
-          f"{args.seeds} seeds")
+          f"seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print("| engine | p | overshoot p50 (ms) | degraded | floor "
           "| degraded / floor (max) | ok |")
     print("|---|---:|---:|---:|---:|---:|---|")

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.volume import communication_volume
 from repro.sparse.matrix import SparseMatrix
 
-__all__ = ["contiguous_splits", "keep_best"]
+__all__ = ["contiguous_splits", "floor_split", "floor_volume", "keep_best"]
 
 
 def contiguous_splits(
@@ -44,13 +44,33 @@ def contiguous_splits(
     return row_major, col_major
 
 
+def floor_split(matrix: SparseMatrix, ceilings) -> tuple[np.ndarray, int]:
+    """The better of the two :func:`contiguous_splits` and its volume.
+
+    Both splits have the same part sizes, so they rank by volume alone;
+    a tie keeps the row-major split.
+    """
+    return min(
+        (
+            (split, int(communication_volume(matrix, split)))
+            for split in contiguous_splits(matrix, ceilings)
+        ),
+        key=lambda pair: pair[1],
+    )
+
+
+def floor_volume(matrix: SparseMatrix, ceilings) -> int:
+    """The volume every degraded answer under ``ceilings`` must beat."""
+    return floor_split(matrix, ceilings)[1]
+
+
 def keep_best(
     matrix: SparseMatrix,
     parts: np.ndarray,
     ceilings,
     volume: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """The best of ``parts`` and the two :func:`contiguous_splits`.
+    """The better of ``parts`` and the :func:`floor_split`.
 
     Ranked by feasibility under ``ceilings`` (one per part), then by
     communication volume; a tie keeps ``parts``.  ``volume`` is the
@@ -65,9 +85,7 @@ def keep_best(
 
     if volume is None:
         volume = communication_volume(matrix, parts)
-    best, best_key = parts, key(parts, volume)
-    for cand in contiguous_splits(matrix, ceilings):
-        cand_key = key(cand, communication_volume(matrix, cand))
-        if cand_key < best_key:
-            best, best_key = cand, cand_key
-    return best, best_key[1]
+    split, split_volume = floor_split(matrix, ceilings)
+    if key(split, split_volume) < key(parts, volume):
+        return split, split_volume
+    return parts, int(volume)

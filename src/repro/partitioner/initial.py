@@ -34,11 +34,10 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import FMResult, fm_refine
 from repro.utils.blas import single_thread_blas
-from repro.utils.deadline import Deadline, Degraded
+from repro.utils.deadline import Deadline
 
 __all__ = [
     "initial_partition",
@@ -242,11 +241,11 @@ def initial_partition(
     feasibility first, then cut, then balance.  Both refinements run on
     the same hypergraph, so they share one reusable kernel pass state.
 
-    An optional ``deadline`` is checked on entry and before each
-    candidate's refinement (which also receives it).  Expired on entry,
+    An optional ``deadline`` is checked on entry and handed to both
+    refinements, which check it between their passes.  Expired on entry,
     the result is one greedy grow without FM; expired later, the
-    candidates refined so far are ranked.  Either way the result carries
-    a ``Degraded[initial]`` record.
+    candidates are ranked as refined so far.  Either way the result
+    carries the cut-short refinement's ``Degraded[fm]`` record.
     """
     if h.nverts == 0:
         return FMResult(
@@ -257,34 +256,21 @@ def initial_partition(
             improvement=0,
         )
     if deadline is not None and deadline.expired():
-        parts = greedy_grow(h, max_weights, rng)
-        w0, w1 = part_weights(h, parts, 2)
-        return FMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(w0 <= max_weights[0] and w1 <= max_weights[1]),
-            passes=0,
-            improvement=0,
-            degraded=Degraded("initial", completed=0, skipped=2),
-        )
+        return fm_refine(h, greedy_grow(h, max_weights, rng), max_weights,
+                         config, rng, deadline=deadline)
     best: FMResult | None = None
     best_key: tuple | None = None
+    degraded = None
     candidates = (
         greedy_grow(h, max_weights, rng),
         spectral_sweep(h, max_weights)
         if h.nverts <= _SPECTRAL_MAX_NVERTS
         else greedy_grow(h, max_weights, rng),
     )
-    cut_short = False
-    refined = 0
     for parts in candidates:
-        if best is not None and deadline is not None and deadline.expired():
-            cut_short = True
-            break
         result = fm_refine(h, parts, max_weights, config, rng,
                            deadline=deadline)
-        refined += 1
-        cut_short = cut_short or result.degraded is not None
+        degraded = degraded or result.degraded
         w1 = int(np.dot(result.parts, h.vwgt))
         w0 = h.total_weight() - w1
         balance = max(
@@ -295,14 +281,8 @@ def initial_partition(
         if best_key is None or key < best_key:
             best, best_key = result, key
     assert best is not None
-    if cut_short:
-        best = dataclasses.replace(
-            best,
-            degraded=Degraded(
-                "initial", completed=refined,
-                skipped=len(candidates) - refined,
-            ),
-        )
+    if best.degraded is None and degraded is not None:
+        best = dataclasses.replace(best, degraded=degraded)
     return best
 
 

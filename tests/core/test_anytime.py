@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.floor import contiguous_splits, keep_best
+from repro.core.floor import contiguous_splits, floor_volume, keep_best
 from repro.core.kway import partition_kway
 from repro.core.methods import bipartition
 from repro.core.recursive import partition
@@ -142,12 +142,25 @@ def test_recursive_expired_budget_fallback_split_is_complete(matrix):
 
 
 def test_recursive_partial_budget_finishes_some_bisections(matrix):
-    res = partition(matrix, 8, seed=SEED, deadline=SoftBudget(2))
-    _assert_complete_and_valid(matrix, res, 8)
-    briefs = [b for b in res.failures if b.startswith("Degraded[recursive]")]
-    assert briefs, res.failures
-    # At least the root bisection completed before the budget ran out.
-    assert len(res.bisection_volumes) >= 1
+    # A budget covering the root's own check and every check of the root
+    # bisection: the root bisection completes, and the next subtree's
+    # check expires, so both subtrees take the fallback split.
+    probe = _Probe()
+    base = partition(matrix, 8, seed=SEED, deadline=probe)
+    subtree_checks = [
+        i for i, name in enumerate(probe.callers()) if name == "_solve_serial"
+    ]
+    res = partition(
+        matrix, 8, seed=SEED, deadline=SoftBudget(subtree_checks[1])
+    )
+    _assert_valid_and_within_floor(matrix, res, 8)
+    assert not any(
+        b.startswith("Degraded[multilevel]") for b in res.failures
+    ), res.failures
+    assert any(
+        b.startswith("Degraded[recursive]") for b in res.failures
+    ), res.failures
+    assert res.bisection_volumes == base.bisection_volumes[:1]
 
 
 def test_parallel_recursion_budget_matches_serial(matrix):
@@ -223,13 +236,8 @@ class _Probe:
 
 
 def _floor_volume(matrix, nparts, eps=0.03):
-    ceilings = np.full(
-        nparts, max_allowed_part_size(matrix.nnz, nparts, eps)
-    )
-    return min(
-        communication_volume(matrix, split)
-        for split in contiguous_splits(matrix, ceilings)
-    )
+    ceiling = max_allowed_part_size(matrix.nnz, nparts, eps)
+    return floor_volume(matrix, np.full(nparts, ceiling))
 
 
 def _assert_valid_and_within_floor(matrix, res, nparts):
@@ -315,6 +323,11 @@ def test_contiguous_splits_fit_the_ceilings(matrix, ceilings):
     # Row-major is the canonical order itself: the part ids never fall.
     assert (np.diff(row_major) >= 0).all()
     assert (np.diff(col_major[matrix.col_order()]) >= 0).all()
+    # The floor is the better of the two.
+    assert floor_volume(matrix, ceilings) == min(
+        communication_volume(matrix, row_major),
+        communication_volume(matrix, col_major),
+    )
 
 
 def test_keep_best_prefers_feasible_then_lower_volume(matrix):
