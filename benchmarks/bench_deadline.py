@@ -3,9 +3,10 @@
 Every engine stops at its next boundary once its deadline expires and
 keeps the best of its answer and the contiguous floor (the row-major and
 column-major contiguous splits, :mod:`repro.core.floor`).  For the
-recursive engine and the direct k-way engine (``kway_vcycles`` 1 and 2)
-at p in {2, 4, 16, 64} on ``sym_grid2d_l``, under a 10 ms deadline
-with seeds 1-5, this prints one row per cell:
+recursive engine (serial, and on a 2-worker pool) and the direct k-way
+engine (``kway_vcycles`` 1 and 2) at p in {2, 4, 16, 64} on
+``sym_grid2d_l``, under a 10 ms deadline with seeds 1-5, this prints one
+row per cell:
 
 ``overshoot``
     median wall-clock time past the deadline's expiry over the seeds
@@ -51,11 +52,14 @@ from repro.utils.deadline import Deadline, SoftBudget
 INSTANCE = "sym_grid2d_l"
 EPS = 0.03
 NPARTS = (2, 4, 16, 64)
-#: ``(label, algo, kway_vcycles)``.
+#: ``(label, algo, kway_vcycles, jobs)``.  The recursive engine runs
+#: on a pool only from p = 4 on, so its ``jobs=2`` row at p = 2 repeats
+#: the serial one.
 ENGINES = (
-    ("recursive", "recursive", 0),
-    ("kway+ml", "kway", 1),
-    ("kway+ml+vc", "kway", 2),
+    ("recursive", "recursive", 0, 1),
+    ("recursive, jobs=2", "recursive", 0, 2),
+    ("kway+ml", "kway", 1, 1),
+    ("kway+ml+vc", "kway", 2, 1),
 )
 #: The wall-clock deadline, and the partitioning seeds of every cell.
 DEADLINE_S = 0.01
@@ -81,8 +85,8 @@ def check(matrix, res, nparts: int) -> str | None:
     return None
 
 
-def run_cell(matrix, algo: str, vcycles: int, nparts: int, deadlines,
-             must_degrade: bool):
+def run_cell(matrix, algo: str, vcycles: int, jobs: int, nparts: int,
+             deadlines, must_degrade: bool):
     """Run one engine x p cell under each ``(seed, deadline factory)``."""
     cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=vcycles)
     ceilings = np.full(nparts, max_allowed_part_size(matrix.nnz, nparts, EPS))
@@ -92,7 +96,7 @@ def run_cell(matrix, algo: str, vcycles: int, nparts: int, deadlines,
         deadline = make_deadline()
         res = partition(
             matrix, nparts, method="mediumgrain", eps=EPS, config=cfg,
-            seed=seed, algo=algo, deadline=deadline,
+            seed=seed, algo=algo, jobs=jobs, deadline=deadline,
         )
         if isinstance(deadline, Deadline):
             overshoots.append(deadline.overshoot())
@@ -127,8 +131,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     matrix = load_instance(INSTANCE)
-    # Warm up lazy imports and caches before the first timed run.
-    partition(matrix, 2, seed=0)
+    # Warm up lazy imports, caches and the worker pool before the first
+    # timed run.
+    partition(matrix, 4, seed=0, jobs=2)
     if args.smoke:
         deadlines = [
             (seed, lambda b=budget: SoftBudget(b))
@@ -144,9 +149,9 @@ def main(argv=None) -> int:
           "| degraded / floor (max) | ok |")
     print("|---|---:|---:|---:|---:|---:|---|")
     failed = []
-    for label, algo, vcycles in ENGINES:
+    for label, algo, vcycles, jobs in ENGINES:
         for nparts in NPARTS:
-            cell = run_cell(matrix, algo, vcycles, nparts, deadlines,
+            cell = run_cell(matrix, algo, vcycles, jobs, nparts, deadlines,
                             must_degrade=args.smoke)
             overshoot = (
                 "—" if cell["overshoot_ms"] is None

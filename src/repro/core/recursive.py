@@ -46,7 +46,8 @@ threads share the matrix in-process.  The partition returned is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.floor import keep_best
@@ -207,24 +208,28 @@ def partition(
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the
-    run *anytime*.  The serial recursion checks it before each bisection
-    and hands it to the bisection itself, whose multilevel run and
-    iterate loop stop at their next boundary
-    (:func:`repro.core.methods.bipartition`).  Once it has expired, the
-    remaining subtrees are finished with an even contiguous fallback
-    split instead of further method runs — every nonzero still gets a
-    part in ``[0, nparts)`` and per-part sizes stay within one of each
-    other, so the result passes validation, just at degraded quality.
-    Pool workers never see the deadline (the calling process checks it
-    between frontier rounds), so a dispatched subtree always completes.  A
-    cut-short run returns the best of its answer and the two contiguous
-    splits of the whole matrix (:func:`repro.core.floor.keep_best`) and
-    reports each cut-short bisection's ``Degraded[...]`` brief and a
-    ``Degraded[recursive]`` brief for the skipped subtrees in
-    ``failures``.  Under ``algo="kway"`` the deadline is threaded into
-    every engine loop instead (see
-    :func:`repro.core.kway.partition_kway`).  With ``deadline=None``
-    nothing changes, bit for bit.
+    run *anytime*.  The recursion checks it before each bisection and
+    hands it to the bisection itself, whose multilevel run and iterate
+    loop stop at their next boundary
+    (:func:`repro.core.methods.bipartition`) — on the pool too: frontier
+    bisections and subtree workers carry the deadline.  Once it has
+    expired, the remaining subtrees are finished with an even contiguous
+    fallback split instead of further method runs — every nonzero still
+    gets a part in ``[0, nparts)`` and per-part sizes stay within one of
+    each other, so the result passes validation, just at degraded
+    quality.  A cut-short run returns the best of its answer and the two
+    contiguous splits of the whole matrix
+    (:func:`repro.core.floor.keep_best`) and reports each cut-short
+    bisection's ``Degraded[...]`` brief and a ``Degraded[recursive]``
+    brief for the skipped subtrees in ``failures``.  A ``SoftBudget``
+    stays deterministic under every ``exec_backend``: a lone task runs
+    inline on the caller's own budget, and concurrent tasks each count
+    down a copy taken at dispatch.  So ``jobs >= 2`` matches ``jobs=1``
+    for every budget that expires by the end of the root bisection;
+    later, each concurrent subtree has its own copy of what was left.
+    Under ``algo="kway"`` the deadline is threaded into every engine
+    loop instead (see :func:`repro.core.kway.partition_kway`).  With
+    ``deadline=None`` nothing changes, bit for bit.
     """
     nparts = check_pos_int(nparts, "nparts")
     check_eps(eps)
@@ -283,18 +288,18 @@ def partition(
             job = _TreeJob(
                 ceiling=ceiling, eps=eps, method=method, refine=refine,
                 cfg=cfg, root_seed=root_seed,
-                trace=_trace.current_context(),
+                trace=_trace.current_context(), deadline=deadline,
             )
             # With fewer than 4 parts at most one bisection can ever be
             # in flight, so a pool would only add process overhead.
             if jobs >= 2 and nparts >= 4:
                 failures, skipped = _solve_parallel(
                     matrix, root, job, jobs, exec_backend, parts, volumes,
-                    policy, deadline,
+                    degraded, policy,
                 )
             else:
                 skipped = _solve_serial(
-                    matrix, root, job, parts, volumes, deadline, degraded
+                    matrix, root, job, parts, volumes, degraded
                 )
         volume = None
         # At p = 2 a bisected root is the whole answer, and the
@@ -341,19 +346,21 @@ class _TreeJob:
     cfg: PartitionerConfig
     root_seed: np.random.SeedSequence
     # Cross-process trace envelope (None when tracing is disabled) —
-    # rides the job like the deadline does, never influences results.
+    # never influences results.
     trace: object = None
+    # The run's deadline (None = unbounded), checked by every node and
+    # handed to every bisection, in the driver and in pool workers alike.
+    deadline: Deadline | None = None
 
 
 def _bisect_node(
     matrix: SparseMatrix,
     node: _Node,
     job: _TreeJob,
-    deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, int, tuple[str, ...]]:
     """Run one bisection; returns the 0/1 parts (aligned with
     ``node.indices``), its communication volume and the ``Degraded``
-    briefs of whatever ``deadline`` cut short in it."""
+    briefs of whatever ``job.deadline`` cut short in it."""
     faults.fault_point("recursive.bisect")
     q0 = node.nparts // 2
     q1 = node.nparts - q0
@@ -387,7 +394,7 @@ def _bisect_node(
             job.cfg,
             as_generator(child_sequence(job.root_seed, *node.path)),
             (cap0, cap1),
-            deadline,
+            job.deadline,
         )
     briefs = tuple(d.brief() for d in result.degraded)
     return result.parts, result.volume, briefs
@@ -414,40 +421,35 @@ def _solve_serial(
     job: _TreeJob,
     out: np.ndarray,
     volumes: dict,
-    deadline: Deadline | None = None,
-    degraded: list | None = None,
+    degraded: list,
 ) -> int:
     """Depth-first reference traversal; assigns parts ``node.first_part ..
     first_part + nparts - 1`` to the nonzeros in ``node.indices``.
 
-    Each bisection receives ``deadline``; the ``Degraded`` briefs of the
-    bisections it cut short are appended to ``degraded``.  Returns the
-    number of subtrees an expired ``deadline`` finished with the
+    Each bisection receives ``job.deadline``; the ``Degraded`` briefs of
+    the bisections it cut short are appended to ``degraded``.  Returns
+    the number of subtrees an expired deadline finished with the
     fallback split instead of bisections (0 on a normal run).
     """
     if node.nparts == 1:
         out[node.indices] = node.first_part
         return 0
-    if deadline is not None and deadline.expired():
+    if job.deadline is not None and job.deadline.expired():
         _fallback_split(node, out)
         return 1
-    parts01, volume, briefs = _bisect_node(matrix, node, job, deadline)
+    parts01, volume, briefs = _bisect_node(matrix, node, job)
     volumes[node.path] = volume
-    if briefs:
-        degraded.extend(briefs)
+    degraded.extend(briefs)
     left, right = node.children(parts01)
-    skipped = _solve_serial(
-        matrix, left, job, out, volumes, deadline, degraded
-    )
-    skipped += _solve_serial(
-        matrix, right, job, out, volumes, deadline, degraded
-    )
+    skipped = _solve_serial(matrix, left, job, out, volumes, degraded)
+    skipped += _solve_serial(matrix, right, job, out, volumes, degraded)
     return skipped
 
 
-def _bisect_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, int]:
+def _bisect_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, int, tuple]:
     """Executor task: one bisection of a delivered submatrix (the node
     arrives index-free; the worker addresses the submatrix positionally).
+    Returns ``(parts01, volume, briefs)`` as :func:`_bisect_node` does.
     """
     path, nparts, job = extra
     local = _Node(path, np.arange(sub.nnz, dtype=np.int64), 0, nparts)
@@ -455,39 +457,53 @@ def _bisect_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, int]:
         job.trace, "worker.bisect",
         path="".join(map(str, path)) or "root",
     ):
-        parts01, volume, _ = _bisect_node(sub, local, job)
-    return parts01, volume
+        return _bisect_node(sub, local, job)
 
 
-def _subtree_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, dict]:
+def _subtree_task(
+    sub: SparseMatrix, extra
+) -> tuple[np.ndarray, dict, list, int]:
     """Executor task: solve a whole subtree serially on a delivered
     submatrix.
 
     ``path`` stays absolute so every descendant derives the same seed
     stream it would in a single-process run; the returned parts are
-    relative (``0 .. nparts - 1``), the caller re-offsets them.
+    relative (``0 .. nparts - 1``), the caller re-offsets them.  Returns
+    ``(parts, volumes, briefs, skipped)``: the last two are
+    :func:`_solve_serial`'s ``degraded`` list and return value.
     """
     path, nparts, job = extra
     local = _Node(path, np.arange(sub.nnz, dtype=np.int64), 0, nparts)
     out = np.zeros(sub.nnz, dtype=np.int64)
     volumes: dict = {}
+    briefs: list = []
     with _trace.activate(
         job.trace, "worker.subtree",
         path="".join(map(str, path)) or "root", nparts=nparts,
     ):
-        _solve_serial(sub, local, job, out, volumes)
-    return out, volumes
+        skipped = _solve_serial(sub, local, job, out, volumes, briefs)
+    return out, volumes, briefs, skipped
 
 
-def _node_task(matrix: SparseMatrix, nd: _Node, job: _TreeJob):
-    """The executor ``(indices, extra)`` item for one node.
+def _node_tasks(matrix: SparseMatrix, nodes: list[_Node], job: _TreeJob):
+    """The executor ``(indices, extra)`` items for one map over ``nodes``.
 
     The root node (all nonzeros) ships ``None`` so no index array — and
     under the shared-memory backend no nonzero data at all — crosses the
-    worker boundary.
+    worker boundary.  A lone task runs inline and counts down the
+    driver's own deadline, exactly as :func:`_solve_serial` would;
+    concurrent tasks each get a copy taken here, at dispatch, so a
+    ``SoftBudget`` counts the same under every backend and no counter is
+    shared between threads.
     """
-    indices = None if nd.indices.size == matrix.nnz else nd.indices
-    return (indices, (nd.path, nd.nparts, job))
+    tasks = []
+    for nd in nodes:
+        own = job
+        if len(nodes) > 1 and job.deadline is not None:
+            own = replace(job, deadline=copy.copy(job.deadline))
+        indices = None if nd.indices.size == matrix.nnz else nd.indices
+        tasks.append((indices, (nd.path, nd.nparts, own)))
+    return tasks
 
 
 def _path_label(path: tuple[int, ...]) -> str:
@@ -507,15 +523,17 @@ def _check_bisect_result(matrix: SparseMatrix, nd: _Node, value) -> None:
 
     Structural invariants via :func:`validate_parts` plus eqn-(3) volume
     consistency: the reported volume must equal the volume recomputed in
-    the driver from the parts the worker handed back.
+    the driver from the parts the worker handed back.  A bisection the
+    deadline cut short is still a complete bisection with its recomputed
+    volume, so it passes the same checks.
     """
     label = _path_label(nd.path)
     try:
-        parts01, volume = value
+        parts01, volume, _briefs = value
     except Exception:
         raise ResultValidationError(
             f"bisect task returned {type(value).__name__}, not "
-            f"(parts, volume)", task=label,
+            f"(parts, volume, briefs)", task=label,
         ) from None
     validate_parts(parts01, nd.indices.size, 2, context=label)
     actual = communication_volume(_node_submatrix(matrix, nd), parts01)
@@ -529,25 +547,41 @@ def _check_bisect_result(matrix: SparseMatrix, nd: _Node, value) -> None:
 def _check_subtree_result(matrix: SparseMatrix, nd: _Node, value) -> None:
     """Boundary validation of one worker-returned subtree solution.
 
-    The relative parts must be a complete in-range assignment, and the
-    subtree's *root* bisection — reconstructible from the parts alone,
-    since part ranges are deterministic — must recompute to the volume
-    the worker reported for it.
+    The relative parts must be a complete in-range assignment.  When the
+    worker bisected the subtree's *root*, that bisection —
+    reconstructible from the parts alone, since part ranges are
+    deterministic — must recompute to the volume the worker reported for
+    it.  When an expired deadline made the worker fallback-split its
+    root instead, there is no such volume, and the parts must be exactly
+    that (deterministic) fallback split.
     """
     label = _path_label(nd.path)
     try:
-        local, vols = value
+        local, vols, _briefs, _skipped = value
     except Exception:
         raise ResultValidationError(
             f"subtree task returned {type(value).__name__}, not "
-            f"(parts, volumes)", task=label,
+            f"(parts, volumes, briefs, skipped)", task=label,
         ) from None
     validate_parts(local, nd.indices.size, nd.nparts, context=label)
+    reported = vols.get(nd.path) if isinstance(vols, dict) else None
+    if reported is None:
+        fallback = np.empty(nd.indices.size, dtype=np.int64)
+        _fallback_split(
+            _Node(nd.path, np.arange(nd.indices.size), 0, nd.nparts),
+            fallback,
+        )
+        if not np.array_equal(local, fallback):
+            raise ResultValidationError(
+                f"subtree root has no reported volume and is not the "
+                f"fallback split ({label}): result corrupted in transit",
+                task=label,
+            )
+        return
     q0 = nd.nparts // 2
     parts01 = (local >= q0).astype(np.int64)
     actual = communication_volume(_node_submatrix(matrix, nd), parts01)
-    reported = vols.get(nd.path) if isinstance(vols, dict) else None
-    if reported is None or int(reported) != actual:
+    if int(reported) != actual:
         raise ResultValidationError(
             f"reported subtree root volume {reported} != recomputed "
             f"{actual} ({label}): result corrupted in transit", task=label,
@@ -562,8 +596,8 @@ def _solve_parallel(
     exec_backend: str,
     out: np.ndarray,
     volumes: dict,
+    degraded: list,
     policy: RetryPolicy | None = None,
-    deadline: Deadline | None = None,
 ) -> tuple[tuple, int]:
     """Scheduler for ``jobs >= 2``: frontier-widening rounds of concurrent
     bisections, then one serial subtree per worker.
@@ -572,11 +606,12 @@ def _solve_parallel(
     influence on the result — this produces exactly the partition of
     :func:`_solve_serial` under every execution backend.  Returns the
     failure briefs the hardened executor accumulated (empty when nothing
-    went wrong) and the number of subtrees an expired ``deadline``
-    finished via the fallback split.
+    went wrong) and the number of subtrees an expired deadline finished
+    via the fallback split; the ``Degraded`` briefs of cut-short
+    bisections are appended to ``degraded``.
     """
     with MatrixExecutor(matrix, jobs, exec_backend, policy=policy) as ex:
-        skipped = _schedule_tree(ex, root, job, jobs, out, volumes, deadline)
+        skipped = _schedule_tree(ex, root, job, jobs, out, volumes, degraded)
         return tuple(f.brief() for f in ex.failures), skipped
 
 
@@ -587,17 +622,25 @@ def _schedule_tree(
     jobs: int,
     out: np.ndarray,
     volumes: dict,
-    deadline: Deadline | None = None,
+    degraded: list,
 ) -> int:
     """Widen the frontier until every worker has a subtree, then dispatch.
 
-    The deadline is checked at round boundaries (between frontier rounds
-    and before the subtree dispatch) — the driver-side counterpart of
-    :func:`_solve_serial`'s per-node check.  Workers never see it: a
-    dispatched subtree always completes, so worker results keep their
-    deterministic ``(parts, volumes)`` contract.
+    The driver checks ``job.deadline`` at round boundaries (before each
+    frontier round and before the subtree dispatch) — the counterpart of
+    :func:`_solve_serial`'s per-node check — and every task carries it
+    too: a frontier bisection stops at its next multilevel boundary, and
+    a subtree worker checks before each of its bisections, so a
+    dispatched subtree may come back partly (or wholly) fallback-split.
+    Frontier rounds and subtree workers hand back their ``Degraded``
+    briefs (appended to ``degraded``) and the workers their skipped
+    counts (added to the return value).  The root bisection runs inline
+    on the driver's own deadline (see :func:`_node_tasks`), so up to its
+    end a ``SoftBudget`` run matches :func:`_solve_serial` check for
+    check.
     """
     matrix = ex.matrix
+    deadline = job.deadline
     frontier: list[_Node] = [root]
     while True:
         splittable = [nd for nd in frontier if nd.nparts > 1]
@@ -609,7 +652,7 @@ def _schedule_tree(
         # one-task maps — so the round-trip is skipped automatically.)
         results = ex.map(
             _bisect_task,
-            [_node_task(matrix, nd, job) for nd in splittable],
+            _node_tasks(matrix, splittable, job),
             validate=lambda i, v, nodes=splittable: _check_bisect_result(
                 matrix, nodes[i], v
             ),
@@ -620,27 +663,30 @@ def _schedule_tree(
             if nd.nparts == 1:
                 widened.append(nd)
                 continue
-            parts01, volume = next(results_iter)
+            parts01, volume, briefs = next(results_iter)
             volumes[nd.path] = volume
+            degraded.extend(briefs)
             widened.extend(nd.children(parts01))
         frontier = widened
     subtrees = [nd for nd in frontier if nd.nparts > 1]
     for nd in frontier:
         if nd.nparts == 1:
             out[nd.indices] = nd.first_part
-    if subtrees:
-        if deadline is not None and deadline.expired():
-            for nd in subtrees:
-                _fallback_split(nd, out)
-            return len(subtrees)
-        results = ex.map(
-            _subtree_task,
-            [_node_task(matrix, nd, job) for nd in subtrees],
-            validate=lambda i, v: _check_subtree_result(
-                matrix, subtrees[i], v
-            ),
-        )
-        for nd, (local, vols) in zip(subtrees, results):
-            out[nd.indices] = nd.first_part + local
-            volumes.update(vols)
-    return 0
+    if not subtrees:
+        return 0
+    if deadline is not None and deadline.expired():
+        for nd in subtrees:
+            _fallback_split(nd, out)
+        return len(subtrees)
+    results = ex.map(
+        _subtree_task,
+        _node_tasks(matrix, subtrees, job),
+        validate=lambda i, v: _check_subtree_result(matrix, subtrees[i], v),
+    )
+    skipped = 0
+    for nd, (local, vols, briefs, cut) in zip(subtrees, results):
+        out[nd.indices] = nd.first_part + local
+        volumes.update(vols)
+        degraded.extend(briefs)
+        skipped += cut
+    return skipped

@@ -81,11 +81,14 @@ class Deadline:
 
     # Explicit state methods: __slots__ classes have no __dict__, and
     # the absolute monotonic expiry is exactly what must cross a fork.
+    # The state is a 1-tuple, never None: pickle and copy skip
+    # ``__setstate__`` for a None state, which would leave an unbounded
+    # deadline without its slot.
     def __getstate__(self):
-        return self._expiry
+        return (self._expiry,)
 
     def __setstate__(self, state):
-        self._expiry = state
+        (self._expiry,) = state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._expiry is None:

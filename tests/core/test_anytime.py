@@ -14,6 +14,7 @@ pinned, not racy.  Three invariants are pinned for every engine:
   until it fires.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -26,7 +27,9 @@ from repro.core.recursive import partition
 from repro.core.validate import validate_partition
 from repro.core.volume import communication_volume
 from repro.hypergraph.models import row_net_model
+from repro.obs.metrics import REGISTRY
 from repro.partitioner.bipartition import bipartition_hypergraph
+from repro.partitioner.config import get_config
 from repro.sparse.collection import load_instance
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, SoftBudget
@@ -89,10 +92,12 @@ def test_bipartition_hypergraph_unbounded_deadlines_are_bit_identical(
 
 def test_recursive_unbounded_deadline_is_bit_identical(matrix):
     base = partition(matrix, 8, seed=SEED)
-    run = partition(matrix, 8, seed=SEED, deadline=Deadline(3600.0))
-    np.testing.assert_array_equal(run.parts, base.parts)
-    assert run.volume == base.volume
-    assert run.failures == ()
+    for jobs in (1, 2):  # on the pool, every task carries the deadline
+        for idle in (Deadline(None), Deadline(3600.0)):
+            run = partition(matrix, 8, seed=SEED, jobs=jobs, deadline=idle)
+            np.testing.assert_array_equal(run.parts, base.parts)
+            assert run.volume == base.volume
+            assert run.failures == ()
 
 
 # --------------------------------------------------------------------- #
@@ -145,13 +150,10 @@ def test_recursive_partial_budget_finishes_some_bisections(matrix):
     # A budget covering the root's own check and every check of the root
     # bisection: the root bisection completes, and the next subtree's
     # check expires, so both subtrees take the fallback split.
-    probe = _Probe()
-    base = partition(matrix, 8, seed=SEED, deadline=probe)
-    subtree_checks = [
-        i for i, name in enumerate(probe.callers()) if name == "_solve_serial"
-    ]
+    base = partition(matrix, 8, seed=SEED)
     res = partition(
-        matrix, 8, seed=SEED, deadline=SoftBudget(subtree_checks[1])
+        matrix, 8, seed=SEED,
+        deadline=SoftBudget(_root_bisection_checks(matrix, 8)),
     )
     _assert_valid_and_within_floor(matrix, res, 8)
     assert not any(
@@ -164,8 +166,9 @@ def test_recursive_partial_budget_finishes_some_bisections(matrix):
 
 
 def test_parallel_recursion_budget_matches_serial(matrix):
-    # The deadline lives driver-side only, so the degraded partition is
-    # the same with and without a worker pool.
+    # The root's check runs in the driver either way, so a budget that
+    # expires there gives the same degraded partition with and without
+    # a worker pool.
     serial = partition(matrix, 8, seed=SEED, deadline=SoftBudget(0))
     parallel = partition(
         matrix, 8, seed=SEED, jobs=2, deadline=SoftBudget(0)
@@ -308,6 +311,95 @@ def test_recursive_expired_root_keeps_best_against_floor(matrix):
     for nparts in (2, 8):
         res = partition(matrix, nparts, seed=SEED, deadline=SoftBudget(0))
         _assert_valid_and_within_floor(matrix, res, nparts)
+
+
+# --------------------------------------------------------------------- #
+# The pool path obeys the deadline too
+# --------------------------------------------------------------------- #
+POOL_BACKENDS = ["process", "thread"]
+
+
+def _root_bisection_checks(matrix, nparts):
+    """Checks a serial run makes up to and including the root
+    bisection's last one: the index of the first subtree's check."""
+    probe = _Probe()
+    partition(matrix, nparts, seed=SEED, deadline=probe)
+    subtree_checks = [
+        i for i, name in enumerate(probe.callers()) if name == "_solve_serial"
+    ]
+    return subtree_checks[1]
+
+
+def _retries():
+    return REGISTRY.get("repro_executor_retries_total").value
+
+
+@pytest.mark.parametrize("exec_backend", POOL_BACKENDS)
+def test_parallel_budget_through_root_bisection_matches_serial(
+    matrix, exec_backend
+):
+    # The root bisection runs inline on the driver's own budget, so
+    # every budget that expires by its last check sees exactly the
+    # serial run's checks: parts, volume and briefs all agree —
+    # including the cut-short root's Degraded[multilevel] brief, which
+    # the pool path used to drop.
+    root_checks = _root_bisection_checks(matrix, 8)
+    for budget in range(root_checks + 1):
+        serial = partition(matrix, 8, seed=SEED, deadline=SoftBudget(budget))
+        parallel = partition(
+            matrix, 8, seed=SEED, jobs=2, exec_backend=exec_backend,
+            deadline=SoftBudget(budget),
+        )
+        np.testing.assert_array_equal(parallel.parts, serial.parts)
+        assert parallel.volume == serial.volume, budget
+        assert parallel.failures == serial.failures, budget
+        assert parallel.bisection_volumes == serial.bisection_volumes
+        if 0 < budget < root_checks:
+            assert any(
+                b.startswith("Degraded[multilevel]")
+                for b in parallel.failures
+            ), (budget, parallel.failures)
+
+
+@pytest.mark.parametrize("worker_checks", [0, 3])
+def test_budget_expiring_in_subtree_worker_degrades_without_retry(
+    matrix, worker_checks
+):
+    # The budget outlives the root bisection and the driver's dispatch
+    # check; each subtree worker then counts down its own copy with
+    # ``worker_checks`` checks left, so every backend — the inline
+    # ``serial`` one included — gives the same answer.  With 0 the
+    # worker fallback-splits its own root and reports no volume for it,
+    # which validation must accept: a cut-short subtree is a valid
+    # answer, not a corrupted one to retry.
+    root_checks = _root_bisection_checks(matrix, 8)
+    base = partition(matrix, 8, seed=SEED)
+    hardened = dataclasses.replace(
+        get_config("mondriaan"), task_timeout=60.0, retries=2
+    )
+    first = None
+    for exec_backend in ["serial"] + POOL_BACKENDS:
+        for config in (hardened, "mondriaan"):
+            retries = _retries()
+            res = partition(
+                matrix, 8, seed=SEED, jobs=2, exec_backend=exec_backend,
+                config=config,
+                deadline=SoftBudget(root_checks + 1 + worker_checks),
+            )
+            assert _retries() == retries
+            assert not any("Error" in b for b in res.failures), res.failures
+            first = first or res
+            np.testing.assert_array_equal(res.parts, first.parts)
+            assert res.failures == first.failures
+    _assert_valid_and_within_floor(matrix, first, 8)
+    assert any(b.startswith("Degraded[recursive]") for b in first.failures)
+    assert first.bisection_volumes[0] == base.bisection_volumes[0]
+    if worker_checks == 0:
+        assert first.bisection_volumes == base.bisection_volumes[:1]
+    else:
+        assert any(
+            b.startswith("Degraded[multilevel]") for b in first.failures
+        ), first.failures
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ daemon mints deadlines that forked workers must honour), and
 ``SoftBudget`` is exactly deterministic in its check count.
 """
 
+import copy
 import pickle
 import time
 
@@ -53,6 +54,11 @@ def test_deadline_pickles_to_the_same_expiry():
     assert abs(clone.remaining() - d.remaining()) < 1.0
     gone = pickle.loads(pickle.dumps(Deadline(0)))
     assert gone.expired() is True
+    # An unbounded deadline crosses too (a pool task carries it).
+    for clone in (pickle.loads(pickle.dumps(Deadline(None))),
+                  copy.copy(Deadline(None))):
+        assert clone.expired() is False
+        assert clone.remaining() is None
 
 
 # --------------------------------------------------------------------- #
