@@ -163,7 +163,9 @@ def partition_kway(
     An optional ``deadline`` (:class:`~repro.utils.deadline.Deadline` or
     the deterministic :class:`~repro.utils.deadline.SoftBudget`) makes
     the run *anytime*: every engine stops at its next pass/level/cycle
-    boundary once it expires, and each cut-short loop contributes a
+    boundary, or within its current matching sweep, once it expires
+    (see :func:`repro.partitioner.multilevel.multilevel_kway`), and each
+    cut-short loop contributes a
     ``Degraded[...]`` brief to the result's ``failures`` tuple.  A
     cut-short run returns the best of its incumbent and the two
     contiguous splits (:func:`repro.core.floor.keep_best`), ranked by

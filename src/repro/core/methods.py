@@ -154,7 +154,8 @@ def bipartition(
         bisection uses this).
     deadline:
         Optional anytime deadline.  The multilevel run checks it at its
-        coarsening, coarsest-level and uncoarsening boundaries
+        coarsening, coarsest-level and uncoarsening boundaries and
+        inside its matching sweeps
         (:func:`repro.partitioner.multilevel.multilevel_bipartition`),
         and the ``refine=True`` iterate loop between iterations
         (:func:`repro.core.refine.iterative_refine`).  A cut-short run

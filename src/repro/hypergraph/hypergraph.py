@@ -54,7 +54,10 @@ class Hypergraph:
         coarsener whose outputs are valid by construction).
     """
 
-    __slots__ = ("nverts", "nnets", "xpins", "pins", "vwgt", "ncost", "_cache")
+    __slots__ = (
+        "nverts", "nnets", "xpins", "pins", "vwgt", "ncost", "_cache",
+        "__weakref__",
+    )
 
     def __init__(
         self,

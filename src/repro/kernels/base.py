@@ -86,9 +86,14 @@ class KernelBackend:
         max_net: int,
         max_cluster_weight: int,
         restrict_parts: np.ndarray | None,
+        deadline=None,
     ) -> np.ndarray:
         """Greedy matching sweep in the given visit ``order``.
 
-        Returns the partner array (``-1`` for unmatched vertices).
+        Returns the partner array (``-1`` for unmatched vertices).  A
+        ``deadline`` is checked during the sweep, which raises
+        :class:`~repro.utils.deadline.Expired` once it has expired;
+        callers pass one only when they have one, so a kernel without
+        the parameter serves every unbounded run.
         """
         raise NotImplementedError

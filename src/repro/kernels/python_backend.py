@@ -35,8 +35,13 @@ from repro.kernels.state import (
     fm_stall_limit,
     seed_buckets,
 )
+from repro.utils.deadline import Expired
 
-__all__ = ["PythonBackend", "merge_identical_nets"]
+__all__ = ["MATCH_CHUNK", "PythonBackend", "merge_identical_nets"]
+
+#: Visits between two deadline checks of a deadline-bound matching
+#: sweep (a few hundred microseconds of interpreted scoring).
+MATCH_CHUNK = 256
 
 
 def _kw_refile(head, nxt, prv, inside, bgain, offset, u, newg, maxptr):
@@ -785,8 +790,16 @@ class PythonBackend(KernelBackend):
         max_net: int,
         max_cluster_weight: int,
         restrict_parts: np.ndarray | None,
+        deadline=None,
     ) -> np.ndarray:
-        """Greedy matching sweep on the cached list mirrors."""
+        """Greedy matching sweep on the cached list mirrors.
+
+        With a ``deadline`` the visit order runs in chunks of
+        :data:`MATCH_CHUNK` visits, checked between chunks; once it has
+        expired the sweep raises :class:`~repro.utils.deadline.Expired`
+        with the visits made so far.  Without one the order is one
+        chunk and nothing is checked.
+        """
         mirrors = state.list_mirrors()
         xpins_l: list = mirrors["xpins"]
         pins_l: list = mirrors["pins"]
@@ -802,71 +815,85 @@ class PythonBackend(KernelBackend):
             restrict_parts.tolist() if restrict_parts is not None else None
         )
         score = [0.0] * nverts
-        for v in order.tolist():
-            if match[v] != -1:
-                continue
-            # Candidate weight cap rewritten as a bound on the partner's
-            # weight; the scoring loops below are specialized on whether
-            # coarsening is part-restricted (the checks are side-effect
-            # free, so hoisting the restrict test out of the unrestricted
-            # sweep cannot change any score).
-            cap = max_cluster_weight - vw_l[v]
-            touched: list[int] = []
-            tappend = touched.append
-            if parts_l is None:
-                for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
-                    sz = sizes_l[n]
-                    if sz < 2 or sz > max_net:
-                        continue
-                    c = cost_l[n]
-                    if c == 0:
-                        continue
-                    w = c / (sz - 1) if absorption else float(c)
-                    for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
-                        if u == v or match[u] != -1:
+        visit = order.tolist()
+        if deadline is None:
+            chunks = [visit]
+        else:
+            chunks = [
+                visit[i:i + MATCH_CHUNK]
+                for i in range(0, len(visit), MATCH_CHUNK)
+            ]
+        for i, chunk in enumerate(chunks):
+            if i and deadline.expired():
+                raise Expired(i * MATCH_CHUNK)
+            for v in chunk:
+                if match[v] != -1:
+                    continue
+                # Candidate weight cap rewritten as a bound on the
+                # partner's weight; the scoring loops below are
+                # specialized on whether coarsening is part-restricted
+                # (the checks are side-effect free, so hoisting the
+                # restrict test out of the unrestricted sweep cannot
+                # change any score).
+                cap = max_cluster_weight - vw_l[v]
+                touched: list[int] = []
+                tappend = touched.append
+                if parts_l is None:
+                    for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
+                        sz = sizes_l[n]
+                        if sz < 2 or sz > max_net:
                             continue
-                        if vw_l[u] > cap:
+                        c = cost_l[n]
+                        if c == 0:
                             continue
-                        su = score[u]
-                        if su == 0.0:
-                            tappend(u)
-                        score[u] = su + w
-            else:
-                pv = parts_l[v]
-                for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
-                    sz = sizes_l[n]
-                    if sz < 2 or sz > max_net:
-                        continue
-                    c = cost_l[n]
-                    if c == 0:
-                        continue
-                    w = c / (sz - 1) if absorption else float(c)
-                    for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
-                        if u == v or match[u] != -1:
+                        w = c / (sz - 1) if absorption else float(c)
+                        for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
+                            if u == v or match[u] != -1:
+                                continue
+                            if vw_l[u] > cap:
+                                continue
+                            su = score[u]
+                            if su == 0.0:
+                                tappend(u)
+                            score[u] = su + w
+                else:
+                    pv = parts_l[v]
+                    for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
+                        sz = sizes_l[n]
+                        if sz < 2 or sz > max_net:
                             continue
-                        if parts_l[u] != pv:
+                        c = cost_l[n]
+                        if c == 0:
                             continue
-                        if vw_l[u] > cap:
-                            continue
-                        su = score[u]
-                        if su == 0.0:
-                            tappend(u)
-                        score[u] = su + w
-            if touched:
-                best_u = -1
-                best_s = 0.0
-                for u in touched:
-                    s = score[u]
-                    # Tie-break towards the lighter candidate: keeps coarse
-                    # weights even, which preserves partitionability.
-                    if s > best_s or (
-                        s == best_s and best_u != -1 and vw_l[u] < vw_l[best_u]
-                    ):
-                        best_u, best_s = u, s
-                    score[u] = 0.0
-                if best_u != -1:
-                    match[v] = best_u
-                    match[best_u] = v
+                        w = c / (sz - 1) if absorption else float(c)
+                        for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
+                            if u == v or match[u] != -1:
+                                continue
+                            if parts_l[u] != pv:
+                                continue
+                            if vw_l[u] > cap:
+                                continue
+                            su = score[u]
+                            if su == 0.0:
+                                tappend(u)
+                            score[u] = su + w
+                if touched:
+                    best_u = -1
+                    best_s = 0.0
+                    for u in touched:
+                        s = score[u]
+                        # Tie-break towards the lighter candidate: keeps
+                        # coarse weights even, which preserves
+                        # partitionability.
+                        if s > best_s or (
+                            s == best_s and best_u != -1
+                            and vw_l[u] < vw_l[best_u]
+                        ):
+                            best_u, best_s = u, s
+                        score[u] = 0.0
+                    if best_u != -1:
+                        match[v] = best_u
+                        match[best_u] = v
         return np.asarray(match, dtype=np.int64)
 
 

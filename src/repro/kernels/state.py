@@ -25,6 +25,8 @@ hypergraph instead of once per call.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
@@ -53,7 +55,7 @@ class FMPassState:
     """
 
     __slots__ = (
-        "h",
+        "_h",
         "backend_name",
         "max_gain",
         "nbuckets",
@@ -63,7 +65,7 @@ class FMPassState:
     )
 
     def __init__(self, h: Hypergraph, backend_name: str) -> None:
-        self.h = h
+        self._h = weakref.ref(h)
         self.backend_name = backend_name
         self.max_gain = h.max_vertex_net_cost()
         self.nbuckets = 2 * self.max_gain + 1
@@ -71,6 +73,17 @@ class FMPassState:
         self.total_weight = h.total_weight()
         #: Python-list mirrors (built on demand, see :meth:`list_mirrors`).
         self.lists: dict | None = None
+
+    @property
+    def h(self) -> Hypergraph:
+        """The hypergraph, held weakly.
+
+        The state lives in the hypergraph's cache; a strong reference
+        back would make each hypergraph with a state a cycle that only
+        the cyclic garbage collector frees, so dropped hypergraphs and
+        their list mirrors would linger for as long as it waits.
+        """
+        return self._h()
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -115,11 +115,18 @@ def render_report(rows: List[StageRow],
 
 
 def count_events(records: Iterable[dict]) -> dict:
-    """Tally span events by name (retries, kills, degradations)."""
+    """Tally span events by name (retries, kills, degradations).
+
+    An event with a ``where`` attribute — a ``deadline`` stop — is
+    tallied under ``name[where]`` (``deadline[match]``), so the report
+    shows where a deadline stopped the run.
+    """
     out: dict = {}
     for rec in records:
         for ev in rec.get("events", ()):
             name = ev.get("name")
             if name:
+                if "where" in ev:
+                    name = f"{name}[{ev['where']}]"
                 out[name] = out.get(name, 0) + 1
     return out

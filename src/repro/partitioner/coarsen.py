@@ -50,6 +50,7 @@ def match_vertices(
     rng: np.random.Generator,
     max_cluster_weight: int,
     restrict_parts: np.ndarray | None = None,
+    deadline=None,
 ) -> np.ndarray:
     """Greedy matching; returns ``match`` with ``match[v]`` the partner of
     ``v`` or ``-1`` for unmatched vertices.
@@ -64,14 +65,17 @@ def match_vertices(
 
     The candidate-scoring sweep is a kernel
     (:meth:`~repro.kernels.base.KernelBackend.match_vertices`); the RNG
-    is consumed here.
+    is consumed here.  A ``deadline`` goes to the kernel, which checks
+    it during the sweep and raises
+    :class:`~repro.utils.deadline.Expired` once it has expired; without
+    one the kernel is called exactly as before.
     """
     nverts = h.nverts
     if nverts == 0 or h.npins == 0:
         return np.full(nverts, -1, dtype=np.int64)
     kernels = kernels_for(config)
     order = rng.permutation(nverts)
-    return kernels.match_vertices(
+    args = (
         kernels.fm_state(h),
         order,
         config.matching == "absorption",
@@ -79,6 +83,9 @@ def match_vertices(
         max_cluster_weight,
         restrict_parts,
     )
+    if deadline is None:
+        return kernels.match_vertices(*args)
+    return kernels.match_vertices(*args, deadline=deadline)
 
 
 def contract(
@@ -157,9 +164,16 @@ def coarsen_level(
     config: PartitionerConfig,
     rng: np.random.Generator,
     max_cluster_weight: int,
+    deadline=None,
 ) -> CoarseLevel:
-    """Run one matching + contraction step."""
-    match = match_vertices(h, config, rng, max_cluster_weight)
+    """Run one matching + contraction step.
+
+    An expired ``deadline`` stops the matching sweep with
+    :class:`~repro.utils.deadline.Expired` before anything is contracted.
+    """
+    match = match_vertices(
+        h, config, rng, max_cluster_weight, deadline=deadline
+    )
     cmap, coarse = contract(
         h, match, merge_identical_nets=config.merge_identical_nets
     )

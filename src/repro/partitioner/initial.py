@@ -22,7 +22,9 @@ The k-way constructions live here too (:func:`greedy_kway_vertex_parts`
 and the best-of-restarts :func:`initial_kway_parts`): the direct k-way
 pipeline (:mod:`repro.core.kway`) and the k-way multilevel engine
 (:func:`repro.partitioner.multilevel.multilevel_kway`) share them, and
-this module sits below both in the import graph.
+this module sits below both in the import graph, as does the O(n)
+:func:`contiguous_parts` the multilevel engines answer with when a
+deadline expires before they have anything better.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "greedy_kway_vertex_parts",
     "greedy_kway_grow",
     "initial_kway_parts",
+    "contiguous_parts",
 ]
 
 #: Nets per chunk are bounded so the clique expansion's pair arrays stay
@@ -453,3 +456,26 @@ def initial_kway_parts(
             break
     assert best is not None
     return best
+
+
+def contiguous_parts(h: Hypergraph, ceilings) -> np.ndarray:
+    """Vertices in index order, cut into consecutive runs by weight.
+
+    Vertex ``v`` goes to the part whose share of the total weight holds
+    the weight of the vertices before it: part ``k`` ends at
+    ``floor(W * C_k / C)`` for ``W`` the total weight, ``C_k`` the sum
+    of the first ``k + 1`` ceilings and ``C`` their total — the rule of
+    the contiguous floor (:func:`repro.core.floor.contiguous_splits`),
+    on vertices instead of nonzeros.  O(n), no hypergraph traversal and
+    no RNG: the answer of an engine whose deadline expired before it
+    built anything.  When the total weight fits the ceilings, a part
+    overshoots its ceiling by less than one vertex weight.
+    """
+    ceilings = np.asarray(ceilings, dtype=np.int64)
+    bounds = h.total_weight() * np.cumsum(ceilings) // max(
+        int(ceilings.sum()), 1
+    )
+    before = np.cumsum(h.vwgt) - h.vwgt
+    parts = np.searchsorted(bounds, before, side="right")
+    # Zero-weight vertices at the end sit on the last bound.
+    return np.minimum(parts, ceilings.size - 1).astype(np.int64)

@@ -28,11 +28,12 @@ from repro.partitioner.fm import (
     kway_refine,
 )
 from repro.partitioner.initial import (
+    contiguous_parts,
     greedy_kway_grow,
     greedy_kway_vertex_parts,
     initial_partition,
 )
-from repro.utils.deadline import Deadline, Degraded
+from repro.utils.deadline import Deadline, Degraded, Expired
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -65,12 +66,17 @@ def multilevel_bipartition(
     (``parts`` has one entry per vertex of ``h``).
 
     An expired ``deadline`` degrades each phase at its boundary, as in
-    :func:`multilevel_kway`: coarsening stops adding levels, the
-    coarsest level gets one unrefined greedy grow (see
+    :func:`multilevel_kway`: coarsening stops adding levels (the
+    matching sweep checks it too, and a sweep it stops leaves no
+    level), the coarsest level gets one unrefined greedy grow (see
     :func:`~repro.partitioner.initial.initial_partition`), and
     uncoarsening projects the remaining levels without refining them.
-    The result is still a complete finest-level assignment, with its
-    true cut and a ``Degraded[multilevel]`` record.
+    When it expires before the first level is contracted, the answer is
+    the O(n) :func:`~repro.partitioner.initial.contiguous_parts` split
+    instead: nothing cheap would beat the contiguous floor the callers
+    keep their best against (:mod:`repro.core.floor`).  The result is
+    still a complete finest-level assignment, with its true cut and a
+    ``Degraded[multilevel]`` record.
     """
     cfg = get_config(config)
     rng = as_generator(seed)
@@ -92,7 +98,12 @@ def multilevel_bipartition(
                 cut_short = True
                 sp.event("deadline", where="coarsen")
                 break  # partition whatever granularity we reached
-            level = coarsen_level(cur, cfg, rng, cluster_cap)
+            try:
+                level = coarsen_level(cur, cfg, rng, cluster_cap, deadline)
+            except Expired as stop:  # the sweep's partial level is dropped
+                cut_short = True
+                sp.event("deadline", where="match", visited=stop.visited)
+                break
             reduction = 1.0 - level.coarse.nverts / cur.nverts
             if reduction < cfg.min_reduction:
                 break  # matching stalled; further levels would be wasted work
@@ -100,6 +111,18 @@ def multilevel_bipartition(
             cur = level.coarse
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
     _COARSEN_LEVELS_BI.inc(len(levels))
+    if cut_short and not levels:
+        # Stopped before the first level: answer in O(n).
+        parts = contiguous_parts(h, max_weights)
+        w0, w1 = part_weights(h, parts, 2)
+        return FMResult(
+            parts=parts,
+            cut=connectivity_volume(h, parts),
+            feasible=bool(w0 <= max_weights[0] and w1 <= max_weights[1]),
+            passes=0,
+            improvement=0,
+            degraded=Degraded("multilevel"),
+        )
 
     # ------------------------------------------------------------------ #
     # Initial partitioning at the coarsest level.
@@ -153,7 +176,8 @@ def recursive_kway_parts(
     ceilings: np.ndarray,
     config: PartitionerConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
+    deadline: Deadline | None = None,
+) -> tuple[np.ndarray, Degraded | None]:
     """Recursive-bisection construction of an initial k-way assignment.
 
     Splits the part range ``[0, nparts)`` in half, bipartitions ``h``
@@ -174,16 +198,29 @@ def recursive_kway_parts(
     passes): the construction only has to place boundaries
     approximately — every level of the k-way uncoarsening refines them
     afterwards.
+
+    Returns the assignment and, when ``deadline`` cut the construction
+    short, a ``Degraded[recursive]`` record (``None`` otherwise).  The
+    deadline is checked before each bisection and handed to it; once it
+    has expired, every part range left is split by
+    :func:`~repro.partitioner.initial.contiguous_parts`, in O(n).
     """
     config = dataclasses.replace(
         config, fm_max_passes=min(2, config.fm_max_passes)
     )
     parts = np.zeros(h.nverts, dtype=np.int64)
+    bisections = skipped = 0
+    cut_short = False  # a bisection was cut short
 
     def split(sub: Hypergraph, ids: np.ndarray, lo: int, hi: int) -> None:
+        nonlocal bisections, skipped, cut_short
         k = hi - lo
         if k <= 1 or ids.size == 0:
             parts[ids] = lo
+            return
+        if deadline is not None and deadline.expired():
+            parts[ids] = lo + contiguous_parts(sub, ceilings[lo:hi])
+            skipped += 1
             return
         k0 = k // 2
         cap0 = int(np.sum(ceilings[lo : lo + k0]))
@@ -197,18 +234,26 @@ def recursive_kway_parts(
                 sub, 2, np.array([cap0, cap1], dtype=np.int64), rng
             )
             left = two == 0
-        elif sub.nverts > config.coarse_target:
-            result = multilevel_bipartition(sub, (cap0, cap1), config, rng)
-            left = result.parts == 0
         else:
-            result = initial_partition(sub, (cap0, cap1), config, rng)
+            engine = (
+                multilevel_bipartition
+                if sub.nverts > config.coarse_target
+                else initial_partition
+            )
+            result = engine(sub, (cap0, cap1), config, rng, deadline)
+            cut_short = cut_short or result.degraded is not None
             left = result.parts == 0
+        bisections += 1
         lids, rids = ids[left], ids[~left]
         split(sub.induce(np.flatnonzero(left)), lids, lo, lo + k0)
         split(sub.induce(np.flatnonzero(~left)), rids, lo + k0, hi)
 
     split(h, np.arange(h.nverts, dtype=np.int64), 0, int(nparts))
-    return parts
+    if skipped or cut_short:
+        return parts, Degraded(
+            "recursive", completed=bisections, skipped=skipped
+        )
+    return parts, None
 
 
 def multilevel_kway(
@@ -236,11 +281,18 @@ def multilevel_kway(
     optimize — callers short-circuit it).
 
     An expired ``deadline`` degrades each phase at its natural boundary:
-    coarsening stops adding levels, the construction keeps the cheapest
-    feasible-ish candidate instead of ranking every restart, and
-    uncoarsening projects the remaining levels *without* refining them —
-    always returning a complete finest-level assignment, flagged via the
-    result's ``degraded`` record.
+    coarsening stops adding levels (the matching sweep checks it too,
+    and a sweep it stops leaves no level), the construction stops
+    ranking restarts and splits its remaining part ranges contiguously
+    (see :func:`recursive_kway_parts`), and uncoarsening projects the
+    remaining levels *without* refining them.  When it expires before
+    the first level is contracted or before the construction starts,
+    the answer is the O(n)
+    :func:`~repro.partitioner.initial.contiguous_parts` split of ``h``:
+    nothing cheap would beat the contiguous floor the callers keep their
+    best against (:mod:`repro.core.floor`).  The result is always a
+    complete finest-level assignment, flagged via its ``degraded``
+    record.
     """
     cfg = get_config(config)
     rng = as_generator(seed)
@@ -283,7 +335,12 @@ def multilevel_kway(
                 cut_short = True
                 sp.event("deadline", where="coarsen")
                 break  # partition whatever granularity we reached
-            level = coarsen_level(cur, cfg, rng, cluster_cap)
+            try:
+                level = coarsen_level(cur, cfg, rng, cluster_cap, deadline)
+            except Expired as stop:  # the sweep's partial level is dropped
+                cut_short = True
+                sp.event("deadline", where="match", visited=stop.visited)
+                break
             reduction = 1.0 - level.coarse.nverts / cur.nverts
             if reduction < cfg.min_reduction:
                 break  # matching stalled; further levels would be wasted work
@@ -311,16 +368,17 @@ def multilevel_kway(
     for attempt in range(max(2, cfg.n_initial)):
         if deadline is not None and deadline.expired():
             cut_short = True
-            if best is None:
-                # Never return empty-handed: the weight-only greedy
-                # spread is near-instant and always yields a complete
-                # assignment; the repair keeps it as balanced as single
-                # moves and swaps can.
-                best = greedy_kway_vertex_parts(cur, nparts, ceilings, rng)
-                kway_rebalance(cur, best, nparts, ceilings)
             break
         if attempt == 0:
-            cand = recursive_kway_parts(cur, nparts, ceilings, cfg, rng)
+            cand, construction = recursive_kway_parts(
+                cur, nparts, ceilings, cfg, rng, deadline
+            )
+            if construction is not None:
+                cut_short = True
+                initial_span.event(
+                    "deadline", where="construct",
+                    brief=construction.brief(),
+                )
         elif attempt % 2 == 1:
             cand = greedy_kway_grow(cur, nparts, ceilings, rng)
         else:
@@ -336,7 +394,20 @@ def multilevel_kway(
         if best_key is None or key < best_key:
             best, best_key = cand, key
     initial_span.end()
-    assert best is not None
+    if best is None:
+        # Stopped before the first level or the construction: answer in
+        # O(n).
+        parts = contiguous_parts(h, ceilings)
+        return KWayFMResult(
+            parts=parts,
+            cut=connectivity_volume(h, parts),
+            feasible=bool(
+                np.all(part_weights(h, parts, nparts) <= ceilings)
+            ),
+            passes=0,
+            improvement=0,
+            degraded=Degraded("multilevel"),
+        )
     with _trace.span("multilevel_kway.coarsest_refine"):
         result = kway_refine(
             cur, best, nparts, ceilings, cfg, rng, deadline=deadline

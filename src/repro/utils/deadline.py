@@ -9,11 +9,14 @@ expires after a fixed number of checks (deterministic — the testing
 twin of a wall-clock deadline), and the structured :class:`Degraded`
 record a cut-short loop attaches to its result.
 
-Deadlines are **cooperative and boundary-checked only**: a loop asks
-``deadline.expired()`` between passes/levels/cycles, never inside a
-kernel, so the no-deadline path executes byte-for-byte the same
-instructions as before (one ``is not None`` test per boundary) and
-stays bit-identical to the pinned goldens.
+Deadlines are **cooperative**: a loop asks ``deadline.expired()``
+between passes/levels/cycles, and the one kernel that runs long before
+any such boundary — the greedy matching sweep — between fixed chunks of
+its visit order, where it stops by raising :class:`Expired`.  A call
+without a deadline makes no check at all, so the no-deadline path
+executes byte-for-byte the same instructions as before (one
+``is not None`` test per boundary, one chunk per sweep) and stays
+bit-identical to the pinned goldens.
 
 A :class:`Deadline` carries an *absolute* ``time.monotonic`` expiry and
 is picklable; on Linux ``CLOCK_MONOTONIC`` is system-wide, so a
@@ -33,7 +36,13 @@ from dataclasses import dataclass
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["Deadline", "SoftBudget", "Degraded", "observe_overshoot"]
+__all__ = [
+    "Deadline",
+    "SoftBudget",
+    "Degraded",
+    "Expired",
+    "observe_overshoot",
+]
 
 _OVERSHOOT = _metrics.histogram(
     "repro_deadline_overshoot_seconds",
@@ -156,6 +165,21 @@ class Degraded:
             f"Degraded[{self.where}]@{self.completed}done"
             f"+{self.skipped}skipped"
         )
+
+
+class Expired(Exception):
+    """A matching sweep stopped at an expired deadline.
+
+    Raised inside the sweep (through
+    :func:`repro.partitioner.coarsen.match_vertices` and
+    :func:`~repro.partitioner.coarsen.coarsen_level`) and caught by the
+    multilevel engines, which drop the unfinished level; ``visited`` is
+    how many vertices the sweep had visited.
+    """
+
+    def __init__(self, visited: int):
+        super().__init__(f"deadline expired after {visited} visits")
+        self.visited = visited
 
 
 def observe_overshoot(deadline, algo: str) -> None:

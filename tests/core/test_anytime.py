@@ -20,16 +20,26 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.floor import contiguous_splits, floor_volume, keep_best
+from repro.core.floor import (
+    contiguous_splits,
+    floor_split,
+    floor_volume,
+    keep_best,
+)
 from repro.core.kway import partition_kway
 from repro.core.methods import bipartition
 from repro.core.recursive import partition
 from repro.core.validate import validate_partition
 from repro.core.volume import communication_volume
 from repro.hypergraph.models import row_net_model
+from repro.kernels.python_backend import MATCH_CHUNK
+from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY
+from repro.obs.report import count_events, read_trace
 from repro.partitioner.bipartition import bipartition_hypergraph
 from repro.partitioner.config import get_config
+from repro.partitioner.initial import contiguous_parts
+from repro.partitioner.multilevel import recursive_kway_parts
 from repro.sparse.collection import load_instance
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, SoftBudget
@@ -98,6 +108,21 @@ def test_recursive_unbounded_deadline_is_bit_identical(matrix):
             np.testing.assert_array_equal(run.parts, base.parts)
             assert run.volume == base.volume
             assert run.failures == ()
+    # algo="kway" hands the deadline to the k-way engines; the multilevel
+    # one checks it inside every matching sweep, where Deadline(None)
+    # never expires.
+    for vcycles in (0, 1, 2):
+        cfg = dataclasses.replace(
+            get_config("mondriaan"), kway_vcycles=vcycles
+        )
+        base = partition(matrix, 8, seed=SEED, algo="kway", config=cfg)
+        run = partition(
+            matrix, 8, seed=SEED, algo="kway", config=cfg,
+            deadline=Deadline(None),
+        )
+        np.testing.assert_array_equal(run.parts, base.parts)
+        assert run.volume == base.volume
+        assert run.failures == ()
 
 
 # --------------------------------------------------------------------- #
@@ -311,6 +336,123 @@ def test_recursive_expired_root_keeps_best_against_floor(matrix):
     for nparts in (2, 8):
         res = partition(matrix, nparts, seed=SEED, deadline=SoftBudget(0))
         _assert_valid_and_within_floor(matrix, res, nparts)
+
+
+# --------------------------------------------------------------------- #
+# The matching sweep stops inside, and the floor answers
+# --------------------------------------------------------------------- #
+#: Engines whose first deadline check inside a matching sweep comes
+#: before they have contracted any level.  On the pool, the root
+#: bisection runs inline on the calling process's deadline, so that check
+#: comes at the same count as on the serial run.
+SWEEP_ENGINES = {
+    "recursive": lambda m, d: partition(m, 8, seed=SEED, deadline=d),
+    "recursive-jobs2": lambda m, d: partition(
+        m, 8, seed=SEED, jobs=2, deadline=d
+    ),
+    "kway": lambda m, d: partition_kway(
+        m, 8, seed=SEED, vcycles=1, deadline=d
+    ),
+    "kway-vcycles": lambda m, d: partition_kway(
+        m, 8, seed=SEED, vcycles=2, deadline=d
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", list(SWEEP_ENGINES))
+def test_budget_expiring_in_the_first_sweep_returns_the_floor(
+    matrix, engine
+):
+    # The first in-sweep check belongs to the level-0 sweep: expiring
+    # there leaves no level, so the engine answers contiguously and the
+    # caller's keep-best returns the floor itself.
+    run = SWEEP_ENGINES[engine]
+    probe = _Probe()
+    run(matrix, probe)
+    callers = probe.callers()
+    first = callers.index("match_vertices")
+    # Level 0's coarsening check is the only one before it.
+    assert callers[first - 1] in ("multilevel_bipartition", "multilevel_kway")
+    assert callers[:first].count(callers[first - 1]) == 1
+    res = run(matrix, SoftBudget(first))
+    ceiling = max_allowed_part_size(matrix.nnz, 8, 0.03)
+    parts, volume = floor_split(matrix, np.full(8, ceiling))
+    np.testing.assert_array_equal(res.parts, parts)
+    assert res.volume == volume
+    assert res.feasible is True
+    assert any(
+        b.startswith("Degraded[multilevel]") for b in res.failures
+    ), res.failures
+
+
+def test_sweep_stop_is_a_deadline_event_on_the_coarsen_span(
+    matrix, tmp_path
+):
+    probe = _Probe()
+    bipartition(matrix, seed=SEED, deadline=probe)
+    first = probe.callers().index("match_vertices")
+    path = str(tmp_path / "trace.jsonl")
+    _trace.enable(path)
+    try:
+        bipartition(matrix, seed=SEED, deadline=SoftBudget(first))
+    finally:
+        _trace.disable()
+    records = list(read_trace(path))
+    (coarsen,) = [r for r in records if r["name"] == "multilevel.coarsen"]
+    assert coarsen["attrs"]["levels"] == 0
+    (stop,) = [e for e in coarsen["events"] if e["name"] == "deadline"]
+    assert stop["where"] == "match"
+    assert stop["visited"] == MATCH_CHUNK
+    assert count_events(records)["deadline[match]"] == 1
+
+
+def test_kway_construction_expiring_midway_splits_the_rest(matrix):
+    # The k-way engine's coarsest construction checks the deadline
+    # before each of its bisections; expiring at the third, the part
+    # ranges left are split contiguously, and the answer is still
+    # feasible and no worse than the floor.
+    def run(deadline):
+        return partition_kway(
+            matrix, 16, seed=SEED, vcycles=1, deadline=deadline
+        )
+
+    probe = _Probe()
+    run(probe)
+    construct = [i for i, name in enumerate(probe.callers())
+                 if name == "split"]
+    assert len(construct) > 2, probe.checks
+    res = run(SoftBudget(construct[2]))
+    _assert_valid_and_within_floor(matrix, res, 16)
+    assert any(
+        b.startswith("Degraded[multilevel]") for b in res.failures
+    ), res.failures
+
+    # The construction itself reports what it bisected and what it
+    # split contiguously.
+    h = row_net_model(matrix).hypergraph
+    ceilings = np.full(16, max_allowed_part_size(matrix.nnz, 16, 0.03))
+    cfg = get_config("mondriaan")
+    probe = _Probe()
+    _, record = recursive_kway_parts(
+        h, 16, ceilings, cfg, np.random.default_rng(SEED), probe
+    )
+    assert record is None
+    construct = [i for i, name in enumerate(probe.callers())
+                 if name == "split"]
+    parts, record = recursive_kway_parts(
+        h, 16, ceilings, cfg, np.random.default_rng(SEED),
+        SoftBudget(construct[2]),
+    )
+    # Depth first: [0,16) and [0,8) are bisected; [0,4), [4,8) and
+    # [8,16) are split contiguously.
+    assert record.brief() == "Degraded[recursive]@2done+3skipped"
+    np.testing.assert_array_equal(np.unique(parts), np.arange(16))
+    # The contiguous split of a range is the O(n) weight rule.
+    rest = np.flatnonzero(parts >= 8)
+    np.testing.assert_array_equal(
+        parts[rest],
+        8 + contiguous_parts(h.induce(rest), ceilings[8:]),
+    )
 
 
 # --------------------------------------------------------------------- #

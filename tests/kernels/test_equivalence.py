@@ -15,7 +15,7 @@ import pytest
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume
-from repro.kernels import PYTHON_KERNELS
+from repro.kernels import PYTHON_KERNELS, python_backend
 from repro.partitioner.coarsen import coarsen_level, match_vertices
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import fm_refine
@@ -108,32 +108,58 @@ def test_fm_pass_stall_cap_binds(cfg, reference_kernels):
     np.testing.assert_array_equal(p0, p1)
 
 
+def _matching_case(case_seed):
+    rng = np.random.default_rng(2000 + case_seed)
+    h = random_hypergraph(rng, nverts=50, nnets=70)
+    return h, case_seed, None
+
+
+def _restricted_matching_case(case_seed):
+    rng = np.random.default_rng(3000 + case_seed)
+    h = random_hypergraph(rng, nverts=40, nnets=50)
+    restrict = rng.integers(0, 2, size=h.nverts).astype(np.int64)
+    return h, 7, restrict
+
+
+#: Every matching case below: ``(config, case builder, case seed)``.
+MATCHING_CASES = [
+    *(
+        pytest.param(cfg, _matching_case, seed, id=f"{cfg.name}-{seed}")
+        for cfg in CONFIGS for seed in range(4)
+    ),
+    *(
+        pytest.param(
+            CONFIGS[0], _restricted_matching_case, seed,
+            id=f"restricted-{seed}",
+        )
+        for seed in range(3)
+    ),
+]
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("case_seed", range(4))
 def test_matching_equivalent(cfg, case_seed, reference_kernels):
-    rng = np.random.default_rng(2000 + case_seed)
-    h = random_hypergraph(rng, nverts=50, nnets=70)
+    h, seed, _ = _matching_case(case_seed)
     cap = h.total_weight()
-    m_py = match_vertices(h, cfg, np.random.default_rng(case_seed), cap)
+    m_py = match_vertices(h, cfg, np.random.default_rng(seed), cap)
     m_ref = match_vertices(
         h, on_reference(cfg, reference_kernels),
-        np.random.default_rng(case_seed), cap,
+        np.random.default_rng(seed), cap,
     )
     np.testing.assert_array_equal(m_py, m_ref)
 
 
 @pytest.mark.parametrize("case_seed", range(3))
 def test_restricted_matching_equivalent(case_seed, reference_kernels):
-    rng = np.random.default_rng(3000 + case_seed)
-    h = random_hypergraph(rng, nverts=40, nnets=50)
-    restrict = rng.integers(0, 2, size=h.nverts).astype(np.int64)
+    h, seed, restrict = _restricted_matching_case(case_seed)
     cfg = CONFIGS[0]
     m_py = match_vertices(
-        h, cfg, np.random.default_rng(7), h.total_weight(),
+        h, cfg, np.random.default_rng(seed), h.total_weight(),
         restrict_parts=restrict,
     )
     m_ref = match_vertices(
-        h, on_reference(cfg, reference_kernels), np.random.default_rng(7),
+        h, on_reference(cfg, reference_kernels), np.random.default_rng(seed),
         h.total_weight(), restrict_parts=restrict,
     )
     np.testing.assert_array_equal(m_py, m_ref)
@@ -141,6 +167,41 @@ def test_restricted_matching_equivalent(case_seed, reference_kernels):
     for v, u in enumerate(m_py.tolist()):
         if u != -1:
             assert restrict[v] == restrict[u]
+
+
+class _NeverExpires:
+    """A deadline that never expires and counts its checks."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def expired(self) -> bool:
+        self.checks += 1
+        return False
+
+
+@pytest.mark.parametrize("chunk", [7, python_backend.MATCH_CHUNK])
+@pytest.mark.parametrize("cfg, make_case, case_seed", MATCHING_CASES)
+def test_deadline_bound_matching_equivalent(
+    cfg, make_case, case_seed, chunk, reference_kernels, monkeypatch
+):
+    """A sweep checking a deadline that never expires, between chunks
+    of ``chunk`` visits (7 splits every case into several), matches
+    exactly what the frozen reference matches without one."""
+    monkeypatch.setattr(python_backend, "MATCH_CHUNK", chunk)
+    h, seed, restrict = make_case(case_seed)
+    never = _NeverExpires()
+    m_py = match_vertices(
+        h, cfg, np.random.default_rng(seed), h.total_weight(),
+        restrict_parts=restrict, deadline=never,
+    )
+    m_ref = match_vertices(
+        h, on_reference(cfg, reference_kernels), np.random.default_rng(seed),
+        h.total_weight(), restrict_parts=restrict,
+    )
+    np.testing.assert_array_equal(m_py, m_ref)
+    # One check between each two chunks, none before the first.
+    assert never.checks == (h.nverts - 1) // chunk
 
 
 @pytest.mark.parametrize("case_seed", range(3))

@@ -1,5 +1,8 @@
 """Tests for the reusable FM pass state and its caching contract."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,23 @@ class TestCaching:
         assert mirrors["xpins"] == h.xpins.tolist()
         assert mirrors["pins"] == h.pins.tolist()
         assert mirrors["sizes"] == h.net_sizes().tolist()
+
+    def test_cached_state_does_not_keep_its_hypergraph_alive(self):
+        # The state holds its hypergraph weakly, so a dropped hypergraph
+        # and its cached state go at once, without waiting for the
+        # cyclic garbage collector.
+        h = random_hypergraph(np.random.default_rng(2), 40, 60)
+        cap = int(1.2 * h.total_weight() / 2) + 1
+        fm_refine(h, np.zeros(h.nverts, dtype=np.int64), (cap, cap),
+                  "mondriaan", seed=0)
+        assert PYTHON_KERNELS.fm_state(h).lists is not None
+        graph = weakref.ref(h)
+        gc.disable()
+        try:
+            del h
+            assert graph() is None
+        finally:
+            gc.enable()
 
 
 class TestReuse:

@@ -129,3 +129,16 @@ class TestCountEvents:
             _rec("c", "z", 0.0, 1.0),
         ]
         assert count_events(records) == {"retry": 2, "kill": 1}
+
+    def test_deadline_stops_are_tallied_by_where(self):
+        records = [
+            _rec("a", "multilevel.coarsen", 0.0, 1.0,
+                 events=[{"name": "deadline", "t": 0.1, "where": "match",
+                          "visited": 256}]),
+            _rec("b", "fm.pass", 0.0, 1.0,
+                 events=[{"name": "deadline", "t": 0.2, "where": "fm"},
+                         {"name": "retry", "t": 0.3}]),
+        ]
+        assert count_events(records) == {
+            "deadline[match]": 1, "deadline[fm]": 1, "retry": 1,
+        }

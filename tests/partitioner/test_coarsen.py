@@ -12,7 +12,9 @@ from repro.partitioner.coarsen import (
     contract,
     match_vertices,
 )
+from repro.kernels import python_backend
 from repro.partitioner.config import get_config
+from repro.utils.deadline import Expired, SoftBudget
 
 
 def random_hypergraph(rng, n, nnets, max_size=5):
@@ -87,6 +89,25 @@ class TestMatching:
         )
         assert m_abs[0] == 1  # absorption: 2-net partner wins
         assert m_hcm[0] == 2  # heavy connectivity: shared-net count wins
+
+    def test_deadline_stops_the_sweep_between_chunks(self, monkeypatch):
+        # Chunks of 8 visits: the budget lets the checks after 8 and 16
+        # visits through and expires at the one after 24.
+        monkeypatch.setattr(python_backend, "MATCH_CHUNK", 8)
+        h = random_hypergraph(np.random.default_rng(5), 40, 60)
+        cfg = get_config("mondriaan")
+        with pytest.raises(Expired) as stop:
+            match_vertices(
+                h, cfg, np.random.default_rng(0), 10**9,
+                deadline=SoftBudget(2),
+            )
+        assert stop.value.visited == 24
+        # A level the sweep did not finish is never contracted.
+        with pytest.raises(Expired):
+            coarsen_level(
+                h, cfg, np.random.default_rng(0), 10**9,
+                deadline=SoftBudget(0),
+            )
 
 
 class TestContraction:
