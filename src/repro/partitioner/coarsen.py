@@ -18,6 +18,11 @@ sharpens FM gains on the coarse levels.
 
 The scalar matching sweep and the identical-net merge are kernels
 (:mod:`repro.kernels`).
+
+:func:`coarsen` is the one coarsening loop of the multilevel engines and
+the V-cycles (paper Section II; hMetis's V-cycle, Section III-C, is the
+same loop with restricted matching): it decides how many levels to
+build, when matching has stalled, and when a deadline stops it.
 """
 
 from __future__ import annotations
@@ -29,9 +34,17 @@ import numpy as np
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import kernels_for
 from repro.kernels.python_backend import merge_identical_nets as _merge_nets
+from repro.obs import trace as _trace
 from repro.partitioner.config import PartitionerConfig
+from repro.utils.deadline import Expired
 
-__all__ = ["match_vertices", "contract", "coarsen_level", "CoarseLevel"]
+__all__ = [
+    "match_vertices",
+    "contract",
+    "coarsen_level",
+    "coarsen",
+    "CoarseLevel",
+]
 
 
 @dataclass(frozen=True)
@@ -165,16 +178,75 @@ def coarsen_level(
     rng: np.random.Generator,
     max_cluster_weight: int,
     deadline=None,
+    restrict_parts: np.ndarray | None = None,
 ) -> CoarseLevel:
     """Run one matching + contraction step.
 
     An expired ``deadline`` stops the matching sweep with
     :class:`~repro.utils.deadline.Expired` before anything is contracted.
+    ``restrict_parts`` restricts the matching to same-part pairs (see
+    :func:`match_vertices`).
     """
     match = match_vertices(
-        h, config, rng, max_cluster_weight, deadline=deadline
+        h, config, rng, max_cluster_weight,
+        restrict_parts=restrict_parts, deadline=deadline,
     )
     cmap, coarse = contract(
         h, match, merge_identical_nets=config.merge_identical_nets
     )
     return CoarseLevel(fine=h, cmap=cmap, coarse=coarse)
+
+
+def coarsen(
+    h: Hypergraph,
+    config: PartitionerConfig,
+    rng: np.random.Generator,
+    cluster_cap: int,
+    target: int,
+    deadline=None,
+    parts: np.ndarray | None = None,
+) -> tuple[list[CoarseLevel], np.ndarray | None, bool]:
+    """Coarsen ``h`` until at most ``target`` vertices remain.
+
+    Adds levels (:func:`coarsen_level`, clusters capped at
+    ``cluster_cap``) until the coarsest has at most ``target`` vertices,
+    ``config.max_levels`` levels exist, or matching stalls: a level that
+    removes less than ``config.min_reduction`` of the vertices is
+    dropped and ends the loop.
+
+    With ``parts``, matching is restricted to same-part pairs, so the
+    partitioning is constant on every cluster; it is projected to each
+    level and the coarsest projection returned.  Without, the returned
+    projection is ``None``.
+
+    A ``deadline`` is checked before each level and inside its matching
+    sweep; once it has expired, the unfinished level is dropped and the
+    loop stops.  Either stop is a ``deadline`` event (``where="coarsen"``
+    or ``where="match"`` with the sweep's ``visited`` count) on the
+    caller's current span.
+
+    Returns ``(levels, coarse_parts, cut_short)``; ``cut_short`` says a
+    deadline stopped the loop.
+    """
+    levels: list[CoarseLevel] = []
+    cur, cur_parts = h, parts
+    while cur.nverts > target and len(levels) < config.max_levels:
+        if deadline is not None and deadline.expired():
+            _trace.event("deadline", where="coarsen")
+            return levels, cur_parts, True
+        try:
+            level = coarsen_level(
+                cur, config, rng, cluster_cap, deadline, cur_parts
+            )
+        except Expired as stop:
+            _trace.event("deadline", where="match", visited=stop.visited)
+            return levels, cur_parts, True
+        if 1.0 - level.coarse.nverts / cur.nverts < config.min_reduction:
+            break  # matching stalled; further levels would be wasted work
+        levels.append(level)
+        cur = level.coarse
+        if cur_parts is not None:
+            coarse_parts = np.empty(cur.nverts, dtype=np.int64)
+            coarse_parts[level.cmap] = cur_parts
+            cur_parts = coarse_parts
+    return levels, cur_parts, False

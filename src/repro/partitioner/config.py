@@ -54,10 +54,11 @@ class PartitionerConfig:
     merge_identical_nets:
         Merge nets with identical pin sets during contraction (costs add).
     n_initial:
-        Number of restarts of the k-way constructions at the coarsest
-        level (:func:`~repro.partitioner.initial.initial_kway_parts` and
-        :func:`~repro.partitioner.multilevel.multilevel_kway`); best
-        kept.  The 2-way coarsest level always ranks exactly two
+        Number of restarts of the flat k-way construction
+        (:func:`~repro.partitioner.initial.initial_kway_parts`, the
+        ``kway_vcycles=0`` path); best kept.  No other construction
+        restarts: the multilevel k-way coarsest level is one recursive
+        bisection, and the 2-way coarsest level always ranks exactly two
         candidates, greedy growing and the spectral sweep.
     fm_max_passes:
         Maximum FM passes per refinement call.

@@ -41,7 +41,6 @@ __all__ = [
     "fm_refine",
     "FMResult",
     "kway_refine",
-    "KWayFMResult",
     "kway_rebalance",
 ]
 
@@ -80,14 +79,15 @@ _FM_GAIN_KWAY = _FM_GAIN.labels(kind="kway")
 
 @dataclass
 class FMResult:
-    """Outcome of an FM refinement call.
+    """Outcome of an FM refinement call, 2-way or k-way.
 
     Attributes
     ----------
     parts:
-        Refined part vector (int64, values 0/1).
+        Refined part vector (int64 part ids).
     cut:
-        Cut-net cost of ``parts``.
+        Connectivity-(λ−1) cost of ``parts`` (the cut-net cost for two
+        parts).
     feasible:
         Whether ``parts`` satisfies the weight ceilings.
     passes:
@@ -225,22 +225,6 @@ def _is_feasible(h: Hypergraph, parts: np.ndarray, maxw: tuple[int, int]) -> boo
     return w0 <= maxw[0] and w1 <= maxw[1]
 
 
-@dataclass
-class KWayFMResult:
-    """Outcome of a k-way FM refinement call.
-
-    Attributes mirror :class:`FMResult`; ``cut`` is the
-    connectivity-(λ−1) cost the k-way pass optimizes directly.
-    """
-
-    parts: np.ndarray
-    cut: int
-    feasible: bool
-    passes: int
-    improvement: int
-    degraded: Degraded | None = None
-
-
 def kway_refine(
     h: Hypergraph,
     parts: np.ndarray,
@@ -252,7 +236,7 @@ def kway_refine(
     *,
     state: FMPassState | None = None,
     deadline: Deadline | None = None,
-) -> KWayFMResult:
+) -> FMResult:
     """Refine a k-way partitioning of ``h`` with repeated k-way FM passes.
 
     The direct k-way counterpart of :func:`fm_refine`: each pass
@@ -351,7 +335,7 @@ def kway_refine(
         # does.
         if started_feasible and delta <= 0:
             break
-    return KWayFMResult(
+    return FMResult(
         parts=parts,
         cut=cut - total_delta,
         feasible=feasible,

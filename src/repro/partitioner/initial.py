@@ -18,13 +18,16 @@ structure that random restarts only sample, so on recursive p = 64
 bisection it keeps the geomean volume of eight restarts with a sixth
 of their FM passes.
 
-The k-way constructions live here too (:func:`greedy_kway_vertex_parts`
-and the best-of-restarts :func:`initial_kway_parts`): the direct k-way
-pipeline (:mod:`repro.core.kway`) and the k-way multilevel engine
-(:func:`repro.partitioner.multilevel.multilevel_kway`) share them, and
-this module sits below both in the import graph, as does the O(n)
-:func:`contiguous_parts` the multilevel engines answer with when a
-deadline expires before they have anything better.
+The flat k-way constructions live here too: the weight-only
+:func:`greedy_kway_vertex_parts` and the best-of-restarts
+:func:`initial_kway_parts`, the start of the flat direct k-way pipeline
+(:mod:`repro.core.kway`) and the only construction that uses restarts
+(``n_initial``); the k-way multilevel engine
+(:func:`repro.partitioner.multilevel.multilevel_kway`) builds its
+coarsest level by recursive bisection instead.  This module sits below
+both in the import graph, as does the O(n) :func:`contiguous_parts` the
+multilevel engines answer with when a deadline expires before they have
+anything better.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "greedy_grow",
     "spectral_sweep",
     "greedy_kway_vertex_parts",
-    "greedy_kway_grow",
     "initial_kway_parts",
     "contiguous_parts",
 ]
@@ -349,77 +351,6 @@ def greedy_kway_vertex_parts(
         out[v] = best
         pw[best] += wv
     return out
-
-
-def greedy_kway_grow(
-    h: Hypergraph,
-    nparts: int,
-    ceilings: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Net-growing k-way construction — the k-way :func:`greedy_grow`.
-
-    Grows parts ``0 .. nparts-2`` one at a time: seed a random
-    unassigned vertex, expand breadth-first through incident nets until
-    the part reaches its proportional share of the *remaining* weight,
-    then move on; leftovers form the last part.  Topology-aware where
-    :func:`greedy_kway_vertex_parts` is weight-only — on structured
-    instances (bands, grids) the grown parts are connected, low-cut
-    regions, which the weight-only spread cannot produce from any
-    tie-break order.  Parts may overshoot their share by at most one
-    vertex; feasibility is the caller's problem (ranked restarts + the
-    FM rebalancing pass).
-    """
-    k = int(nparts)
-    nverts = h.nverts
-    parts = np.full(nverts, k - 1, dtype=np.int64)
-    if nverts == 0 or k < 2:
-        parts[:] = 0 if k >= 1 else parts
-        return parts
-    ceil_l = [int(c) for c in ceilings]
-    vw = h.vwgt.tolist()
-    xnets = h.xnets.tolist()
-    vnets = h.vnets.tolist()
-    xpins = h.xpins.tolist()
-    pins = h.pins.tolist()
-
-    assigned = [False] * nverts
-    order = rng.permutation(nverts).tolist()
-    cursor = 0
-    remaining = float(h.total_weight())
-    for p in range(k - 1):
-        tail_cap = sum(ceil_l[p:]) or 1
-        target = remaining * (ceil_l[p] / tail_cap)
-        w = 0
-        net_seen = [False] * h.nnets
-        frontier: deque[int] = deque()
-        while w < target:
-            if not frontier:
-                # Find a fresh (possibly disconnected) seed.
-                while cursor < nverts and assigned[order[cursor]]:
-                    cursor += 1
-                if cursor == nverts:
-                    break
-                frontier.append(order[cursor])
-            v = frontier.popleft()
-            if assigned[v]:
-                continue
-            assigned[v] = True
-            parts[v] = p
-            w += vw[v]
-            if w >= target:
-                break
-            for i in range(xnets[v], xnets[v + 1]):
-                n = vnets[i]
-                if net_seen[n]:
-                    continue
-                net_seen[n] = True
-                for j in range(xpins[n], xpins[n + 1]):
-                    u = pins[j]
-                    if not assigned[u]:
-                        frontier.append(u)
-        remaining -= w
-    return parts
 
 
 def initial_kway_parts(

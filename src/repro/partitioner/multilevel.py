@@ -18,22 +18,20 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.partitioner.coarsen import CoarseLevel, coarsen_level
+from repro.partitioner.coarsen import coarsen
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import (
     FMResult,
-    KWayFMResult,
     fm_refine,
     kway_rebalance,
     kway_refine,
 )
 from repro.partitioner.initial import (
     contiguous_parts,
-    greedy_kway_grow,
     greedy_kway_vertex_parts,
     initial_partition,
 )
-from repro.utils.deadline import Deadline, Degraded, Expired
+from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -89,39 +87,18 @@ def multilevel_bipartition(
     cluster_cap = max(
         1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
     )
-    cut_short = False  # any phase stopped at a deadline boundary
-    levels: list[CoarseLevel] = []
-    cur = h
     with _trace.span("multilevel.coarsen") as sp:
-        while cur.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-            if deadline is not None and deadline.expired():
-                cut_short = True
-                sp.event("deadline", where="coarsen")
-                break  # partition whatever granularity we reached
-            try:
-                level = coarsen_level(cur, cfg, rng, cluster_cap, deadline)
-            except Expired as stop:  # the sweep's partial level is dropped
-                cut_short = True
-                sp.event("deadline", where="match", visited=stop.visited)
-                break
-            reduction = 1.0 - level.coarse.nverts / cur.nverts
-            if reduction < cfg.min_reduction:
-                break  # matching stalled; further levels would be wasted work
-            levels.append(level)
-            cur = level.coarse
+        levels, _, cut_short = coarsen(
+            h, cfg, rng, cluster_cap, cfg.coarse_target, deadline
+        )
+        cur = levels[-1].coarse if levels else h
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
     _COARSEN_LEVELS_BI.inc(len(levels))
     if cut_short and not levels:
         # Stopped before the first level: answer in O(n).
-        parts = contiguous_parts(h, max_weights)
-        w0, w1 = part_weights(h, parts, 2)
-        return FMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(w0 <= max_weights[0] and w1 <= max_weights[1]),
-            passes=0,
-            improvement=0,
-            degraded=Degraded("multilevel"),
+        return _finest_result(
+            h, contiguous_parts(h, max_weights), max_weights,
+            Degraded("multilevel"),
         )
 
     # ------------------------------------------------------------------ #
@@ -153,21 +130,38 @@ def multilevel_bipartition(
         refined_levels += 1
         cut_short = cut_short or result.degraded is not None
     if skipped_levels or cut_short:
-        # ``result`` may describe a coarser level than ``parts``; rebuild
-        # the outcome from the finest-level vector with its true cut.
-        w0, w1 = part_weights(h, parts, 2)
-        return FMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(w0 <= max_weights[0] and w1 <= max_weights[1]),
-            passes=result.passes,
-            improvement=result.improvement,
-            degraded=Degraded(
+        return _finest_result(
+            h, parts, max_weights,
+            Degraded(
                 "multilevel", completed=refined_levels,
                 skipped=skipped_levels,
             ),
+            result,
         )
     return result
+
+
+def _finest_result(
+    h: Hypergraph,
+    parts: np.ndarray,
+    ceilings,
+    degraded: Degraded | None = None,
+    last: FMResult | None = None,
+) -> FMResult:
+    """The outcome for the finest-level vector ``parts``, with its true
+    cut and its feasibility under the per-part ``ceilings``.  A cut-short
+    run's last refinement ``last`` may describe a coarser level; it
+    gives only the pass counts."""
+    return FMResult(
+        parts=parts,
+        cut=connectivity_volume(h, parts),
+        feasible=bool(
+            np.all(part_weights(h, parts, len(ceilings)) <= ceilings)
+        ),
+        passes=last.passes if last is not None else 0,
+        improvement=last.improvement if last is not None else 0,
+        degraded=degraded,
+    )
 
 
 def recursive_kway_parts(
@@ -229,7 +223,7 @@ def recursive_kway_parts(
             # An ancestor bisection overflowed this subtree's combined
             # ceilings (FM kept an infeasible side).  No feasible
             # bisection exists; split by weight alone and let the
-            # candidate ranking / FM rebalancing judge the result.
+            # weight repair and FM rebalancing judge the result.
             two = greedy_kway_vertex_parts(
                 sub, 2, np.array([cap0, cap1], dtype=np.int64), rng
             )
@@ -263,28 +257,29 @@ def multilevel_kway(
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
     deadline: Deadline | None = None,
-) -> KWayFMResult:
+) -> FMResult:
     """Partition ``h`` into ``nparts`` parts under per-part ``ceilings``.
 
     The direct k-way analogue of :func:`multilevel_bipartition`: coarsen
     with *unrestricted* matching until at most
     ``max(config.coarse_target, 8 * nparts)`` vertices remain (enough
     headroom that the coarsest level stays k-way partitionable), build
-    the coarsest partitioning from ranked construction candidates
-    (recursive bisection, net growing, greedy spread — see below) plus
-    k-way FM (:func:`~repro.partitioner.fm.kway_refine`), then project
-    up level by level, k-way-refining each.  The connectivity-(λ−1) cut
-    is the objective throughout — no intermediate two-sided proxy.
+    the coarsest partitioning by recursive bisection
+    (:func:`recursive_kway_parts`, weight-repaired by
+    :func:`~repro.partitioner.fm.kway_rebalance`) plus k-way FM
+    (:func:`~repro.partitioner.fm.kway_refine`), then project up level
+    by level, k-way-refining each.  The connectivity-(λ−1) cut is the
+    objective throughout — no intermediate two-sided proxy.
 
-    Returns a :class:`~repro.partitioner.fm.KWayFMResult` for the finest
+    Returns a :class:`~repro.partitioner.fm.FMResult` for the finest
     level.  Requires ``nparts >= 2`` (``nparts == 1`` has nothing to
     optimize — callers short-circuit it).
 
     An expired ``deadline`` degrades each phase at its natural boundary:
     coarsening stops adding levels (the matching sweep checks it too,
-    and a sweep it stops leaves no level), the construction stops
-    ranking restarts and splits its remaining part ranges contiguously
-    (see :func:`recursive_kway_parts`), and uncoarsening projects the
+    and a sweep it stops leaves no level), the construction splits its
+    remaining part ranges contiguously (see
+    :func:`recursive_kway_parts`), and uncoarsening projects the
     remaining levels *without* refining them.  When it expires before
     the first level is contracted or before the construction starts,
     the answer is the O(n)
@@ -307,13 +302,7 @@ def multilevel_kway(
             f"ceilings must have shape ({nparts},), got {ceilings.shape}"
         )
     if h.nverts == 0:
-        return KWayFMResult(
-            parts=np.zeros(0, dtype=np.int64),
-            cut=0,
-            feasible=True,
-            passes=0,
-            improvement=0,
-        )
+        return _finest_result(h, np.zeros(0, dtype=np.int64), ceilings)
 
     # ------------------------------------------------------------------ #
     # Coarsening phase (unrestricted — there is no partitioning yet).
@@ -326,91 +315,39 @@ def multilevel_kway(
         1, int(cfg.cluster_weight_frac * int(ceilings.min())) // 4
     )
     coarse_target = max(cfg.coarse_target, 8 * nparts)
-    cut_short = False  # any phase stopped at a deadline boundary
-    levels: list[CoarseLevel] = []
-    cur = h
     with _trace.span("multilevel_kway.coarsen") as sp:
-        while cur.nverts > coarse_target and len(levels) < cfg.max_levels:
-            if deadline is not None and deadline.expired():
-                cut_short = True
-                sp.event("deadline", where="coarsen")
-                break  # partition whatever granularity we reached
-            try:
-                level = coarsen_level(cur, cfg, rng, cluster_cap, deadline)
-            except Expired as stop:  # the sweep's partial level is dropped
-                cut_short = True
-                sp.event("deadline", where="match", visited=stop.visited)
-                break
-            reduction = 1.0 - level.coarse.nverts / cur.nverts
-            if reduction < cfg.min_reduction:
-                break  # matching stalled; further levels would be wasted work
-            levels.append(level)
-            cur = level.coarse
+        levels, _, cut_short = coarsen(
+            h, cfg, rng, cluster_cap, coarse_target, deadline
+        )
+        cur = levels[-1].coarse if levels else h
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
     _COARSEN_LEVELS_KWAY.inc(len(levels))
-
-    # ------------------------------------------------------------------ #
-    # Initial k-way partitioning at the coarsest level: one
-    # recursive-bisection construction (hierarchically nested
-    # boundaries — the quality anchor) plus cheap restarts alternating
-    # net growing (topology — connected, low-cut parts) and the
-    # weight-only greedy spread (balance — fits snug ceilings the
-    # others can overshoot), ranked by (overshoot, cut) *after* the
-    # swap-capable weight repair — a topology-aware candidate a few
-    # percent overweight almost always beats a balanced-but-scattered
-    # one once repaired, so ranking raw overshoot first would throw the
-    # best cuts away.  The coarsest level is small, so repairing and
-    # scoring every candidate's exact connectivity cut is cheap.
-    # ------------------------------------------------------------------ #
-    best: np.ndarray | None = None
-    best_key: tuple | None = None
-    initial_span = _trace.span("multilevel_kway.initial")
-    for attempt in range(max(2, cfg.n_initial)):
-        if deadline is not None and deadline.expired():
-            cut_short = True
-            break
-        if attempt == 0:
-            cand, construction = recursive_kway_parts(
-                cur, nparts, ceilings, cfg, rng, deadline
-            )
-            if construction is not None:
-                cut_short = True
-                initial_span.event(
-                    "deadline", where="construct",
-                    brief=construction.brief(),
-                )
-        elif attempt % 2 == 1:
-            cand = greedy_kway_grow(cur, nparts, ceilings, rng)
-        else:
-            cand = greedy_kway_vertex_parts(
-                cur, nparts, ceilings, rng,
-                strategy="balance" if (attempt // 2) % 2 == 1 else "pack",
-            )
-        kway_rebalance(cur, cand, nparts, ceilings)
-        over = int(
-            (part_weights(cur, cand, nparts) - ceilings).max(initial=0)
-        )
-        key = (over, connectivity_volume(cur, cand))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    initial_span.end()
-    if best is None:
+    if deadline is not None and deadline.expired():
         # Stopped before the first level or the construction: answer in
         # O(n).
-        parts = contiguous_parts(h, ceilings)
-        return KWayFMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(
-                np.all(part_weights(h, parts, nparts) <= ceilings)
-            ),
-            passes=0,
-            improvement=0,
-            degraded=Degraded("multilevel"),
+        return _finest_result(
+            h, contiguous_parts(h, ceilings), ceilings,
+            Degraded("multilevel"),
         )
+
+    # ------------------------------------------------------------------ #
+    # Initial k-way partitioning at the coarsest level: recursive
+    # bisection (hierarchically nested boundaries), then the
+    # swap-capable weight repair.
+    # ------------------------------------------------------------------ #
+    with _trace.span("multilevel_kway.initial") as sp:
+        parts, construction = recursive_kway_parts(
+            cur, nparts, ceilings, cfg, rng, deadline
+        )
+        if construction is not None:
+            cut_short = True
+            sp.event(
+                "deadline", where="construct", brief=construction.brief()
+            )
+        kway_rebalance(cur, parts, nparts, ceilings)
     with _trace.span("multilevel_kway.coarsest_refine"):
         result = kway_refine(
-            cur, best, nparts, ceilings, cfg, rng, deadline=deadline
+            cur, parts, nparts, ceilings, cfg, rng, deadline=deadline
         )
     parts = result.parts
     cut_short = cut_short or result.degraded is not None
@@ -444,20 +381,12 @@ def multilevel_kway(
         parts = result.parts
         refined_levels += 1
     if skipped_levels or cut_short:
-        # ``result`` may describe a coarser level than ``parts`` (a
-        # skipped refinement leaves only the projection); rebuild the
-        # outcome from the finest-level vector with its true cut.
-        return KWayFMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(
-                np.all(part_weights(h, parts, nparts) <= ceilings)
-            ),
-            passes=result.passes,
-            improvement=result.improvement,
-            degraded=Degraded(
+        return _finest_result(
+            h, parts, ceilings,
+            Degraded(
                 "multilevel", completed=refined_levels,
                 skipped=skipped_levels,
             ),
+            result,
         )
     return result

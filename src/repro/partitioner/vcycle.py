@@ -29,17 +29,23 @@ every level with the connectivity-(λ−1) k-way FM pass instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import connectivity_volume, part_weights
+from repro.hypergraph.metrics import (
+    check_parts,
+    connectivity_volume,
+    part_weights,
+)
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.partitioner.coarsen import contract, match_vertices
+from repro.partitioner.coarsen import coarsen
 from repro.partitioner.config import PartitionerConfig, get_config
-from repro.partitioner.fm import fm_refine, kway_refine
+from repro.partitioner.fm import FMResult, fm_refine, kway_refine
 from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 
@@ -106,22 +112,19 @@ def vcycle_refine(
     """
     cfg = get_config(config)
     rng = as_generator(seed)
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() > 1):
-        raise PartitioningError("vcycle_refine expects a 0/1 part vector")
+    parts = check_parts(h, parts, 2).copy()
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
 
+    cluster_cap = max(
+        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
+    )
+    refine = partial(fm_refine, max_weights=max_weights, config=cfg, seed=rng)
     cuts = [connectivity_volume(h, parts)]
     cycles = 0
     for _ in range(max_cycles):
         with _trace.span("vcycle.cycle", kind="bi", cycle=cycles):
-            parts = _one_cycle(h, parts, max_weights, cfg, rng)
+            parts, _ = _one_cycle(h, parts, cluster_cap, cfg, rng, refine)
         cuts.append(connectivity_volume(h, parts))
         cycles += 1
         _VCYCLE_CYCLES_BI.inc()
@@ -140,12 +143,7 @@ def vcycle_refine(
 def _parts_feasible(
     h: Hypergraph, parts: np.ndarray, nparts: int, ceilings: np.ndarray
 ) -> bool:
-    """Do the per-part weights of ``parts`` satisfy every ceiling?
-
-    Arity-generic (``np.bincount`` against per-part ceilings) — the old
-    2-way check hardcoded ``w1 = dot(parts, vwgt)``, which silently
-    mis-reports feasibility for any k > 2 part vector.
-    """
+    """Do the per-part weights of ``parts`` satisfy every ceiling?"""
     return bool(
         np.all(part_weights(h, parts, nparts) <= np.asarray(ceilings))
     )
@@ -188,8 +186,10 @@ def kway_vcycle_refine(
     The keep-best contract is what makes an optional ``deadline`` safe
     here: the incumbent is a complete, scored partitioning before every
     cycle, so an expiry observed at a cycle boundary (or inside a
-    cycle's per-level refinements) simply ends the loop with the best
-    vector found so far and a ``degraded`` record on the result.
+    cycle: its restricted matching sweeps or its per-level refinements)
+    simply ends the loop with the best vector found so far and a
+    ``degraded`` record on the result; a cut-short cycle counts as
+    completed.
     """
     cfg = get_config(config)
     rng = as_generator(seed)
@@ -198,16 +198,7 @@ def kway_vcycle_refine(
         raise PartitioningError(
             f"kway_vcycle_refine needs nparts >= 1, got {nparts}"
         )
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() >= nparts):
-        raise PartitioningError(
-            f"kway_vcycle_refine expects part ids in [0, {nparts})"
-        )
+    parts = check_parts(h, parts, nparts).copy()
     ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
     if ceilings.shape != (nparts,):
         raise PartitioningError(
@@ -226,6 +217,13 @@ def kway_vcycle_refine(
     # state anyway) and report the input truthfully infeasible.
     repairable = h.total_weight() <= int(ceilings.sum())
     degraded = None
+    cut_short = False  # a deadline stopped a cycle midway
+    cluster_cap = max(
+        1, int(cfg.cluster_weight_frac * int(ceilings.min()))
+    )
+    refine = partial(
+        kway_refine, nparts=nparts, ceilings=ceilings, config=cfg, seed=rng
+    )
     if nparts >= 2 and h.nverts and repairable:
         for _ in range(max_cycles):
             if deadline is not None and deadline.expired():
@@ -237,8 +235,8 @@ def kway_vcycle_refine(
                 break
             with _trace.span("vcycle.cycle", kind="kway",
                              cycle=cycles) as sp:
-                cand = _one_kway_cycle(
-                    h, best, nparts, ceilings, cfg, rng, deadline=deadline,
+                cand, cut_short = _one_cycle(
+                    h, best, cluster_cap, cfg, rng, refine, deadline
                 )
                 cand_cut = connectivity_volume(h, cand)
                 cand_feasible = _parts_feasible(h, cand, nparts, ceilings)
@@ -253,8 +251,12 @@ def kway_vcycle_refine(
                 best, best_cut = cand, cand_cut
                 best_feasible = cand_feasible
             cuts.append(best_cut)
-            if not improved:
+            if cut_short or not improved:
                 break
+    if cut_short:
+        degraded = Degraded(
+            "vcycle", completed=cycles, skipped=max_cycles - cycles
+        )
     return VCycleResult(
         parts=best,
         cut=best_cut,
@@ -265,92 +267,44 @@ def kway_vcycle_refine(
     )
 
 
-def _one_kway_cycle(
+def _one_cycle(
     h: Hypergraph,
     parts: np.ndarray,
-    nparts: int,
-    ceilings: np.ndarray,
+    cluster_cap: int,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
+    refine: Callable[..., FMResult],
     deadline: Deadline | None = None,
-) -> np.ndarray:
-    """One restricted-coarsen / k-way-refine-up pass.
+) -> tuple[np.ndarray, bool]:
+    """One restricted-coarsen / refine-up pass.
 
+    ``refine(hypergraph, parts, deadline=...)`` is the FM refinement of
+    the cycle's arity (:func:`~repro.partitioner.fm.fm_refine` or
+    :func:`~repro.partitioner.fm.kway_refine` with its ceilings bound).
     Restricted matching keeps every cluster within one part, so the
     projected partitioning is well defined at every level (and each
     nonempty part retains at least one coarse vertex — the coarsest
     level is always k-way partitionable).
-    """
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * int(ceilings.min()))
-    )
-    levels: list[tuple[Hypergraph, np.ndarray]] = []  # (fine, cmap)
-    cur_h = h
-    cur_parts = parts
-    while cur_h.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-        if deadline is not None and deadline.expired():
-            break  # refine whatever granularity we reached
-        match = match_vertices(
-            cur_h, cfg, rng, cluster_cap, restrict_parts=cur_parts
-        )
-        cmap, coarse = contract(
-            cur_h, match, merge_identical_nets=cfg.merge_identical_nets
-        )
-        if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
-            break
-        # Project the partitioning: constant on clusters by construction.
-        coarse_parts = np.empty(coarse.nverts, dtype=np.int64)
-        coarse_parts[cmap] = cur_parts
-        levels.append((cur_h, cmap))
-        cur_h, cur_parts = coarse, coarse_parts
 
-    cur_parts = kway_refine(
-        cur_h, cur_parts, nparts, ceilings, cfg, rng, deadline=deadline
-    ).parts
-    for fine, cmap in reversed(levels):
+    Returns the refined vector and whether ``deadline`` cut the pass
+    short (fewer levels, a skipped level, or a cut-short refinement).
+    """
+    levels, cur_parts, cut_short = coarsen(
+        h, cfg, rng, cluster_cap, cfg.coarse_target, deadline, parts
+    )
+    cur_h = levels[-1].coarse if levels else h
+    result = refine(cur_h, cur_parts, deadline=deadline)
+    cur_parts = result.parts
+    cut_short = cut_short or result.degraded is not None
+    for level in reversed(levels):
         # Restricted coarsening means projection alone reproduces the
         # incoming assignment at every level — skipping a refinement
         # under an expired deadline degrades quality, never validity.
-        cur_parts = cur_parts[cmap]
+        cur_parts = cur_parts[level.cmap]
         if deadline is not None and deadline.expired():
+            cut_short = True
             continue
-        cur_parts = kway_refine(
-            fine, cur_parts, nparts, ceilings, cfg, rng, deadline=deadline
-        ).parts
-    return cur_parts
-
-
-def _one_cycle(
-    h: Hypergraph,
-    parts: np.ndarray,
-    max_weights: tuple[int, int],
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One restricted-coarsen / refine-up pass."""
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
-    )
-    levels: list[tuple[Hypergraph, np.ndarray]] = []  # (fine, cmap)
-    cur_h = h
-    cur_parts = parts
-    while cur_h.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-        match = match_vertices(
-            cur_h, cfg, rng, cluster_cap, restrict_parts=cur_parts
-        )
-        cmap, coarse = contract(
-            cur_h, match, merge_identical_nets=cfg.merge_identical_nets
-        )
-        if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
-            break
-        # Project the partitioning: constant on clusters by construction.
-        coarse_parts = np.empty(coarse.nverts, dtype=np.int64)
-        coarse_parts[cmap] = cur_parts
-        levels.append((cur_h, cmap))
-        cur_h, cur_parts = coarse, coarse_parts
-
-    cur_parts = fm_refine(cur_h, cur_parts, max_weights, cfg, rng).parts
-    for fine, cmap in reversed(levels):
-        cur_parts = cur_parts[cmap]
-        cur_parts = fm_refine(fine, cur_parts, max_weights, cfg, rng).parts
-    return cur_parts
+        result = refine(level.fine, cur_parts, deadline=deadline)
+        cur_parts = result.parts
+        cut_short = cut_short or result.degraded is not None
+    return cur_parts, cut_short

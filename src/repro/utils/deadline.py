@@ -173,8 +173,9 @@ class Expired(Exception):
     Raised inside the sweep (through
     :func:`repro.partitioner.coarsen.match_vertices` and
     :func:`~repro.partitioner.coarsen.coarsen_level`) and caught by the
-    multilevel engines, which drop the unfinished level; ``visited`` is
-    how many vertices the sweep had visited.
+    coarsening loop (:func:`~repro.partitioner.coarsen.coarsen`), which
+    drops the unfinished level; ``visited`` is how many vertices the
+    sweep had visited.
     """
 
     def __init__(self, visited: int):

@@ -243,20 +243,17 @@ class _Probe:
 
     def boundaries(self) -> dict[str, int]:
         """Check index of the first and the last check at each
-        multilevel boundary.  ``multilevel_bipartition`` checks at two
-        lines: the coarsening loop's comes first in the source, the
-        uncoarsening loop's second."""
-        ml_lines = sorted(
-            {line for name, line in self.checks
-             if name == "multilevel_bipartition"}
-        )
-        stage_of = {("initial_partition", None): "initial"}
-        if ml_lines:
-            stage_of[("multilevel_bipartition", ml_lines[0])] = "coarsen"
-            stage_of[("multilevel_bipartition", ml_lines[-1])] = "uncoarsen"
+        multilevel boundary.  The coarsening loop (``coarsen``) checks
+        before each level; ``multilevel_bipartition`` itself checks
+        only before each uncoarsening level."""
+        stage_of = {
+            "coarsen": "coarsen",
+            "initial_partition": "initial",
+            "multilevel_bipartition": "uncoarsen",
+        }
         found: dict[str, int] = {}
-        for i, (name, line) in enumerate(self.checks):
-            stage = stage_of.get((name, line)) or stage_of.get((name, None))
+        for i, (name, _) in enumerate(self.checks):
+            stage = stage_of.get(name)
             if stage is not None:
                 found.setdefault(f"first-{stage}", i)
                 found[f"last-{stage}"] = i
@@ -372,8 +369,8 @@ def test_budget_expiring_in_the_first_sweep_returns_the_floor(
     callers = probe.callers()
     first = callers.index("match_vertices")
     # Level 0's coarsening check is the only one before it.
-    assert callers[first - 1] in ("multilevel_bipartition", "multilevel_kway")
-    assert callers[:first].count(callers[first - 1]) == 1
+    assert callers[first - 1] == "coarsen"
+    assert callers[:first].count("coarsen") == 1
     res = run(matrix, SoftBudget(first))
     ceiling = max_allowed_part_size(matrix.nnz, 8, 0.03)
     parts, volume = floor_split(matrix, np.full(8, ceiling))
@@ -404,6 +401,43 @@ def test_sweep_stop_is_a_deadline_event_on_the_coarsen_span(
     assert stop["where"] == "match"
     assert stop["visited"] == MATCH_CHUNK
     assert count_events(records)["deadline[match]"] == 1
+
+
+def test_kway_vcycle_sweep_stops_on_the_deadline(matrix, tmp_path):
+    # The k-way V-cycle coarsens with the engines' loop, so its
+    # restricted matching sweeps check the deadline too.  Expiring at
+    # the first such check ends the cycle; keep-best returns an answer
+    # no worse than the multilevel construction the cycle started from.
+    def run(deadline):
+        return partition_kway(
+            matrix, 4, seed=SEED, vcycles=2, deadline=deadline
+        )
+
+    probe = _Probe()
+    run(probe)
+    callers = probe.callers()
+    cycle = callers.index("kway_vcycle_refine")
+    first = callers.index("match_vertices", cycle)
+    path = str(tmp_path / "trace.jsonl")
+    _trace.enable(path)
+    try:
+        res = run(SoftBudget(first))
+    finally:
+        _trace.disable()
+    _assert_complete_and_valid(matrix, res, 4)
+    assert res.feasible is True
+    construction = partition_kway(matrix, 4, seed=SEED, vcycles=1)
+    assert res.volume <= construction.volume
+    assert any(
+        b.startswith("Degraded[vcycle]") for b in res.failures
+    ), res.failures
+    records = list(read_trace(path))
+    (cycle_span,) = [r for r in records if r["name"] == "vcycle.cycle"]
+    (stop,) = [
+        e for e in cycle_span["events"]
+        if e["name"] == "deadline" and e["where"] == "match"
+    ]
+    assert stop["visited"] == MATCH_CHUNK
 
 
 def test_kway_construction_expiring_midway_splits_the_rest(matrix):
