@@ -39,28 +39,19 @@ the p-way task shapes — because whole-run wall clock on a single-core
 host cannot resolve the few-millisecond payload delta that the layer
 removes (the full-partition times are recorded as context).
 
-A fourth stage benchmarks the **direct k-way partitioner**
-(``algo="kway"`` — :mod:`repro.core.kway`) head-to-head against
-recursive bisection at the same p values, on the bench set plus the
-k-diagonal structured instance: per (matrix, p) it verifies the k-way
-result is bit-identical across every execution backend and ``jobs``
-value (the partitioner has no recursion tree, so the knobs must be exact
-no-ops), that every part respects the eqn-(1) ceiling,
-and records interleaved min-of wall clocks and the volume ratio
-``kway / recursive`` — the quality/speed trade-off the ROADMAP's
-bisection-vs-direct comparison asks for.
-
-A fifth stage (``kway-ml``) benchmarks the **multilevel** direct k-way
-engine (``algo="kway"`` with ``kway_vcycles >= 1`` —
-:func:`repro.partitioner.multilevel.multilevel_kway`) against recursive
-bisection on the same grid.  Where the flat k-way stage above trades
-volume for speed, the multilevel stage must close the quality gap while
-keeping a decisive speed edge; both sides are *gated at generation
-time*: geomean volume ratio <= ``KWAY_ML_RATIO_GATE`` AND geomean
-speedup >= ``KWAY_ML_SPEEDUP_GATE``, plus the usual bit-identity
-(exec backends, jobs) and eqn-(1) feasibility checks
-per cell.  ``tests/test_bench_e2e.py`` re-asserts the committed
-numbers under ``pytest -m bench``.
+A fourth stage (``kway-ml``) benchmarks the **multilevel** direct
+k-way engine (``algo="kway"`` — :mod:`repro.core.kway`, with
+``kway_vcycles=KWAY_ML_VCYCLES``) head-to-head against recursive
+bisection at the same p values, on the bench set plus the k-diagonal
+structured instance.  Per (matrix, p) it verifies the k-way result is
+bit-identical across every execution backend and ``jobs`` value (the
+partitioner has no recursion tree, so the knobs must be exact no-ops)
+and that every part respects the eqn-(1) ceiling, and records
+interleaved min-of wall clocks and the volume ratio ``kway-ml /
+recursive``.  Both sides are *gated at generation time*: geomean volume
+ratio <= ``KWAY_ML_RATIO_GATE`` AND geomean speedup >=
+``KWAY_ML_SPEEDUP_GATE``.  ``tests/test_bench_e2e.py`` re-asserts the
+committed numbers under ``pytest -m bench``.
 
 A second stage times **p-way recursive bisection** (p in {4, 16, 64} —
 the paper's Fig. 6b / Table II workload) three ways on every bench
@@ -322,79 +313,6 @@ def bench_pway_matrix(
 KWAY_EXTRA_MATRICES = ("sym_kdiag_m",)
 
 
-def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
-    """Direct k-way vs recursive bisection on one matrix.
-
-    Gates before any timing is trusted, per p:
-
-    * the k-way partition is **bit-identical** across every execution
-      backend and ``jobs`` in ``{1, jobs}`` (no recursion tree — the
-      knobs must change nothing);
-    * every part respects the eqn-(1) ceiling (``feasible``).
-
-    Timings are interleaved min-of wall clocks of the two algorithms;
-    ``volume_ratio`` (kway / recursive) records the quality side of the
-    trade-off.
-    """
-    matrix = load_instance(name)
-    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    for p in ps:
-        rec = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-        )
-        kw = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, algo="kway"
-        )
-        ceiling = max_allowed_part_size(matrix.nnz, p, 0.03)
-        if not kw.feasible or kw.max_part > ceiling:
-            raise AssertionError(
-                f"{name} p={p}: kway max part {kw.max_part} exceeds the "
-                f"eqn-(1) ceiling {ceiling}"
-            )
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in EXEC_BACKENDS]:
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                algo="kway", jobs=jv, exec_backend=eb,
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway partition differs under "
-                    f"jobs={jv} exec_backend={eb}"
-                )
-        best_kw = float("inf")
-        best_rec = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                algo="kway",
-            )
-            best_kw = min(best_kw, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-            )
-            best_rec = min(best_rec, time.perf_counter() - t0)
-        entry["by_p"][str(p)] = {
-            "volume_kway": kw.volume,
-            "volume_recursive": rec.volume,
-            "volume_ratio": round(kw.volume / rec.volume, 3)
-            if rec.volume
-            else float("inf"),
-            "kway_s": round(best_kw, 6),
-            "recursive_s": round(best_rec, 6),
-            "speedup_kway": round(best_rec / best_kw, 3)
-            if best_kw > 0
-            else float("inf"),
-            "max_part_kway": kw.max_part,
-            "imbalance_kway": round(kw.imbalance, 6),
-            "ceiling": ceiling,
-            "feasible": True,
-            "bit_identical": True,
-        }
-    return entry
-
-
 #: V-cycle count of the multilevel k-way (``kway-ml``) rows: one full
 #: multilevel construction, no extra restricted V-cycles.  Measured as
 #: the knee of the quality/speed curve on the bench set — ``vcycles=2``
@@ -411,13 +329,13 @@ KWAY_ML_SPEEDUP_GATE = 2.0
 def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
     """Multilevel direct k-way vs recursive bisection on one matrix.
 
-    The same contract as :func:`bench_kway_matrix`, with the k-way side
-    running the multilevel engine (``kway_vcycles=KWAY_ML_VCYCLES``)
-    instead of the flat pipeline: per p, the partition must be
+    The k-way side runs the multilevel engine
+    (``kway_vcycles=KWAY_ML_VCYCLES``).  Per p, the partition must be
     bit-identical across every execution backend and ``jobs`` in
-    ``{1, jobs}``, and every part must respect the eqn-(1) ceiling.  Timings are interleaved min-of wall clocks;
-    ``volume_ratio`` (kway-ml / recursive) is the quantity the
-    generation-time geomean gates aggregate.
+    ``{1, jobs}``, and every part must respect the eqn-(1) ceiling.
+    Timings are interleaved min-of wall clocks; ``volume_ratio``
+    (kway-ml / recursive) is the quantity the generation-time geomean
+    gates aggregate.
     """
     matrix = load_instance(name)
     ml_cfg = dataclasses.replace(
@@ -702,46 +620,9 @@ def run_benchmarks(
     )
     report["exec"] = exec_section
 
-    # Direct k-way vs recursive bisection stage.
     kway_names = tuple(
         dict.fromkeys(tuple(matrices) + KWAY_EXTRA_MATRICES)
     )
-    kway_section: dict = {
-        "method": "mediumgrain",
-        "baseline": "recursive",
-        "current": "kway",
-        "ps": [int(p) for p in pway_parts],
-        "eps": 0.03,
-        "matrices": {},
-    }
-    for name in kway_names:
-        entry = bench_kway_matrix(name, pway_parts, repeats, jobs)
-        kway_section["matrices"][name] = entry
-        for p in pway_parts:
-            e = entry["by_p"][str(p)]
-            print(
-                f"  {name:14s} p={p:<3d} kway vol {e['volume_kway']:>6d} "
-                f"({e['kway_s']:7.3f} s)   recursive vol "
-                f"{e['volume_recursive']:>6d} ({e['recursive_s']:7.3f} s)  "
-                f"ratio x{e['volume_ratio']:.2f}  speed x{e['speedup_kway']:.2f}"
-            )
-    kway_section["geomean_volume_ratio_by_p"] = {
-        str(p): round(
-            _geomean([
-                kway_section["matrices"][m]["by_p"][str(p)]["volume_ratio"]
-                for m in kway_names
-            ]), 3,
-        )
-        for p in pway_parts
-    }
-    kway_section["geomean_speedup_kway"] = round(
-        _geomean([
-            kway_section["matrices"][m]["by_p"][str(p)]["speedup_kway"]
-            for m in kway_names for p in pway_parts
-        ]), 3,
-    )
-    report["kway"] = kway_section
-
     # Multilevel direct k-way stage — same grid, gated at generation.
     kway_ml_section: dict = {
         "method": "mediumgrain",
@@ -811,15 +692,15 @@ SMOKE_MATRICES = ("sym_grid2d_s", "rec_td_small_a", "sqr_er_s")
 def run_smoke(jobs: int) -> int:
     """CI smoke: completion + bit-identity across every exec backend.
 
-    Runs the whole-pipeline sweep, a p=4 recursive bisection, a p=4 flat
-    direct k-way partitioning (``--algo kway``), and a p=4 *multilevel*
-    k-way partitioning (``kway_vcycles=2`` — one multilevel construction
-    plus one restricted V-cycle, so both halves of the multilevel engine
-    execute) on tiny instances with ``--jobs`` workers, under every
-    execution backend, asserting the results equal the serial reference
-    and (for both k-way flavours) that every part respects the eqn-(1)
-    ceiling.  **No wall-clock gating** — this exists so a cold CI runner
-    proves the parallel plumbing end to end, not to race it.
+    Runs the whole-pipeline sweep, a p=4 recursive bisection and a p=4
+    multilevel direct k-way partitioning (``--algo kway`` with
+    ``kway_vcycles=2`` — one multilevel construction plus one restricted
+    V-cycle, so both halves of the multilevel engine execute) on tiny
+    instances with ``--jobs`` workers, under every execution backend,
+    asserting the results equal the serial reference and that every
+    k-way part respects the eqn-(1) ceiling.  **No wall-clock gating** —
+    this exists so a cold CI runner proves the parallel plumbing end to
+    end, not to race it.
     """
     seeds = spawn_seeds(BASE_SEED, 1)
     cfg = get_config("mondriaan")
@@ -841,18 +722,11 @@ def run_smoke(jobs: int) -> int:
             matrix, 4, method="mediumgrain", seed=BASE_SEED,
             config=cfg, jobs=1,
         )
-        kway_serial = partition(
-            matrix, 4, method="mediumgrain", seed=BASE_SEED,
-            config=cfg, jobs=1, algo="kway",
-        )
         ml_serial = partition(
             matrix, 4, method="mediumgrain", seed=BASE_SEED,
             config=ml_cfg, jobs=1, algo="kway",
         )
         ceiling = max_allowed_part_size(matrix.nnz, 4, 0.03)
-        if kway_serial.max_part > ceiling:
-            print(f"FAIL kway ceiling {name}")
-            failures += 1
         if ml_serial.max_part > ceiling:
             print(f"FAIL kway-ml ceiling {name}")
             failures += 1
@@ -862,30 +736,23 @@ def run_smoke(jobs: int) -> int:
                 config=cfg, jobs=jobs, exec_backend=eb,
             )
             ok = np.array_equal(serial.parts, res.parts)
-            kres = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=jobs, exec_backend=eb, algo="kway",
-            )
-            kok = np.array_equal(kway_serial.parts, kres.parts)
             mres = partition(
                 matrix, 4, method="mediumgrain", seed=BASE_SEED,
                 config=ml_cfg, jobs=jobs, exec_backend=eb, algo="kway",
             )
             mok = np.array_equal(ml_serial.parts, mres.parts)
-            failures += (not ok) + (not kok) + (not mok)
+            failures += (not ok) + (not mok)
             print(
                 f"  {name:14s} exec={eb:8s} "
                 f"volume={res.volume:<6d} "
                 f"{'ok' if ok else 'MISMATCH'}  "
-                f"kway={kres.volume:<6d} "
-                f"{'ok' if kok else 'MISMATCH'}  "
                 f"kway-ml={mres.volume:<6d} "
                 f"{'ok' if mok else 'MISMATCH'}"
             )
     failures += _smoke_retry_path(jobs)
     print(
         f"\nsmoke: {len(EXEC_BACKENDS)} exec backend(s) x "
-        f"{len(SMOKE_MATRICES)} matrices x (recursive + kway + kway-ml + "
+        f"{len(SMOKE_MATRICES)} matrices x (recursive + kway-ml + "
         f"retry-path), jobs={jobs}; {failures} failure(s)"
     )
     return 1 if failures else 0
@@ -1076,9 +943,6 @@ def main(argv=None) -> int:
           f"baseline): x{report['pway']['geomean_speedup_parallel']}")
     print(f"geomean exec-layer speedup (shared-memory vs pickled pool): "
           f"x{report['exec']['geomean_speedup_shm']}")
-    print(f"geomean kway speedup over recursive bisection: "
-          f"x{report['kway']['geomean_speedup_kway']} at volume ratio "
-          f"{report['kway']['geomean_volume_ratio_by_p']}")
     print(f"geomean kway-ml (vcycles={report['kway_ml']['kway_vcycles']}) "
           f"speedup: x{report['kway_ml']['geomean_speedup_kway_ml']} at "
           f"volume ratio {report['kway_ml']['geomean_volume_ratio']} "

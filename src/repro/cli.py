@@ -101,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_part.add_argument(
         "--kway-vcycles",
-        type=int,
-        default=0,
+        type=_kway_vcycles,
+        default=1,
         metavar="N",
         help=(
-            "multilevel V-cycles for --algo kway (0 = flat direct "
-            "k-way; N >= 1 = multilevel construction plus N-1 "
-            "restricted V-cycles); ignored for recursive bisection"
+            "multilevel cycles for --algo kway (N >= 1: multilevel "
+            "construction plus N-1 restricted V-cycles); ignored for "
+            "recursive bisection"
         ),
     )
     p_part.add_argument("--eps", type=float, default=0.03)
@@ -198,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument(
         "--kway-vcycles",
-        type=int,
-        default=0,
+        type=_kway_vcycles,
+        default=1,
         metavar="N",
         help=(
-            "multilevel V-cycles for --algo kway runs (0 = flat "
-            "direct k-way); ignored for recursive bisection"
+            "multilevel cycles for --algo kway runs (N >= 1); ignored "
+            "for recursive bisection"
         ),
     )
     _add_hardening_flags(p_exp)
@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=METHOD_NAMES)
     p_sub.add_argument("--algo", default="recursive", choices=ALGO_NAMES)
     p_sub.add_argument(
-        "--kway-vcycles", type=int, default=0, metavar="N",
-        help="multilevel V-cycles for --algo kway (0 = flat)",
+        "--kway-vcycles", type=_kway_vcycles, default=1, metavar="N",
+        help="multilevel cycles for --algo kway (N >= 1)",
     )
     p_sub.add_argument("--eps", type=float, default=0.03)
     p_sub.add_argument("--refine", action="store_true")
@@ -361,6 +361,17 @@ def _add_hardening_flags(sub: argparse.ArgumentParser) -> None:
             "retry, today's behavior)"
         ),
     )
+
+
+def _kway_vcycles(text: str) -> int:
+    """``--kway-vcycles`` value: at least one multilevel cycle."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{value}: need N >= 1 (0 selected the flat direct k-way "
+            f"path, which was removed)"
+        )
+    return value
 
 
 def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
@@ -561,7 +572,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if wanted in ("table2", "all"):
             data_kway = None
             if args.algo == "recursive":
-                # The k-way / kway+ml method-family columns need the
+                # The kway+ml method-family column needs the
                 # recursive MG baseline in ``data_p64`` to normalize
                 # against; under --algo kway that baseline IS k-way
                 # already, so the extra sweeps would compare an engine

@@ -12,12 +12,16 @@ Pipeline (``method="mediumgrain"``):
 
 1. Algorithm-1 split of the full matrix, composite hypergraph
    (:mod:`repro.core.medium_grain`) — one build, no recursion tree;
-2. balanced greedy initial assignment of the group vertices, heaviest
-   vertex first into the lightest part *with room* under the eqn-(1)
-   ceiling (:func:`greedy_kway_vertex_parts`);
-3. k-way FM refinement (:func:`repro.partitioner.fm.kway_refine`) whose
-   move loop maintains per-net part-occupancy counts and exact
-   connectivity-λ gains through the k-way FM kernel;
+2. the multilevel k-way engine
+   (:func:`repro.partitioner.multilevel.multilevel_kway`): coarsen by
+   matching, build the coarsest level by recursive bisection, and
+   uncoarsen with k-way FM
+   (:func:`repro.partitioner.fm.kway_refine`), whose move loop keeps
+   per-net part-occupancy counts and exact connectivity-λ gains;
+3. ``vcycles - 1`` hMetis-style restricted V-cycles
+   (:func:`repro.partitioner.vcycle.kway_vcycle_refine`) that can move
+   whole clusters between parts (``PartitionerConfig.kway_vcycles`` or
+   the explicit ``vcycles`` argument, at least 1);
 4. eqn-(5) mapping back to the nonzeros; by eqn (6) the hypergraph's
    connectivity-(λ−1) cut *is* the matrix communication volume.
 5. optionally (``refine=True``) the k-way iterate loop: re-encode the
@@ -27,15 +31,6 @@ Pipeline (``method="mediumgrain"``):
 The 1D models and the fine-grain model plug into the same engine (their
 vertex weights are nonzero counts too), so every method label of
 :data:`repro.core.methods.METHOD_NAMES` works under ``algo="kway"``.
-
-``PartitionerConfig.kway_vcycles`` (or the explicit ``vcycles``
-argument) upgrades step 2–3 to the *multilevel* k-way engine: a full
-multilevel construction
-(:func:`repro.partitioner.multilevel.multilevel_kway`) followed by
-hMetis-style restricted V-cycles
-(:func:`repro.partitioner.vcycle.kway_vcycle_refine`) that can move
-whole clusters between parts — the quality lever the flat pipeline
-lacks.  ``kway_vcycles=0`` keeps the flat path bit-for-bit.
 
 Determinism: the result is a pure function of ``(matrix, arguments,
 seed)``.  There is no recursion tree to schedule, so ``jobs`` and
@@ -63,11 +58,6 @@ from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import trace as _obs
 from repro.partitioner.config import PartitionerConfig, get_config
-from repro.partitioner.fm import kway_refine
-from repro.partitioner.initial import (
-    greedy_kway_vertex_parts,
-    initial_kway_parts,
-)
 from repro.partitioner.multilevel import multilevel_kway
 from repro.partitioner.vcycle import kway_vcycle_refine
 from repro.sparse.matrix import SparseMatrix
@@ -78,7 +68,7 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
 from repro.utils.validation import check_eps, check_pos_int
 
-__all__ = ["partition_kway", "greedy_kway_vertex_parts"]
+__all__ = ["partition_kway"]
 
 
 def _kway_vertex_partition(
@@ -87,17 +77,12 @@ def _kway_vertex_partition(
     ceilings: np.ndarray,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    vcycles: int = 0,
+    vcycles: int,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, tuple[Degraded, ...]]:
     """Partition the vertices of one hypergraph into ``nparts`` parts.
 
-    ``vcycles=0`` (the default) is the original *flat* path — greedy
-    best-of-restarts assignment (see
-    :func:`repro.partitioner.initial.initial_kway_parts`) followed by
-    k-way FM on the full hypergraph, bit-identical to the pre-multilevel
-    pipeline.  ``vcycles >= 1`` runs the multilevel engine instead:
-    cycle 1 is a full multilevel construction
+    Cycle 1 is a full multilevel construction
     (:func:`repro.partitioner.multilevel.multilevel_kway`), and cycles
     ``2..vcycles`` are hMetis-style restricted V-cycles
     (:func:`repro.partitioner.vcycle.kway_vcycle_refine`).
@@ -106,13 +91,6 @@ def _kway_vertex_partition(
     :class:`~repro.utils.deadline.Degraded` records the engines reported
     (empty unless a ``deadline`` expired mid-run).
     """
-    if vcycles <= 0:
-        best = initial_kway_parts(h, nparts, ceilings, cfg, rng)
-        result = kway_refine(
-            h, best, nparts, ceilings, cfg, rng, deadline=deadline
-        )
-        degraded = (result.degraded,) if result.degraded else ()
-        return result.parts, degraded
     result = multilevel_kway(h, nparts, ceilings, cfg, rng, deadline=deadline)
     degraded = (result.degraded,) if result.degraded else ()
     parts = result.parts
@@ -146,12 +124,13 @@ def partition_kway(
     part shares the single eqn-(1) ceiling
     ``max_allowed_part_size(nnz, nparts, eps)``.
 
-    ``vcycles`` selects the engine (``None`` defers to
-    ``config.kway_vcycles``): ``0`` refines the flat hypergraph — the
-    original direct k-way path, exactly; ``N >= 1`` runs the multilevel
-    engine (full multilevel construction, then ``N - 1`` restricted
-    V-cycles — see :func:`_kway_vertex_partition`).  Multilevel results
-    carry a ``"+ml"`` method suffix.
+    ``vcycles`` (``None`` defers to ``config.kway_vcycles``) counts
+    the multilevel cycles: a full multilevel construction, then
+    ``vcycles - 1`` restricted V-cycles (see
+    :func:`_kway_vertex_partition`).  It must be at least 1: ``0``
+    selected the flat single-level path, which was removed, and is
+    rejected with a :class:`~repro.errors.PartitioningError`.  Results
+    with ``nparts > 1`` carry a ``"+ml"`` method suffix.
 
     ``refine=True`` runs the generalized Algorithm-2 iterate loop after
     the direct partitioning (alternating majority re-encodings, keeping
@@ -180,9 +159,11 @@ def partition_kway(
         )
     cfg = get_config(config)
     vcycles = cfg.kway_vcycles if vcycles is None else int(vcycles)
-    if vcycles < 0:
+    if vcycles < 1:
         raise PartitioningError(
-            "vcycles must be non-negative (0 = flat direct k-way)"
+            f"vcycles={vcycles}: the direct k-way engine needs at least "
+            f"one multilevel cycle (0 selected the flat direct k-way "
+            f"path, which was removed)"
         )
     rng = as_generator(seed)
     n = matrix.nnz
@@ -257,7 +238,7 @@ def partition_kway(
         imbalance=imbalance(matrix, parts, nparts),
         seconds=timer.elapsed,
         method=method
-        + ("+ml" if vcycles and nparts > 1 else "")
+        + ("+ml" if nparts > 1 else "")
         + ("+ir" if refine else ""),
         bisection_volumes=[],
         failures=tuple(d.brief() for d in degraded),
@@ -270,7 +251,7 @@ def _run_localbest_kway(
     ceilings: np.ndarray,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    vcycles: int = 0,
+    vcycles: int,
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, tuple[Degraded, ...]]:
     """Row-net and column-net k-way runs, keep the lower volume (ties:

@@ -155,7 +155,7 @@ def collect_paper_runs(
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
     algo: str = "recursive",
-    kway_vcycles: int = 0,
+    kway_vcycles: int = 1,
     task_timeout: float | None = None,
     retries: int = 0,
 ) -> ExperimentData:
@@ -166,9 +166,9 @@ def collect_paper_runs(
     not part of the memoization key; ``task_timeout`` / ``retries`` (the
     hardened-execution knobs, see ``docs/robustness.md``) never change
     results either and are likewise excluded.  ``algo`` (the p-way
-    scheme for ``nparts > 2``) and ``kway_vcycles`` (flat vs multilevel
-    direct k-way) change results outright, so they are part of the
-    key.
+    scheme for ``nparts > 2``) and ``kway_vcycles`` (the direct k-way
+    engine's multilevel cycles) change results outright, so they are
+    part of the key.
     """
     key = (
         tier, max_tier, nruns, nparts, config, base_seed, with_bsp,
@@ -202,12 +202,12 @@ def collect_paper_runs(
     return data
 
 
-#: Method-family columns of the Table-II k-way comparison: the direct
-#: k-way partitioner, flat and multilevel.  ``KWAY_ML_VCYCLES`` matches
-#: the BENCH ``kway-ml`` stage (one full multilevel construction).
+#: Method-family columns of the Table-II k-way comparison: the
+#: multilevel direct k-way partitioner.  ``KWAY_ML_VCYCLES`` matches the
+#: BENCH ``kway-ml`` stage (one full multilevel construction).  The
+#: ``+ml`` label is kept: journals and BENCH files persist it.
 KWAY_ML_VCYCLES = 1
 KWAY_FAMILIES: tuple[tuple[str, int], ...] = (
-    ("kway", 0),
     ("kway+ml", KWAY_ML_VCYCLES),
 )
 
@@ -226,10 +226,10 @@ def collect_kway_runs(
 ) -> dict[str, ExperimentData]:
     """Mediumgrain p-way runs under the direct k-way families.
 
-    One sweep per :data:`KWAY_FAMILIES` entry — the ``kway`` (flat) and
-    ``kway+ml`` (multilevel) method-family columns of the Table-II
-    comparison — restricted to the mediumgrain method so the extra cost
-    stays a fraction of the six-method recursive sweep.  Seeds, entries,
+    One sweep per :data:`KWAY_FAMILIES` entry — the ``kway+ml``
+    (multilevel) method-family column of the Table-II comparison —
+    restricted to the mediumgrain method so the extra cost stays a
+    fraction of the six-method recursive sweep.  Seeds, entries,
     and the PaToH preset match :func:`collect_paper_runs`' p = 64 data,
     so records line up per instance.  Memoized like the paper sweeps.
     """
@@ -398,10 +398,9 @@ def run_table2_geomeans(
 
     ``data_kway`` (label -> mediumgrain-only runs, see
     :func:`collect_kway_runs`) appends the method-family comparison:
-    ``kway`` / ``kway+ml`` columns normalized against the recursive
-    ``MG`` baseline, plus the per-record :func:`pway_table` so the
-    families are compared in the paper-style table, not just in BENCH
-    JSON.
+    the ``kway+ml`` column normalized against the recursive ``MG``
+    baseline, plus the per-record :func:`pway_table` so the families
+    are compared in the paper-style table, not just in BENCH JSON.
     """
     lines = ["Table II — geometric means relative to LB (patoh preset)"]
     rows: list[list[object]] = []

@@ -180,7 +180,7 @@ def run_methods(
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
     algo: str = "recursive",
-    kway_vcycles: int = 0,
+    kway_vcycles: int = 1,
     task_timeout: float | None = None,
     retries: int = 0,
     checkpoint=None,
@@ -222,10 +222,10 @@ def run_methods(
         partitioner.  Unlike ``jobs`` this changes the results — it is
         the comparison axis of the kway-vs-recursive experiments.
     kway_vcycles:
-        Multilevel V-cycle count for ``algo="kway"`` runs (``0`` = the
-        flat direct k-way path; ``N >= 1`` = multilevel construction
-        plus ``N - 1`` restricted V-cycles).  Result-determining, like
-        ``algo``.  Ignored for recursive runs.
+        Multilevel cycle count for ``algo="kway"`` runs: a multilevel
+        construction plus ``kway_vcycles - 1`` restricted V-cycles (at
+        least 1).  Result-determining, like ``algo``.  Ignored for
+        recursive runs.
     task_timeout / retries:
         Hardened-execution knobs, handed to
         :func:`~repro.eval.sweep.run_sweep` unchanged: per-task deadline

@@ -135,13 +135,12 @@ class RunSpec:
     #: :func:`repro.core.recursive.partition`'s ``algo``).  Ignored for
     #: bipartitionings.
     algo: str = "recursive"
-    #: Multilevel V-cycle count for ``algo="kway"`` runs (see
+    #: Multilevel cycle count for ``algo="kway"`` runs (see
     #: :attr:`repro.partitioner.config.PartitionerConfig.kway_vcycles`).
-    #: ``0`` keeps the flat direct k-way path bit-for-bit; a
-    #: result-determining knob, so it participates in the sweep
+    #: A result-determining knob, so it participates in the sweep
     #: fingerprint (unlike ``jobs``).  Ignored for recursive runs and
     #: bipartitionings.
-    kway_vcycles: int = 0
+    kway_vcycles: int = 1
     #: Cross-process trace envelope
     #: (:class:`repro.obs.trace.TraceContext`, ``None`` when tracing is
     #: disabled).  Rides the spec into pool workers the way the
@@ -162,7 +161,7 @@ def build_runspecs(
     with_bsp: bool = False,
     verify_spmv: bool = False,
     algo: str = "recursive",
-    kway_vcycles: int = 0,
+    kway_vcycles: int = 1,
 ) -> list[RunSpec]:
     """Expand a sweep into specs in the canonical (serial) order.
 

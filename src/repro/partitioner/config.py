@@ -53,13 +53,6 @@ class PartitionerConfig:
         part-weight ceiling, keeping the coarsest hypergraph partitionable.
     merge_identical_nets:
         Merge nets with identical pin sets during contraction (costs add).
-    n_initial:
-        Number of restarts of the flat k-way construction
-        (:func:`~repro.partitioner.initial.initial_kway_parts`, the
-        ``kway_vcycles=0`` path); best kept.  No other construction
-        restarts: the multilevel k-way coarsest level is one recursive
-        bisection, and the 2-way coarsest level always ranks exactly two
-        candidates, greedy growing and the spectral sweep.
     fm_max_passes:
         Maximum FM passes per refinement call.
     fm_early_exit_frac:
@@ -101,20 +94,22 @@ class PartitionerConfig:
         it does *not* change results across exec backends or ``jobs``
         values within either algorithm.
     kway_vcycles:
-        Multilevel V-cycles for the direct k-way partitioner
-        (``algo="kway"``; see :mod:`repro.core.kway`).  ``0`` (default)
-        refines the *flat* hypergraph — the original direct k-way path,
-        exactly.  ``N >= 1`` runs the multilevel engine instead: cycle 1
-        is a full multilevel construction (unrestricted coarsening,
-        coarsest-level k-way construction, k-way-FM refinement at every
-        level on the way up — :func:`repro.partitioner.multilevel.
-        multilevel_kway`), and each further cycle is an hMetis-style
-        *restricted* V-cycle (:func:`repro.partitioner.vcycle.
-        kway_vcycle_refine`) that re-coarsens respecting the current
-        partitioning and can move whole clusters between parts.  Unlike
-        the speed knobs this genuinely changes the result (better
-        volume for more time); within a fixed value results stay
-        bit-identical across exec backends and ``jobs``.
+        Multilevel cycles of the direct k-way partitioner
+        (``algo="kway"``; see :mod:`repro.core.kway`).  Cycle 1 (the
+        default runs only this one) is a full multilevel construction
+        (unrestricted coarsening, recursive-bisection coarsest level,
+        k-way-FM refinement at every level on the way up —
+        :func:`repro.partitioner.multilevel.multilevel_kway`), and each
+        further cycle is an hMetis-style *restricted* V-cycle
+        (:func:`repro.partitioner.vcycle.kway_vcycle_refine`) that
+        re-coarsens respecting the current partitioning and can move
+        whole clusters between parts.  Unlike the speed knobs this
+        genuinely changes the result (better volume for more time);
+        within a fixed value results stay bit-identical across exec
+        backends and ``jobs``.  The config accepts ``0`` because the
+        recursive algorithm never reads the field, but the k-way
+        partitioner rejects it: ``0`` selected the flat single-level
+        path, which was removed.
     task_timeout:
         Per-task deadline in seconds for pool-executed work (see
         ``docs/robustness.md``): a task still running past it is killed
@@ -137,7 +132,6 @@ class PartitionerConfig:
     max_net_size_matching: int = 400
     cluster_weight_frac: float = 0.35
     merge_identical_nets: bool = True
-    n_initial: int = 8
     fm_max_passes: int = 4
     fm_early_exit_frac: float = 0.22
     boundary_only: bool = False
@@ -145,7 +139,7 @@ class PartitionerConfig:
     jobs: int = 1
     exec_backend: str = "auto"
     algo: str = "recursive"
-    kway_vcycles: int = 0
+    kway_vcycles: int = 1
     task_timeout: float | None = None
     retries: int = 0
 
@@ -166,8 +160,6 @@ class PartitionerConfig:
             raise PartitioningError("coarse_target must be at least 2")
         if not 0.0 < self.cluster_weight_frac <= 1.0:
             raise PartitioningError("cluster_weight_frac must be in (0, 1]")
-        if self.n_initial < 1:
-            raise PartitioningError("n_initial must be at least 1")
         if self.fm_max_passes < 1:
             raise PartitioningError("fm_max_passes must be at least 1")
         if self.jobs < 0:
@@ -185,9 +177,7 @@ class PartitionerConfig:
                 f"expected one of {ALGO_CHOICES}"
             )
         if self.kway_vcycles < 0:
-            raise PartitioningError(
-                "kway_vcycles must be non-negative (0 = flat direct k-way)"
-            )
+            raise PartitioningError("kway_vcycles must be non-negative")
         if self.task_timeout is not None and self.task_timeout < 0:
             raise PartitioningError(
                 "task_timeout must be non-negative (0/None = no deadline)"
@@ -205,7 +195,6 @@ PRESETS: dict[str, PartitionerConfig] = {
         coarse_target=72,
         matching="absorption",
         max_net_size_matching=256,
-        n_initial=14,
         fm_max_passes=7,
         fm_early_exit_frac=0.3,
         boundary_only=True,

@@ -18,16 +18,13 @@ structure that random restarts only sample, so on recursive p = 64
 bisection it keeps the geomean volume of eight restarts with a sixth
 of their FM passes.
 
-The flat k-way constructions live here too: the weight-only
-:func:`greedy_kway_vertex_parts` and the best-of-restarts
-:func:`initial_kway_parts`, the start of the flat direct k-way pipeline
-(:mod:`repro.core.kway`) and the only construction that uses restarts
-(``n_initial``); the k-way multilevel engine
-(:func:`repro.partitioner.multilevel.multilevel_kway`) builds its
-coarsest level by recursive bisection instead.  This module sits below
-both in the import graph, as does the O(n) :func:`contiguous_parts` the
-multilevel engines answer with when a deadline expires before they have
-anything better.
+The weight-only k-way assignment :func:`greedy_kway_vertex_parts` lives
+here too: the recursive construction of the k-way multilevel engine
+(:func:`repro.partitioner.multilevel.recursive_kway_parts`) splits an
+overflowing subtree with it.  So does the O(n) :func:`contiguous_parts`,
+the answer of the multilevel engines when a deadline expires before
+they have anything better; both sit below those engines in the import
+graph.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import FMResult, fm_refine
@@ -49,7 +45,6 @@ __all__ = [
     "greedy_grow",
     "spectral_sweep",
     "greedy_kway_vertex_parts",
-    "initial_kway_parts",
     "contiguous_parts",
 ]
 
@@ -296,30 +291,17 @@ def greedy_kway_vertex_parts(
     nparts: int,
     ceilings: np.ndarray,
     rng: np.random.Generator,
-    strategy: str = "balance",
 ) -> np.ndarray:
-    """Balanced greedy initial k-way assignment of the vertices.
+    """Balanced greedy k-way assignment of the vertices by weight alone.
 
-    Heaviest vertex first (ties shuffled by ``rng`` so restarts differ);
-    when no part has room the lightest part overall takes the vertex —
-    the start is then infeasible and the k-way FM pass drives it
-    feasible with forced moves.  Two placement disciplines:
-
-    ``"balance"``
-        Each vertex into the lightest part with room (ties to the lowest
-        part id) — longest-processing-time, keeping ``max_k w_k`` near
-        the eqn-(1) ceiling and the start maximally even.
-    ``"pack"``
-        First-fit decreasing: each vertex into the lowest-id part with
-        room.  Packs early parts tight and leaves the tail parts slack —
-        worse spread, but it fits tight instances (nearly uniform heavy
-        weights against a snug ceiling) that defeat the even spread.
+    Heaviest vertex first (ties shuffled by ``rng``), each into the
+    lightest part with room (ties to the lowest part id) —
+    longest-processing-time, keeping ``max_k w_k`` near the eqn-(1)
+    ceiling and the assignment maximally even.  When no part has room
+    the lightest part overall takes the vertex; the assignment is then
+    infeasible and the caller's FM rebalancing drives it feasible with
+    forced moves.
     """
-    if strategy not in ("balance", "pack"):
-        raise PartitioningError(
-            f"unknown initial-assignment strategy {strategy!r}"
-        )
-    pack = strategy == "pack"
     k = int(nparts)
     nverts = h.nverts
     perm = rng.permutation(nverts)
@@ -339,54 +321,14 @@ def greedy_kway_vertex_parts(
             if w < any_w:
                 any_w = w
                 any_p = p
-            if w + wv <= ceil_l[p]:
-                if pack:
-                    best = p
-                    break
-                if best == -1 or w < best_w:
-                    best = p
-                    best_w = w
+            if w + wv <= ceil_l[p] and (best == -1 or w < best_w):
+                best = p
+                best_w = w
         if best == -1:
             best = any_p
         out[v] = best
         pw[best] += wv
     return out
-
-
-def initial_kway_parts(
-    h: Hypergraph,
-    nparts: int,
-    ceilings: np.ndarray,
-    config: PartitionerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Best-of-restarts greedy k-way construction (no refinement).
-
-    A feasible start provably stays feasible through the FM passes (the
-    best-prefix bookkeeping never records an infeasible state once one
-    feasible state exists), so the greedy assignment is retried with
-    fresh tie-break orders — up to ``config.n_initial`` times — until
-    the packing fits, alternating the even-spread and first-fit disciplines (an
-    instance of nearly uniform heavy weights against a snug ceiling
-    defeats the even spread on *every* order, but first-fit packs it);
-    the least-overweight attempt is returned otherwise and the caller's
-    FM rebalancing pass gets to repair it.
-    """
-    best: np.ndarray | None = None
-    best_over: int | None = None
-    for attempt in range(max(1, config.n_initial)):
-        vparts = greedy_kway_vertex_parts(
-            h, nparts, ceilings, rng,
-            strategy="balance" if attempt % 2 == 0 else "pack",
-        )
-        pw = np.bincount(vparts, weights=h.vwgt, minlength=nparts)
-        over = int((pw - np.asarray(ceilings)).max(initial=0))
-        if best_over is None or over < best_over:
-            best, best_over = vparts, over
-        if over <= 0:
-            break
-    assert best is not None
-    return best
 
 
 def contiguous_parts(h: Hypergraph, ceilings) -> np.ndarray:

@@ -223,7 +223,7 @@ def _execute_request(arg):
     faults.fault_point("executor.task")
     matrix = handle.open()
     cfg = get_config(spec["config"])
-    if spec.get("kway_vcycles", 0) != cfg.kway_vcycles:
+    if spec.get("kway_vcycles", 1) != cfg.kway_vcycles:
         cfg = dataclasses.replace(
             cfg, kway_vcycles=spec["kway_vcycles"]
         )

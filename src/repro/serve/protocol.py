@@ -98,9 +98,9 @@ class PartitionRequest:
     method: str = "mediumgrain"
     refine: bool = False
     algo: str = "recursive"
-    #: Multilevel V-cycle count for ``algo="kway"`` (0 = the flat direct
-    #: k-way path).  Result-determining, so it is part of the cache key.
-    kway_vcycles: int = 0
+    #: Multilevel cycle count for ``algo="kway"`` (at least 1; recursive
+    #: requests never read it).  Part of the cache key.
+    kway_vcycles: int = 1
     seed: int = DEFAULT_SEED
     config: str = "mondriaan"
     #: Echo the per-nonzero part vector in the response (the one field
@@ -155,11 +155,16 @@ class PartitionRequest:
                 f"unknown algo {algo!r}; expected one of "
                 f"{tuple(ALGO_NAMES)}"
             )
-        kway_vcycles = _typed(payload, "kway_vcycles", int, 0)
+        kway_vcycles = _typed(payload, "kway_vcycles", int, 1)
         if not 0 <= kway_vcycles <= MAX_KWAY_VCYCLES:
             raise ProtocolError(
                 f"kway_vcycles must be in [0, {MAX_KWAY_VCYCLES}], got "
                 f"{kway_vcycles}"
+            )
+        if algo == "kway" and kway_vcycles == 0:
+            raise ProtocolError(
+                "kway_vcycles=0 selected the flat direct k-way path, "
+                "which was removed; algo='kway' needs kway_vcycles >= 1"
             )
         config = _typed(payload, "config", str, "mondriaan")
         if config not in PRESETS:

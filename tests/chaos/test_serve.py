@@ -122,12 +122,19 @@ def test_poisoned_request_is_isolated(tmp_path, daemon):
     assert len(good) == 3
     assert all(g["feasible"] in (True, False) for g in good)
     assert handle.alive()
-    # The poisoned seed works fine on resubmission (the fault was the
-    # request's moment, not the daemon's state).
-    retry = handle.client().partition(
-        instance=INSTANCE, nparts=2, seed=100
-    )
-    assert retry["cached"] is True
+    # Which request reached the point second is a race, so find the
+    # poisoned seed from the outcomes.  Its neighbours were cached, and
+    # it works fine on resubmission (the fault was the request's moment,
+    # not the daemon's state).
+    poisoned = 100 + outcomes.index(failed[0])
+    neighbour = 100 + outcomes.index(good[0])
+    client = handle.client()
+    assert client.partition(
+        instance=INSTANCE, nparts=2, seed=neighbour
+    )["cached"] is True
+    assert client.partition(
+        instance=INSTANCE, nparts=2, seed=poisoned
+    )["cached"] is False
 
 
 def test_poisoned_result_is_caught_and_retried(tmp_path, daemon):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.medium_grain import build_medium_grain
 from repro.core.methods import ALGO_NAMES, METHOD_NAMES
-from repro.core.kway import greedy_kway_vertex_parts, partition_kway
+from repro.core.kway import partition_kway
 from repro.core.recursive import partition
 from repro.core.refine import iterative_refine
 from repro.core.split import initial_split, split_from_kway
@@ -16,6 +16,7 @@ from repro.core.volume import (
 )
 from repro.errors import PartitioningError, SplitError
 from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.initial import greedy_kway_vertex_parts
 from repro.sparse.generators import erdos_renyi, grid2d_laplacian, kdiagonal
 from repro.utils.rng import as_generator
 
@@ -58,7 +59,7 @@ def test_partition_kway_every_method(method):
     m = MATRICES["er"]()
     res = partition_kway(m, 4, method=method, seed=7)
     assert res.volume == communication_volume(m, res.parts)
-    assert res.method == method
+    assert res.method == method + "+ml"
 
 
 def test_partition_kway_refine_never_worse():
@@ -67,7 +68,7 @@ def test_partition_kway_refine_never_worse():
     refined = partition_kway(m, 4, seed=9, refine=True)
     # Same seed stream up to the iterate loop, which keeps the best.
     assert refined.volume <= base.volume
-    assert refined.method == "mediumgrain+ir"
+    assert refined.method == "mediumgrain+ml+ir"
 
 
 def test_partition_kway_trivial_and_errors():
@@ -123,15 +124,14 @@ def test_kway_ignores_jobs_and_exec_backend():
 
 def test_kway_bit_identical_across_kernel_backends(reference_kernels):
     """The python kernels and the frozen reference kernels give the same
-    flat and multilevel k-way partitions."""
+    multilevel k-way partition."""
     m = MATRICES["kdiag"]()
-    for vcycles in (0, 2):
-        py = partition_kway(m, 6, seed=13, vcycles=vcycles)
-        ref = partition_kway(
-            m, 6, seed=13, vcycles=vcycles,
-            config=PartitionerConfig(kernel_backend=reference_kernels),
-        )
-        np.testing.assert_array_equal(py.parts, ref.parts)
+    py = partition_kway(m, 6, seed=13, vcycles=2)
+    ref = partition_kway(
+        m, 6, seed=13, vcycles=2,
+        config=PartitionerConfig(kernel_backend=reference_kernels),
+    )
+    np.testing.assert_array_equal(py.parts, ref.parts)
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ Regenerate the table below (and say so in the commit) with::
     from repro.sparse.collection import load_instance
     for inst, p in (("sym_grid2d_s", 4), ("sym_gd97_like", 8)):
         m = load_instance(inst)
-        for vc in (0, 1, 2):
+        for vc in (1, 2):
             r = partition_kway(m, p, seed=2014, vcycles=vc)
             h = hashlib.sha256(np.ascontiguousarray(
                 r.parts, dtype=np.int64).tobytes()).hexdigest()[:16]
@@ -57,10 +57,8 @@ SEED = 2014
 #   (59, "f40711c33eb576f9") and sym_gd97_like (101, "77e9819c41cc85d0"),
 #   the same at vcycles 1 and 2.
 GOLDEN_KWAY = {
-    ("sym_grid2d_s", 4, 0): (95, "2b4c52bd93a501e9"),
     ("sym_grid2d_s", 4, 1): (59, "016e7be2b4c6d66a"),
     ("sym_grid2d_s", 4, 2): (59, "016e7be2b4c6d66a"),
-    ("sym_gd97_like", 8, 0): (137, "b45a912c69243aa7"),
     ("sym_gd97_like", 8, 1): (102, "661c04d8291c5546"),
     ("sym_gd97_like", 8, 2): (101, "4d1b0a751ae95c76"),
 }
@@ -80,7 +78,7 @@ def test_kway_ml_pinned(instance, p, vcycles):
     res = partition_kway(matrix, p, seed=SEED, vcycles=vcycles)
     volume, digest = GOLDEN_KWAY[(instance, p, vcycles)]
     assert (res.volume, parts_hash(res.parts)) == (volume, digest)
-    assert res.method.endswith("+ml") == (vcycles >= 1)
+    assert res.method.endswith("+ml")
 
 
 def test_bit_identical_across_kernel_backends(reference_kernels):
@@ -128,14 +126,23 @@ def test_vcycles_none_defers_to_config():
     assert via_config.method == via_arg.method == "mediumgrain+ml"
 
 
-def test_vcycles_zero_is_the_flat_path():
-    """``kway_vcycles=0`` (the default) must stay bit-compatible with
-    the pre-multilevel direct k-way partitioner."""
+def test_vcycles_zero_is_rejected():
+    """``0`` selected the removed flat path: both entry points refuse
+    it with an error that says so instead of mapping it elsewhere."""
+    matrix = load_instance("sym_grid2d_s")
+    with pytest.raises(PartitioningError, match="flat direct k-way"):
+        partition_kway(matrix, 4, seed=SEED, vcycles=0)
+    cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=0)
+    with pytest.raises(PartitioningError, match="flat direct k-way"):
+        partition(matrix, 4, algo="kway", config=cfg, seed=SEED)
+
+
+def test_default_is_one_multilevel_cycle():
     matrix = load_instance("sym_gd97_like")
     default = partition_kway(matrix, 8, seed=SEED)
-    explicit = partition_kway(matrix, 8, seed=SEED, vcycles=0)
+    explicit = partition_kway(matrix, 8, seed=SEED, vcycles=1)
     np.testing.assert_array_equal(default.parts, explicit.parts)
-    assert default.method == "mediumgrain"  # no "+ml" suffix
+    assert default.method == "mediumgrain+ml"
 
 
 def test_ml_with_refine_method_label():
@@ -171,8 +178,8 @@ class TestKWayVcyclesSweep:
     def test_fingerprint_sensitive_to_vcycles(self):
         from repro.eval.sweep import _sweep_fingerprint
 
-        assert _sweep_fingerprint(self._specs(0)) != _sweep_fingerprint(
-            self._specs(1)
+        assert _sweep_fingerprint(self._specs(1)) != _sweep_fingerprint(
+            self._specs(2)
         )
         assert _sweep_fingerprint(self._specs(1)) == _sweep_fingerprint(
             self._specs(1)
@@ -196,8 +203,9 @@ class TestKWayVcyclesSweep:
         ] == [dataclasses.replace(r, seconds=0.0) for r in full]
 
     def test_vcycle_journal_rejects_flat_sweep(self, tmp_path):
-        """A journal written at ``kway_vcycles=1`` must refuse to serve
-        a ``kway_vcycles=0`` sweep — the knob changes every result."""
+        """A journal written at ``kway_vcycles=1`` must refuse a sweep
+        naming ``kway_vcycles=0``, the removed flat path — the knob is
+        part of the sweep's identity."""
         from repro.errors import EvaluationError
         from repro.eval.sweep import run_sweep
 

@@ -321,7 +321,7 @@ class TestSweepFingerprint:
 
         base = self._spec()
         assert self._spec(algo="kway") != base
-        assert self._spec(n_initial=5) != base
+        assert self._spec(fm_max_passes=5) != base
         spec = RunSpec(
             index=0, instance="sym_grid2d_s", matrix_class="sym",
             label="G1", method="mediumgrain", refine=False, seed=3,

@@ -228,7 +228,7 @@ def test_multilevel_equivalent(reference_kernels):
     rng = np.random.default_rng(99)
     h = random_hypergraph(rng, nverts=120, nnets=160)
     cap = int(1.1 * h.total_weight() / 2) + 1
-    cfg = PartitionerConfig(name="eq-ml", coarse_target=16, n_initial=2)
+    cfg = PartitionerConfig(name="eq-ml", coarse_target=16)
     r_py = multilevel_bipartition(h, (cap, cap), cfg, seed=5)
     r_ref = multilevel_bipartition(
         h, (cap, cap), on_reference(cfg, reference_kernels), seed=5

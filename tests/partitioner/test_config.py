@@ -16,7 +16,7 @@ class TestPresets:
         assert m.matching != p.matching
         assert m.boundary_only != p.boundary_only
         assert m.coarse_target != p.coarse_target
-        assert m.n_initial != p.n_initial
+        assert m.fm_max_passes != p.fm_max_passes
 
     def test_get_config_by_name(self):
         assert get_config("patoh").name == "patoh"
@@ -47,9 +47,15 @@ class TestValidation:
         with pytest.raises(PartitioningError):
             PartitionerConfig(cluster_weight_frac=0.0)
 
-    def test_bad_n_initial(self):
-        with pytest.raises(PartitioningError):
-            PartitionerConfig(n_initial=0)
+    def test_bad_kway_vcycles(self):
+        with pytest.raises(PartitioningError, match="kway_vcycles"):
+            PartitionerConfig(kway_vcycles=-1)
+
+    def test_zero_kway_vcycles_still_constructs(self):
+        """Recursive runs never read ``kway_vcycles``, so the config
+        accepts 0 (benchmark harnesses set it for their recursive
+        workloads); only the k-way partitioner rejects it."""
+        assert PartitionerConfig(kway_vcycles=0).kway_vcycles == 0
 
     def test_bad_fm_passes(self):
         with pytest.raises(PartitioningError):

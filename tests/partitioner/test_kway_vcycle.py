@@ -23,7 +23,7 @@ from repro.hypergraph.models import row_net_model
 from repro.partitioner.coarsen import contract, match_vertices
 from repro.partitioner.config import get_config
 from repro.partitioner.fm import kway_rebalance, kway_refine
-from repro.partitioner.initial import initial_kway_parts
+from repro.partitioner.initial import greedy_kway_vertex_parts
 from repro.partitioner.multilevel import multilevel_kway
 from repro.partitioner.vcycle import (
     _parts_feasible,
@@ -388,9 +388,7 @@ class TestMultilevelKway:
         ceilings = ceilings_for(h, k, eps=0.1)
         ml = multilevel_kway(h, k, ceilings, seed=2014)
         rng = np.random.default_rng(2014)
-        flat0 = initial_kway_parts(
-            h, k, ceilings, get_config("mondriaan"), rng
-        )
+        flat0 = greedy_kway_vertex_parts(h, k, ceilings, rng)
         flat_res = kway_refine(
             h, flat0, k, ceilings, get_config("mondriaan"), seed=2014
         )

@@ -73,6 +73,17 @@ def test_unknown_field_400(served):
     assert status == 400 and "unknown request field" in body["error"]
 
 
+def test_flat_kway_request_400(served):
+    status, body, _ = _raw(
+        served, "POST", "/partition",
+        body=json.dumps(
+            {"instance": INSTANCE, "nparts": 4, "algo": "kway",
+             "kway_vcycles": 0}
+        ).encode(),
+    )
+    assert status == 400 and "flat direct k-way" in body["error"]
+
+
 def test_unknown_instance_400(served):
     status, body, _ = _raw(
         served, "POST", "/partition",

@@ -36,7 +36,7 @@ def test_minimal_payload_fills_defaults():
     assert req.seed == DEFAULT_SEED
     assert req.include_parts is True
     assert req.timeout is None
-    assert req.kway_vcycles == 0  # flat direct k-way unless asked
+    assert req.kway_vcycles == 1  # one multilevel cycle unless asked
 
 
 def test_kway_vcycles_accepted_in_range():
@@ -44,6 +44,19 @@ def test_kway_vcycles_accepted_in_range():
         {"instance": "x", "algo": "kway", "kway_vcycles": MAX_KWAY_VCYCLES}
     )
     assert req.kway_vcycles == MAX_KWAY_VCYCLES
+
+
+def test_kway_vcycles_zero_rejected_for_kway_only():
+    """``0`` selected the removed flat path: a k-way request naming it
+    dies at admission; recursive requests never read the field."""
+    with pytest.raises(ProtocolError, match="flat direct k-way"):
+        PartitionRequest.from_payload(
+            {"instance": "x", "algo": "kway", "kway_vcycles": 0}
+        )
+    req = PartitionRequest.from_payload(
+        {"instance": "x", "algo": "recursive", "kway_vcycles": 0}
+    )
+    assert req.kway_vcycles == 0
 
 
 def test_payload_must_be_object():
@@ -128,7 +141,7 @@ def test_cache_key_covers_result_determining_knobs():
         {"method": "finegrain"},
         {"refine": True},
         {"algo": "kway"},
-        {"kway_vcycles": 1},
+        {"kway_vcycles": 2},
         {"seed": 7},
         {"config": "patoh"},
     ):

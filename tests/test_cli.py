@@ -58,6 +58,20 @@ class TestParser:
         assert exc.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["partition", "--instance", "sqr_er_s", "--algo", "kway"],
+        ["experiment", "table2", "--algo", "kway"],
+        ["submit", "--port", "1", "--instance", "sqr_er_s"],
+    ])
+    def test_flat_kway_vcycles_rejected(self, command, capsys):
+        """``--kway-vcycles 0`` selected the removed flat path: argparse
+        refuses it (exit status 2) and says why."""
+        assert build_parser().parse_args(command).kway_vcycles == 1
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--kway-vcycles", "0"])
+        assert exc.value.code == 2
+        assert "flat direct k-way" in capsys.readouterr().err
+
 
 class TestPartitionCommand:
     def test_instance_bipartition(self, capsys):
