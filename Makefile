@@ -12,7 +12,7 @@ test:
 
 # Fault-injection suite for the hardened execution layer: injected
 # crashes (real SIGKILLs), hangs vs the watchdog, exceptions, shm-attach
-# failures, and poisoned results, across every execution backend.
+# failures, and poisoned results, inline and on the process pool.
 # Opt-in — it deliberately kills and rebuilds worker pools.
 test-chaos:
 	$(PYTHON) -m pytest -m chaos -q
@@ -45,9 +45,9 @@ bench-e2e:
 bench-e2e-update:
 	$(PYTHON) -m benchmarks.bench_e2e
 
-# CI smoke for the execution layer: tiny instances, every execution
-# backend with --jobs 2, gated on completion + bit-identity only (never
-# on wall clock — CI runners are noisy).
+# CI smoke for the execution layer: tiny instances, --jobs 2 on the
+# process pool against --jobs 1, gated on completion + bit-identity only
+# (never on wall clock — CI runners are noisy).
 bench-e2e-smoke:
 	$(PYTHON) -m benchmarks.bench_e2e --smoke --jobs 2
 

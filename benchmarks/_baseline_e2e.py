@@ -443,9 +443,9 @@ PICKLED_POOL = "process-pickle"
 
 
 class PickledMatrixExecutor(MatrixExecutor):
-    """:class:`~repro.utils.executor.MatrixExecutor` whose process
-    backend pickles each selected submatrix instead of shipping a
-    shared-memory handle plus indices.  Serial and thread delivery are
+    """:class:`~repro.utils.executor.MatrixExecutor` whose process pool
+    pickles each selected submatrix instead of shipping a shared-memory
+    handle plus indices.  Inline delivery (``jobs <= 1``) is
     unchanged."""
 
     def _process_items(self, fn, tasks):
@@ -459,7 +459,7 @@ class PickledMatrixExecutor(MatrixExecutor):
 @contextlib.contextmanager
 def baseline_pickled_pool():
     """Run recursive bisection's worker pool on the pickled payloads:
-    inside the block, ``partition(..., exec_backend="process")`` ships
+    inside the block, ``partition(..., jobs=N)`` with ``N >= 2`` ships
     whole submatrices as the pre-store layer did."""
     saved = _recursive_mod.MatrixExecutor
     _recursive_mod.MatrixExecutor = PickledMatrixExecutor

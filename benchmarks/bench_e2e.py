@@ -30,7 +30,7 @@ A third stage measures the **execution layer** itself: the frozen
 pickled-payload pool
 (:class:`benchmarks._baseline_e2e.PickledMatrixExecutor` — every task
 ships a full submatrix) versus the shared-memory store
-(``exec_backend="process"`` — tasks ship a segment handle plus an index
+(the live process pool — tasks ship a segment handle plus an index
 range).  Per (matrix, p): the real p-way partitioning is verified
 bit-identical to serial under both pools and its shipped bytes are
 audited (:func:`repro.utils.executor.payload_audit`, untimed); the
@@ -44,8 +44,8 @@ k-way engine (``algo="kway"`` — :mod:`repro.core.kway`, with
 ``kway_vcycles=KWAY_ML_VCYCLES``) head-to-head against recursive
 bisection at the same p values, on the bench set plus the k-diagonal
 structured instance.  Per (matrix, p) it verifies the k-way result is
-bit-identical across every execution backend and ``jobs`` value (the
-partitioner has no recursion tree, so the knobs must be exact no-ops)
+bit-identical across ``jobs`` values (the partitioner has no recursion
+tree, so the knob must be an exact no-op)
 and that every part respects the eqn-(1) ceiling, and records
 interleaved min-of wall clocks and the volume ratio ``kway-ml /
 recursive``.  Both sides are *gated at generation time*: geomean volume
@@ -115,8 +115,6 @@ BASE_SEED = 2014
 #: Recursive-bisection depths of the p-way stage (the paper's Fig. 6b /
 #: Table II run at p = 64; 4 and 16 chart how speedup grows with depth).
 PWAY_PARTS = (4, 16, 64)
-#: The live parallel execution backends (``"serial"`` is the reference).
-EXEC_BACKENDS = ("process", "thread")
 PIPELINE = (
     "split -> medium-grain build -> multilevel partition -> "
     "iterative refinement -> volume -> vector distribution -> "
@@ -326,13 +324,19 @@ KWAY_ML_RATIO_GATE = 1.1
 KWAY_ML_SPEEDUP_GATE = 2.0
 
 
+def parallel_jobs(jobs: int) -> tuple[int, ...]:
+    """The process-pool ``jobs`` values a bit-identity check compares
+    against ``jobs=1``: 2 and the requested ``--jobs``."""
+    return tuple(sorted({2, jobs}))
+
+
 def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
     """Multilevel direct k-way vs recursive bisection on one matrix.
 
     The k-way side runs the multilevel engine
     (``kway_vcycles=KWAY_ML_VCYCLES``).  Per p, the partition must be
-    bit-identical across every execution backend and ``jobs`` in
-    ``{1, jobs}``, and every part must respect the eqn-(1) ceiling.
+    bit-identical for ``jobs=1`` and every :func:`parallel_jobs` value,
+    and every part must respect the eqn-(1) ceiling.
     Timings are interleaved min-of wall clocks; ``volume_ratio``
     (kway-ml / recursive) is the quantity the generation-time geomean
     gates aggregate.
@@ -356,15 +360,15 @@ def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                 f"{name} p={p}: kway-ml max part {kw.max_part} exceeds "
                 f"the eqn-(1) ceiling {ceiling}"
             )
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in EXEC_BACKENDS]:
+        for jv in (1, *parallel_jobs(jobs)):
             res = partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, algo="kway", jobs=jv, exec_backend=eb,
+                config=ml_cfg, algo="kway", jobs=jv,
             )
             if not np.array_equal(kw.parts, res.parts):
                 raise AssertionError(
                     f"{name} p={p}: kway-ml partition differs under "
-                    f"jobs={jv} exec_backend={eb}"
+                    f"jobs={jv}"
                 )
         best_kw = float("inf")
         best_rec = float("inf")
@@ -442,7 +446,7 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
         with modes[mode][1]():
             return partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
-                jobs=jobs, exec_backend="process",
+                jobs=jobs,
             )
 
     for p in ps:
@@ -690,14 +694,14 @@ SMOKE_MATRICES = ("sym_grid2d_s", "rec_td_small_a", "sqr_er_s")
 
 
 def run_smoke(jobs: int) -> int:
-    """CI smoke: completion + bit-identity across every exec backend.
+    """CI smoke: completion + bit-identity across ``jobs`` values.
 
     Runs the whole-pipeline sweep, a p=4 recursive bisection and a p=4
     multilevel direct k-way partitioning (``--algo kway`` with
     ``kway_vcycles=2`` — one multilevel construction plus one restricted
     V-cycle, so both halves of the multilevel engine execute) on tiny
-    instances with ``--jobs`` workers, under every execution backend,
-    asserting the results equal the serial reference and that every
+    instances with 2 and ``--jobs`` process-pool workers, asserting the
+    results equal the ``jobs=1`` reference and that every
     k-way part respects the eqn-(1) ceiling.  **No wall-clock gating** —
     this exists so a cold CI runner proves the parallel plumbing end to
     end, not to race it.
@@ -730,20 +734,20 @@ def run_smoke(jobs: int) -> int:
         if ml_serial.max_part > ceiling:
             print(f"FAIL kway-ml ceiling {name}")
             failures += 1
-        for eb in EXEC_BACKENDS:
+        for jv in parallel_jobs(jobs):
             res = partition(
                 matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=jobs, exec_backend=eb,
+                config=cfg, jobs=jv,
             )
             ok = np.array_equal(serial.parts, res.parts)
             mres = partition(
                 matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, jobs=jobs, exec_backend=eb, algo="kway",
+                config=ml_cfg, jobs=jv, algo="kway",
             )
             mok = np.array_equal(ml_serial.parts, mres.parts)
             failures += (not ok) + (not mok)
             print(
-                f"  {name:14s} exec={eb:8s} "
+                f"  {name:14s} jobs={jv:<3d} "
                 f"volume={res.volume:<6d} "
                 f"{'ok' if ok else 'MISMATCH'}  "
                 f"kway-ml={mres.volume:<6d} "
@@ -751,9 +755,9 @@ def run_smoke(jobs: int) -> int:
             )
     failures += _smoke_retry_path(jobs)
     print(
-        f"\nsmoke: {len(EXEC_BACKENDS)} exec backend(s) x "
-        f"{len(SMOKE_MATRICES)} matrices x (recursive + kway-ml + "
-        f"retry-path), jobs={jobs}; {failures} failure(s)"
+        f"\nsmoke: {len(SMOKE_MATRICES)} matrices x (recursive + "
+        f"kway-ml + retry-path), jobs=1 vs {list(parallel_jobs(jobs))}; "
+        f"{failures} failure(s)"
     )
     return 1 if failures else 0
 
@@ -885,9 +889,10 @@ def main(argv=None) -> int:
                         help="compare against the committed JSON instead "
                              "of rewriting it")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke: tiny instances, every "
-                             "execution backend, gate on completion and "
-                             "bit-identity only (no timings, no JSON)")
+                        help="CI smoke: tiny instances, jobs=1 against "
+                             "2 and --jobs process-pool workers, gate on "
+                             "completion and bit-identity only (no "
+                             "timings, no JSON)")
     parser.add_argument("--out", default=str(DEFAULT_OUT))
     parser.add_argument("--matrices", default=",".join(DEFAULT_MATRICES),
                         help="comma-separated collection instance names")

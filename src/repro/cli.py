@@ -57,7 +57,7 @@ import dataclasses
 from repro.core.methods import ALGO_NAMES, METHOD_NAMES, bipartition
 from repro.core.recursive import partition
 from repro.eval import experiments as exp
-from repro.utils.executor import EXEC_BACKEND_CHOICES, JobsBudget
+from repro.utils.executor import JobsBudget
 from repro.partitioner.config import get_config
 from repro.sparse.collection import collection_names, load_instance
 from repro.sparse.io_mm import read_matrix_market
@@ -123,16 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
             "workers for recursive bisection when --nparts > 2 "
             "(1 = serial, 0 = CPU count); the partition is bit-identical "
             "to the serial one, only faster"
-        ),
-    )
-    p_part.add_argument(
-        "--exec-backend",
-        default="auto",
-        choices=EXEC_BACKEND_CHOICES,
-        help=(
-            "how parallel bisection workers run and receive submatrices: "
-            "shared-memory worker processes (auto), threads, or serial; "
-            "results are identical"
         ),
     )
     _add_hardening_flags(p_part)
@@ -262,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--jobs", type=int, default=2,
         help="worker-pool size backing request execution",
-    )
-    p_srv.add_argument(
-        "--serve-backend", default="process", choices=("process", "thread"),
-        help=(
-            "process = crash-isolated pool workers (the point); thread "
-            "exists for constrained environments"
-        ),
     )
     p_srv.add_argument(
         "--cache", default="",
@@ -426,7 +409,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(
         get_config(args.config),
         jobs=args.jobs,
-        exec_backend=args.exec_backend,
         algo=args.algo,
         kway_vcycles=args.kway_vcycles,
         task_timeout=args.task_timeout or None,
@@ -609,7 +591,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         overload_deadline_factor=args.overload_deadline_factor,
         retries=args.retries,
         jobs=args.jobs,
-        backend=args.serve_backend,
         cache_path=args.cache or None,
         cache_cap=args.cache_cap,
         port_file=args.port_file,

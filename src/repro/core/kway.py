@@ -33,9 +33,8 @@ vertex weights are nonzero counts too), so every method label of
 :data:`repro.core.methods.METHOD_NAMES` works under ``algo="kway"``.
 
 Determinism: the result is a pure function of ``(matrix, arguments,
-seed)``.  There is no recursion tree to schedule, so ``jobs`` and
-``exec_backend`` do not apply — the partition is trivially bit-identical
-across every parallelism knob.
+seed)``.  There is no recursion tree to schedule, so ``jobs`` does not
+apply — the partition is trivially bit-identical for every ``jobs``.
 """
 
 from __future__ import annotations

@@ -37,11 +37,10 @@ bisections until there are at least ``jobs`` independent subtrees, then
 hands each worker a whole subtree to solve serially — within a worker
 the usual per-object caches (``FMPassState`` per hypergraph,
 ``SpMVState`` per matrix) are reused across that subtree's bisections
-exactly as in a serial run.  How a worker *receives* its subproblem is
-the ``exec_backend`` knob: the default process backend publishes the
-matrix once to a shared-memory store and ships only index ranges, and
-threads share the matrix in-process.  The partition returned is
-**bit-identical** for every ``jobs`` value and every backend.
+exactly as in a serial run.  The workers are processes: the matrix is
+published once to a shared-memory store and each task ships only an
+index range.  The partition returned is **bit-identical** for every
+``jobs`` value.
 """
 
 from __future__ import annotations
@@ -65,11 +64,7 @@ from repro.sparse.matrix import SparseMatrix
 from repro.utils import faults
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, Degraded, observe_overshoot
-from repro.utils.executor import (
-    MatrixExecutor,
-    RetryPolicy,
-    resolve_exec_backend,
-)
+from repro.utils.executor import MatrixExecutor, RetryPolicy
 from repro.utils.parallel import resolve_jobs
 from repro.utils.rng import (
     SeedLike,
@@ -171,7 +166,6 @@ def partition(
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
     jobs: int | None = None,
-    exec_backend: str | None = None,
     algo: str | None = None,
     deadline: Deadline | None = None,
 ) -> PartitionResult:
@@ -196,15 +190,8 @@ def partition(
     :attr:`~repro.partitioner.config.PartitionerConfig.jobs`).  The result
     is bit-identical for every ``jobs`` value: each bisection's randomness
     is keyed on its tree position, not on traversal order.  The direct
-    k-way partitioner has no tree to schedule, so ``jobs`` and
-    ``exec_backend`` are validated but do not apply there.
-
-    ``exec_backend`` picks how those workers run and receive their
-    submatrices (shared-memory processes / threads; ``None`` = the
-    config's
-    :attr:`~repro.partitioner.config.PartitionerConfig.exec_backend`,
-    whose ``"auto"`` default is ``"process"``).  Also a pure speed knob
-    — every backend returns the identical partition.
+    k-way partitioner has no tree to schedule, so ``jobs`` is validated
+    but does not apply there.
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the
@@ -222,7 +209,7 @@ def partition(
     (:func:`repro.core.floor.keep_best`) and reports each cut-short
     bisection's ``Degraded[...]`` brief and a ``Degraded[recursive]``
     brief for the skipped subtrees in ``failures``.  A ``SoftBudget``
-    stays deterministic under every ``exec_backend``: a lone task runs
+    stays deterministic under every ``jobs``: a lone task runs
     inline on the caller's own budget, and concurrent tasks each count
     down a copy taken at dispatch.  So ``jobs >= 2`` matches ``jobs=1``
     for every budget that expires by the end of the root bisection;
@@ -239,15 +226,6 @@ def partition(
     if jobs is None:
         jobs = cfg.jobs
     jobs = resolve_jobs(jobs, error=PartitioningError)
-    if exec_backend is None:
-        exec_backend = cfg.exec_backend
-    try:
-        # Validate (and resolve "auto") up front, on every path — a typo
-        # must fail loudly even when jobs=1 never reaches the pool, and
-        # in this module's error family.
-        exec_backend = resolve_exec_backend(exec_backend)
-    except ValueError as exc:
-        raise PartitioningError(str(exc)) from None
     if algo == "kway":
         from repro.core.kway import partition_kway
 
@@ -294,8 +272,8 @@ def partition(
             # in flight, so a pool would only add process overhead.
             if jobs >= 2 and nparts >= 4:
                 failures, skipped = _solve_parallel(
-                    matrix, root, job, jobs, exec_backend, parts, volumes,
-                    degraded, policy,
+                    matrix, root, job, jobs, parts, volumes, degraded,
+                    policy,
                 )
             else:
                 skipped = _solve_serial(
@@ -489,12 +467,11 @@ def _node_tasks(matrix: SparseMatrix, nodes: list[_Node], job: _TreeJob):
     """The executor ``(indices, extra)`` items for one map over ``nodes``.
 
     The root node (all nonzeros) ships ``None`` so no index array — and
-    under the shared-memory backend no nonzero data at all — crosses the
-    worker boundary.  A lone task runs inline and counts down the
-    driver's own deadline, exactly as :func:`_solve_serial` would;
-    concurrent tasks each get a copy taken here, at dispatch, so a
-    ``SoftBudget`` counts the same under every backend and no counter is
-    shared between threads.
+    so no nonzero data at all — crosses the worker boundary.  A lone
+    task runs inline and counts down the driver's own deadline, exactly
+    as :func:`_solve_serial` would; concurrent tasks each get a copy
+    taken here, at dispatch, so a ``SoftBudget`` counts the same for
+    every ``jobs``.
     """
     tasks = []
     for nd in nodes:
@@ -593,7 +570,6 @@ def _solve_parallel(
     root: _Node,
     job: _TreeJob,
     jobs: int,
-    exec_backend: str,
     out: np.ndarray,
     volumes: dict,
     degraded: list,
@@ -604,13 +580,13 @@ def _solve_parallel(
 
     Because every node's randomness is position-keyed, the schedule has no
     influence on the result — this produces exactly the partition of
-    :func:`_solve_serial` under every execution backend.  Returns the
+    :func:`_solve_serial` for every ``jobs``.  Returns the
     failure briefs the hardened executor accumulated (empty when nothing
     went wrong) and the number of subtrees an expired deadline finished
     via the fallback split; the ``Degraded`` briefs of cut-short
     bisections are appended to ``degraded``.
     """
-    with MatrixExecutor(matrix, jobs, exec_backend, policy=policy) as ex:
+    with MatrixExecutor(matrix, jobs, policy=policy) as ex:
         skipped = _schedule_tree(ex, root, job, jobs, out, volumes, degraded)
         return tuple(f.brief() for f in ex.failures), skipped
 

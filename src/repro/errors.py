@@ -116,8 +116,8 @@ class ExecutionError(ReproError):
 
 
 class TaskTimeout(ExecutionError):
-    """A task exceeded its per-task deadline; its worker was killed by
-    the watchdog (process backends) or abandoned (thread backend)."""
+    """A task exceeded its per-task deadline; the watchdog killed its
+    worker process."""
 
     def __init__(self, message: str, *, task: str = "", attempt: int = 0,
                  timeout: float | None = None):

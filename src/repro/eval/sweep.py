@@ -73,7 +73,6 @@ from repro.utils.executor import (
     SharedMatrixStore,
     account_payload,
     drop_process_pool,
-    pool_map,
     pool_submit,
     resilient_map,
 )
@@ -138,8 +137,8 @@ class RunSpec:
     #: Multilevel cycle count for ``algo="kway"`` runs (see
     #: :attr:`repro.partitioner.config.PartitionerConfig.kway_vcycles`).
     #: A result-determining knob, so it participates in the sweep
-    #: fingerprint (unlike ``jobs``).  Ignored for recursive runs and
-    #: bipartitionings.
+    #: fingerprint of ``algo="kway"`` specs (unlike ``jobs``).  Ignored
+    #: for recursive runs and bipartitionings.
     kway_vcycles: int = 1
     #: Cross-process trace envelope
     #: (:class:`repro.obs.trace.TraceContext`, ``None`` when tracing is
@@ -340,23 +339,26 @@ def _sweep_fingerprint(specs: Sequence[RunSpec]) -> str:
     resilience knobs are normalized away — ``jobs`` is zeroed, and when
     ``spec.config`` is a live
     :class:`~repro.partitioner.config.PartitionerConfig` (rather than a
-    preset name) its ``jobs`` / ``exec_backend`` / ``task_timeout`` /
-    ``retries`` are reset to their defaults.  None of those change what
+    preset name) its ``jobs`` / ``task_timeout`` / ``retries`` are reset
+    to their defaults.  None of those change what
     a run computes (see ``docs/robustness.md``), so a sweep interrupted
     under one set of resilience knobs and resumed under another must
-    still match its journal.
+    still match its journal.  ``kway_vcycles`` counts only for
+    ``algo="kway"`` specs (recursive runs never read it), and a live
+    config's copy never counts: :func:`execute_runspec` overrides it
+    with the spec's.
     """
     payload = []
     for spec in specs:
         cfg = spec.config
         if dataclasses.is_dataclass(cfg) and not isinstance(cfg, type):
             cfg = dataclasses.replace(
-                cfg, jobs=1, exec_backend="auto",
-                task_timeout=None, retries=0,
+                cfg, jobs=1, task_timeout=None, retries=0, kway_vcycles=1,
             )
-        payload.append(dataclasses.astuple(
-            dataclasses.replace(spec, jobs=0, config=cfg, trace=None)
-        ))
+        vcycles = spec.kway_vcycles if spec.algo == "kway" else None
+        payload.append(dataclasses.astuple(dataclasses.replace(
+            spec, jobs=0, config=cfg, trace=None, kway_vcycles=vcycles,
+        )))
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
@@ -550,7 +552,6 @@ def run_sweep(
     specs: Sequence[RunSpec],
     *,
     jobs: "int | None | JobsBudget" = 1,
-    exec_backend: str = "process",
     progress: bool = False,
     task_timeout: float | None = None,
     retries: int = 0,
@@ -559,27 +560,20 @@ def run_sweep(
     """Execute specs and yield their records in spec order.
 
     ``jobs=1`` runs inline; ``jobs>=2`` dispatches instance-aligned
-    chunks to the shared persistent worker pool (splitting down to
+    chunks to the shared persistent process pool (splitting down to
     per-run items when there are fewer instances than workers),
     streaming chunk results as they complete (``map`` preserves
     submission order).  A :class:`~repro.utils.executor.JobsBudget`
     instead *splits* its total between sweep workers and the recursion
     workers inside each p-way run — chunks then stay instance-aligned
     and the remainder of the budget is handed down via ``RunSpec.jobs``.
-    Records are bit-identical across every ``jobs`` value and
-    ``exec_backend`` except for the measured ``seconds`` (and any
-    ``failures`` annotations — like ``seconds``, they describe how a run
-    went, not its result).
+    Records are bit-identical across every ``jobs`` value except for the
+    measured ``seconds`` (and any ``failures`` annotations — like
+    ``seconds``, they describe how a run went, not its result).
 
-    ``exec_backend`` selects the worker flavour: ``"process"`` (the
-    default — sweeps are dominated by per-run Python orchestration, so
-    processes sidestep the GIL; each chunk ships a
-    :class:`~repro.utils.executor.MatrixHandle` to its worker, which
-    attaches the published instance zero-copy instead of rebuilding it
-    by name) or ``"thread"`` (in-process workers; chunks never split
-    below instance boundaries there, so concurrent threads never share
-    one instance's cached kernel states).  Process-chunk payloads are
-    folded into any active
+    Each chunk ships a :class:`~repro.utils.executor.MatrixHandle` to its
+    worker, which attaches the published instance zero-copy instead of
+    rebuilding it by name.  Chunk payloads are folded into any active
     :func:`~repro.utils.executor.payload_audit`.
 
     ``task_timeout`` / ``retries`` arm the hardened execution path (see
@@ -600,11 +594,6 @@ def run_sweep(
     records in place — merged output bit-identical to an uninterrupted
     sweep.
     """
-    if exec_backend not in ("process", "thread"):
-        raise EvaluationError(
-            f"run_sweep exec_backend must be 'process' or 'thread', "
-            f"got {exec_backend!r}"
-        )
     inner = None
     if isinstance(jobs, JobsBudget):
         budget = jobs
@@ -636,7 +625,7 @@ def run_sweep(
         else:
             pending = list(specs)
         stream = _execute_pending(
-            pending, jobs, exec_backend, policy, progress, inner
+            pending, jobs, policy, progress, inner
         )
         try:
             for spec in specs:
@@ -662,7 +651,6 @@ def run_sweep(
 def _execute_pending(
     specs: list[RunSpec],
     jobs: int,
-    exec_backend: str,
     policy: RetryPolicy,
     progress: bool,
     inner: int | None,
@@ -679,35 +667,26 @@ def _execute_pending(
             yield _execute_serial(spec, policy)
         return
     chunks = _chunk_by_instance(specs)
-    if len(chunks) < jobs and inner is None and exec_backend != "thread":
+    if len(chunks) < jobs and inner is None:
         # Fewer instances than workers (e.g. many seeds of one matrix):
         # instance-aligned chunks would leave workers idle, so fall back
         # to per-run items — cache locality matters less than an empty
-        # pool.  (Not under a budget — the leftover went to the inner
-        # level — and not under threads, where two workers sharing one
-        # instance would share its cached kernel states.)
+        # pool.  (Not under a budget: the leftover went to the inner
+        # level.)
         chunks = [[spec] for spec in specs]
     workers = min(jobs, len(chunks))
     _SWEEP_CHUNKS.inc(len(chunks))
     if policy.active:
         yield from _run_chunks_resilient(
-            chunks, workers, exec_backend, policy, progress
+            chunks, workers, policy, progress
         )
         return
     try:
-        if exec_backend == "thread":
-            results = pool_map("thread", workers, _execute_chunk, chunks)
-            for chunk, records in zip(chunks, results):
-                if progress:  # pragma: no cover - console side effect
-                    print(f"[sweep] {chunk[0].instance}", flush=True)
-                _validate_chunk_records(chunk, records)
-                yield from records
-        else:
-            for chunk, records in _run_chunks_shm(chunks, workers):
-                if progress:  # pragma: no cover - console side effect
-                    print(f"[sweep] {chunk[0].instance}", flush=True)
-                _validate_chunk_records(chunk, records)
-                yield from records
+        for chunk, records in _run_chunks_shm(chunks, workers):
+            if progress:  # pragma: no cover - console side effect
+                print(f"[sweep] {chunk[0].instance}", flush=True)
+            _validate_chunk_records(chunk, records)
+            yield from records
     except BrokenProcessPool:
         # A worker died; forget the poisoned pool so the next sweep
         # starts fresh instead of failing forever.
@@ -718,7 +697,6 @@ def _execute_pending(
 def _run_chunks_resilient(
     chunks: list[list[RunSpec]],
     workers: int,
-    exec_backend: str,
     policy: RetryPolicy,
     progress: bool,
 ) -> Iterator:
@@ -732,25 +710,20 @@ def _run_chunks_resilient(
     failure briefs are annotated onto every record of the affected
     chunk.
     """
-    if exec_backend == "thread":
-        kind, fn = "thread", _execute_chunk
-        items: list = list(chunks)
-    else:
-        kind, fn = "process", _execute_chunk_shm
-        published: set[str] = set()
-        items = []
-        for chunk in chunks:
-            name = chunk[0].instance
-            if name in published or len(published) < STORE_CAP:
-                handle = SharedMatrixStore.for_matrix(
-                    load_instance(name)
-                ).handle
-                published.add(name)
-            else:
-                handle = None  # past the cap: the worker loads by name
-            payload = (handle, name, chunk)
-            account_payload([payload])
-            items.append(payload)
+    published: set[str] = set()
+    items = []
+    for chunk in chunks:
+        name = chunk[0].instance
+        if name in published or len(published) < STORE_CAP:
+            handle = SharedMatrixStore.for_matrix(
+                load_instance(name)
+            ).handle
+            published.add(name)
+        else:
+            handle = None  # past the cap: the worker loads by name
+        payload = (handle, name, chunk)
+        account_payload([payload])
+        items.append(payload)
 
     def fallback(i: int):
         # The driver's own by-name execution: scope="worker" faults and
@@ -759,7 +732,7 @@ def _run_chunks_resilient(
         return _execute_chunk(chunks[i])
 
     values, failures = resilient_map(
-        kind, workers, fn, items,
+        workers, _execute_chunk_shm, items,
         policy=policy, fallback=fallback,
         validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
         labels=[chunk[0].instance for chunk in chunks],
@@ -786,12 +759,11 @@ def _run_chunks_shm(
     need them.  Publication itself is paced by the store cache's LRU
     cap: while ``STORE_CAP`` *distinct instances* have handle-shipped
     chunks in flight, chunks of further instances ship name-only (their
-    worker rebuilds the instance, exactly like the ``pool_map`` path
-    this replaces) instead of publishing a segment destined for
-    eviction before its worker attaches; chunks of already-published
-    instances always ship the live handle.  The worker-side by-name
-    fallback still covers any remaining eviction race.  Results stream
-    in submission order.
+    worker rebuilds the instance by name) instead of publishing a segment
+    destined for eviction before its worker attaches; chunks of
+    already-published instances always ship the live handle.  The
+    worker-side by-name fallback still covers any remaining eviction
+    race.  Results stream in submission order.
 
     Publishing requires building each instance in the *parent* (the old
     path had workers rebuild instances themselves, in parallel); the
@@ -824,8 +796,7 @@ def _run_chunks_shm(
             account_payload([payload])
             pending.append(
                 (chunk, handle is not None,
-                 pool_submit("process", workers,
-                             _execute_chunk_shm, payload))
+                 pool_submit(workers, _execute_chunk_shm, payload))
             )
             idx += 1
         chunk, had_handle, future = pending.popleft()

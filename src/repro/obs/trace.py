@@ -402,8 +402,8 @@ class _Activation:
     Pool workers are long-lived and serve many unrelated tasks, so the
     tracer is installed per-task and always torn down — a crashed task
     cannot leak one request's trace into the next.  If a tracer is
-    already installed (in-process executor backends run the "worker"
-    body inside the caller), the existing tracer is kept and the span
+    already installed (inline executor runs execute the "worker" body
+    inside the caller), the existing tracer is kept and the span
     is simply parented into it.
     """
 

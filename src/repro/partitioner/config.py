@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.errors import PartitioningError
 from repro.kernels import KernelBackend
-from repro.utils.executor import EXEC_BACKEND_CHOICES
 
 __all__ = ["PartitionerConfig", "get_config", "PRESETS", "ALGO_CHOICES"]
 
@@ -78,12 +77,6 @@ class PartitionerConfig:
         every value (each bisection's randomness is keyed on its tree
         position).  An explicit ``jobs=`` argument to ``partition``
         overrides it.
-    exec_backend:
-        How parallel bisection workers execute and receive their
-        submatrices (see :mod:`repro.utils.executor`): ``"auto"`` (the
-        same as ``"process"``), ``"process"`` (worker processes over the
-        shared-memory store), ``"thread"``, or ``"serial"``.
-        Bit-identical by contract — a delivery knob only.
     algo:
         How ``partition(matrix, nparts)`` produces a p-way partitioning:
         ``"recursive"`` (the paper's recursive-bisection scheme, default)
@@ -91,8 +84,8 @@ class PartitionerConfig:
         :mod:`repro.core.kway`, optimizing the connectivity-(λ−1) volume
         in one shot).  Unlike the speed knobs this genuinely changes
         the result — the two algorithms explore different search spaces;
-        it does *not* change results across exec backends or ``jobs``
-        values within either algorithm.
+        it does *not* change results across ``jobs`` values within
+        either algorithm.
     kway_vcycles:
         Multilevel cycles of the direct k-way partitioner
         (``algo="kway"``; see :mod:`repro.core.kway`).  Cycle 1 (the
@@ -105,11 +98,10 @@ class PartitionerConfig:
         re-coarsens respecting the current partitioning and can move
         whole clusters between parts.  Unlike the speed knobs this
         genuinely changes the result (better volume for more time);
-        within a fixed value results stay bit-identical across exec
-        backends and ``jobs``.  The config accepts ``0`` because the
-        recursive algorithm never reads the field, but the k-way
-        partitioner rejects it: ``0`` selected the flat single-level
-        path, which was removed.
+        within a fixed value results stay bit-identical across ``jobs``.
+        The config accepts ``0`` because the recursive algorithm never
+        reads the field, but the k-way partitioner rejects it: ``0``
+        selected the flat single-level path, which was removed.
     task_timeout:
         Per-task deadline in seconds for pool-executed work (see
         ``docs/robustness.md``): a task still running past it is killed
@@ -137,7 +129,6 @@ class PartitionerConfig:
     boundary_only: bool = False
     kernel_backend: KernelBackend | None = None
     jobs: int = 1
-    exec_backend: str = "auto"
     algo: str = "recursive"
     kway_vcycles: int = 1
     task_timeout: float | None = None
@@ -165,11 +156,6 @@ class PartitionerConfig:
         if self.jobs < 0:
             raise PartitioningError(
                 "jobs must be non-negative (0 = one worker per CPU)"
-            )
-        if self.exec_backend not in EXEC_BACKEND_CHOICES:
-            raise PartitioningError(
-                f"unknown execution backend {self.exec_backend!r}; "
-                f"expected one of {EXEC_BACKEND_CHOICES}"
             )
         if self.algo not in ALGO_CHOICES:
             raise PartitioningError(

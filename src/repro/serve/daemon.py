@@ -137,11 +137,8 @@ class ServeConfig:
     overload_deadline_factor: float = 0.5
     #: Worker-attempt retry budget per request.
     retries: int = 1
-    #: Pool size backing request execution.
+    #: Size of the process pool backing request execution.
     jobs: int = 2
-    #: ``"process"`` isolates requests in pool workers (the point);
-    #: ``"thread"`` runs them in-process, for tests.
-    backend: str = "process"
     #: Partition-cache journal path (``None``/empty = in-memory only).
     cache_path: Optional[str] = None
     cache_cap: int = 512
@@ -266,11 +263,6 @@ class PartitionDaemon:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        if self.config.backend not in ("process", "thread"):
-            raise ValueError(
-                f"backend must be 'process' or 'thread', got "
-                f"{self.config.backend!r}"
-            )
         self.cache = PartitionCache(
             self.config.cache_path or None, cap=self.config.cache_cap
         )
@@ -354,13 +346,12 @@ class PartitionDaemon:
                 )
             validate_parts(value[0], nnz, nparts, context=label)
 
-        kind = "thread" if self.config.backend == "thread" else "process"
         with _trace.activate(trace, "serve.dispatch", label=label) as dsp:
             # The worker parents its spans under this dispatch span —
             # the envelope rides the spec dict like the deadline does.
             spec["trace"] = dsp.context()
             value, failures = resilient_call(
-                kind, self.config.jobs, _execute_request,
+                self.config.jobs, _execute_request,
                 (store.handle, spec),
                 policy=policy, validate=check, label=label,
             )

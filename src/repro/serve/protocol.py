@@ -86,7 +86,7 @@ class PartitionRequest:
     MatrixMarket text, parsed — and rejected with a 400 — at admission)
     identifies the matrix.  The remaining fields mirror the
     ``repro-partition partition`` knobs that determine the result;
-    speed-only knobs (exec backend, jobs) deliberately have no
+    speed-only knobs (``jobs``) deliberately have no
     place in a request — they would fragment the cache without changing
     any answer.
     """
@@ -99,7 +99,8 @@ class PartitionRequest:
     refine: bool = False
     algo: str = "recursive"
     #: Multilevel cycle count for ``algo="kway"`` (at least 1; recursive
-    #: requests never read it).  Part of the cache key.
+    #: requests never read it).  Part of the cache key of k-way requests
+    #: only.
     kway_vcycles: int = 1
     seed: int = DEFAULT_SEED
     config: str = "mondriaan"
@@ -199,10 +200,13 @@ class PartitionRequest:
 
         Keyed on the matrix digest plus every result-determining knob —
         and nothing else, so equal keys imply bit-identical partitions.
+        ``kway_vcycles`` is hashed only under ``algo="kway"``: recursive
+        requests never read it.
         """
+        vcycles = f"{self.kway_vcycles}:" if self.algo == "kway" else ""
         raw = (
             f"{digest}:{self.nparts}:{self.eps!r}:{self.method}:"
-            f"{int(self.refine)}:{self.algo}:{self.kway_vcycles}:"
+            f"{int(self.refine)}:{self.algo}:{vcycles}"
             f"{self.seed}:{self.config}"
         )
         return hashlib.sha256(raw.encode()).hexdigest()[:32]

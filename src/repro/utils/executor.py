@@ -18,15 +18,14 @@ Shared-memory matrix store
     views the shared segment directly through
     :meth:`~repro.sparse.matrix.SparseMatrix.from_canonical`.
 
-Execution backends
+One process pool
     :class:`MatrixExecutor` delivers ``(submatrix, extra)`` tasks to
-    workers under three interchangeable backends: ``"serial"`` (inline),
-    ``"thread"`` (a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    — zero-copy by construction), and ``"process"`` (process pool +
-    shared-memory store).  ``"auto"`` is ``"process"``: the python
-    kernels hold the GIL, so only processes run them in parallel.  All
-    backends are bit-identical by construction: they only change how a
-    task's inputs travel, never what the task computes.
+    workers, and ``jobs`` alone decides where they run: ``jobs <= 1`` (or
+    a single task) runs inline in the caller, ``jobs >= 2`` on the shared
+    process pool over the shared-memory store.  The python kernels hold
+    the GIL, so only processes run them in parallel.  Both paths are
+    bit-identical by construction: they only change how a task's inputs
+    travel, never what the task computes.
 
 Jobs budget
     :class:`JobsBudget` makes one ``--jobs N`` composable across nesting
@@ -53,7 +52,6 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait as futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -77,16 +75,13 @@ from repro.utils import faults
 from repro.utils.parallel import resolve_jobs
 
 __all__ = [
-    "EXEC_BACKEND_CHOICES",
     "STORE_CAP",
     "JobsBudget",
     "RetryPolicy",
     "MatrixHandle",
     "SharedMatrixStore",
     "MatrixExecutor",
-    "resolve_exec_backend",
     "process_pool",
-    "thread_pool",
     "pool_map",
     "pool_submit",
     "resilient_map",
@@ -97,16 +92,12 @@ __all__ = [
     "account_payload",
 ]
 
-#: Valid values of ``PartitionerConfig.exec_backend`` / ``--exec-backend``.
-EXEC_BACKEND_CHOICES = ("auto", "serial", "thread", "process")
-
 # Observability (see docs/observability.md): dispatch volume, hardened
 # task latency, and the hardening events.  Plain process-local adds —
 # never consulted by the execution layer itself.
 _EXEC_TASKS = _metrics.counter(
     "repro_executor_tasks_total",
-    "Tasks dispatched through the execution layer",
-    ("backend",),
+    "Tasks dispatched to the process pool",
 )
 _EXEC_TASK_SECONDS = _metrics.histogram(
     "repro_executor_task_seconds",
@@ -133,22 +124,6 @@ _PAYLOAD_TASKS = _metrics.counter(
     "repro_executor_payload_tasks_total",
     "Tasks whose payloads were measured by a payload audit",
 )
-
-
-def resolve_exec_backend(spec: str = "auto") -> str:
-    """Resolve an execution-backend spec to a concrete backend name.
-
-    ``"auto"`` is ``"process"``: worker processes over the shared-memory
-    matrix store.
-    """
-    if spec == "auto":
-        return "process"
-    if spec not in EXEC_BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown execution backend {spec!r}; "
-            f"expected one of {EXEC_BACKEND_CHOICES}"
-        )
-    return spec
 
 
 # --------------------------------------------------------------------- #
@@ -258,28 +233,13 @@ class RetryPolicy:
 #: running parallel recursion under a :class:`JobsBudget`) therefore
 #: creates its own pool on first use in each process.
 _PROCESS_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
-_THREAD_POOL: tuple[int, int, ThreadPoolExecutor] | None = None
 
-#: Guards every module-level singleton (the two pools, the store
-#: registry): the thread backend makes concurrent calls into this module
-#: a normal condition, and unguarded check-then-act would let two
-#: threads each create (or worse, one retire while the other submits to)
-#: the "shared" pool.
+#: Guards every module-level singleton (the pool, the store registry):
+#: the serving daemon's dispatch threads call into this module
+#: concurrently, and unguarded check-then-act would let two threads each
+#: create (or worse, one retire while the other submits to) the "shared"
+#: pool.
 _LOCK = threading.RLock()
-
-#: Thread-local nesting state.  ``in_worker`` is set (via the pool
-#: initializer) in every thread the layer creates; a nested
-#: ``thread_pool`` request from such a thread gets a *private*
-#: per-thread pool instead of the shared one — handing a worker the very
-#: pool it runs on would deadlock the moment all workers block on
-#: futures only they could execute (the sweep x recursion composition
-#: under the thread backend).
-_TLS = threading.local()
-
-
-def _mark_worker() -> None:
-    _TLS.in_worker = True
-
 
 #: True in processes that are workers of *this layer's* process pools
 #: (set by the pool initializer in every child).  A worker creating its
@@ -335,11 +295,10 @@ def _process_worker_init(nested: bool) -> None:
             _sig.signal(signum, _sig.SIG_DFL)
         except (OSError, ValueError):  # pragma: no cover - non-main thread
             pass
-    # A forked worker inherits the parent's fault-injection hit counters
-    # (and its hang-release flag); a worker's per-process hit indices
-    # must start at 1 for fault plans to be deterministic.
+    # A forked worker inherits the parent's fault-injection hit counters;
+    # a worker's per-process hit indices must start at 1 for fault plans
+    # to be deterministic.
     faults.reset()
-    faults._RELEASE.clear()
     if not nested:
         return
     try:  # pragma: no cover - exercised via the nested crash test
@@ -420,40 +379,7 @@ def process_pool(jobs: int) -> ProcessPoolExecutor:
         return pool
 
 
-def thread_pool(jobs: int) -> ThreadPoolExecutor:
-    """The shared thread pool (grown to at least ``jobs``, never shrunk —
-    idle threads are nearly free, unlike idle processes).
-
-    Calls from *inside* one of the layer's own worker threads (a sweep
-    chunk running parallel recursion under a :class:`JobsBudget`) get a
-    private per-thread pool instead: the shared pool's workers are
-    exactly the threads blocking on the nested futures, so handing it
-    back would deadlock permanently.
-    """
-    if getattr(_TLS, "in_worker", False):
-        cached = getattr(_TLS, "pool", None)
-        if cached is not None and cached[0] >= jobs:
-            return cached[1]
-        if cached is not None:
-            cached[1].shutdown(wait=False)
-        pool = ThreadPoolExecutor(max_workers=jobs, initializer=_mark_worker)
-        _TLS.pool = (jobs, pool)
-        return pool
-    global _THREAD_POOL
-    with _LOCK:
-        pid = os.getpid()
-        if _THREAD_POOL is not None:
-            if _THREAD_POOL[0] == pid and _THREAD_POOL[1] >= jobs:
-                return _THREAD_POOL[2]
-            if _THREAD_POOL[0] == pid:
-                _THREAD_POOL[2].shutdown(wait=False)
-        _ensure_exit_hook()
-        pool = ThreadPoolExecutor(max_workers=jobs, initializer=_mark_worker)
-        _THREAD_POOL = (pid, jobs, pool)
-        return pool
-
-
-def pool_map(kind: str, jobs: int, fn, items, chunksize: int = 1):
+def pool_map(jobs: int, fn, items, chunksize: int = 1):
     """Fetch the shared pool and submit ``items`` atomically.
 
     Submission happens under the layer's lock so a concurrent resize
@@ -462,16 +388,14 @@ def pool_map(kind: str, jobs: int, fn, items, chunksize: int = 1):
     lazy, and retired pools drain already-submitted work).
     """
     try:
-        _EXEC_TASKS.labels(backend=kind).inc(len(items))
+        _EXEC_TASKS.inc(len(items))
     except TypeError:  # pragma: no cover - generator payloads
         pass
     with _LOCK:
-        if kind == "thread":
-            return thread_pool(jobs).map(fn, items)
         return process_pool(jobs).map(fn, items, chunksize=chunksize)
 
 
-def pool_submit(kind: str, jobs: int, fn, item):
+def pool_submit(jobs: int, fn, item):
     """Fetch the shared pool and submit one task atomically.
 
     The single-item counterpart of :func:`pool_map`, for callers that
@@ -479,10 +403,8 @@ def pool_submit(kind: str, jobs: int, fn, item):
     bounded window so each chunk's shared-memory store is published just
     before its worker needs it).  Returns the future.
     """
-    _EXEC_TASKS.labels(backend=kind).inc()
+    _EXEC_TASKS.inc()
     with _LOCK:
-        if kind == "thread":
-            return thread_pool(jobs).submit(fn, item)
         return process_pool(jobs).submit(fn, item)
 
 
@@ -524,7 +446,6 @@ def _watchdog_kill_pool() -> None:
 
 
 def resilient_map(
-    kind: str,
     jobs: int,
     fn,
     items: list,
@@ -550,10 +471,6 @@ def resilient_map(
     failure records (:class:`~repro.errors.ExecutionError` instances)
     task ``i`` accumulated on its way to completion; an untroubled task
     has an empty list.
-
-    Thread-backend caveat: threads cannot be killed, so a timed-out
-    thread task is *abandoned* (recorded as a timeout and resubmitted;
-    the stale thread's result is discarded when it eventually lands).
     """
     n = len(items)
     values: list = [None] * n
@@ -565,18 +482,17 @@ def resilient_map(
     degraded: list[int] = []
     pending: dict = {}
     collateral: set[int] = set()
-    is_process = kind != "thread"
 
     def _label(i: int) -> str:
         return labels[i] if labels is not None else f"task{i}"
 
     def _submit(i: int) -> None:
         try:
-            fut = pool_submit(kind, jobs, fn, items[i])
+            fut = pool_submit(jobs, fn, items[i])
         except BrokenProcessPool:
             # The shared pool broke between our calls; start fresh.
             drop_process_pool()
-            fut = pool_submit(kind, jobs, fn, items[i])
+            fut = pool_submit(jobs, fn, items[i])
         now = time.monotonic()
         deadline = now + policy.timeout if policy.timeout is not None else None
         pending[fut] = (i, deadline, now)
@@ -670,10 +586,6 @@ def resilient_map(
         ]
         if expired:
             for fut, i in expired:
-                # Thread backend: the future cannot be cancelled — the
-                # stale thread is simply abandoned (it is released when
-                # a fault plan is uninstalled) and its result discarded.
-                # Process backend: the worker is about to be killed.
                 del pending[fut]
                 attempts[i] += 1
                 _fail(i, TaskTimeout(
@@ -681,17 +593,16 @@ def resilient_map(
                     task=_label(i), attempt=attempts[i],
                     timeout=policy.timeout,
                 ))
-            if is_process:
-                # Kill the hung workers; siblings still in flight become
-                # collateral and are resubmitted on the rebuilt pool.
-                for _fut, (i, _d, _t) in pending.items():
-                    collateral.add(i)
-                _EXEC_WATCHDOG_KILLS.inc()
-                _trace.event(
-                    "watchdog_kill", expired=len(expired),
-                    collateral=len(pending),
-                )
-                _watchdog_kill_pool()
+            # Kill the hung workers; siblings still in flight become
+            # collateral and are resubmitted on the rebuilt pool.
+            for _fut, (i, _d, _t) in pending.items():
+                collateral.add(i)
+            _EXEC_WATCHDOG_KILLS.inc()
+            _trace.event(
+                "watchdog_kill", expired=len(expired),
+                collateral=len(pending),
+            )
+            _watchdog_kill_pool()
     # Degradation ladder's last rung: whatever the pool could not
     # deliver is computed serially in-process, so the map always
     # completes.  A validation failure here is terminal — there is no
@@ -715,7 +626,6 @@ def resilient_map(
 
 
 def resilient_call(
-    kind: str,
     jobs: int,
     fn,
     item,
@@ -753,7 +663,7 @@ def resilient_call(
                     inner_validate(i, value)
 
     values, failures = resilient_map(
-        kind, jobs, fn, [item],
+        jobs, fn, [item],
         policy=policy, fallback=fallback, validate=validate,
         labels=[label] if label else None,
     )
@@ -770,29 +680,20 @@ def resilient_call(
 
 
 def shutdown_pools(wait: bool = False) -> None:
-    """Shut down every shared pool (idempotent; registered with atexit).
+    """Shut down the shared pool (idempotent; registered with atexit).
 
     Before this layer, :mod:`repro.core.recursive` kept a module-level
     pool alive at interpreter exit; the atexit hook guarantees worker
     processes are reaped no matter which subsystem created them.
     """
-    global _PROCESS_POOL, _THREAD_POOL
-    # Detach the singletons under the lock, but run the (possibly
-    # blocking, wait=True) shutdowns outside it: a still-running worker
+    global _PROCESS_POOL
+    # Detach the singleton under the lock, but run the (possibly
+    # blocking, wait=True) shutdown outside it: a still-running worker
     # that needs the lock must not deadlock against the join.
-    pools = []
     with _LOCK:
-        pid = os.getpid()
-        if _PROCESS_POOL is not None:
-            if _PROCESS_POOL[0] == pid:
-                pools.append(_PROCESS_POOL[2])
-            _PROCESS_POOL = None
-        if _THREAD_POOL is not None:
-            if _THREAD_POOL[0] == pid:
-                pools.append(_THREAD_POOL[2])
-            _THREAD_POOL = None
-    for pool in pools:
-        pool.shutdown(wait=wait)
+        entry, _PROCESS_POOL = _PROCESS_POOL, None
+    if entry is not None and entry[0] == os.getpid():
+        entry[2].shutdown(wait=wait)
     close_matrix_stores()
 
 
@@ -1022,7 +923,7 @@ def payload_audit():
     """Record the bytes each executor task ships to its worker.
 
     Yields a dict with running ``bytes`` and ``tasks`` counters; inline
-    (serial/thread) execution ships nothing and counts zero.  The
+    execution ships nothing and counts zero.  The
     end-to-end benchmark uses this to demonstrate the pickling cut of
     the shared-memory store without taxing the timed runs.
     """
@@ -1072,19 +973,10 @@ def _shm_task(arg):
     return faults.fault_point("executor.result", fn(sub, extra))
 
 
-def _thread_task(arg):
-    """Thread worker: select *inside* the worker so the NumPy selects of
-    sibling tasks overlap."""
-    matrix, fn, indices, extra = arg
-    faults.fault_point("executor.task")
-    sub = matrix if indices is None else matrix.select(indices)
-    return faults.fault_point("executor.result", fn(sub, extra))
-
-
 def _inline_task(matrix: SparseMatrix, fn, indices, extra):
     """Inline (driver-process) execution of one executor task.
 
-    The serial backend and the degradation ladder's last rung both run
+    ``jobs <= 1`` runs and the degradation ladder's last rung both run
     through here; the same fault points fire as in pool workers so
     serial chaos runs exercise identical code paths (``scope="worker"``
     rules deliberately stay silent — that is what models "the pool is
@@ -1100,38 +992,27 @@ class MatrixExecutor:
 
     Tasks are ``(indices, extra)`` pairs: ``indices`` selects the
     submatrix (``None`` = the whole matrix), ``extra`` is a small
-    picklable payload.  ``fn`` must be a module-level function (process
-    backends pickle it by reference).  :meth:`map` returns results in
-    task order for every backend, which is what lets callers treat the
-    backend purely as a speed knob.
+    picklable payload.  ``fn`` must be a module-level function (the
+    process pool pickles it by reference).  :meth:`map` returns results
+    in task order for every ``jobs``, which is what lets callers treat
+    ``jobs`` purely as a speed knob.
 
-    Backend delivery semantics:
-
-    ``"serial"``
-        Everything inline, zero copies.
-    ``"thread"``
-        Workers share the address space; each worker thread selects its
-        own submatrix from the live matrix (no serialization at all).
-    ``"process"``
-        The matrix is published once to a :class:`SharedMatrixStore`
-        (lazily, on the first ``map``); each task ships a handle plus
-        its index array — 8 bytes per selected nonzero instead of the
-        24-plus of a pickled submatrix, and nothing at all for the
-        nonzero values.
+    With ``jobs <= 1`` (or a single task) everything runs inline, zero
+    copies.  Otherwise the matrix is published once to a
+    :class:`SharedMatrixStore` (lazily, on the first ``map``) and each
+    process-pool task ships a handle plus its index array — 8 bytes per
+    selected nonzero instead of the 24-plus of a pickled submatrix, and
+    nothing at all for the nonzero values.
     """
 
     def __init__(
         self,
         matrix: SparseMatrix,
         jobs: int,
-        backend: str = "auto",
         policy: RetryPolicy | None = None,
     ) -> None:
         self.matrix = matrix
         self.jobs = resolve_jobs(jobs)
-        self.backend = resolve_exec_backend(backend)
-        if self.jobs <= 1:
-            self.backend = "serial"
         self._store: SharedMatrixStore | None = None
         self.policy = policy if policy is not None else RetryPolicy()
         #: Structured failure records (:class:`repro.errors.ExecutionError`
@@ -1173,7 +1054,7 @@ class MatrixExecutor:
         """Execute ``fn(submatrix, extra)`` per task; ordered results.
 
         ``validate(index, value)`` — when given — is applied to every
-        result at this boundary regardless of backend; it must raise
+        result at this boundary, inline or pooled; it must raise
         :class:`~repro.errors.ResultValidationError` on violation.  On
         the fast (policy-inactive) path a validation failure propagates;
         under an active :class:`RetryPolicy` it is treated like a crash:
@@ -1181,18 +1062,12 @@ class MatrixExecutor:
         """
         if not tasks:
             return []
-        if self.backend == "serial" or len(tasks) == 1:
+        if self.jobs <= 1 or len(tasks) == 1:
             # A single task gains nothing from any pool; run it inline
             # and skip the payload round-trip entirely.
             return self._map_inline(fn, tasks, validate)
         if self.policy.active:
             return self._map_resilient(fn, tasks, validate)
-        if self.backend == "thread":
-            items = [
-                (self.matrix, fn, idx, extra) for idx, extra in tasks
-            ]
-            values = list(pool_map("thread", self.jobs, _thread_task, items))
-            return self._validated(values, validate)
         worker, items = self._process_items(fn, tasks)
         _account(items)
         # Batch small tasks per pipe round-trip (map preserves order for
@@ -1201,7 +1076,7 @@ class MatrixExecutor:
         chunksize = max(1, len(items) // (4 * self.jobs))
         try:
             values = list(
-                pool_map("process", self.jobs, worker, items, chunksize)
+                pool_map(self.jobs, worker, items, chunksize)
             )
         except BrokenProcessPool:
             # A worker died (OOM, signal): drop the poisoned pool so the
@@ -1223,8 +1098,8 @@ class MatrixExecutor:
 
         Timeouts cannot apply inline (there is no worker to kill), but
         ``retries`` do: an exception is retried with the same backoff
-        schedule, so ``--retries`` means the same thing on every
-        backend.
+        schedule, so ``--retries`` means the same thing inline and on the
+        pool.
         """
         out = []
         for i, (idx, extra) in enumerate(tasks):
@@ -1255,20 +1130,15 @@ class MatrixExecutor:
         the budget exhausted — recomputed inline from the parent-held
         matrix, so ``map`` always returns a full, validated result list.
         """
-        if self.backend == "thread":
-            kind, worker = "thread", _thread_task
-            items = [(self.matrix, fn, idx, extra) for idx, extra in tasks]
-        else:
-            kind = "process"
-            worker, items = self._process_items(fn, tasks)
-            _account(items)
+        worker, items = self._process_items(fn, tasks)
+        _account(items)
 
         def fallback(i: int):
             idx, extra = tasks[i]
             return _inline_task(self.matrix, fn, idx, extra)
 
         values, failures = resilient_map(
-            kind, self.jobs, worker, items,
+            self.jobs, worker, items,
             policy=self.policy, fallback=fallback, validate=validate,
         )
         for records in failures:
@@ -1278,10 +1148,10 @@ class MatrixExecutor:
     def payload_nbytes(self, tasks: list) -> int:
         """Bytes :meth:`map` would ship for ``tasks`` (without running).
 
-        Zero for inline backends; for process backends, the pickled size
-        of the exact task tuples ``map`` dispatches.
+        Zero for inline runs; on the process pool, the pickled size of
+        the exact task tuples ``map`` dispatches.
         """
-        if not tasks or self.backend in ("serial", "thread") or len(tasks) == 1:
+        if not tasks or self.jobs <= 1 or len(tasks) == 1:
             return 0
         _, items = self._process_items(None, tasks)
         return sum(

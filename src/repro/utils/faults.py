@@ -25,9 +25,8 @@ Fault kinds
     ``"exception"`` raises :class:`~repro.errors.InjectedFault`;
     ``"crash"`` SIGKILLs the current process (downgraded to an
     exception in the installing process itself, so a serial run never
-    kills the test runner); ``"hang"`` blocks for ``delay`` seconds on
-    an interruptible event (killed workers never return; abandoned
-    thread workers are released when the plan is uninstalled);
+    kills the test runner); ``"hang"`` sleeps for ``delay`` seconds
+    (the watchdog kills a hung worker, so it never returns);
     ``"shm"`` raises :class:`FileNotFoundError`, emulating an
     evicted/unlinked shared-memory segment at the attach boundary;
     ``"poison"`` deterministically corrupts the payload passed through
@@ -52,7 +51,6 @@ import hashlib
 import json
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass
 
@@ -67,7 +65,6 @@ __all__ = [
     "install",
     "plan_to_env",
     "plan_from_env",
-    "release_hangs",
     "reset",
 ]
 
@@ -148,19 +145,10 @@ _HITS: dict[str, int] = {}
 #: fault-point hit would tax the hot path for nothing).
 _PLAN_CACHE: tuple[str, tuple[FaultRule, ...]] | None = None
 
-#: Interruptible-hang release: uninstalling a plan sets this, waking any
-#: abandoned thread workers still sleeping inside an injected hang.
-_RELEASE = threading.Event()
-
 
 def reset() -> None:
     """Clear per-process hit counters (installing a plan does this)."""
     _HITS.clear()
-
-
-def release_hangs() -> None:
-    """Wake every in-process injected hang (abandoned thread workers)."""
-    _RELEASE.set()
 
 
 def plan_to_env(rules) -> str:
@@ -213,8 +201,8 @@ class install:
     inherit the plan), resets hit counters, and retires the persistent
     worker pools on entry *and* exit — existing workers carry a stale
     environment copy, so plans only ever apply to freshly-born pools.
-    On exit the env var is restored, hung threads are released, and the
-    pools are retired again so no faulted worker outlives the plan.
+    On exit the env var is restored and the pools are retired again so
+    no faulted worker outlives the plan.
     """
 
     def __init__(self, rules) -> None:
@@ -229,7 +217,6 @@ class install:
 
         shutdown_pools()
         reset()
-        _RELEASE.clear()
         self._saved = os.environ.get(ENV_VAR)
         os.environ[ENV_VAR] = plan_to_env(self.rules)
         return self
@@ -241,7 +228,6 @@ class install:
             os.environ.pop(ENV_VAR, None)
         else:  # pragma: no cover - nested plans are a test-only exotic
             os.environ[ENV_VAR] = self._saved
-        release_hangs()
         shutdown_pools()
 
 
@@ -255,12 +241,10 @@ def _with_installer(rule: FaultRule, pid: int) -> FaultRule:
 # Firing
 # --------------------------------------------------------------------- #
 def _in_worker() -> bool:
-    """Whether this thread/process is one of the layer's pool workers."""
+    """Whether this process is one of the layer's pool workers."""
     from repro.utils import executor
 
-    if executor._IS_POOL_WORKER:
-        return True
-    return bool(getattr(executor._TLS, "in_worker", False))
+    return executor._IS_POOL_WORKER
 
 
 def _rate_hash(seed: int, point: str, hit: int) -> float:
@@ -365,14 +349,14 @@ def _fire(rule: FaultRule, name: str, payload):
             f"[injected fault] no space left on device at {name}",
         )
     if rule.kind == "hang":
-        _RELEASE.wait(rule.delay)
+        time.sleep(rule.delay)
         raise InjectedFault(
             f"injected hang at {name} released after <= {rule.delay}s"
         )
     if rule.kind == "crash":
         if os.getpid() != rule.installer_pid:
             # Flush nothing, die like an OOM kill.  Never in the
-            # installing process itself: a serial/thread run there must
+            # installing process itself: an inline run there must
             # see a failure, not lose the whole test runner.
             os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)  # pragma: no cover - the signal is fatal

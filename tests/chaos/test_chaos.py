@@ -35,8 +35,6 @@ from repro.utils.faults import FaultRule
 
 pytestmark = pytest.mark.chaos
 
-BACKENDS = ("process", "thread")
-
 #: Deadline for "this must not hang" assertions: generous vs the 1 s
 #: task timeout used below, tiny vs the 60 s injected hangs.
 WALL_CLOCK_SLACK = 30.0
@@ -68,7 +66,7 @@ def reference(matrix):
     return partition(matrix, 8, refine=True, seed=42, jobs=1)
 
 
-def _partition_hardened(matrix, timeout=60.0, retries=2, **kw):
+def _partition_hardened(matrix, timeout=60.0, retries=2):
     import repro.partitioner.config as config_mod
 
     cfg = dataclasses.replace(
@@ -76,7 +74,7 @@ def _partition_hardened(matrix, timeout=60.0, retries=2, **kw):
         task_timeout=timeout, retries=retries,
     )
     return partition(matrix, 8, refine=True, seed=42, jobs=2,
-                     config=cfg, **kw)
+                     config=cfg)
 
 
 PARTITION_FAULTS = [
@@ -89,26 +87,23 @@ PARTITION_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point,kind", PARTITION_FAULTS)
 def test_partition_recovers_bit_identical(
-    tmp_path, matrix, reference, backend, point, kind
+    tmp_path, matrix, reference, point, kind
 ):
     rule = _once(tmp_path, point, kind)
     with faults.install([rule]):
-        res = _partition_hardened(matrix, exec_backend=backend)
+        res = _partition_hardened(matrix)
     assert np.array_equal(res.parts, reference.parts)
     assert res.volume == reference.volume
     assert res.failures, "an absorbed fault must leave a brief"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_watchdog_beats_injected_hang(tmp_path, matrix, reference, backend):
+def test_watchdog_beats_injected_hang(tmp_path, matrix, reference):
     rule = _once(tmp_path, "executor.task", "hang", delay=60.0)
     start = time.monotonic()
     with faults.install([rule]):
-        res = _partition_hardened(matrix, timeout=1.0,
-                                  exec_backend=backend)
+        res = _partition_hardened(matrix, timeout=1.0)
     elapsed = time.monotonic() - start
     assert elapsed < WALL_CLOCK_SLACK, "watchdog failed to fire"
     assert np.array_equal(res.parts, reference.parts)
@@ -117,16 +112,14 @@ def test_watchdog_beats_injected_hang(tmp_path, matrix, reference, backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exhausted_budget_degrades_to_serial(matrix, reference, backend):
+def test_exhausted_budget_degrades_to_serial(matrix, reference):
     # Every pool attempt fails (no once-token, rate 1.0, worker scope):
     # the ladder's bottom rung — the driver's own in-process execution,
     # where worker-scoped faults cannot fire — must complete the run.
     rule = FaultRule(point="executor.task", kind="exception",
                     hits=(), rate=1.0)
     with faults.install([rule]):
-        res = _partition_hardened(matrix, retries=1,
-                                  exec_backend=backend)
+        res = _partition_hardened(matrix, retries=1)
     assert np.array_equal(res.parts, reference.parts)
     assert any("DegradedExecution" in brief for brief in res.failures), (
         res.failures
@@ -152,8 +145,7 @@ def test_unhardened_run_still_validates(tmp_path, matrix):
     rule = _once(tmp_path, "executor.result", "poison")
     with faults.install([rule]):
         with pytest.raises(ResultValidationError):
-            partition(matrix, 8, refine=True, seed=42, jobs=2,
-                      exec_backend="process")
+            partition(matrix, 8, refine=True, seed=42, jobs=2)
 
 
 # --------------------------------------------------------------------- #
@@ -186,17 +178,14 @@ SWEEP_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point,kind", SWEEP_FAULTS)
 def test_sweep_recovers_bit_identical(
-    tmp_path, specs, sweep_reference, backend, point, kind
+    tmp_path, specs, sweep_reference, point, kind
 ):
-    if backend == "thread" and point == "shm.attach":
-        pytest.skip("thread sweeps do not attach shared memory")
     rule = _once(tmp_path, point, kind)
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, exec_backend=backend,
-                                 task_timeout=60.0, retries=2))
+        records = list(run_sweep(specs, jobs=2, task_timeout=60.0,
+                                 retries=2))
     assert _strip(records) == sweep_reference
     if point != "shm.attach":
         # The by-name fallback absorbs attach faults silently (that is

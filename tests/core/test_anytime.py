@@ -483,9 +483,6 @@ def test_kway_construction_expiring_midway_splits_the_rest(matrix):
 # --------------------------------------------------------------------- #
 # The pool path obeys the deadline too
 # --------------------------------------------------------------------- #
-POOL_BACKENDS = ["process", "thread"]
-
-
 def _root_bisection_checks(matrix, nparts):
     """Checks a serial run makes up to and including the root
     bisection's last one: the index of the first subtree's check."""
@@ -501,10 +498,7 @@ def _retries():
     return REGISTRY.get("repro_executor_retries_total").value
 
 
-@pytest.mark.parametrize("exec_backend", POOL_BACKENDS)
-def test_parallel_budget_through_root_bisection_matches_serial(
-    matrix, exec_backend
-):
+def test_parallel_budget_through_root_bisection_matches_serial(matrix):
     # The root bisection runs inline on the driver's own budget, so
     # every budget that expires by its last check sees exactly the
     # serial run's checks: parts, volume and briefs all agree —
@@ -514,8 +508,7 @@ def test_parallel_budget_through_root_bisection_matches_serial(
     for budget in range(root_checks + 1):
         serial = partition(matrix, 8, seed=SEED, deadline=SoftBudget(budget))
         parallel = partition(
-            matrix, 8, seed=SEED, jobs=2, exec_backend=exec_backend,
-            deadline=SoftBudget(budget),
+            matrix, 8, seed=SEED, jobs=2, deadline=SoftBudget(budget),
         )
         np.testing.assert_array_equal(parallel.parts, serial.parts)
         assert parallel.volume == serial.volume, budget
@@ -534,8 +527,8 @@ def test_budget_expiring_in_subtree_worker_degrades_without_retry(
 ):
     # The budget outlives the root bisection and the driver's dispatch
     # check; each subtree worker then counts down its own copy with
-    # ``worker_checks`` checks left, so every backend — the inline
-    # ``serial`` one included — gives the same answer.  With 0 the
+    # ``worker_checks`` checks left, so the hardened pool path and the
+    # plain one give the same answer.  With 0 the
     # worker fallback-splits its own root and reports no volume for it,
     # which validation must accept: a cut-short subtree is a valid
     # answer, not a corrupted one to retry.
@@ -545,19 +538,17 @@ def test_budget_expiring_in_subtree_worker_degrades_without_retry(
         get_config("mondriaan"), task_timeout=60.0, retries=2
     )
     first = None
-    for exec_backend in ["serial"] + POOL_BACKENDS:
-        for config in (hardened, "mondriaan"):
-            retries = _retries()
-            res = partition(
-                matrix, 8, seed=SEED, jobs=2, exec_backend=exec_backend,
-                config=config,
-                deadline=SoftBudget(root_checks + 1 + worker_checks),
-            )
-            assert _retries() == retries
-            assert not any("Error" in b for b in res.failures), res.failures
-            first = first or res
-            np.testing.assert_array_equal(res.parts, first.parts)
-            assert res.failures == first.failures
+    for config in (hardened, "mondriaan"):
+        retries = _retries()
+        res = partition(
+            matrix, 8, seed=SEED, jobs=2, config=config,
+            deadline=SoftBudget(root_checks + 1 + worker_checks),
+        )
+        assert _retries() == retries
+        assert not any("Error" in b for b in res.failures), res.failures
+        first = first or res
+        np.testing.assert_array_equal(res.parts, first.parts)
+        assert res.failures == first.failures
     _assert_valid_and_within_floor(matrix, first, 8)
     assert any(b.startswith("Degraded[recursive]") for b in first.failures)
     assert first.bisection_volumes[0] == base.bisection_volumes[0]

@@ -111,15 +111,16 @@ def test_partition_algo_from_config_and_validation():
     assert rec.method == "mediumgrain"
 
 
-def test_kway_ignores_jobs_and_exec_backend():
-    """No recursion tree: every parallelism knob is a bit-identical no-op."""
+def test_kway_ignores_jobs():
+    """No recursion tree: ``jobs`` is validated, then a bit-identical
+    no-op."""
     m = MATRICES["grid"]()
     ref = partition(m, 4, algo="kway", seed=5)
-    for jobs, eb in ((2, "process"), (2, "thread")):
-        res = partition(m, 4, algo="kway", seed=5, jobs=jobs, exec_backend=eb)
+    for jobs in (2, 4):
+        res = partition(m, 4, algo="kway", seed=5, jobs=jobs)
         np.testing.assert_array_equal(ref.parts, res.parts)
     with pytest.raises(PartitioningError):
-        partition(m, 4, algo="kway", exec_backend="bogus")
+        partition(m, 4, algo="kway", jobs=-1)
 
 
 def test_kway_bit_identical_across_kernel_backends(reference_kernels):

@@ -8,8 +8,8 @@ Three layers:
 
 * pinned ``(instance, p, seed, vcycles)`` → exact parts hashes,
 * bit-identity with the frozen reference kernels, and across the
-  jobs/exec_backend speed knobs (the k-way path has no recursion tree —
-  they must be no-ops),
+  ``jobs`` speed knob (the k-way path has no recursion tree — it must
+  be a no-op),
 * checkpointed sweeps over ``kway_vcycles`` that resume bit-identically.
 
 Regenerate the table below (and say so in the commit) with::
@@ -99,19 +99,15 @@ def test_bit_identical_across_kernel_backends(reference_kernels):
     assert len(hashes) == 1, f"kernels disagree: {results}"
 
 
-def test_jobs_and_exec_backend_are_noops():
+def test_jobs_are_noops():
     """The direct k-way path has no recursion tree to schedule: jobs
-    and exec_backend must not perturb the result (or even the RNG)."""
+    must not perturb the result (or even the RNG)."""
     matrix = load_instance("sym_grid2d_s")
     cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=1)
-    ref = partition(
-        matrix, 4, algo="kway", config=cfg, seed=SEED, jobs=1,
-        exec_backend="serial",
-    )
-    for jobs, exec_backend in [(2, "thread"), (4, "process")]:
+    ref = partition(matrix, 4, algo="kway", config=cfg, seed=SEED, jobs=1)
+    for jobs in (2, 4):
         res = partition(
-            matrix, 4, algo="kway", config=cfg, seed=SEED,
-            jobs=jobs, exec_backend=exec_backend,
+            matrix, 4, algo="kway", config=cfg, seed=SEED, jobs=jobs,
         )
         np.testing.assert_array_equal(res.parts, ref.parts)
         assert res.volume == ref.volume

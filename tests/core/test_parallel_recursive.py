@@ -4,8 +4,8 @@ The parallel scheduler must be invisible in the results: ``partition``
 derives every bisection's randomness from the node's position in the
 recursion tree, so any schedule — serial depth-first, frontier rounds on
 a process pool, whole subtrees per worker — produces the same partition
-bit for bit.  These tests pin that contract across worker counts, part
-counts, and execution backends, plus the seed-stream properties it rests
+bit for bit.  These tests pin that contract across worker counts and
+part counts, plus the seed-stream properties it rests
 on and the asymmetric load-budget hand-down at deep recursion levels.
 """
 
@@ -50,41 +50,13 @@ class TestParallelDeterminism:
         np.testing.assert_array_equal(ref.parts, par.parts)
         assert ref.bisection_volumes == par.bisection_volumes
 
-    @pytest.mark.parametrize("exec_backend", ["thread", "process"])
-    def test_bit_identical_across_exec_backends(self, er, exec_backend):
-        """The execution backend only changes how submatrices travel
-        (shared address space / shared-memory store), never the
-        partition."""
+    def test_bit_identical_on_process_pool(self, er):
+        """The process pool only changes how submatrices travel (the
+        shared-memory store), never the partition."""
         ref = partition(er, 16, seed=SEED, jobs=1)
-        res = partition(er, 16, seed=SEED, jobs=3, exec_backend=exec_backend)
+        res = partition(er, 16, seed=SEED, jobs=3)
         np.testing.assert_array_equal(ref.parts, res.parts)
         assert ref.bisection_volumes == res.bisection_volumes
-
-    def test_config_exec_backend_is_the_default(self, er):
-        cfg = PartitionerConfig(jobs=2, exec_backend="thread")
-        res = partition(er, 4, config=cfg, seed=SEED)
-        ref = partition(er, 4, seed=SEED, jobs=1)
-        np.testing.assert_array_equal(ref.parts, res.parts)
-
-    def test_bad_exec_backend_rejected_even_when_serial(self, er):
-        """A typo'd backend must fail loudly in the library's error
-        family on *every* path — including jobs=1, which never reaches
-        the pool (silently accepting it would defer the crash to the
-        first scaled-up run)."""
-        with pytest.raises(PartitioningError):
-            partition(er, 8, seed=SEED, jobs=1, exec_backend="proces")
-        with pytest.raises(PartitioningError):
-            partition(er, 8, seed=SEED, jobs=4, exec_backend="mpi")
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_removed_pickled_pool_rejected(self, er, jobs):
-        """The pickled-payload pool is gone from the library: naming it
-        fails loudly on the serial and the pool path alike."""
-        with pytest.raises(PartitioningError, match="process-pickle"):
-            partition(er, 4, seed=SEED, jobs=jobs,
-                      exec_backend="process-pickle")
-        with pytest.raises(PartitioningError, match="process-pickle"):
-            PartitionerConfig(jobs=jobs, exec_backend="process-pickle")
 
     def test_non_power_of_two_identical(self, er):
         """Uneven splits schedule unequal subtrees; results still match."""

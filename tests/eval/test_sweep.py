@@ -140,13 +140,6 @@ class TestRunSweep:
         with pytest.raises(EvaluationError):
             resolve_jobs(-2)
 
-    def test_thread_backend_bit_identical(self, specs, serial_records):
-        threaded = list(run_sweep(specs, jobs=2, exec_backend="thread"))
-        assert _norm(threaded) == _norm(serial_records)
-
-    def test_unknown_exec_backend_rejected(self, specs):
-        with pytest.raises(EvaluationError):
-            list(run_sweep(specs, jobs=2, exec_backend="mpi"))
 
 
 class TestJobsBudgetSweep:
@@ -310,10 +303,24 @@ class TestSweepFingerprint:
     def test_resilience_knobs_do_not_change_identity(self):
         base = self._spec()
         assert self._spec(task_timeout=30.0, retries=2) == base
-        assert self._spec(jobs=8, exec_backend="thread") == base
-        assert self._spec(
-            jobs=4, exec_backend="process", task_timeout=5.0, retries=1,
-        ) == base
+        assert self._spec(jobs=8) == base
+        assert self._spec(jobs=4, task_timeout=5.0, retries=1) == base
+
+    def test_kway_vcycles_ignored_for_recursive_specs(self):
+        from repro.eval.sweep import _sweep_fingerprint
+
+        spec = RunSpec(
+            index=0, instance="sym_grid2d_s", matrix_class="sym",
+            label="G1", method="mediumgrain", refine=False, seed=3,
+            nparts=4,
+        )
+        for vcycles in (0, 2):
+            assert _sweep_fingerprint(
+                [dataclasses.replace(spec, kway_vcycles=vcycles)]
+            ) == _sweep_fingerprint([spec]), vcycles
+        # A live config's copy is overridden by the spec's, so it never
+        # counts either.
+        assert self._spec(kway_vcycles=2) == self._spec()
 
     def test_result_determining_knobs_do_change_identity(self):
         from repro.eval.sweep import _sweep_fingerprint

@@ -66,15 +66,13 @@ def _assert_single_stitched_tree(records, root_name):
 
 
 class TestPartitionPropagation:
-    @pytest.mark.parametrize("backend", ("process", "thread"))
     def test_jobs2_yields_one_stitched_tree(
-        self, tmp_path, matrix, reference, backend
+        self, tmp_path, matrix, reference
     ):
         path = tmp_path / "trace.jsonl"
         enable(str(path))
         try:
-            res = partition(matrix, 8, refine=True, seed=42, jobs=2,
-                            exec_backend=backend)
+            res = partition(matrix, 8, refine=True, seed=42, jobs=2)
         finally:
             disable()
         assert np.array_equal(res.parts, reference.parts)
@@ -87,11 +85,8 @@ class TestPartitionPropagation:
         assert "worker.bisect" in names or "worker.subtree" in names
         assert any(n.startswith("multilevel.") for n in names)
         assert any(n.startswith("fm.") for n in names)
-        if backend == "process":
-            pids = {r["pid"] for r in records}
-            assert len(pids) > 1, (
-                "expected spans minted in forked workers"
-            )
+        pids = {r["pid"] for r in records}
+        assert len(pids) > 1, "expected spans minted in forked workers"
 
     def test_worker_spans_nest_under_parent_process_span(
         self, tmp_path, matrix
@@ -99,8 +94,7 @@ class TestPartitionPropagation:
         path = tmp_path / "trace.jsonl"
         enable(str(path))
         try:
-            partition(matrix, 8, refine=True, seed=42, jobs=2,
-                      exec_backend="process")
+            partition(matrix, 8, refine=True, seed=42, jobs=2)
         finally:
             disable()
         records = _traced_records(path)
@@ -124,8 +118,7 @@ class TestPartitionPropagation:
         path = tmp_path / "trace.jsonl"
         enable(str(path))
         try:
-            partition(matrix, 8, refine=True, seed=42, jobs=2,
-                      exec_backend="process")
+            partition(matrix, 8, refine=True, seed=42, jobs=2)
         finally:
             disable()
         records = _traced_records(path)
@@ -152,8 +145,7 @@ class TestSweepPropagation:
         enable(str(path))
         try:
             with trace_mod.span("sweep"):
-                records_out = list(run_sweep(
-                    specs, jobs=2, exec_backend="process"))
+                records_out = list(run_sweep(specs, jobs=2))
         finally:
             disable()
         assert len(records_out) == len(specs)
@@ -177,12 +169,10 @@ class TestDisabledPath:
         path = tmp_path / "trace.jsonl"
         enable(str(path))
         try:
-            traced = partition(matrix, 8, refine=True, seed=42, jobs=2,
-                               exec_backend="process")
+            traced = partition(matrix, 8, refine=True, seed=42, jobs=2)
         finally:
             disable()
-        untraced = partition(matrix, 8, refine=True, seed=42, jobs=2,
-                             exec_backend="process")
+        untraced = partition(matrix, 8, refine=True, seed=42, jobs=2)
         assert np.array_equal(traced.parts, untraced.parts)
         assert np.array_equal(untraced.parts, reference.parts)
         assert traced.volume == untraced.volume == reference.volume
@@ -226,7 +216,7 @@ class TestWatchdogOrphans:
         try:
             with faults.install([rule]):
                 res = partition(matrix, 8, refine=True, seed=42, jobs=2,
-                                config=cfg, exec_backend="process")
+                                config=cfg)
         finally:
             disable()
         assert time.monotonic() - start < 30.0, "watchdog failed to fire"

@@ -255,9 +255,10 @@ class TestActivation:
         assert len({r["trace"] for r in recs.values()}) == 1
 
     def test_keeps_existing_tracer_for_inline_backends(self, tmp_path):
-        # Thread/inline executor backends run the "worker" body in the
-        # caller's process where a tracer is already live: activation
-        # must reuse it (and not close it on exit).
+        # Inline executor runs (jobs=1, a lone task, the degraded last
+        # rung) run the "worker" body in the caller's process where a
+        # tracer is already live: activation must reuse it (and not
+        # close it on exit).
         path = str(tmp_path / "t.jsonl")
         tracer = enable(path)
         with span("caller") as caller:

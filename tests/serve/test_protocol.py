@@ -141,13 +141,18 @@ def test_cache_key_covers_result_determining_knobs():
         {"method": "finegrain"},
         {"refine": True},
         {"algo": "kway"},
-        {"kway_vcycles": 2},
         {"seed": 7},
         {"config": "patoh"},
     ):
         other = PartitionRequest.from_payload({"instance": "x", **change})
         assert other.cache_key(digest) != key, change
     assert base.cache_key("other-digest") != key
+    # The k-way cycle count determines k-way results only.
+    kway = PartitionRequest.from_payload({"instance": "x", "algo": "kway"})
+    more = PartitionRequest.from_payload(
+        {"instance": "x", "algo": "kway", "kway_vcycles": 2}
+    )
+    assert more.cache_key(digest) != kway.cache_key(digest)
 
 
 def test_cache_key_ignores_speed_and_transport_knobs():
@@ -157,6 +162,12 @@ def test_cache_key_ignores_speed_and_transport_knobs():
         {"instance": "x", "include_parts": False, "timeout": 5.0}
     )
     assert same.cache_key(digest) == base.cache_key(digest)
+    # Recursive requests never read kway_vcycles.
+    for vcycles in (0, 2):
+        other = PartitionRequest.from_payload(
+            {"instance": "x", "kway_vcycles": vcycles}
+        )
+        assert other.cache_key(digest) == base.cache_key(digest), vcycles
 
 
 # --------------------------------------------------------------------- #

@@ -49,7 +49,7 @@ def test_kway_ml_committed_gates():
     the committed file catches a hand-edited or stale BENCH_e2e.json
     (and documents the contract where the bench suite runs): geomean
     volume ratio vs recursive <= 1.1 at >= 2x its speed, every cell
-    feasible and bit-identical across exec backends and jobs.
+    feasible and bit-identical across jobs.
     """
     path = REPO_ROOT / "BENCH_e2e.json"
     if not path.exists():

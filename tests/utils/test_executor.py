@@ -1,11 +1,11 @@
-"""The shared execution layer: store, backends, budget, failure paths.
+"""The shared execution layer: store, pool, budget, failure paths.
 
-The layer's one contract is *invisibility*: every backend delivers the
-same submatrices to the same tasks, so results are bit-identical and the
-backend/jobs knobs are pure speed knobs.  These tests pin that, plus the
-parts that only show up when things go wrong — worker crashes must not
-poison the persistent pool or leak shared-memory segments — and the
-budget arithmetic the sweep x recursion composition rests on.
+The layer's one contract is *invisibility*: inline and process-pool
+execution deliver the same submatrices to the same tasks, so results are
+bit-identical and ``jobs`` is a pure speed knob.  These tests pin that,
+plus the parts that only show up when things go wrong — worker crashes
+must not poison the persistent pool or leak shared-memory segments — and
+the budget arithmetic the sweep x recursion composition rests on.
 """
 
 import os
@@ -16,14 +16,12 @@ import pytest
 from benchmarks._baseline_e2e import PickledMatrixExecutor
 from repro.sparse.generators import erdos_renyi
 from repro.utils.executor import (
-    EXEC_BACKEND_CHOICES,
     JobsBudget,
     MatrixExecutor,
     SharedMatrixStore,
     close_matrix_stores,
     payload_audit,
     process_pool,
-    resolve_exec_backend,
     shutdown_pools,
 )
 
@@ -36,7 +34,7 @@ def matrix():
 
 
 # ------------------------------------------------------------------ #
-# Module-level task functions (process backends pickle by reference).
+# Module-level task functions (the process pool pickles by reference).
 # ------------------------------------------------------------------ #
 def _nnz_and_rowsum(sub, extra):
     return (sub.nnz, int(sub.rows.sum()), extra)
@@ -83,19 +81,6 @@ class TestJobsBudget:
             JobsBudget.resolve(-2)
         with pytest.raises(ValueError):
             JobsBudget(3).split(-1)
-
-
-class TestResolveExecBackend:
-    def test_auto_resolves_to_a_concrete_backend(self):
-        assert resolve_exec_backend("auto") == "process"
-
-    def test_explicit_choices_pass_through(self):
-        for spec in EXEC_BACKEND_CHOICES[1:]:
-            assert resolve_exec_backend(spec) == spec
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_exec_backend("mpi")
 
 
 class TestSharedMatrixStore:
@@ -148,10 +133,11 @@ class TestSharedMatrixStore:
 
 
 class TestMatrixExecutorBackends:
-    """Every backend returns identical, ordered results."""
+    """Inline (``jobs=1``) and process-pool runs return identical,
+    ordered results."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_map_matches_serial(self, matrix, backend):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+    def test_map_matches_serial(self, matrix, jobs):
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [
             (None, "whole"),
@@ -159,19 +145,27 @@ class TestMatrixExecutorBackends:
             (idx[matrix.nnz // 2:], "hi"),
             (idx[::3], "stride"),
         ]
-        with MatrixExecutor(matrix, jobs=1) as ex:
-            ref = ex.map(_nnz_and_rowsum, tasks)
-        with MatrixExecutor(matrix, jobs=2, backend=backend) as ex:
+        ref = [
+            _nnz_and_rowsum(matrix if i is None else matrix.select(i), x)
+            for i, x in tasks
+        ]
+        with MatrixExecutor(matrix, jobs=jobs) as ex:
             out = ex.map(_nnz_and_rowsum, tasks)
         assert out == ref
         assert [o[2] for o in out] == ["whole", "lo", "hi", "stride"]
 
     def test_jobs_one_degrades_to_serial(self, matrix):
-        ex = MatrixExecutor(matrix, jobs=1, backend="process")
-        assert ex.backend == "serial"
+        idx = np.arange(matrix.nnz, dtype=np.int64)
+        tasks = [(idx[::2], 0), (idx[1::2], 1)]
+        ex = MatrixExecutor(matrix, jobs=1)
+        assert ex.payload_nbytes(tasks) == 0
+        with payload_audit() as audit:
+            ex.map(_nnz_and_rowsum, tasks)
+        assert audit == {"bytes": 0, "tasks": 0}
+        assert ex._store is None, "an inline run publishes nothing"
 
     def test_empty_map(self, matrix):
-        with MatrixExecutor(matrix, jobs=2, backend="process") as ex:
+        with MatrixExecutor(matrix, jobs=2) as ex:
             assert ex.map(_nnz_and_rowsum, []) == []
 
     def test_shm_payload_smaller_than_pickled(self, matrix):
@@ -179,8 +173,8 @@ class TestMatrixExecutorBackends:
         the frozen pickled-payload pool ships."""
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[: matrix.nnz // 2], 0), (idx[matrix.nnz // 2:], 1)]
-        with MatrixExecutor(matrix, 2, "process") as shm_ex, \
-                PickledMatrixExecutor(matrix, 2, "process") as pkl_ex:
+        with MatrixExecutor(matrix, 2) as shm_ex, \
+                PickledMatrixExecutor(matrix, 2) as pkl_ex:
             shm_bytes = shm_ex.payload_nbytes(tasks)
             pkl_bytes = pkl_ex.payload_nbytes(tasks)
         assert 0 < shm_bytes < pkl_bytes
@@ -191,16 +185,11 @@ class TestMatrixExecutorBackends:
     def test_payload_audit_counts_dispatches(self, matrix):
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[::2], 0), (idx[1::2], 1)]
-        with MatrixExecutor(matrix, 2, "process") as ex:
+        with MatrixExecutor(matrix, 2) as ex:
             with payload_audit() as audit:
                 ex.map(_nnz_and_rowsum, tasks)
         assert audit["tasks"] == 2
         assert audit["bytes"] > 0
-        # Inline backends ship nothing.
-        with MatrixExecutor(matrix, 2, "thread") as ex:
-            with payload_audit() as audit:
-                ex.map(_nnz_and_rowsum, tasks)
-        assert audit == {"bytes": 0, "tasks": 0}
 
 
 class TestFailurePaths:
@@ -211,7 +200,7 @@ class TestFailurePaths:
 
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[::2], 0), (idx[1::2], 1)]
-        ex = MatrixExecutor(matrix, jobs=2, backend="process")
+        ex = MatrixExecutor(matrix, jobs=2)
         with pytest.raises(BrokenProcessPool):
             with ex:
                 name = ex._handle().name
@@ -223,7 +212,7 @@ class TestFailurePaths:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
         # The poisoned pool was dropped: a fresh executor works.
-        with MatrixExecutor(matrix, jobs=2, backend="process") as ex2:
+        with MatrixExecutor(matrix, jobs=2) as ex2:
             out = ex2.map(_nnz_and_rowsum, tasks)
         assert [o[0] for o in out] == [tasks[0][0].size, tasks[1][0].size]
 
@@ -258,7 +247,7 @@ class TestFailurePaths:
 
         def crash_map():
             try:
-                with MatrixExecutor(matrix, jobs=2, backend="process") as ex:
+                with MatrixExecutor(matrix, jobs=2) as ex:
                     ex.map(_crash, tasks)
             except BaseException as exc:  # noqa: BLE001 - recorded for assert
                 outcome["exc"] = exc
@@ -274,7 +263,7 @@ class TestFailurePaths:
             )
         assert isinstance(outcome.get("exc"), BrokenProcessPool)
         # And the layer recovers, as in the plain crash test.
-        with MatrixExecutor(matrix, jobs=2, backend="process") as ex2:
+        with MatrixExecutor(matrix, jobs=2) as ex2:
             out = ex2.map(_nnz_and_rowsum, tasks)
         assert [o[0] for o in out] == [t_[0].size for t_ in tasks]
 
@@ -284,45 +273,6 @@ class TestFailurePaths:
         shutdown_pools()
         # And the layer comes back after a full shutdown.
         assert process_pool(2) is process_pool(2)
-
-    def test_nested_thread_backend_does_not_deadlock(self, matrix):
-        """A thread-pool worker requesting the thread pool again (the
-        sweep x recursion composition under the thread backend) must get
-        a private pool, not the exhausted shared one — handing back the
-        shared pool deadlocks permanently: every worker blocks on
-        futures only the workers themselves could run."""
-        from repro.utils.executor import thread_pool
-
-        idx = np.arange(matrix.nnz, dtype=np.int64)
-        tasks = [(idx[::2], 0), (idx[1::2], 1)]
-
-        def outer(tag):
-            with MatrixExecutor(matrix, jobs=2, backend="thread") as ex:
-                return (tag, ex.map(_nnz_and_rowsum, tasks))
-
-        pool = thread_pool(2)
-        futs = [pool.submit(outer, t) for t in ("a", "b")]
-        done = [f.result(timeout=120) for f in futs]
-        assert [d[0] for d in done] == ["a", "b"]
-        assert done[0][1] == done[1][1]
-
-    def test_nested_partition_in_thread_pool(self, matrix):
-        """Full nested composition: thread workers each running a
-        thread-backed parallel recursion, bit-identical to serial."""
-        from repro.core.recursive import partition
-        from repro.utils.executor import thread_pool
-
-        ref = partition(matrix, 8, seed=SEED, jobs=1)
-
-        def run(_):
-            return partition(
-                matrix, 8, seed=SEED, jobs=2, exec_backend="thread"
-            ).parts
-
-        pool = thread_pool(2)
-        futs = [pool.submit(run, i) for i in range(2)]
-        for f in futs:
-            np.testing.assert_array_equal(ref.parts, f.result(timeout=120))
 
     def test_concurrent_pool_requests_one_pool(self):
         """Unsynchronized check-then-act would let two threads each
@@ -346,20 +296,12 @@ class TestFailurePaths:
 
 
 class TestRecursionIntegration:
-    """partition() through each backend: the end-to-end invisibility."""
+    """partition() through the process pool: the end-to-end invisibility."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_partition_bit_identical(self, matrix, backend):
+    def test_partition_bit_identical(self, matrix):
         from repro.core.recursive import partition
 
         ref = partition(matrix, 8, seed=SEED, jobs=1)
-        res = partition(matrix, 8, seed=SEED, jobs=3, exec_backend=backend)
+        res = partition(matrix, 8, seed=SEED, jobs=3)
         np.testing.assert_array_equal(ref.parts, res.parts)
         assert ref.bisection_volumes == res.bisection_volumes
-
-    def test_unknown_backend_rejected_by_config(self):
-        from repro.errors import PartitioningError
-        from repro.partitioner.config import PartitionerConfig
-
-        with pytest.raises(PartitioningError):
-            PartitionerConfig(exec_backend="mpi")
