@@ -763,17 +763,21 @@ def run_smoke(jobs: int) -> int:
 
 
 def _smoke_retry_path(jobs: int) -> int:
-    """Hardened-path smoke: one injected-crash run plus the happy-path
-    watchdog overhead gate.
+    """Hardened-path smoke: one injected-crash run, one checkpoint
+    resume, plus the happy-path watchdog overhead gate.
 
     The retry-path run SIGKILLs the first sweep chunk worker (a real
     kill, fired once across all processes via the harness's filesystem
     token) and asserts the hardened sweep still streams records
     bit-identical to the serial reference, with failure briefs recorded.
-    The overhead gate then times the same sweep plain vs armed (deadline
-    + retries configured, nothing failing) and requires the armed path
-    to stay within 2% of the plain one plus a small absolute slack for
-    CI timer noise — min over repeats, so pool warm-up cancels out.
+    The resume run hands a hardened checkpointed sweep a half-written
+    journal (ending in a torn line) and requires the merged stream to
+    match the serial reference bit for bit and the journal to end
+    complete.  The overhead gate then times the same sweep plain vs
+    armed (deadline + retries configured, nothing failing) and requires
+    the armed path to stay within 2% of the plain one plus a small
+    absolute slack for CI timer noise — min over repeats, so pool
+    warm-up cancels out.
     """
     import tempfile
 
@@ -782,10 +786,15 @@ def _smoke_retry_path(jobs: int) -> int:
 
     failures = 0
     seeds = spawn_seeds(BASE_SEED, 1)
+    # One sweep over every smoke matrix: positions must be unique across
+    # it (make_specs numbers each matrix from 0), or a checkpoint would
+    # replay one matrix's record in place of another's.
     specs = [
-        spec
-        for name in SMOKE_MATRICES
-        for spec in make_specs(name, seeds)
+        dataclasses.replace(spec, index=i)
+        for i, spec in enumerate(
+            spec for name in SMOKE_MATRICES
+            for spec in make_specs(name, seeds)
+        )
     ]
     strip = lambda rs: [
         dataclasses.replace(r, seconds=0.0, failures=()) for r in rs
@@ -809,6 +818,28 @@ def _smoke_retry_path(jobs: int) -> int:
     else:
         briefs = sorted({b for r in hardened for b in r.failures})
         print(f"  retry-path: recovered, briefs={briefs}")
+
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-journal-") as tmp:
+        full, half = Path(tmp) / "full.jsonl", Path(tmp) / "half.jsonl"
+        list(run_sweep(specs, jobs=1, checkpoint=full))
+        lines = full.read_text().splitlines()
+        keep = 1 + len(specs) // 2  # the header plus half the records
+        half.write_text("\n".join(lines[:keep]) + '\n{"index": ')
+        resumed = list(
+            run_sweep(specs, jobs=jobs, retries=2, checkpoint=half)
+        )
+        journaled = len(half.read_text().splitlines())
+    if strip(resumed) != strip(serial):
+        print("FAIL resumed hardened sweep differs from the serial "
+              "reference")
+        failures += 1
+    elif journaled != 1 + len(specs):
+        print(f"FAIL resumed journal holds {journaled - 1} of "
+              f"{len(specs)} records")
+        failures += 1
+    else:
+        print(f"  checkpoint resume: {keep - 1} journaled + "
+              f"{len(specs) - keep + 1} rerun, bit-identical")
 
     def best(run_kwargs: dict) -> float:
         t = float("inf")

@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_hardening_flags(sub: argparse.ArgumentParser) -> None:
     """The hardened-execution knobs, identical on both subcommands.
 
-    The defaults (``0``) preserve the unhardened dispatch exactly — no
-    deadlines, no retries, no watchdog (see docs/robustness.md).
+    The defaults (``0``) leave the dispatch unhardened — no deadlines,
+    no retries, no watchdog: the first failure is raised (see
+    docs/robustness.md).
     """
     sub.add_argument(
         "--task-timeout",

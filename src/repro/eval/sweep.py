@@ -48,9 +48,6 @@ import hashlib
 import json
 import os
 import sys
-import time
-from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -60,7 +57,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.errors import (
     EvaluationError,
-    ExecutionError,
     ResultValidationError,
     ShmAttachError,
 )
@@ -71,10 +67,8 @@ from repro.utils.executor import (
     JobsBudget,
     RetryPolicy,
     SharedMatrixStore,
-    account_payload,
-    drop_process_pool,
-    pool_submit,
     resilient_map,
+    run_inline,
 )
 from repro.utils.parallel import resolve_jobs as _resolve_jobs
 from repro.utils.rng import spawn_seeds
@@ -271,21 +265,8 @@ def execute_runspec(spec: RunSpec, matrix=None):
     )
 
 
-def _execute_chunk(specs: list[RunSpec]) -> list:
-    """Worker entry point: execute one chunk of specs in order."""
-    faults.fault_point("sweep.chunk")
-    ctx = specs[0].trace if specs else None
-    with _trace.activate(
-        ctx, "sweep.chunk",
-        instance=specs[0].instance if specs else "",
-        nspecs=len(specs),
-    ):
-        records = [execute_runspec(spec) for spec in specs]
-    return faults.fault_point("sweep.result", records)
-
-
 def _execute_chunk_shm(payload) -> list:
-    """Worker entry point for shared-memory chunk delivery.
+    """Execute one chunk of specs in order (worker or driver).
 
     The payload carries a :class:`~repro.utils.executor.MatrixHandle`
     (a few dozen bytes) instead of relying on the worker rebuilding the
@@ -293,8 +274,9 @@ def _execute_chunk_shm(payload) -> list:
     consecutive chunks of one instance in one worker share the matrix
     object — and with it the kernel/SpMV state caches — exactly like the
     name-loaded path did.  A ``None`` handle (the parent paced its
-    publications past the store cap) or an already-evicted segment falls
-    back to the by-name load; records are identical either way.
+    publications past the store cap, or the driver runs the chunk
+    itself) or an already-evicted segment falls back to the by-name
+    load; records are identical either way.
     """
     handle, name, specs = payload
     faults.fault_point("sweep.chunk")
@@ -413,17 +395,25 @@ class SweepCheckpoint:
         self.write_error: str | None = None
         self._error_taken = False
         self._fh = None
+        intact = None
         if self.path.exists() and self.path.stat().st_size:
-            self._load()
+            intact = self._load()
         try:
             self._fh = open(self.path, "a", encoding="utf-8")
+            if intact is not None:
+                # Cut a torn tail: an append glued onto it would make a
+                # later resume stop reading at the glued line.
+                self._fh.truncate(intact)
         except OSError as exc:
             self._degrade(exc)
         if self._fh is not None and self._fh.tell() == 0:
             self._write({"sweep": self.fingerprint, "version": 1})
 
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+    def _load(self) -> int:
+        """Read the journal; returns the byte length of its intact
+        prefix (the header and every complete record line)."""
+        data = self.path.read_bytes()
+        lines = data.splitlines(keepends=True)
         try:
             header = json.loads(lines[0])
         except (json.JSONDecodeError, IndexError):
@@ -437,14 +427,21 @@ class SweepCheckpoint:
                 f"(journal {header.get('sweep')!r} != specs "
                 f"{self.fingerprint!r}); point it elsewhere or delete it"
             )
+        # A header without its newline is the whole file: cut it too,
+        # and the journal starts over.
+        intact = len(lines[0]) if lines[0].endswith(b"\n") else 0
         for line in lines[1:]:
             try:
-                entry = json.loads(line)
+                entry = json.loads(line) if line.endswith(b"\n") else None
             except json.JSONDecodeError:
+                entry = None
+            if entry is None:
                 break  # torn tail write from a crash; the spec reruns
             self.done[int(entry["index"])] = _record_from_json(
                 entry["record"]
             )
+            intact += len(line)
+        return intact
 
     def _write(self, obj: dict) -> None:
         if self._fh is None:
@@ -523,31 +520,6 @@ def _annotate(record, briefs: tuple):
     )
 
 
-def _execute_serial(spec: RunSpec, policy: RetryPolicy):
-    """Inline execution with the retry half of ``policy``.
-
-    The serial path *is* the degradation ladder's bottom rung — there is
-    no worker to kill, so deadlines don't apply and retry exhaustion
-    propagates the error instead of degrading further.
-    """
-    briefs: list[str] = []
-    attempt = 0
-    while True:
-        try:
-            records = _execute_chunk([spec])
-            _validate_chunk_records([spec], records)
-            return _annotate(records[0], tuple(briefs))
-        except Exception as exc:
-            attempt += 1
-            if attempt > policy.retries:
-                raise
-            briefs.append(ExecutionError(
-                f"run raised {type(exc).__name__}: {exc}",
-                task=spec.instance, attempt=attempt,
-            ).brief())
-            time.sleep(policy.delay_for(attempt))
-
-
 def run_sweep(
     specs: Sequence[RunSpec],
     *,
@@ -561,12 +533,15 @@ def run_sweep(
 
     ``jobs=1`` runs inline; ``jobs>=2`` dispatches instance-aligned
     chunks to the shared persistent process pool (splitting down to
-    per-run items when there are fewer instances than workers),
-    streaming chunk results as they complete (``map`` preserves
-    submission order).  A :class:`~repro.utils.executor.JobsBudget`
-    instead *splits* its total between sweep workers and the recursion
-    workers inside each p-way run — chunks then stay instance-aligned
-    and the remainder of the budget is handed down via ``RunSpec.jobs``.
+    per-run items when there are fewer instances than workers) through
+    the execution layer's one dispatch loop
+    (:func:`~repro.utils.executor.resilient_map`), which keeps at most
+    ``2 * workers`` chunks in flight and streams records in spec order
+    as soon as every earlier chunk is done.  A
+    :class:`~repro.utils.executor.JobsBudget` instead *splits* its total
+    between sweep workers and the recursion workers inside each p-way
+    run — chunks then stay instance-aligned and the remainder of the
+    budget is handed down via ``RunSpec.jobs``.
     Records are bit-identical across every ``jobs`` value except for the
     measured ``seconds`` (and any ``failures`` annotations — like
     ``seconds``, they describe how a run went, not its result).
@@ -576,16 +551,17 @@ def run_sweep(
     rebuilding it by name.  Chunk payloads are folded into any active
     :func:`~repro.utils.executor.payload_audit`.
 
-    ``task_timeout`` / ``retries`` arm the hardened execution path (see
-    ``docs/robustness.md``): each pool chunk gets a per-task deadline
-    enforced by a watchdog that kills hung workers, crashed / timed-out
-    / invalid chunks are retried with capped exponential backoff, and a
-    chunk that exhausts its budget is completed serially in the driver —
-    the sweep always finishes, annotating affected records' ``failures``
-    instead of aborting.  The defaults (``None``/``0``) preserve the
-    unhardened dispatch exactly.  Every worker-returned record is
-    boundary-validated (spec-echo consistency, sane metrics) on every
-    path, hardened or not.
+    ``task_timeout`` / ``retries`` arm the retry policy of that same
+    loop (see ``docs/robustness.md``): each pool chunk gets a per-task
+    deadline enforced by a watchdog that kills hung workers, crashed /
+    timed-out / invalid chunks are retried with capped exponential
+    backoff, and a chunk that exhausts its budget is completed serially
+    in the driver — the sweep always finishes, annotating affected
+    records' ``failures`` instead of aborting.  With the defaults
+    (``None``/``0``) the first failure is raised instead.  Dispatch,
+    streaming and journaling are the same either way, and every
+    worker-returned record is boundary-validated (spec-echo
+    consistency, sane metrics) on every path.
 
     ``checkpoint`` (a path) makes the sweep crash-resumable: completed
     records are journaled to JSONL as they stream
@@ -658,13 +634,19 @@ def _execute_pending(
     """Yield records for ``specs`` in order (the dispatch half of
     :func:`run_sweep`, after checkpoint filtering)."""
     if jobs == 1 or len(specs) <= 1:
+        # Inline, one spec at a time: the serial path *is* the
+        # degradation ladder's bottom rung.
         last = None
         for spec in specs:
             if progress and spec.instance != last:  # pragma: no cover
                 print(f"[sweep] {spec.instance}", flush=True)
                 last = spec.instance
             _SWEEP_CHUNKS.inc()
-            yield _execute_serial(spec, policy)
+            records, fails = run_inline(
+                lambda spec=spec: _checked_chunk([spec]),
+                policy=policy, label=spec.instance,
+            )
+            yield _annotate(records[0], tuple(f.brief() for f in fails))
         return
     chunks = _chunk_by_instance(specs)
     if len(chunks) < jobs and inner is None:
@@ -676,114 +658,58 @@ def _execute_pending(
         chunks = [[spec] for spec in specs]
     workers = min(jobs, len(chunks))
     _SWEEP_CHUNKS.inc(len(chunks))
-    if policy.active:
-        yield from _run_chunks_resilient(
-            chunks, workers, policy, progress
-        )
-        return
-    try:
-        for chunk, records in _run_chunks_shm(chunks, workers):
-            if progress:  # pragma: no cover - console side effect
-                print(f"[sweep] {chunk[0].instance}", flush=True)
-            _validate_chunk_records(chunk, records)
-            yield from records
-    except BrokenProcessPool:
-        # A worker died; forget the poisoned pool so the next sweep
-        # starts fresh instead of failing forever.
-        drop_process_pool()
-        raise
+    yield from _run_chunks(chunks, workers, policy, progress)
 
 
-def _run_chunks_resilient(
+def _checked_chunk(chunk: list[RunSpec]) -> list:
+    """The driver's own by-name execution of a chunk, validated."""
+    records = _execute_chunk_shm((None, chunk[0].instance, chunk))
+    _validate_chunk_records(chunk, records)
+    return records
+
+
+def _run_chunks(
     chunks: list[list[RunSpec]],
     workers: int,
     policy: RetryPolicy,
     progress: bool,
 ) -> Iterator:
-    """Hardened chunk dispatch: deadlines, retry/backoff, serial fallback.
-
-    Chunks become individual :func:`~repro.utils.executor.resilient_map`
-    tasks (per-chunk deadlines need per-chunk futures, so the windowed
-    streaming of :func:`_run_chunks_shm` gives way to one fan-out; the
-    first ``STORE_CAP`` distinct instances still ship shared-memory
-    handles, the rest load by name in their workers).  Chunk-level
-    failure briefs are annotated onto every record of the affected
-    chunk.
-    """
-    published: set[str] = set()
-    items = []
-    for chunk in chunks:
-        name = chunk[0].instance
-        if name in published or len(published) < STORE_CAP:
-            handle = SharedMatrixStore.for_matrix(
-                load_instance(name)
-            ).handle
-            published.add(name)
-        else:
-            handle = None  # past the cap: the worker loads by name
-        payload = (handle, name, chunk)
-        account_payload([payload])
-        items.append(payload)
-
-    def fallback(i: int):
-        # The driver's own by-name execution: scope="worker" faults and
-        # pool pathologies cannot reach here, so degraded completion is
-        # genuine completion.
-        return _execute_chunk(chunks[i])
-
-    values, failures = resilient_map(
-        workers, _execute_chunk_shm, items,
-        policy=policy, fallback=fallback,
-        validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
-        labels=[chunk[0].instance for chunk in chunks],
-    )
-    for chunk, records, fails in zip(chunks, values, failures):
-        if progress:  # pragma: no cover - console side effect
-            print(f"[sweep] {chunk[0].instance}", flush=True)
-        briefs = tuple(f.brief() for f in fails)
-        for record in records:
-            yield _annotate(record, briefs)
-
-
-def _run_chunks_shm(
-    chunks: list[list[RunSpec]], workers: int
-) -> Iterator[tuple[list[RunSpec], list]]:
     """Dispatch chunks to the shared process pool via the matrix store.
 
     Chunks are instance-aligned, so each ships one
     :class:`~repro.utils.executor.MatrixHandle` (publishing the instance
     on first use — repeated chunks of one matrix reuse the live segment)
-    plus the specs; submission runs in a bounded window of ``2 *
-    workers`` — wide enough to keep every worker busy, narrow enough
-    that a long sweep publishes stores just ahead of the workers that
-    need them.  Publication itself is paced by the store cache's LRU
-    cap: while ``STORE_CAP`` *distinct instances* have handle-shipped
-    chunks in flight, chunks of further instances ship name-only (their
-    worker rebuilds the instance by name) instead of publishing a segment
+    plus the specs.  :func:`~repro.utils.executor.resilient_map` pulls
+    payloads at most ``2 * workers`` chunks ahead of the oldest record
+    not yet yielded — wide enough to keep every worker busy, narrow
+    enough that a long sweep publishes stores just ahead of the workers
+    that need them — and streams records in chunk order, so a
+    checkpointed sweep journals as it goes under every ``policy``.
+    Publication is paced by the store cache's LRU cap: while
+    ``STORE_CAP`` *distinct instances* have handle-shipped chunks in
+    flight, chunks of further instances ship name-only (their worker
+    rebuilds the instance by name) instead of publishing a segment
     destined for eviction before its worker attaches; chunks of
     already-published instances always ship the live handle.  The
     worker-side by-name fallback still covers any remaining eviction
-    race.  Results stream in submission order.
+    race.
 
-    Publishing requires building each instance in the *parent* (the old
-    path had workers rebuild instances themselves, in parallel); the
-    window overlaps the parent's builds with worker compute, which wins
-    whenever partitioning dominates generation — the normal case — and
-    trades the old path's duplicated per-worker rebuilds for one
-    zero-copy publication per instance.
+    Under an armed ``policy`` a chunk that exhausts its retries is
+    completed serially in the driver by name (``scope="worker"`` faults
+    and pool pathologies cannot reach there, so degraded completion is
+    genuine completion); chunk-level failure briefs are annotated onto
+    every record of the affected chunk.
     """
-    window = max(2, 2 * workers)
-    pending: deque = deque()
     #: Distinct instances whose pending chunks shipped a handle -> count.
     #: The publication gate works on *instances*, not chunks: a repeat
     #: chunk of an already-published matrix reuses the live segment at
     #: zero eviction risk, and only genuinely new instances count
     #: against the cap.
     live: dict[str, int] = {}
-    idx = 0
-    while idx < len(chunks) or pending:
-        while idx < len(chunks) and len(pending) < window:
-            chunk = chunks[idx]
+    shipped: list[bool] = []
+
+    def payloads():
+        for chunk in chunks:
             name = chunk[0].instance
             if name in live or len(live) < STORE_CAP:
                 handle = SharedMatrixStore.for_matrix(
@@ -792,21 +718,32 @@ def _run_chunks_shm(
                 live[name] = live.get(name, 0) + 1
             else:
                 handle = None  # past the cap: would be evicted unused
-            payload = (handle, name, chunk)
-            account_payload([payload])
-            pending.append(
-                (chunk, handle is not None,
-                 pool_submit(workers, _execute_chunk_shm, payload))
-            )
-            idx += 1
-        chunk, had_handle, future = pending.popleft()
-        records = future.result()
-        if had_handle:
-            name = chunk[0].instance
-            live[name] -= 1
-            if not live[name]:
-                del live[name]
-        yield chunk, records
+            shipped.append(handle is not None)
+            yield handle, name, chunk
+
+    stream = resilient_map(
+        workers, _execute_chunk_shm, payloads(),
+        policy=policy,
+        fallback=lambda i: _execute_chunk_shm(
+            (None, chunks[i][0].instance, chunks[i])
+        ),
+        validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
+        labels=[chunk[0].instance for chunk in chunks],
+    )
+    try:
+        for i, (records, fails) in enumerate(stream):
+            name = chunks[i][0].instance
+            if shipped[i]:
+                live[name] -= 1
+                if not live[name]:
+                    del live[name]
+            if progress:  # pragma: no cover - console side effect
+                print(f"[sweep] {name}", flush=True)
+            briefs = tuple(f.brief() for f in fails)
+            for record in records:
+                yield _annotate(record, briefs)
+    finally:
+        stream.close()
 
 
 @dataclass

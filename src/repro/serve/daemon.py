@@ -4,7 +4,7 @@
 service: matrices stay published in the shared-memory store, worker
 pools stay warm (worker spawn and imports are paid once, at startup),
 and every partitioning request is executed through the hardened
-:func:`repro.utils.executor.resilient_call` path — a request that
+:func:`repro.utils.executor.resilient_map` dispatch loop — a request that
 crashes, hangs, or poisons its worker gets a structured failure brief in
 *its own* response while every concurrent request completes untouched.
 The daemon process itself never dies for a request's sins.
@@ -33,7 +33,7 @@ crash isolation
     :class:`~repro.utils.executor.RetryPolicy` deadline; the watchdog
     SIGKILLs hung workers and crashed ones are retried with capped
     backoff.  With the budget exhausted the daemon *refuses* the batch
-    layer's inline fallback (:func:`resilient_call` with no fallback):
+    layer's inline fallback (:func:`resilient_map` with no fallback):
     running a request that repeatedly killed workers inside the daemon's
     own address space would trade everyone's availability for one
     caller's answer.  The request gets a 500 (504 when every failure was
@@ -97,7 +97,7 @@ from repro.utils.deadline import Deadline
 from repro.utils.executor import (
     RetryPolicy,
     SharedMatrixStore,
-    resilient_call,
+    resilient_map,
     shutdown_pools,
 )
 
@@ -275,7 +275,7 @@ class PartitionDaemon:
         self._stop = asyncio.Event()
         self._sem = asyncio.Semaphore(self.config.max_inflight)
         #: Dispatch threads: each admitted request blocks one of these
-        #: on :func:`resilient_call` while the event loop stays free.
+        #: on :func:`resilient_map` while the event loop stays free.
         self._exec = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="serve-dispatch",
@@ -350,10 +350,10 @@ class PartitionDaemon:
             # The worker parents its spans under this dispatch span —
             # the envelope rides the spec dict like the deadline does.
             spec["trace"] = dsp.context()
-            value, failures = resilient_call(
+            [(value, failures)] = resilient_map(
                 self.config.jobs, _execute_request,
-                (store.handle, spec),
-                policy=policy, validate=check, label=label,
+                [(store.handle, spec)],
+                policy=policy, validate=check, labels=[label],
             )
         parts, info = value
         result = {

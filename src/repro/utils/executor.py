@@ -27,6 +27,16 @@ One process pool
     bit-identical by construction: they only change how a task's inputs
     travel, never what the task computes.
 
+One dispatch loop
+    :func:`resilient_map` is the only code that submits to the pool:
+    recursive maps, sweep chunks and daemon requests all go through it.
+    It sends at most ``2 * jobs`` tasks ahead of the oldest unyielded
+    result, yields results in task order, and applies a
+    :class:`RetryPolicy` (watchdog deadlines, retries with backoff,
+    inline fallback); under the default policy a failure is simply
+    raised.  :func:`run_inline` is its in-process counterpart, the one
+    retry loop of ``jobs <= 1`` maps and serial sweeps.
+
 Jobs budget
     :class:`JobsBudget` makes one ``--jobs N`` composable across nesting
     levels: ``budget.split(n_outer)`` divides the total between
@@ -58,12 +68,14 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import (
     DegradedExecution,
     ExecutionError,
+    ResultValidationError,
     ShmAttachError,
     TaskTimeout,
     WorkerCrash,
@@ -82,18 +94,15 @@ __all__ = [
     "SharedMatrixStore",
     "MatrixExecutor",
     "process_pool",
-    "pool_map",
-    "pool_submit",
     "resilient_map",
-    "resilient_call",
+    "run_inline",
     "shutdown_pools",
     "close_matrix_stores",
     "payload_audit",
-    "account_payload",
 ]
 
-# Observability (see docs/observability.md): dispatch volume, hardened
-# task latency, and the hardening events.  Plain process-local adds —
+# Observability (see docs/observability.md): dispatch volume, pool task
+# latency, and the hardening events.  Plain process-local adds —
 # never consulted by the execution layer itself.
 _EXEC_TASKS = _metrics.counter(
     "repro_executor_tasks_total",
@@ -101,7 +110,7 @@ _EXEC_TASKS = _metrics.counter(
 )
 _EXEC_TASK_SECONDS = _metrics.histogram(
     "repro_executor_task_seconds",
-    "Submit-to-completion latency of hardened (resilient) tasks",
+    "Submit-to-completion latency of process-pool tasks",
 )
 _EXEC_RETRIES = _metrics.counter(
     "repro_executor_retries_total",
@@ -208,8 +217,9 @@ class RetryPolicy:
 
     @property
     def active(self) -> bool:
-        """Whether this policy changes anything at all (the fast chunked
-        dispatch path is used whenever it does not)."""
+        """Whether this policy changes anything at all: out of retries,
+        an inactive policy raises the task's failure instead of
+        degrading (see :func:`resilient_map`)."""
         return self.timeout is not None or self.retries > 0
 
     def delay_for(self, attempt: int) -> float:
@@ -347,9 +357,9 @@ def process_pool(jobs: int) -> ProcessPoolExecutor:
     self-contained — so reuse cannot leak results across calls, and the
     fork/spawn cost is paid once per interpreter instead of once per
     call.  Requesting a different size retires the old pool first
-    (``shutdown(wait=False)`` lets already-submitted work drain; use
-    :func:`pool_map` to make fetch + submit atomic against a concurrent
-    resize)."""
+    (``shutdown(wait=False)`` lets already-submitted work drain;
+    :func:`resilient_map` holds the layer's lock across fetch + submit
+    to stay atomic against a concurrent resize)."""
     global _PROCESS_POOL
     with _LOCK:
         pid = os.getpid()
@@ -377,35 +387,6 @@ def process_pool(jobs: int) -> ProcessPoolExecutor:
         )
         _PROCESS_POOL = (pid, jobs, pool)
         return pool
-
-
-def pool_map(jobs: int, fn, items, chunksize: int = 1):
-    """Fetch the shared pool and submit ``items`` atomically.
-
-    Submission happens under the layer's lock so a concurrent resize
-    cannot retire the pool between the fetch and the submit (executor
-    ``map`` submits every item eagerly; only result consumption is
-    lazy, and retired pools drain already-submitted work).
-    """
-    try:
-        _EXEC_TASKS.inc(len(items))
-    except TypeError:  # pragma: no cover - generator payloads
-        pass
-    with _LOCK:
-        return process_pool(jobs).map(fn, items, chunksize=chunksize)
-
-
-def pool_submit(jobs: int, fn, item):
-    """Fetch the shared pool and submit one task atomically.
-
-    The single-item counterpart of :func:`pool_map`, for callers that
-    schedule work incrementally (the sweep engine submits chunks in a
-    bounded window so each chunk's shared-memory store is published just
-    before its worker needs it).  Returns the future.
-    """
-    _EXEC_TASKS.inc()
-    with _LOCK:
-        return process_pool(jobs).submit(fn, item)
 
 
 def drop_process_pool() -> None:
@@ -448,235 +429,266 @@ def _watchdog_kill_pool() -> None:
 def resilient_map(
     jobs: int,
     fn,
-    items: list,
+    items: Iterable,
     *,
     policy: RetryPolicy,
-    fallback,
+    fallback=None,
     validate=None,
     labels=None,
-) -> tuple[list, list[list[ExecutionError]]]:
-    """Run ``fn(item)`` per item on the shared pool under ``policy``.
+) -> Iterator[tuple[object, list[ExecutionError]]]:
+    """Run ``fn(item)`` per item on the shared pool; yield in task order.
 
-    The hardened counterpart of :func:`pool_map`: per-task deadlines
-    (with the watchdog killing hung workers and rebuilding the pool),
-    bounded retry with capped exponential backoff for crashed /
-    timed-out / invalid results, and — after the retry budget is
-    exhausted — serial in-process completion via ``fallback(index)``,
-    so the map *always* returns a full result list.
+    The layer's one dispatch loop — every task the process pool runs is
+    submitted here.  ``items`` is consumed lazily and at most ``2 *
+    jobs`` tasks are sent ahead of the oldest result not yet yielded, so
+    a producer that builds payloads on demand (the sweep publishing one
+    matrix per chunk) stays just ahead of the workers.  Each task yields
+    ``(value, failures)`` as soon as it and every earlier task are done;
+    ``failures`` lists the structured records
+    (:class:`~repro.errors.ExecutionError` instances) the task gathered
+    on its way, empty for an untroubled task.
 
-    ``validate(index, value)`` (optional) is applied to every result at
-    this boundary; a :class:`~repro.errors.ResultValidationError` it
-    raises is treated exactly like a crash and the task retried.
-    Returns ``(values, failures)`` with ``failures[i]`` the structured
-    failure records (:class:`~repro.errors.ExecutionError` instances)
-    task ``i`` accumulated on its way to completion; an untroubled task
-    has an empty list.
+    ``policy`` sets a per-task deadline, enforced by a watchdog that
+    kills hung workers and rebuilds the pool (in-flight siblings are
+    resubmitted as collateral without touching their retry budget), and
+    a retry budget: a crashed, raising, timed-out or rejected task is
+    resubmitted up to ``policy.retries`` times with capped exponential
+    backoff.  ``validate(index, value)`` (optional) checks every result
+    at this boundary; a :class:`~repro.errors.ResultValidationError` it
+    raises counts as a failure like a crash.
+
+    A task out of retries is settled in one place, when it reaches the
+    head of the order:
+
+    * under the default policy its failure is raised as it happened —
+      :class:`BrokenProcessPool` (after dropping the dead pool, so the
+      next call starts fresh), the task's own exception, or the
+      :class:`~repro.errors.ResultValidationError`;
+    * under an armed policy, ``fallback(index)`` completes it inline;
+      the value is validated and the task records
+      :class:`~repro.errors.DegradedExecution`;
+    * with no ``fallback`` (the serving daemon never runs a request in
+      its own address space), :class:`~repro.errors.DegradedExecution`
+      is raised, carrying the task's failure records on ``failures``.
     """
-    n = len(items)
-    values: list = [None] * n
-    completed = [False] * n
-    failures: list[list[ExecutionError]] = [[] for _ in range(n)]
-    attempts = [0] * n
-    ready = [0.0] * n
-    queue: deque[int] = deque(range(n))
-    degraded: list[int] = []
+    source = iter(items)
+    window = max(2, 2 * jobs)
+    staged: list = []
+    failures: list = []
+    attempts: list[int] = []
+    ready: list[float] = []
+    results: dict[int, object] = {}
+    #: Tasks out of retries -> the failure that used up the budget.
+    lost: dict[int, BaseException] = {}
+    queue: deque[int] = deque()
     pending: dict = {}
     collateral: set[int] = set()
+    head = 0
+    more = True
 
     def _label(i: int) -> str:
         return labels[i] if labels is not None else f"task{i}"
 
     def _submit(i: int) -> None:
-        try:
-            fut = pool_submit(jobs, fn, items[i])
-        except BrokenProcessPool:
-            # The shared pool broke between our calls; start fresh.
-            drop_process_pool()
-            fut = pool_submit(jobs, fn, items[i])
+        # Fetch + submit under the lock, so a concurrent resize cannot
+        # retire the pool in between.
+        with _LOCK:
+            try:
+                fut = process_pool(jobs).submit(fn, staged[i])
+            except BrokenProcessPool:
+                # The shared pool broke between our calls; start fresh.
+                drop_process_pool()
+                fut = process_pool(jobs).submit(fn, staged[i])
+        _EXEC_TASKS.inc()
         now = time.monotonic()
         deadline = now + policy.timeout if policy.timeout is not None else None
         pending[fut] = (i, deadline, now)
 
-    def _fail(i: int, exc: ExecutionError) -> None:
-        failures[i].append(exc)
+    def _fail(i: int, record: ExecutionError, raised: BaseException) -> None:
+        attempts[i] += 1
+        record.attempt = attempts[i]
+        failures[i].append(record)
         _EXEC_RETRIES.inc()
         _trace.event("task_failure", task=_label(i),
-                     kind=type(exc).__name__, attempt=attempts[i])
+                     kind=type(record).__name__, attempt=attempts[i])
         if attempts[i] > policy.retries:
-            degraded.append(i)
+            lost[i] = raised
         else:
             ready[i] = time.monotonic() + policy.delay_for(attempts[i])
             queue.append(i)
 
-    def _accept(i: int, value) -> None:
-        if validate is not None:
-            from repro.errors import ResultValidationError
-
-            try:
-                validate(i, value)
-            except ResultValidationError as exc:
-                attempts[i] += 1
-                exc.task = exc.task or _label(i)
-                exc.attempt = attempts[i]
-                _fail(i, exc)
-                return
-        values[i] = value
-        completed[i] = True
-
-    while queue or pending:
-        now = time.monotonic()
-        deferred: list[int] = []
-        while queue:
-            i = queue.popleft()
-            if ready[i] > now:
-                deferred.append(i)
-            else:
-                _submit(i)
-        queue.extend(deferred)
-        if not pending:
-            if queue:  # everything is backing off; sleep to the earliest
-                time.sleep(
-                    max(0.0, min(ready[i] for i in queue) - time.monotonic())
-                )
-            continue
-        wake = min(
-            (d for (_, d, _t) in pending.values() if d is not None),
-            default=None,
-        )
-        if queue:
-            nxt = min(ready[i] for i in queue)
-            wake = nxt if wake is None else min(wake, nxt)
-        wait_s = None if wake is None else max(0.0, wake - time.monotonic())
-        done, _ = futures_wait(
-            set(pending), timeout=wait_s, return_when=FIRST_COMPLETED
-        )
-        for fut in done:
-            i, _deadline, t_submit = pending.pop(fut)
-            _EXEC_TASK_SECONDS.observe(time.monotonic() - t_submit)
-            try:
-                value = fut.result()
-            except BrokenProcessPool:
-                if i in collateral:
-                    # An innocent victim of a watchdog kill or a sibling
-                    # crash: resubmit without touching its retry budget.
-                    collateral.discard(i)
-                    queue.append(i)
-                else:
-                    attempts[i] += 1
-                    _fail(i, WorkerCrash(
-                        "worker process died while the task was in "
-                        "flight", task=_label(i), attempt=attempts[i],
-                    ))
-                continue
-            except Exception as exc:
-                attempts[i] += 1
-                _fail(i, ExecutionError(
-                    f"task raised {type(exc).__name__}: {exc}",
-                    task=_label(i), attempt=attempts[i],
-                ))
-                continue
-            collateral.discard(i)
-            _accept(i, value)
-        # Watchdog sweep: anything past its deadline is hung.
-        now = time.monotonic()
-        expired = [
-            (fut, i)
-            for fut, (i, d, _t) in pending.items()
-            if d is not None and d <= now
-        ]
-        if expired:
-            for fut, i in expired:
-                del pending[fut]
-                attempts[i] += 1
-                _fail(i, TaskTimeout(
-                    f"task exceeded its {policy.timeout:.3g}s deadline",
-                    task=_label(i), attempt=attempts[i],
-                    timeout=policy.timeout,
-                ))
-            # Kill the hung workers; siblings still in flight become
-            # collateral and are resubmitted on the rebuilt pool.
-            for _fut, (i, _d, _t) in pending.items():
-                collateral.add(i)
-            _EXEC_WATCHDOG_KILLS.inc()
-            _trace.event(
-                "watchdog_kill", expired=len(expired),
-                collateral=len(pending),
+    def _settle(i: int):
+        raised = lost.pop(i)
+        if not policy.active:
+            if isinstance(raised, BrokenProcessPool):
+                drop_process_pool()
+            raise raised
+        if fallback is None:
+            refusal = DegradedExecution(
+                "retry budget exhausted on the worker pool; inline "
+                "fallback is disabled for isolated requests",
+                task=_label(i),
             )
-            _watchdog_kill_pool()
-    # Degradation ladder's last rung: whatever the pool could not
-    # deliver is computed serially in-process, so the map always
-    # completes.  A validation failure here is terminal — there is no
-    # further fallback that could produce a trustworthy result.
-    for i in degraded:
-        if completed[i]:  # pragma: no cover - defensive
-            continue
+            refusal.failures = failures[i]
+            raise refusal
+        # The degradation ladder's last rung: computed serially
+        # in-process.  A validation failure here is terminal — there is
+        # no further fallback that could produce a trustworthy result.
         _EXEC_DEGRADED.inc()
         _trace.event("degraded_execution", task=_label(i))
         value = fallback(i)
         if validate is not None:
             validate(i, value)
-        values[i] = value
-        completed[i] = True
         failures[i].append(DegradedExecution(
             "retry budget exhausted on the worker pool; completed by "
             "serial in-process execution", task=_label(i),
             attempt=attempts[i],
         ))
-    return values, failures
+        return value
+
+    try:
+        while True:
+            while more and len(staged) < head + window:
+                try:
+                    item = next(source)
+                except StopIteration:
+                    more = False
+                    break
+                if _AUDIT is not None:
+                    nbytes = _pickled_nbytes([item])
+                    _AUDIT["tasks"] += 1
+                    _AUDIT["bytes"] += nbytes
+                    # Folded into the registry too, so an audited run's
+                    # payload traffic shows up in `/metrics` and trace
+                    # dumps without a second pickling pass.
+                    _PAYLOAD_TASKS.inc()
+                    _PAYLOAD_BYTES.inc(nbytes)
+                queue.append(len(staged))
+                staged.append(item)
+                failures.append([])
+                attempts.append(0)
+                ready.append(0.0)
+            if head == len(staged):
+                return
+            if head in results or head in lost:
+                value = results.pop(head) if head in results else _settle(head)
+                records = failures[head]
+                staged[head] = failures[head] = None
+                head += 1
+                yield value, records
+                continue
+            now = time.monotonic()
+            deferred: list[int] = []
+            while queue:
+                i = queue.popleft()
+                if ready[i] > now:
+                    deferred.append(i)
+                else:
+                    _submit(i)
+            queue.extend(deferred)
+            if not pending:  # everything is backing off; sleep to the earliest
+                time.sleep(
+                    max(0.0, min(ready[i] for i in queue) - time.monotonic())
+                )
+                continue
+            wake = min(
+                (d for (_, d, _t) in pending.values() if d is not None),
+                default=None,
+            )
+            if queue:
+                nxt = min(ready[i] for i in queue)
+                wake = nxt if wake is None else min(wake, nxt)
+            wait_s = (
+                None if wake is None else max(0.0, wake - time.monotonic())
+            )
+            done, _ = futures_wait(
+                set(pending), timeout=wait_s, return_when=FIRST_COMPLETED
+            )
+            for fut in done:
+                i, _deadline, t_submit = pending.pop(fut)
+                _EXEC_TASK_SECONDS.observe(time.monotonic() - t_submit)
+                try:
+                    value = fut.result()
+                except BrokenProcessPool as exc:
+                    if i in collateral:
+                        # An innocent victim of a watchdog kill: resubmit
+                        # without touching its retry budget.
+                        collateral.discard(i)
+                        queue.append(i)
+                    else:
+                        _fail(i, WorkerCrash(
+                            "worker process died while the task was in "
+                            "flight", task=_label(i),
+                        ), exc)
+                    continue
+                except Exception as exc:
+                    _fail(i, ExecutionError(
+                        f"task raised {type(exc).__name__}: {exc}",
+                        task=_label(i),
+                    ), exc)
+                    continue
+                collateral.discard(i)
+                if validate is not None:
+                    try:
+                        validate(i, value)
+                    except ResultValidationError as exc:
+                        exc.task = exc.task or _label(i)
+                        _fail(i, exc, exc)
+                        continue
+                results[i] = value
+            # Watchdog sweep: anything past its deadline is hung.
+            now = time.monotonic()
+            expired = [
+                (fut, i)
+                for fut, (i, d, _t) in pending.items()
+                if d is not None and d <= now
+            ]
+            if expired:
+                for fut, i in expired:
+                    del pending[fut]
+                    timeout = TaskTimeout(
+                        f"task exceeded its {policy.timeout:.3g}s deadline",
+                        task=_label(i), timeout=policy.timeout,
+                    )
+                    _fail(i, timeout, timeout)
+                # Kill the hung workers; siblings still in flight become
+                # collateral and are resubmitted on the rebuilt pool.
+                for _fut, (i, _d, _t) in pending.items():
+                    collateral.add(i)
+                _EXEC_WATCHDOG_KILLS.inc()
+                _trace.event(
+                    "watchdog_kill", expired=len(expired),
+                    collateral=len(pending),
+                )
+                _watchdog_kill_pool()
+    finally:
+        # An abandoned or failed map leaves nothing queued on the pool.
+        for fut in pending:
+            fut.cancel()
 
 
-def resilient_call(
-    jobs: int,
-    fn,
-    item,
-    *,
-    policy: RetryPolicy,
-    fallback=None,
-    validate=None,
-    label: str = "",
-) -> tuple[object, list[ExecutionError]]:
-    """Run one ``fn(item)`` task on the shared pool under ``policy``.
+def run_inline(call, *, policy: RetryPolicy, label: str):
+    """Run ``call()`` in this process under ``policy``'s retry budget.
 
-    The single-item counterpart of :func:`resilient_map`, for callers
-    that dispatch work one request at a time (the serving daemon): same
-    deadline/watchdog/retry semantics, returning ``(value, failures)``.
-
-    ``fallback`` defaults to *refusing* inline completion: a serving
-    process must never run a request that repeatedly killed its workers
-    inside its own address space, so with the retry budget exhausted a
-    :class:`~repro.errors.DegradedExecution` is raised (carrying every
-    accumulated failure record on its ``failures`` attribute) instead of
-    degrading — the caller turns it into a structured per-request error.
-    Pass an explicit ``fallback(index)`` to opt back into the batch
-    layer's degrade-to-inline ladder.
+    The layer's one inline retry loop, shared by ``jobs <= 1`` maps and
+    serial sweeps.  Timeouts cannot apply inline (there is no worker to
+    kill), but retries do, with the pool's backoff schedule, so
+    ``--retries`` means the same thing inline and pooled.  Returns
+    ``(value, failures)``; out of retries, the last exception propagates.
     """
-    refused = object()
-    refusing = fallback is None
-    if refusing:
-        fallback = lambda _i: refused  # noqa: E731
-
-        if validate is not None:
-            inner_validate = validate
-
-            def validate(i, value):  # noqa: F811 - deliberate wrap
-                if value is not refused:
-                    inner_validate(i, value)
-
-    values, failures = resilient_map(
-        jobs, fn, [item],
-        policy=policy, fallback=fallback, validate=validate,
-        labels=[label] if label else None,
-    )
-    if refusing and values[0] is refused:
-        exc = DegradedExecution(
-            "retry budget exhausted on the worker pool; inline fallback "
-            "is disabled for isolated requests", task=label,
-        )
-        # The pre-degradation records: the request's full failure story.
-        exc.failures = [f for f in failures[0]
-                        if not isinstance(f, DegradedExecution)]
-        raise exc
-    return values[0], failures[0]
+    failures: list[ExecutionError] = []
+    while True:
+        try:
+            return call(), failures
+        except Exception as exc:
+            attempt = len(failures) + 1
+            if attempt > policy.retries:
+                raise
+            failures.append(ExecutionError(
+                f"inline task raised {type(exc).__name__}: {exc}",
+                task=label, attempt=attempt,
+            ))
+            time.sleep(policy.delay_for(attempt))
 
 
 def shutdown_pools(wait: bool = False) -> None:
@@ -935,54 +947,30 @@ def payload_audit():
         _AUDIT = prev
 
 
-def _account(items: list) -> None:
-    if _AUDIT is not None:
-        nbytes = sum(
-            len(pickle.dumps(it, protocol=pickle.HIGHEST_PROTOCOL))
-            for it in items
-        )
-        _AUDIT["tasks"] += len(items)
-        _AUDIT["bytes"] += nbytes
-        # Fold into the metrics registry too, so an audited run's
-        # payload traffic shows up in `/metrics` and trace dumps
-        # without a second pickling pass.
-        _PAYLOAD_TASKS.inc(len(items))
-        _PAYLOAD_BYTES.inc(nbytes)
-
-
-def account_payload(items: list) -> None:
-    """Fold dispatched task payloads into an active :func:`payload_audit`.
-
-    No-op when no audit is active.  Exposed for subsystems that dispatch
-    through the shared pools directly rather than via
-    :class:`MatrixExecutor` (the sweep engine audits its chunk payloads
-    this way).
-    """
-    _account(items)
+def _pickled_nbytes(items) -> int:
+    """Total pickled size of ``items`` — the bytes shipping them costs."""
+    return sum(
+        len(pickle.dumps(it, protocol=pickle.HIGHEST_PROTOCOL))
+        for it in items
+    )
 
 
 # --------------------------------------------------------------------- #
 # The matrix executor
 # --------------------------------------------------------------------- #
-def _shm_task(arg):
-    """Process worker: attach the published matrix, select, run."""
-    handle, fn, indices, extra = arg
-    faults.fault_point("executor.task")
-    matrix = handle.open()
-    sub = matrix if indices is None else matrix.select(indices)
-    return faults.fault_point("executor.result", fn(sub, extra))
+def _run_task(arg):
+    """One executor task, in a pool worker or inline in the driver.
 
-
-def _inline_task(matrix: SparseMatrix, fn, indices, extra):
-    """Inline (driver-process) execution of one executor task.
-
-    ``jobs <= 1`` runs and the degradation ladder's last rung both run
-    through here; the same fault points fire as in pool workers so
-    serial chaos runs exercise identical code paths (``scope="worker"``
-    rules deliberately stay silent — that is what models "the pool is
-    broken, the host is fine").
+    The worker receives a :class:`MatrixHandle` and attaches the
+    published matrix; inline runs (``jobs <= 1`` and the degradation
+    ladder's last rung) pass the matrix itself.  The same fault points
+    fire either way, so serial chaos runs exercise identical code paths
+    (``scope="worker"`` rules deliberately stay silent inline — that is
+    what models "the pool is broken, the host is fine").
     """
+    source, fn, indices, extra = arg
     faults.fault_point("executor.task")
+    matrix = source.open() if isinstance(source, MatrixHandle) else source
     sub = matrix if indices is None else matrix.select(indices)
     return faults.fault_point("executor.result", fn(sub, extra))
 
@@ -1047,7 +1035,7 @@ class MatrixExecutor:
         """``(worker, items)`` a process pool runs for ``tasks``: a
         handle to the published matrix plus each task's index array."""
         handle = self._handle()
-        return _shm_task, [(handle, fn, idx, extra) for idx, extra in tasks]
+        return _run_task, [(handle, fn, idx, extra) for idx, extra in tasks]
 
     # ------------------------------------------------------------------ #
     def map(self, fn, tasks: list, validate=None) -> list:
@@ -1055,94 +1043,42 @@ class MatrixExecutor:
 
         ``validate(index, value)`` — when given — is applied to every
         result at this boundary, inline or pooled; it must raise
-        :class:`~repro.errors.ResultValidationError` on violation.  On
-        the fast (policy-inactive) path a validation failure propagates;
-        under an active :class:`RetryPolicy` it is treated like a crash:
-        retried, then recomputed serially in-process.
+        :class:`~repro.errors.ResultValidationError` on violation.  What
+        a failure then does follows :attr:`policy` (see
+        :func:`resilient_map`): raised under the default policy, retried
+        and finally recomputed inline under an armed one.
         """
         if not tasks:
             return []
-        if self.jobs <= 1 or len(tasks) == 1:
-            # A single task gains nothing from any pool; run it inline
-            # and skip the payload round-trip entirely.
-            return self._map_inline(fn, tasks, validate)
-        if self.policy.active:
-            return self._map_resilient(fn, tasks, validate)
-        worker, items = self._process_items(fn, tasks)
-        _account(items)
-        # Batch small tasks per pipe round-trip (map preserves order for
-        # any chunksize): a p = 64 schedule on 2 workers would otherwise
-        # pay 64 dispatch round-trips of per-task fixed cost.
-        chunksize = max(1, len(items) // (4 * self.jobs))
-        try:
-            values = list(
-                pool_map(self.jobs, worker, items, chunksize)
-            )
-        except BrokenProcessPool:
-            # A worker died (OOM, signal): drop the poisoned pool so the
-            # next call starts fresh.  The store is unaffected — it is
-            # owned by this process and cleaned by close_matrix_stores().
-            drop_process_pool()
-            raise
-        return self._validated(values, validate)
 
-    @staticmethod
-    def _validated(values: list, validate) -> list:
-        if validate is not None:
-            for i, value in enumerate(values):
-                validate(i, value)
-        return values
-
-    def _map_inline(self, fn, tasks: list, validate) -> list:
-        """Serial path with the same fault points and retry semantics.
-
-        Timeouts cannot apply inline (there is no worker to kill), but
-        ``retries`` do: an exception is retried with the same backoff
-        schedule, so ``--retries`` means the same thing inline and on the
-        pool.
-        """
-        out = []
-        for i, (idx, extra) in enumerate(tasks):
-            attempt = 0
-            while True:
-                try:
-                    value = _inline_task(self.matrix, fn, idx, extra)
-                    if validate is not None:
-                        validate(i, value)
-                    out.append(value)
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    if attempt > self.policy.retries:
-                        raise
-                    self.failures.append(ExecutionError(
-                        f"inline task raised {type(exc).__name__}: {exc}",
-                        task=f"task{i}", attempt=attempt,
-                    ))
-                    time.sleep(self.policy.delay_for(attempt))
-        return out
-
-    def _map_resilient(self, fn, tasks: list, validate) -> list:
-        """Per-task dispatch under deadlines/retries (the hardened path).
-
-        Tasks are submitted individually (no chunking — the watchdog
-        needs per-task deadlines), retried per :attr:`policy`, and — with
-        the budget exhausted — recomputed inline from the parent-held
-        matrix, so ``map`` always returns a full, validated result list.
-        """
-        worker, items = self._process_items(fn, tasks)
-        _account(items)
-
-        def fallback(i: int):
+        def inline(i: int):
             idx, extra = tasks[i]
-            return _inline_task(self.matrix, fn, idx, extra)
+            return _run_task((self.matrix, fn, idx, extra))
 
-        values, failures = resilient_map(
-            self.jobs, worker, items,
-            policy=self.policy, fallback=fallback, validate=validate,
-        )
-        for records in failures:
+        if self.jobs <= 1 or len(tasks) == 1:
+            # A single task gains nothing from the pool; run it inline
+            # and skip the payload round-trip entirely.
+            def checked(i: int):
+                value = inline(i)
+                if validate is not None:
+                    validate(i, value)
+                return value
+
+            stream = (
+                run_inline(lambda i=i: checked(i), policy=self.policy,
+                           label=f"task{i}")
+                for i in range(len(tasks))
+            )
+        else:
+            worker, items = self._process_items(fn, tasks)
+            stream = resilient_map(
+                self.jobs, worker, items,
+                policy=self.policy, fallback=inline, validate=validate,
+            )
+        values = []
+        for value, records in stream:
             self.failures.extend(records)
+            values.append(value)
         return values
 
     def payload_nbytes(self, tasks: list) -> int:
@@ -1153,8 +1089,4 @@ class MatrixExecutor:
         """
         if not tasks or self.jobs <= 1 or len(tasks) == 1:
             return 0
-        _, items = self._process_items(None, tasks)
-        return sum(
-            len(pickle.dumps(it, protocol=pickle.HIGHEST_PROTOCOL))
-            for it in items
-        )
+        return _pickled_nbytes(self._process_items(None, tasks)[1])

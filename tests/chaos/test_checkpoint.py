@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro.errors import EvaluationError
 from repro.eval.runner import PAPER_METHODS
-from repro.eval.sweep import build_runspecs, run_sweep
+from repro.eval.sweep import SweepCheckpoint, build_runspecs, run_sweep
 from repro.sparse.collection import build_collection
 from repro.utils import faults
 from repro.utils.executor import shutdown_pools
@@ -76,7 +76,8 @@ def test_journal_format_and_full_replay(tmp_path, reference):
     assert path.read_text().splitlines() == lines  # nothing appended
 
 
-def test_partial_journal_resumes_bit_identical(tmp_path, reference):
+@pytest.mark.parametrize("retries", [0, 1], ids=["default", "retries1"])
+def test_partial_journal_resumes_bit_identical(tmp_path, reference, retries):
     path = tmp_path / "full.jsonl"
     specs = _specs()
     list(run_sweep(specs, jobs=1, checkpoint=path))
@@ -88,8 +89,13 @@ def test_partial_journal_resumes_bit_identical(tmp_path, reference):
     partial.write_text(
         "\n".join(lines[:4]) + "\n" + '{"index": 3, "rec'
     )
-    resumed = list(run_sweep(specs, jobs=2, checkpoint=partial))
+    resumed = list(
+        run_sweep(specs, jobs=2, retries=retries, checkpoint=partial)
+    )
     assert _strip(resumed) == reference
+    # The torn tail was cut before appending: the journal now reloads
+    # complete, so a further resume replays everything.
+    assert len(SweepCheckpoint(partial, specs).done) == len(specs)
 
 
 def test_journal_rejects_foreign_specs(tmp_path):

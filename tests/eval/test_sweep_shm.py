@@ -18,6 +18,7 @@ from repro.eval.sweep import (
     build_runspecs,
     run_sweep,
 )
+from repro.obs import metrics
 from repro.sparse.collection import build_collection, load_instance
 from repro.utils.executor import (
     JobsBudget,
@@ -103,3 +104,31 @@ def test_algo_threaded_through_specs(algo):
         matrix, 4, method=specs[0].method, seed=specs[0].seed, algo=algo
     )
     assert serial[0].volume == direct.volume
+
+
+WIDE = (
+    "sym_gd97_like", "sym_grid2d_s", "sym_arrow_s", "sym_er_s",
+    "sqr_er_s", "sqr_band_s", "sqr_blk_s", "sqr_perm_s",
+)
+
+
+@pytest.mark.parametrize("retries", [0, 1], ids=["default", "retries1"])
+def test_sweep_streams_within_its_window(tmp_path, retries):
+    """Both policies run the one windowed loop: when the first record
+    arrives at most ``2 * workers`` chunks have been sent, and the
+    checkpoint already holds that record — a hardened sweep journals as
+    it goes instead of after its last chunk."""
+    specs = build_runspecs(_entries(WIDE), PAPER_METHODS[:1], nruns=1)
+    tasks = metrics.REGISTRY.get("repro_executor_tasks_total")
+    path = tmp_path / "sweep.jsonl"
+    before = tasks.value
+    stream = run_sweep(specs, jobs=2, retries=retries, checkpoint=path)
+    try:
+        first = next(stream)
+        sent = tasks.value - before
+        journaled = path.read_text().splitlines()
+    finally:
+        stream.close()
+    assert sent <= 2 * 2, f"{sent} of {len(WIDE)} chunks sent"
+    assert len(journaled) == 2  # header + the first record
+    assert first.instance == WIDE[0]

@@ -15,13 +15,17 @@ import pytest
 
 from benchmarks._baseline_e2e import PickledMatrixExecutor
 from repro.sparse.generators import erdos_renyi
+from repro.errors import DegradedExecution, ExecutionError
+from repro.obs import metrics
 from repro.utils.executor import (
     JobsBudget,
     MatrixExecutor,
+    RetryPolicy,
     SharedMatrixStore,
     close_matrix_stores,
     payload_audit,
     process_pool,
+    resilient_map,
     shutdown_pools,
 )
 
@@ -42,6 +46,14 @@ def _nnz_and_rowsum(sub, extra):
 
 def _crash(sub, extra):
     os._exit(1)  # simulate a worker killed by OOM / signal
+
+
+def _square(x):
+    return x * x
+
+
+def _refuse(x):
+    raise ValueError(f"task {x} refused")
 
 
 class TestJobsBudget:
@@ -293,6 +305,45 @@ class TestFailurePaths:
         for t in threads:
             t.join()
         assert len({id(p) for p in got}) == 1
+
+
+class TestDispatchLoop:
+    """resilient_map: a bounded window, task order, and the three ways a
+    task out of retries is settled."""
+
+    def test_window_and_order(self):
+        tasks = metrics.REGISTRY.get("repro_executor_tasks_total")
+        before = tasks.value
+        stream = resilient_map(2, _square, range(10), policy=RetryPolicy())
+        first = next(stream)
+        assert tasks.value - before <= 4  # 2 * jobs ahead of the head
+        rest = list(stream)
+        assert [v for v, _ in [first] + rest] == [x * x for x in range(10)]
+        assert all(fails == [] for _, fails in [first] + rest)
+
+    def test_default_policy_raises_the_task_exception(self):
+        with pytest.raises(ValueError, match="task 0 refused"):
+            list(resilient_map(2, _refuse, [0, 1], policy=RetryPolicy()))
+
+    def test_armed_policy_degrades_to_the_fallback(self):
+        policy = RetryPolicy(retries=1, backoff=0.0)
+        out = list(resilient_map(
+            2, _refuse, [3, 4], policy=policy, fallback=lambda i: -i,
+        ))
+        assert [v for v, _ in out] == [0, -1]
+        for _, fails in out:
+            assert [type(f) for f in fails] == [
+                ExecutionError, ExecutionError, DegradedExecution,
+            ]
+
+    def test_no_fallback_refuses_with_the_failure_records(self):
+        policy = RetryPolicy(retries=1, backoff=0.0)
+        with pytest.raises(DegradedExecution) as info:
+            list(resilient_map(2, _refuse, [5], policy=policy,
+                               labels=["req"]))
+        assert [f.brief() for f in info.value.failures] == [
+            "ExecutionError[req]@attempt1", "ExecutionError[req]@attempt2",
+        ]
 
 
 class TestRecursionIntegration:
