@@ -103,7 +103,12 @@ from repro.eval.geomean import geometric_mean as _geomean
 from repro.eval.sweep import RunSpec, run_sweep
 from repro.partitioner.config import get_config
 from repro.sparse.collection import build_collection, load_instance
-from repro.utils.executor import JobsBudget, MatrixExecutor, payload_audit
+from repro.utils.executor import (
+    JobsBudget,
+    MatrixExecutor,
+    RetryPolicy,
+    payload_audit,
+)
 from repro.utils.rng import spawn_seeds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -785,6 +790,7 @@ def _smoke_retry_path(jobs: int) -> int:
     from repro.utils.executor import shutdown_pools
 
     failures = 0
+    armed_policy = RetryPolicy(timeout=60.0, retries=2)
     seeds = spawn_seeds(BASE_SEED, 1)
     # One sweep over every smoke matrix: positions must be unique across
     # it (make_specs numbers each matrix from 0), or a checkpoint would
@@ -807,7 +813,7 @@ def _smoke_retry_path(jobs: int) -> int:
     )
     with faults.install([rule]):
         hardened = list(
-            run_sweep(specs, jobs=jobs, task_timeout=60.0, retries=2)
+            run_sweep(specs, jobs=jobs, policy=armed_policy)
         )
     if strip(hardened) != strip(serial):
         print("FAIL retry-path records differ from the serial reference")
@@ -826,7 +832,8 @@ def _smoke_retry_path(jobs: int) -> int:
         keep = 1 + len(specs) // 2  # the header plus half the records
         half.write_text("\n".join(lines[:keep]) + '\n{"index": ')
         resumed = list(
-            run_sweep(specs, jobs=jobs, retries=2, checkpoint=half)
+            run_sweep(specs, jobs=jobs, policy=RetryPolicy(retries=2),
+                      checkpoint=half)
         )
         journaled = len(half.read_text().splitlines())
     if strip(resumed) != strip(serial):
@@ -851,7 +858,7 @@ def _smoke_retry_path(jobs: int) -> int:
 
     shutdown_pools()
     plain = best({})
-    armed = best({"task_timeout": 60.0, "retries": 2})
+    armed = best({"policy": armed_policy})
     budget = plain * 1.02 + 0.25
     ok = armed <= budget
     print(

@@ -57,7 +57,7 @@ import dataclasses
 from repro.core.methods import ALGO_NAMES, METHOD_NAMES, bipartition
 from repro.core.recursive import partition
 from repro.eval import experiments as exp
-from repro.utils.executor import JobsBudget
+from repro.utils.executor import JobsBudget, RetryPolicy
 from repro.partitioner.config import get_config
 from repro.sparse.collection import collection_names, load_instance
 from repro.sparse.io_mm import read_matrix_market
@@ -399,6 +399,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     from repro.utils.deadline import Deadline
 
     deadline = Deadline(args.deadline) if args.deadline else None
+    policy = RetryPolicy.resolve(args.task_timeout, args.retries)
     if args.instance:
         matrix = load_instance(args.instance)
         name = args.instance
@@ -409,11 +410,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
           f"nnz = {matrix.nnz}")
     cfg = dataclasses.replace(
         get_config(args.config),
-        jobs=args.jobs,
         algo=args.algo,
         kway_vcycles=args.kway_vcycles,
-        task_timeout=args.task_timeout or None,
-        retries=args.retries,
     )
     if args.nparts == 2:
         res = bipartition(
@@ -447,14 +445,16 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             refine=args.refine,
             config=cfg,
             seed=args.seed,
+            jobs=args.jobs,
             deadline=deadline,
+            policy=policy,
         )
         parts = res.parts
         scheme = (
             "direct k-way" if args.algo == "kway" else "recursive bisection"
         )
         print(f"method            : {res.method} ({scheme})")
-        print(f"nparts            : {res.nparts} (jobs = {cfg.jobs})")
+        print(f"nparts            : {res.nparts} (jobs = {args.jobs})")
         print(f"communication vol : {res.volume}")
         print(f"max part size     : {res.max_part}")
         print(f"imbalance         : {res.imbalance:.4f} (eps = {args.eps})")
@@ -504,6 +504,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # between sweep-level workers and the recursion workers inside the
     # p = 64 artifacts, so nested parallelism never oversubscribes.
     args.jobs = JobsBudget.resolve(args.jobs) if args.jobs != 1 else 1
+    policy = RetryPolicy.resolve(args.task_timeout, args.retries)
     reports: list[exp.ExperimentReport] = []
     if wanted in ("fig3", "all"):
         reports.append(exp.run_fig3_demo())
@@ -514,8 +515,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             progress=args.progress,
             jobs=args.jobs,
-            task_timeout=args.task_timeout or None,
-            retries=args.retries,
+            policy=policy,
         )
         if wanted in ("fig4", "all"):
             reports.append(exp.run_fig4_profiles(data))
@@ -532,8 +532,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             with_bsp=True,
             progress=args.progress,
             jobs=args.jobs,
-            task_timeout=args.task_timeout or None,
-            retries=args.retries,
+            policy=policy,
         )
         data_p64 = exp.collect_paper_runs(
             max_tier=args.max_tier,
@@ -547,8 +546,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             algo=args.algo,
             kway_vcycles=args.kway_vcycles,
-            task_timeout=args.task_timeout or None,
-            retries=args.retries,
+            policy=policy,
         )
         if wanted in ("fig6", "all"):
             reports.append(exp.run_fig6_profiles(data_p2, data_p64))
@@ -565,8 +563,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     base_seed=args.seed,
                     progress=args.progress,
                     jobs=args.jobs,
-                    task_timeout=args.task_timeout or None,
-                    retries=args.retries,
+                    policy=policy,
                 )
             reports.append(
                 exp.run_table2_geomeans(data_p2, data_p64, data_kway)

@@ -29,12 +29,12 @@ or scheduled across a worker pool in any order.
 
 Parallel execution
 ------------------
-``partition(..., jobs=N)`` (or :attr:`PartitionerConfig.jobs`) runs the
-tree on the shared execution layer (:mod:`repro.utils.executor`),
-mirroring the sweep engine's knob (``jobs=1`` serial, ``0``/``None`` =
-CPU count).  The scheduler widens the frontier with rounds of concurrent
-bisections until there are at least ``jobs`` independent subtrees, then
-hands each worker a whole subtree to solve serially — within a worker
+``partition(..., jobs=N)`` runs the tree on the shared execution layer
+(:mod:`repro.utils.executor`), mirroring the sweep engine's knob
+(``jobs=1``, the default, is serial; ``0``/``None`` = CPU count).  The
+scheduler widens the frontier with rounds of concurrent bisections until
+there are at least ``jobs`` independent subtrees, then hands each worker
+a whole subtree to solve serially — within a worker
 the usual per-object caches (``FMPassState`` per hypergraph,
 ``SpMVState`` per matrix) are reused across that subtree's bisections
 exactly as in a serial run.  The workers are processes: the matrix is
@@ -165,9 +165,10 @@ def partition(
     refine: bool = False,
     config: PartitionerConfig | str = "mondriaan",
     seed: SeedLike = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     algo: str | None = None,
     deadline: Deadline | None = None,
+    policy: RetryPolicy | None = None,
 ) -> PartitionResult:
     """Partition the nonzeros of ``matrix`` into ``nparts`` parts.
 
@@ -186,12 +187,15 @@ def partition(
     volume in one shot and is delegated to after validation.
 
     ``jobs`` schedules independent subtrees of the recursion on a process
-    pool (``1`` = serial, ``0`` = CPU count, ``None`` = the config's
-    :attr:`~repro.partitioner.config.PartitionerConfig.jobs`).  The result
-    is bit-identical for every ``jobs`` value: each bisection's randomness
-    is keyed on its tree position, not on traversal order.  The direct
-    k-way partitioner has no tree to schedule, so ``jobs`` is validated
-    but does not apply there.
+    pool (``1``, the default, = serial; ``0``/``None`` = CPU count).  The
+    result is bit-identical for every ``jobs`` value: each bisection's
+    randomness is keyed on its tree position, not on traversal order.
+    The direct k-way partitioner has no tree to schedule, so ``jobs`` is
+    validated but does not apply there.  ``policy`` (a
+    :class:`~repro.utils.executor.RetryPolicy`; ``None`` = the default,
+    which raises the first failure) sets the pool tasks' watchdog
+    deadline and retry budget — like ``jobs``, it never changes the
+    result (see ``docs/robustness.md``).
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the
@@ -223,8 +227,6 @@ def partition(
     cfg = get_config(config)
     if algo is None:
         algo = cfg.algo
-    if jobs is None:
-        jobs = cfg.jobs
     jobs = resolve_jobs(jobs, error=PartitioningError)
     if algo == "kway":
         from repro.core.kway import partition_kway
@@ -255,7 +257,6 @@ def partition(
     failures: tuple = ()
     degraded: list[str] = []
     skipped = 0
-    policy = RetryPolicy.resolve(cfg.task_timeout, cfg.retries)
     timer = Timer()
     with timer, _trace.span(
         "partition", method=method, nparts=nparts, algo="recursive",
@@ -265,8 +266,7 @@ def partition(
             root = _Node((), np.arange(n, dtype=np.int64), 0, nparts)
             job = _TreeJob(
                 ceiling=ceiling, eps=eps, method=method, refine=refine,
-                cfg=cfg, root_seed=root_seed,
-                trace=_trace.current_context(), deadline=deadline,
+                cfg=cfg, root_seed=root_seed, deadline=deadline,
             )
             # With fewer than 4 parts at most one bisection can ever be
             # in flight, so a pool would only add process overhead.
@@ -323,9 +323,6 @@ class _TreeJob:
     refine: bool
     cfg: PartitionerConfig
     root_seed: np.random.SeedSequence
-    # Cross-process trace envelope (None when tracing is disabled) —
-    # never influences results.
-    trace: object = None
     # The run's deadline (None = unbounded), checked by every node and
     # handed to every bisection, in the driver and in pool workers alike.
     deadline: Deadline | None = None
@@ -431,9 +428,8 @@ def _bisect_task(sub: SparseMatrix, extra) -> tuple[np.ndarray, int, tuple]:
     """
     path, nparts, job = extra
     local = _Node(path, np.arange(sub.nnz, dtype=np.int64), 0, nparts)
-    with _trace.activate(
-        job.trace, "worker.bisect",
-        path="".join(map(str, path)) or "root",
+    with _trace.span(
+        "worker.bisect", path="".join(map(str, path)) or "root",
     ):
         return _bisect_node(sub, local, job)
 
@@ -455,9 +451,9 @@ def _subtree_task(
     out = np.zeros(sub.nnz, dtype=np.int64)
     volumes: dict = {}
     briefs: list = []
-    with _trace.activate(
-        job.trace, "worker.subtree",
-        path="".join(map(str, path)) or "root", nparts=nparts,
+    with _trace.span(
+        "worker.subtree", path="".join(map(str, path)) or "root",
+        nparts=nparts,
     ):
         skipped = _solve_serial(sub, local, job, out, volumes, briefs)
     return out, volumes, briefs, skipped

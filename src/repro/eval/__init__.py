@@ -21,7 +21,6 @@ from repro.eval.runner import (
 )
 from repro.eval.sweep import (
     RunSpec,
-    SweepAggregator,
     build_runspecs,
     execute_runspec,
     run_sweep,
@@ -39,7 +38,6 @@ __all__ = [
     "PAPER_METHODS",
     "run_methods",
     "RunSpec",
-    "SweepAggregator",
     "build_runspecs",
     "execute_runspec",
     "run_sweep",

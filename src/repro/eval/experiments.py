@@ -48,6 +48,7 @@ from repro.eval.runner import (
 )
 from repro.sparse.collection import build_collection
 from repro.sparse.generators import gd97_like
+from repro.utils.executor import RetryPolicy
 from repro.utils.rng import spawn_seeds
 
 __all__ = [
@@ -156,16 +157,15 @@ def collect_paper_runs(
     jobs: "int | None | JobsBudget" = 1,
     algo: str = "recursive",
     kway_vcycles: int = 1,
-    task_timeout: float | None = None,
-    retries: int = 0,
+    policy: RetryPolicy = RetryPolicy(),
 ) -> ExperimentData:
     """Run (and memoize) the six-method sweep used by several artifacts.
 
     ``jobs`` changes only how fast the sweep runs, never its results
     (the parallel sweep is bit-identical to the serial one), so it is
-    not part of the memoization key; ``task_timeout`` / ``retries`` (the
-    hardened-execution knobs, see ``docs/robustness.md``) never change
-    results either and are likewise excluded.  ``algo`` (the p-way
+    not part of the memoization key; ``policy`` (hardened execution, see
+    ``docs/robustness.md``) never changes results either and is likewise
+    excluded.  ``algo`` (the p-way
     scheme for ``nparts > 2``) and ``kway_vcycles`` (the direct k-way
     engine's multilevel cycles) change results outright, so they are
     part of the key.
@@ -195,21 +195,10 @@ def collect_paper_runs(
         jobs=jobs,
         algo=algo,
         kway_vcycles=kway_vcycles,
-        task_timeout=task_timeout,
-        retries=retries,
+        policy=policy,
     )
     _sweep_cache[key] = data
     return data
-
-
-#: Method-family columns of the Table-II k-way comparison: the
-#: multilevel direct k-way partitioner.  ``KWAY_ML_VCYCLES`` matches the
-#: BENCH ``kway-ml`` stage (one full multilevel construction).  The
-#: ``+ml`` label is kept: journals and BENCH files persist it.
-KWAY_ML_VCYCLES = 1
-KWAY_FAMILIES: tuple[tuple[str, int], ...] = (
-    ("kway+ml", KWAY_ML_VCYCLES),
-)
 
 
 def collect_kway_runs(
@@ -221,17 +210,18 @@ def collect_kway_runs(
     min_nnz: int = 6400,
     progress: bool = False,
     jobs: "int | None | JobsBudget" = 1,
-    task_timeout: float | None = None,
-    retries: int = 0,
-) -> dict[str, ExperimentData]:
-    """Mediumgrain p-way runs under the direct k-way families.
+    policy: RetryPolicy = RetryPolicy(),
+) -> ExperimentData:
+    """Mediumgrain p-way runs of the direct multilevel k-way engine.
 
-    One sweep per :data:`KWAY_FAMILIES` entry — the ``kway+ml``
-    (multilevel) method-family column of the Table-II comparison —
-    restricted to the mediumgrain method so the extra cost stays a
-    fraction of the six-method recursive sweep.  Seeds, entries,
-    and the PaToH preset match :func:`collect_paper_runs`' p = 64 data,
-    so records line up per instance.  Memoized like the paper sweeps.
+    One sweep, labelled ``kway+ml`` — the method-family column of the
+    Table-II comparison — restricted to the mediumgrain method so the
+    extra cost stays a fraction of the six-method recursive sweep.  It
+    runs one multilevel construction (``kway_vcycles=1``, as the BENCH
+    ``kway-ml`` stage does; the ``+ml`` label is kept because journals
+    and BENCH files persist it).  Seeds, entries, and the PaToH preset
+    match :func:`collect_paper_runs`' p = 64 data, so records line up
+    per instance.  Memoized like the paper sweeps.
     """
     key = (
         "kway-families", max_tier, nparts, base_seed, with_bsp, min_nnz,
@@ -245,25 +235,22 @@ def collect_kway_runs(
         entries = [
             e for e in entries if load_instance(e.name).nnz >= min_nnz
         ]
-    out: dict[str, ExperimentData] = {}
-    for label, vcycles in KWAY_FAMILIES:
-        out[label] = run_methods(
-            entries,
-            (MethodSpec(label, "mediumgrain", False),),
-            nruns=1,
-            nparts=nparts,
-            config="patoh",
-            base_seed=base_seed,
-            with_bsp=with_bsp,
-            progress=progress,
-            jobs=jobs,
-            algo="kway",
-            kway_vcycles=vcycles,
-            task_timeout=task_timeout,
-            retries=retries,
-        )
-    _sweep_cache[key] = out
-    return out
+    data = run_methods(
+        entries,
+        (MethodSpec("kway+ml", "mediumgrain", False),),
+        nruns=1,
+        nparts=nparts,
+        config="patoh",
+        base_seed=base_seed,
+        with_bsp=with_bsp,
+        progress=progress,
+        jobs=jobs,
+        algo="kway",
+        kway_vcycles=1,
+        policy=policy,
+    )
+    _sweep_cache[key] = data
+    return data
 
 
 def _profile_report(
@@ -392,11 +379,11 @@ def run_fig6_profiles(
 def run_table2_geomeans(
     data_p2: ExperimentData,
     data_p64: ExperimentData | None,
-    data_kway: "dict[str, ExperimentData] | None" = None,
+    data_kway: ExperimentData | None = None,
 ) -> ExperimentReport:
     """Table II: volume and BSP-cost geometric means, p = 2 and p = 64.
 
-    ``data_kway`` (label -> mediumgrain-only runs, see
+    ``data_kway`` (the mediumgrain-only k-way runs of
     :func:`collect_kway_runs`) appends the method-family comparison:
     the ``kway+ml`` column normalized against the recursive ``MG``
     baseline, plus the per-record :func:`pway_table` so the families
@@ -427,12 +414,13 @@ def run_table2_geomeans(
             )
     md = markdown_table(rows[0], rows[1:]) if rows else ""
     tables = {"geomeans": rows}
-    if data_kway and data_p64 is not None and data_p64.records:
+    if (data_kway is not None and data_kway.records
+            and data_p64 is not None and data_p64.records):
         # Method-family comparison: recursive MG vs the direct k-way
-        # engines on the same instances/seeds, normalized by MG.
+        # engine on the same instances/seeds, normalized by MG.
         combined = ExperimentData(
             [r for r in data_p64.records if r.method == "MG"]
-            + [r for d in data_kway.values() for r in d.records]
+            + data_kway.records
         )
         fam_methods = combined.methods()
         fam_rows: list[list[object]] = [["metric", "p"] + fam_methods]

@@ -29,6 +29,7 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.eval.sweep import build_runspecs, run_sweep
 from repro.sparse.collection import CollectionEntry
+from repro.utils.executor import RetryPolicy
 
 __all__ = [
     "MethodSpec",
@@ -181,8 +182,7 @@ def run_methods(
     jobs: "int | None | JobsBudget" = 1,
     algo: str = "recursive",
     kway_vcycles: int = 1,
-    task_timeout: float | None = None,
-    retries: int = 0,
+    policy: RetryPolicy = RetryPolicy(),
     checkpoint=None,
 ) -> ExperimentData:
     """Run the paper's protocol over a set of collection entries.
@@ -226,12 +226,12 @@ def run_methods(
         construction plus ``kway_vcycles - 1`` restricted V-cycles (at
         least 1).  Result-determining, like ``algo``.  Ignored for
         recursive runs.
-    task_timeout / retries:
-        Hardened-execution knobs, handed to
-        :func:`~repro.eval.sweep.run_sweep` unchanged: per-task deadline
-        in seconds and retry budget for crashed / timed-out / invalid
-        pool tasks (see ``docs/robustness.md``).  ``None``/``0`` —
-        the defaults — preserve the unhardened behavior exactly.
+    policy:
+        Hardened execution (:class:`~repro.utils.executor.RetryPolicy`),
+        handed to :func:`~repro.eval.sweep.run_sweep` unchanged: per-task
+        deadline and retry budget for crashed / timed-out / invalid pool
+        tasks (see ``docs/robustness.md``).  The default raises the
+        first failure.
     checkpoint:
         Path of a JSONL journal for crash-resumable sweeps (see
         :func:`~repro.eval.sweep.run_sweep`); ``None`` disables it.
@@ -254,8 +254,8 @@ def run_methods(
     )
     data = ExperimentData()
     for record in run_sweep(
-        specs, jobs=jobs, progress=progress,
-        task_timeout=task_timeout, retries=retries, checkpoint=checkpoint,
+        specs, jobs=jobs, progress=progress, policy=policy,
+        checkpoint=checkpoint,
     ):
         data.records.append(record)
     return data

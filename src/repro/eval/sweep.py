@@ -33,11 +33,6 @@ items:
     recursion-level workers inside each p-way run (``outer * inner <=
     total``), so ``experiment --jobs N`` composes across both levels
     instead of oversubscribing with nested pools.
-:class:`SweepAggregator`
-    Incremental aggregation: per-(method, instance) running sums of
-    volume/seconds/BSP cost.  Consuming the stream through an
-    aggregator keeps memory flat for very large sweeps instead of
-    materializing every record.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -87,7 +82,6 @@ __all__ = [
     "execute_runspec",
     "run_sweep",
     "SweepCheckpoint",
-    "SweepAggregator",
     "resolve_jobs",
 ]
 
@@ -118,11 +112,6 @@ class RunSpec:
     #: volume cross-checked against the partitioner's.  This is the
     #: "whole pipeline" the end-to-end benchmark times.
     verify_spmv: bool = False
-    #: Recursion-level worker count *inside* this run (p-way runs only;
-    #: a bipartitioning has no inner parallelism).  Set by the sweep's
-    #: :class:`~repro.utils.executor.JobsBudget` split — a speed knob
-    #: only, the record is bit-identical for every value.
-    jobs: int = 1
     #: p-way partitioning scheme for ``nparts > 2`` runs: ``"recursive"``
     #: bisection or the direct ``"kway"`` partitioner (see
     #: :func:`repro.core.recursive.partition`'s ``algo``).  Ignored for
@@ -131,15 +120,9 @@ class RunSpec:
     #: Multilevel cycle count for ``algo="kway"`` runs (see
     #: :attr:`repro.partitioner.config.PartitionerConfig.kway_vcycles`).
     #: A result-determining knob, so it participates in the sweep
-    #: fingerprint of ``algo="kway"`` specs (unlike ``jobs``).  Ignored
-    #: for recursive runs and bipartitionings.
+    #: fingerprint of ``algo="kway"`` specs.  Ignored for recursive runs
+    #: and bipartitionings.
     kway_vcycles: int = 1
-    #: Cross-process trace envelope
-    #: (:class:`repro.obs.trace.TraceContext`, ``None`` when tracing is
-    #: disabled).  Rides the spec into pool workers the way the
-    #: deadline rides hardened tasks; purely observational, so it is
-    #: normalized away from the sweep fingerprint like ``jobs``.
-    trace: object = None
 
 
 def build_runspecs(
@@ -191,7 +174,7 @@ def build_runspecs(
     return specs
 
 
-def execute_runspec(spec: RunSpec, matrix=None):
+def execute_runspec(spec: RunSpec, matrix=None, jobs: int = 1):
     """Execute one work item and return its :class:`RunRecord`.
 
     Importable at module level (process-pool workers pickle the function
@@ -200,7 +183,10 @@ def execute_runspec(spec: RunSpec, matrix=None):
     :func:`load_instance` and the object caches hanging off it;
     ``matrix`` short-circuits the load when the caller already holds the
     instance (shared-memory chunk delivery hands workers the published
-    matrix instead of rebuilding it by name).
+    matrix instead of rebuilding it by name).  ``jobs`` is the
+    recursion-level worker count inside a p-way run (a
+    :class:`~repro.utils.executor.JobsBudget` split hands it down); a
+    speed knob only, the record is bit-identical for every value.
     """
     import dataclasses
 
@@ -233,7 +219,7 @@ def execute_runspec(spec: RunSpec, matrix=None):
             refine=spec.refine,
             config=cfg,
             seed=spec.seed,
-            jobs=spec.jobs,
+            jobs=jobs,
             algo=spec.algo,
         )
     bsp = None
@@ -276,13 +262,13 @@ def _execute_chunk_shm(payload) -> list:
     name-loaded path did.  A ``None`` handle (the parent paced its
     publications past the store cap, or the driver runs the chunk
     itself) or an already-evicted segment falls back to the by-name
-    load; records are identical either way.
+    load; records are identical either way.  ``jobs`` is the
+    recursion-level worker count of every p-way run in the chunk.
     """
-    handle, name, specs = payload
+    handle, name, specs, jobs = payload
     faults.fault_point("sweep.chunk")
-    ctx = specs[0].trace if specs else None
-    with _trace.activate(
-        ctx, "sweep.chunk", instance=name, nspecs=len(specs),
+    with _trace.span(
+        "sweep.chunk", instance=name, nspecs=len(specs),
         shm=handle is not None,
     ):
         if handle is None:
@@ -293,7 +279,8 @@ def _execute_chunk_shm(payload) -> list:
             except ShmAttachError:
                 matrix = load_instance(name)
         records = [
-            execute_runspec(spec, matrix=matrix) for spec in specs
+            execute_runspec(spec, matrix=matrix, jobs=jobs)
+            for spec in specs
         ]
     return faults.fault_point("sweep.result", records)
 
@@ -317,29 +304,24 @@ def resolve_jobs(jobs: int | None) -> int:
 def _sweep_fingerprint(specs: Sequence[RunSpec]) -> str:
     """Identity of a sweep for checkpoint compatibility.
 
-    Every result-determining spec field participates; the speed and
-    resilience knobs are normalized away — ``jobs`` is zeroed, and when
-    ``spec.config`` is a live
-    :class:`~repro.partitioner.config.PartitionerConfig` (rather than a
-    preset name) its ``jobs`` / ``task_timeout`` / ``retries`` are reset
-    to their defaults.  None of those change what
-    a run computes (see ``docs/robustness.md``), so a sweep interrupted
-    under one set of resilience knobs and resumed under another must
-    still match its journal.  ``kway_vcycles`` counts only for
-    ``algo="kway"`` specs (recursive runs never read it), and a live
-    config's copy never counts: :func:`execute_runspec` overrides it
-    with the spec's.
+    Specs and configs hold only result-determining knobs — the worker
+    count and the retry policy are :func:`run_sweep` arguments — so a
+    sweep interrupted under one ``jobs`` / ``policy`` and resumed under
+    another still matches its journal.  The one field normalized away
+    is ``kway_vcycles``: it counts only for ``algo="kway"`` specs
+    (recursive runs never read it), and a live
+    :class:`~repro.partitioner.config.PartitionerConfig`'s copy never
+    counts, because :func:`execute_runspec` overrides it with the
+    spec's.
     """
     payload = []
     for spec in specs:
         cfg = spec.config
         if dataclasses.is_dataclass(cfg) and not isinstance(cfg, type):
-            cfg = dataclasses.replace(
-                cfg, jobs=1, task_timeout=None, retries=0, kway_vcycles=1,
-            )
+            cfg = dataclasses.replace(cfg, kway_vcycles=1)
         vcycles = spec.kway_vcycles if spec.algo == "kway" else None
         payload.append(dataclasses.astuple(dataclasses.replace(
-            spec, jobs=0, config=cfg, trace=None, kway_vcycles=vcycles,
+            spec, config=cfg, kway_vcycles=vcycles,
         )))
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
@@ -525,8 +507,7 @@ def run_sweep(
     *,
     jobs: "int | None | JobsBudget" = 1,
     progress: bool = False,
-    task_timeout: float | None = None,
-    retries: int = 0,
+    policy: RetryPolicy = RetryPolicy(),
     checkpoint=None,
 ) -> Iterator:
     """Execute specs and yield their records in spec order.
@@ -541,7 +522,7 @@ def run_sweep(
     :class:`~repro.utils.executor.JobsBudget` instead *splits* its total
     between sweep workers and the recursion workers inside each p-way
     run — chunks then stay instance-aligned and the remainder of the
-    budget is handed down via ``RunSpec.jobs``.
+    budget rides each chunk into :func:`execute_runspec`'s ``jobs``.
     Records are bit-identical across every ``jobs`` value except for the
     measured ``seconds`` (and any ``failures`` annotations — like
     ``seconds``, they describe how a run went, not its result).
@@ -551,16 +532,16 @@ def run_sweep(
     rebuilding it by name.  Chunk payloads are folded into any active
     :func:`~repro.utils.executor.payload_audit`.
 
-    ``task_timeout`` / ``retries`` arm the retry policy of that same
-    loop (see ``docs/robustness.md``): each pool chunk gets a per-task
-    deadline enforced by a watchdog that kills hung workers, crashed /
-    timed-out / invalid chunks are retried with capped exponential
-    backoff, and a chunk that exhausts its budget is completed serially
-    in the driver — the sweep always finishes, annotating affected
-    records' ``failures`` instead of aborting.  With the defaults
-    (``None``/``0``) the first failure is raised instead.  Dispatch,
-    streaming and journaling are the same either way, and every
-    worker-returned record is boundary-validated (spec-echo
+    An armed ``policy`` (a :class:`~repro.utils.executor.RetryPolicy`)
+    hardens that same loop (see ``docs/robustness.md``): each pool chunk
+    gets a per-task deadline enforced by a watchdog that kills hung
+    workers, crashed / timed-out / invalid chunks are retried with
+    capped exponential backoff, and a chunk that exhausts its budget is
+    completed serially in the driver — the sweep always finishes,
+    annotating affected records' ``failures`` instead of aborting.
+    Under the default policy the first failure is raised instead.
+    Dispatch, streaming and journaling are the same either way, and
+    every worker-returned record is boundary-validated (spec-echo
     consistency, sane metrics) on every path.
 
     ``checkpoint`` (a path) makes the sweep crash-resumable: completed
@@ -572,25 +553,9 @@ def run_sweep(
     """
     inner = None
     if isinstance(jobs, JobsBudget):
-        budget = jobs
-        chunks = _chunk_by_instance(specs)
-        workers, inner = budget.split(len(chunks))
-        if inner > 1:
-            chunks = [
-                [dataclasses.replace(spec, jobs=inner) for spec in chunk]
-                for chunk in chunks
-            ]
-            specs = [spec for chunk in chunks for spec in chunk]
-        jobs = workers
+        jobs, inner = jobs.split(len(_chunk_by_instance(specs)))
     else:
         jobs = resolve_jobs(jobs)
-    ctx = _trace.current_context()
-    if ctx is not None:
-        # Stamp the live trace envelope onto every spec so pool workers
-        # parent their chunk spans into this sweep.  Fingerprints
-        # normalize the field away, so checkpoints are unaffected.
-        specs = [dataclasses.replace(s, trace=ctx) for s in specs]
-    policy = RetryPolicy.resolve(task_timeout, retries)
     journal = (
         SweepCheckpoint(checkpoint, specs) if checkpoint is not None
         else None
@@ -632,7 +597,10 @@ def _execute_pending(
     inner: int | None,
 ) -> Iterator:
     """Yield records for ``specs`` in order (the dispatch half of
-    :func:`run_sweep`, after checkpoint filtering)."""
+    :func:`run_sweep`, after checkpoint filtering).  ``inner`` is a
+    :class:`~repro.utils.executor.JobsBudget`'s recursion-level share,
+    ``None`` without a budget."""
+    inner_jobs = inner or 1
     if jobs == 1 or len(specs) <= 1:
         # Inline, one spec at a time: the serial path *is* the
         # degradation ladder's bottom rung.
@@ -643,7 +611,7 @@ def _execute_pending(
                 last = spec.instance
             _SWEEP_CHUNKS.inc()
             records, fails = run_inline(
-                lambda spec=spec: _checked_chunk([spec]),
+                lambda spec=spec: _checked_chunk([spec], inner_jobs),
                 policy=policy, label=spec.instance,
             )
             yield _annotate(records[0], tuple(f.brief() for f in fails))
@@ -658,12 +626,12 @@ def _execute_pending(
         chunks = [[spec] for spec in specs]
     workers = min(jobs, len(chunks))
     _SWEEP_CHUNKS.inc(len(chunks))
-    yield from _run_chunks(chunks, workers, policy, progress)
+    yield from _run_chunks(chunks, workers, policy, progress, inner_jobs)
 
 
-def _checked_chunk(chunk: list[RunSpec]) -> list:
+def _checked_chunk(chunk: list[RunSpec], jobs: int) -> list:
     """The driver's own by-name execution of a chunk, validated."""
-    records = _execute_chunk_shm((None, chunk[0].instance, chunk))
+    records = _execute_chunk_shm((None, chunk[0].instance, chunk, jobs))
     _validate_chunk_records(chunk, records)
     return records
 
@@ -673,13 +641,15 @@ def _run_chunks(
     workers: int,
     policy: RetryPolicy,
     progress: bool,
+    jobs: int,
 ) -> Iterator:
     """Dispatch chunks to the shared process pool via the matrix store.
 
     Chunks are instance-aligned, so each ships one
     :class:`~repro.utils.executor.MatrixHandle` (publishing the instance
     on first use — repeated chunks of one matrix reuse the live segment)
-    plus the specs.  :func:`~repro.utils.executor.resilient_map` pulls
+    plus the specs and their recursion-level ``jobs``.
+    :func:`~repro.utils.executor.resilient_map` pulls
     payloads at most ``2 * workers`` chunks ahead of the oldest record
     not yet yielded — wide enough to keep every worker busy, narrow
     enough that a long sweep publishes stores just ahead of the workers
@@ -719,13 +689,13 @@ def _run_chunks(
             else:
                 handle = None  # past the cap: would be evicted unused
             shipped.append(handle is not None)
-            yield handle, name, chunk
+            yield handle, name, chunk, jobs
 
     stream = resilient_map(
         workers, _execute_chunk_shm, payloads(),
         policy=policy,
         fallback=lambda i: _execute_chunk_shm(
-            (None, chunks[i][0].instance, chunks[i])
+            (None, chunks[i][0].instance, chunks[i], jobs)
         ),
         validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
         labels=[chunk[0].instance for chunk in chunks],
@@ -744,86 +714,3 @@ def _run_chunks(
                 yield _annotate(record, briefs)
     finally:
         stream.close()
-
-
-@dataclass
-class _MethodInstanceAgg:
-    """Running sums for one (method, instance) cell."""
-
-    runs: int = 0
-    volume_sum: float = 0.0
-    seconds_sum: float = 0.0
-    bsp_sum: float = 0.0
-    has_bsp: bool = True
-    feasible_runs: int = 0
-
-
-@dataclass
-class SweepAggregator:
-    """Incremental sweep aggregation (streaming counterpart of
-    ``ExperimentData.mean_metric``).
-
-    Feed records with :meth:`add` as they arrive; per-(method, instance)
-    run-averaged metrics are available at any point without holding the
-    records themselves.  The paper's protocol averages each metric over
-    the runs before profiles/geomeans — this computes exactly those
-    averages.
-    """
-
-    cells: dict = field(default_factory=dict)
-    _instances: dict = field(default_factory=dict)
-    _methods: dict = field(default_factory=dict)
-    total_runs: int = 0
-    feasible_runs: int = 0
-
-    def add(self, record) -> None:
-        """Fold one :class:`RunRecord` into the running sums."""
-        key = (record.method, record.instance)
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = _MethodInstanceAgg()
-            self._instances.setdefault(record.instance, None)
-            self._methods.setdefault(record.method, None)
-        cell.runs += 1
-        cell.volume_sum += record.volume
-        cell.seconds_sum += record.seconds
-        if record.bsp is None:
-            cell.has_bsp = False
-        else:
-            cell.bsp_sum += record.bsp
-        cell.feasible_runs += bool(record.feasible)
-        self.total_runs += 1
-        self.feasible_runs += bool(record.feasible)
-
-    def instances(self) -> list[str]:
-        """Instance names in first-appearance order."""
-        return list(self._instances)
-
-    def methods(self) -> list[str]:
-        """Method labels in first-appearance order."""
-        return list(self._methods)
-
-    def mean(self, method: str, instance: str, metric: str) -> float:
-        """Run-averaged ``metric`` for one (method, instance) cell."""
-        cell = self.cells.get((method, instance))
-        if cell is None or cell.runs == 0:
-            raise EvaluationError(
-                f"no runs recorded for {method!r} on {instance!r}"
-            )
-        if metric == "volume":
-            return cell.volume_sum / cell.runs
-        if metric == "seconds":
-            return cell.seconds_sum / cell.runs
-        if metric == "bsp":
-            if not cell.has_bsp:
-                raise EvaluationError(
-                    f"record {instance}/{method} lacks metric 'bsp'"
-                )
-            return cell.bsp_sum / cell.runs
-        raise EvaluationError(f"unknown metric {metric!r}")
-
-    def feasible_fraction(self) -> float:
-        """Fraction of aggregated runs satisfying the eqn-(1) constraint."""
-        if self.total_runs == 0:
-            return 1.0
-        return self.feasible_runs / self.total_runs

@@ -19,15 +19,18 @@ Design constraints, in order:
    ``O_APPEND`` so concurrent writers (daemon + pool workers) do not
    clobber each other; readers tolerate a torn tail.  On ``OSError``
    the sink degrades to dropping records rather than failing the run.
-4. **Context crosses processes like a deadline does.**  A
+4. **Context crosses processes with the dispatch loop.**  A
    :class:`TraceContext` is a tiny picklable envelope — trace id,
-   parent span id, sink path — carried on the task payload (serve
-   ``spec`` dict, ``_TreeJob``, ``RunSpec``) and re-armed worker-side
-   with :func:`activate`.  Span ids embed the minting pid plus a
-   per-process counter that outlives each task's tracer, so tasks,
-   retried attempts and respawned workers can never collide, and a
-   watchdog-killed worker leaves no orphans: a worker only ever writes *completed* spans whose parent chain runs
-   through the parent-process span that the surviving caller closes.
+   parent span id, sink path.  The execution layer's one dispatch loop
+   (:func:`repro.utils.executor.resilient_map`) snapshots the caller's
+   context and runs every pool task under :func:`adopt`, so no task
+   payload carries it; the serving daemon's dispatch threads pick up
+   their request's span with :func:`activate`.  Span ids embed the
+   minting pid plus a per-process counter that outlives each task's
+   tracer, so tasks, retried attempts and respawned workers can never
+   collide, and a watchdog-killed worker leaves no orphans: a worker
+   only ever writes *completed* spans whose parent chain runs through
+   the parent-process span that the surviving caller closes.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "detached_span",
     "event",
     "activate",
+    "adopt",
     "current_context",
     "current_span",
 ]
@@ -190,7 +195,7 @@ class _NullSpan:
 
     A single module-level instance: entering/exiting it allocates
     nothing, and every mutator is a pass.  ``context()`` returns
-    ``None`` so task payloads carry no envelope when tracing is off.
+    ``None``, so nothing downstream is traced when tracing is off.
     """
 
     __slots__ = ()
@@ -226,7 +231,7 @@ def _next_span_id() -> str:
 
     The counter belongs to the process, not to a :class:`Tracer`: a pool
     worker installs a fresh tracer for every task it traces
-    (:class:`_Activation`), and a per-tracer counter would hand the same
+    (:func:`adopt`), and a per-tracer counter would hand the same
     ids out again within one trace.  A forked child starts its own count
     under its own pid.
     """
@@ -383,9 +388,8 @@ def current_span():
 def current_context() -> Optional[TraceContext]:
     """Envelope of the innermost open span — ``None`` when disabled.
 
-    This is what call sites put on a task payload next to the
-    ``Deadline``; ``None`` costs nothing to carry and tells the worker
-    side to skip activation entirely.
+    The dispatch loop snapshots this once per map and hands it to every
+    pool task it runs (:func:`adopt`); ``None`` runs them untraced.
     """
     t = TRACER
     if t is None:
@@ -396,59 +400,33 @@ def current_context() -> Optional[TraceContext]:
     return sp.context()
 
 
-class _Activation:
-    """Context manager arming a worker-side tracer for one task.
+@contextmanager
+def adopt(ctx: Optional[TraceContext]) -> Iterator[Optional[Tracer]]:
+    """Run one pool task under a fresh tracer rooted at ``ctx``.
 
-    Pool workers are long-lived and serve many unrelated tasks, so the
-    tracer is installed per-task and always torn down — a crashed task
-    cannot leak one request's trace into the next.  If a tracer is
-    already installed (inline executor runs execute the "worker" body
-    inside the caller), the existing tracer is kept and the span
-    is simply parented into it.
+    Pool workers are long-lived and serve many unrelated tasks, so each
+    task gets its own tracer, and the previous one is restored after it
+    — a crashed task cannot leak one request's trace into the next.
+    ``adopt(None)`` runs the task untraced.
     """
-
-    __slots__ = ("ctx", "name", "attrs", "_span", "_installed")
-
-    def __init__(self, ctx: TraceContext, name: str, attrs: dict):
-        self.ctx = ctx
-        self.name = name
-        self.attrs = attrs
-        self._span = None
-        self._installed = False
-
-    def __enter__(self) -> Span:
-        global TRACER
-        if TRACER is None:
-            TRACER = Tracer(
-                self.ctx.path,
-                trace_id=self.ctx.trace_id,
-                root_parent=self.ctx.parent or None,
-            )
-            self._installed = True
-        self._span = TRACER.start_span(
-            self.name, self.attrs, parent=self.ctx.parent or None
-        )
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global TRACER
-        if exc_type is not None and self._span is not None:
-            self._span.event("error", type=exc_type.__name__)
-        if self._span is not None:
-            self._span.end()
-        if self._installed:
-            if TRACER is not None:
-                TRACER.close()
-            TRACER = None
-        return False
+    global TRACER
+    prev = TRACER
+    mine = TRACER = None if ctx is None else Tracer(
+        ctx.path, trace_id=ctx.trace_id, root_parent=ctx.parent or None,
+    )
+    try:
+        yield mine
+    finally:
+        if mine is not None:
+            mine.close()
+        TRACER = prev
 
 
 def activate(ctx: Optional[TraceContext], name: str, **attrs: Any):
-    """Adopt a cross-process :class:`TraceContext` around a task body.
-
-    ``activate(None, ...)`` is the disabled path: one ``is None``
-    check, then the shared no-op span.
-    """
-    if ctx is None:
+    """Open a span parented by a :class:`TraceContext` from another
+    thread (the serving daemon's hop from its event loop to a dispatch
+    thread), or the shared no-op when either side is untraced."""
+    t = TRACER
+    if ctx is None or t is None:
         return NULL_SPAN
-    return _Activation(ctx, name, attrs)
+    return t.start_span(name, attrs, parent=ctx.parent or None)

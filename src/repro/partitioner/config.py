@@ -68,24 +68,15 @@ class PartitionerConfig:
         only as the seam through which the benchmark harness injects a
         frozen :class:`~repro.kernels.KernelBackend` instance; it is not
         a user option, and a string value is rejected.
-    jobs:
-        Default worker-process count for recursive bisection
-        (:func:`repro.core.recursive.partition`): ``1`` walks the
-        recursion tree serially, ``N >= 2`` schedules independent
-        subtrees on a process pool, ``0`` means one worker per CPU.
-        This is a speed knob only — the partition is bit-identical for
-        every value (each bisection's randomness is keyed on its tree
-        position).  An explicit ``jobs=`` argument to ``partition``
-        overrides it.
     algo:
         How ``partition(matrix, nparts)`` produces a p-way partitioning:
         ``"recursive"`` (the paper's recursive-bisection scheme, default)
         or ``"kway"`` (the direct k-way partitioner of
         :mod:`repro.core.kway`, optimizing the connectivity-(λ−1) volume
-        in one shot).  Unlike the speed knobs this genuinely changes
-        the result — the two algorithms explore different search spaces;
-        it does *not* change results across ``jobs`` values within
-        either algorithm.
+        in one shot).  This genuinely changes the result — the two
+        algorithms explore different search spaces; it does *not* change
+        results across ``partition``'s ``jobs`` values within either
+        algorithm.
     kway_vcycles:
         Multilevel cycles of the direct k-way partitioner
         (``algo="kway"``; see :mod:`repro.core.kway`).  Cycle 1 (the
@@ -96,24 +87,16 @@ class PartitionerConfig:
         further cycle is an hMetis-style *restricted* V-cycle
         (:func:`repro.partitioner.vcycle.kway_vcycle_refine`) that
         re-coarsens respecting the current partitioning and can move
-        whole clusters between parts.  Unlike the speed knobs this
-        genuinely changes the result (better volume for more time);
-        within a fixed value results stay bit-identical across ``jobs``.
+        whole clusters between parts.  This genuinely changes the result
+        (better volume for more time); within a fixed value results stay
+        bit-identical across ``jobs``.
         The config accepts ``0`` because the recursive algorithm never
         reads the field, but the k-way partitioner rejects it: ``0``
         selected the flat single-level path, which was removed.
-    task_timeout:
-        Per-task deadline in seconds for pool-executed work (see
-        ``docs/robustness.md``): a task still running past it is killed
-        by the watchdog and retried/degraded per ``retries``.  ``None``
-        (or ``0``) disables deadlines — today's behavior, exactly.
-    retries:
-        How many times a crashed / timed-out / invalid pool task is
-        retried (capped exponential backoff) before the serial
-        in-process fallback completes it.  ``0`` disables retry —
-        today's behavior, exactly.  Like ``jobs``, both knobs never
-        change results: recovery re-runs the same position-keyed seed
-        stream, so a retried task is bit-identical to an untroubled one.
+
+    The knobs that only decide how a run executes — the worker count
+    and the retry policy — are not fields: they are the ``jobs`` and
+    ``policy`` arguments of :func:`repro.core.recursive.partition`.
     """
 
     name: str = "mondriaan"
@@ -128,11 +111,8 @@ class PartitionerConfig:
     fm_early_exit_frac: float = 0.22
     boundary_only: bool = False
     kernel_backend: KernelBackend | None = None
-    jobs: int = 1
     algo: str = "recursive"
     kway_vcycles: int = 1
-    task_timeout: float | None = None
-    retries: int = 0
 
     def __post_init__(self) -> None:
         if self.matching not in ("hcm", "absorption"):
@@ -153,10 +133,6 @@ class PartitionerConfig:
             raise PartitioningError("cluster_weight_frac must be in (0, 1]")
         if self.fm_max_passes < 1:
             raise PartitioningError("fm_max_passes must be at least 1")
-        if self.jobs < 0:
-            raise PartitioningError(
-                "jobs must be non-negative (0 = one worker per CPU)"
-            )
         if self.algo not in ALGO_CHOICES:
             raise PartitioningError(
                 f"unknown partitioning algorithm {self.algo!r}; "
@@ -164,14 +140,6 @@ class PartitionerConfig:
             )
         if self.kway_vcycles < 0:
             raise PartitioningError("kway_vcycles must be non-negative")
-        if self.task_timeout is not None and self.task_timeout < 0:
-            raise PartitioningError(
-                "task_timeout must be non-negative (0/None = no deadline)"
-            )
-        if self.retries < 0:
-            raise PartitioningError(
-                "retries must be non-negative (0 = no retry)"
-            )
 
 
 PRESETS: dict[str, PartitionerConfig] = {

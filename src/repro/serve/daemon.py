@@ -230,9 +230,8 @@ def _execute_request(arg):
     deadline = (
         Deadline(spec["deadline"]) if spec.get("deadline") else None
     )
-    with _trace.activate(
-        spec.get("trace"), "worker.partition",
-        nparts=spec["nparts"], method=spec["method"],
+    with _trace.span(
+        "worker.partition", nparts=spec["nparts"], method=spec["method"],
     ):
         res = partition(
             matrix,
@@ -346,10 +345,9 @@ class PartitionDaemon:
                 )
             validate_parts(value[0], nnz, nparts, context=label)
 
-        with _trace.activate(trace, "serve.dispatch", label=label) as dsp:
-            # The worker parents its spans under this dispatch span —
-            # the envelope rides the spec dict like the deadline does.
-            spec["trace"] = dsp.context()
+        # The dispatch loop hands this span's context to the worker,
+        # which parents its spans under it.
+        with _trace.activate(trace, "serve.dispatch", label=label):
             [(value, failures)] = resilient_map(
                 self.config.jobs, _execute_request,
                 [(store.handle, spec)],

@@ -309,6 +309,10 @@ def _process_worker_init(nested: bool) -> None:
     # a worker's per-process hit indices must start at 1 for fault plans
     # to be deterministic.
     faults.reset()
+    # ... and the parent's tracer, which would keep writing spans into
+    # its sink after the parent disabled tracing.  Workers trace only
+    # under the context a task adopts (see :func:`_traced`).
+    _trace.TRACER = None
     if not nested:
         return
     try:  # pragma: no cover - exercised via the nested crash test
@@ -426,6 +430,13 @@ def _watchdog_kill_pool() -> None:
     pool.shutdown(wait=False)
 
 
+def _traced(ctx, fn, item):
+    """Pool-side body of every task: ``fn(item)`` under the caller's
+    trace context (:func:`repro.obs.trace.adopt`)."""
+    with _trace.adopt(ctx):
+        return fn(item)
+
+
 def resilient_map(
     jobs: int,
     fn,
@@ -446,7 +457,9 @@ def resilient_map(
     ``(value, failures)`` as soon as it and every earlier task are done;
     ``failures`` lists the structured records
     (:class:`~repro.errors.ExecutionError` instances) the task gathered
-    on its way, empty for an untroubled task.
+    on its way, empty for an untroubled task.  The trace context current
+    when the loop starts is handed to every task, so worker spans join
+    the caller's trace without riding the payload.
 
     ``policy`` sets a per-task deadline, enforced by a watchdog that
     kills hung workers and rebuilds the pool (in-flight siblings are
@@ -471,6 +484,7 @@ def resilient_map(
       its own address space), :class:`~repro.errors.DegradedExecution`
       is raised, carrying the task's failure records on ``failures``.
     """
+    ctx = _trace.current_context()
     source = iter(items)
     window = max(2, 2 * jobs)
     staged: list = []
@@ -494,11 +508,11 @@ def resilient_map(
         # retire the pool in between.
         with _LOCK:
             try:
-                fut = process_pool(jobs).submit(fn, staged[i])
+                fut = process_pool(jobs).submit(_traced, ctx, fn, staged[i])
             except BrokenProcessPool:
                 # The shared pool broke between our calls; start fresh.
                 drop_process_pool()
-                fut = process_pool(jobs).submit(fn, staged[i])
+                fut = process_pool(jobs).submit(_traced, ctx, fn, staged[i])
         _EXEC_TASKS.inc()
         now = time.monotonic()
         deadline = now + policy.timeout if policy.timeout is not None else None

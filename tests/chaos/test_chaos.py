@@ -30,7 +30,7 @@ from repro.eval.sweep import build_runspecs, run_sweep
 from repro.sparse.collection import build_collection
 from repro.sparse.generators import grid2d_laplacian
 from repro.utils import faults
-from repro.utils.executor import shutdown_pools
+from repro.utils.executor import RetryPolicy, shutdown_pools
 from repro.utils.faults import FaultRule
 
 pytestmark = pytest.mark.chaos
@@ -67,14 +67,8 @@ def reference(matrix):
 
 
 def _partition_hardened(matrix, timeout=60.0, retries=2):
-    import repro.partitioner.config as config_mod
-
-    cfg = dataclasses.replace(
-        config_mod.get_config("mondriaan"),
-        task_timeout=timeout, retries=retries,
-    )
     return partition(matrix, 8, refine=True, seed=42, jobs=2,
-                     config=cfg)
+                     policy=RetryPolicy(timeout=timeout, retries=retries))
 
 
 PARTITION_FAULTS = [
@@ -184,8 +178,10 @@ def test_sweep_recovers_bit_identical(
 ):
     rule = _once(tmp_path, point, kind)
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, task_timeout=60.0,
-                                 retries=2))
+        records = list(run_sweep(
+            specs, jobs=2,
+            policy=RetryPolicy(timeout=60.0, retries=2),
+        ))
     assert _strip(records) == sweep_reference
     if point != "shm.attach":
         # The by-name fallback absorbs attach faults silently (that is
@@ -197,8 +193,10 @@ def test_sweep_hang_never_hangs_the_sweep(tmp_path, specs, sweep_reference):
     rule = _once(tmp_path, "sweep.chunk", "hang", delay=60.0)
     start = time.monotonic()
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, task_timeout=1.0,
-                                 retries=2))
+        records = list(run_sweep(
+            specs, jobs=2,
+            policy=RetryPolicy(timeout=1.0, retries=2),
+        ))
     assert time.monotonic() - start < WALL_CLOCK_SLACK
     assert _strip(records) == sweep_reference
     assert any(
@@ -210,8 +208,10 @@ def test_sweep_degrades_instead_of_aborting(specs, sweep_reference):
     rule = FaultRule(point="sweep.chunk", kind="exception",
                     hits=(), rate=1.0)
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, task_timeout=60.0,
-                                 retries=1))
+        records = list(run_sweep(
+            specs, jobs=2,
+            policy=RetryPolicy(timeout=60.0, retries=1),
+        ))
     assert _strip(records) == sweep_reference
     assert any(
         "DegradedExecution" in brief
@@ -230,8 +230,10 @@ def test_kway_sweep_recovers(tmp_path):
     reference = _strip(run_sweep(specs, jobs=1))
     rule = _once(tmp_path, "kway.partition", "crash")
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, task_timeout=60.0,
-                                 retries=2))
+        records = list(run_sweep(
+            specs, jobs=2,
+            policy=RetryPolicy(timeout=60.0, retries=2),
+        ))
     assert _strip(records) == reference
     assert any(r.failures for r in records)
 
@@ -243,6 +245,8 @@ def test_serial_sweep_retries_inline(tmp_path, specs, sweep_reference):
     rule = FaultRule(point="sweep.chunk", kind="exception", hits=(),
                     rate=1.0, once_token=token, scope="any")
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=1, retries=2))
+        records = list(
+            run_sweep(specs, jobs=1, policy=RetryPolicy(retries=2))
+        )
     assert _strip(records) == sweep_reference
     assert any(r.failures for r in records)

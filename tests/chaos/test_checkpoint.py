@@ -24,7 +24,7 @@ from repro.eval.runner import PAPER_METHODS
 from repro.eval.sweep import SweepCheckpoint, build_runspecs, run_sweep
 from repro.sparse.collection import build_collection
 from repro.utils import faults
-from repro.utils.executor import shutdown_pools
+from repro.utils.executor import RetryPolicy, shutdown_pools
 
 pytestmark = pytest.mark.chaos
 
@@ -90,7 +90,8 @@ def test_partial_journal_resumes_bit_identical(tmp_path, reference, retries):
         "\n".join(lines[:4]) + "\n" + '{"index": 3, "rec'
     )
     resumed = list(
-        run_sweep(specs, jobs=2, retries=retries, checkpoint=partial)
+        run_sweep(specs, jobs=2, policy=RetryPolicy(retries=retries),
+                  checkpoint=partial)
     )
     assert _strip(resumed) == reference
     # The torn tail was cut before appending: the journal now reloads

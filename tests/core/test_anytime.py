@@ -43,6 +43,7 @@ from repro.partitioner.multilevel import recursive_kway_parts
 from repro.sparse.collection import load_instance
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, SoftBudget
+from repro.utils.executor import RetryPolicy
 
 SEED = 2014
 INSTANCE = "sym_grid2d_s"
@@ -534,14 +535,11 @@ def test_budget_expiring_in_subtree_worker_degrades_without_retry(
     # answer, not a corrupted one to retry.
     root_checks = _root_bisection_checks(matrix, 8)
     base = partition(matrix, 8, seed=SEED)
-    hardened = dataclasses.replace(
-        get_config("mondriaan"), task_timeout=60.0, retries=2
-    )
     first = None
-    for config in (hardened, "mondriaan"):
+    for policy in (RetryPolicy(timeout=60.0, retries=2), None):
         retries = _retries()
         res = partition(
-            matrix, 8, seed=SEED, jobs=2, config=config,
+            matrix, 8, seed=SEED, jobs=2, policy=policy,
             deadline=SoftBudget(root_checks + 1 + worker_checks),
         )
         assert _retries() == retries

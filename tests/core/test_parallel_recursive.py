@@ -15,7 +15,6 @@ import pytest
 from repro.core.recursive import partition
 from repro.core.volume import max_part_size, part_sizes
 from repro.errors import PartitioningError
-from repro.partitioner.config import PartitionerConfig
 from repro.sparse.generators import arrow, erdos_renyi
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.rng import as_seed_sequence, child_sequence
@@ -73,11 +72,17 @@ class TestParallelDeterminism:
         with pytest.raises(PartitioningError):
             partition(er, 4, seed=SEED, jobs=-1)
 
-    def test_config_jobs_is_the_default(self, er):
-        """``jobs=None`` defers to ``PartitionerConfig.jobs``."""
-        cfg = PartitionerConfig(jobs=2)
-        res = partition(er, 4, config=cfg, seed=SEED)
-        ref = partition(er, 4, seed=SEED, jobs=1)
+    def test_default_jobs_is_serial(self, er, monkeypatch):
+        """Without ``jobs``, the tree is walked serially, off the pool."""
+        import repro.core.recursive as recursive
+
+        ref = partition(er, 4, seed=SEED, jobs=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default run reached the pool")
+
+        monkeypatch.setattr(recursive, "_solve_parallel", no_pool)
+        res = partition(er, 4, seed=SEED)
         np.testing.assert_array_equal(ref.parts, res.parts)
 
     def test_generator_seed_consumed_once(self, er):

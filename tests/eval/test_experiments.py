@@ -122,3 +122,34 @@ class TestFig6WithP64Data:
         rows = report.tables["geomeans"]
         ps = {str(r[1]) for r in rows[1:]}
         assert ps == {"2", "64"}
+
+    def test_table2_with_kway_data(self, small_data_bsp):
+        """The k-way sweep adds the method-family comparison, normalized
+        by the recursive MG runs of the same instances and seeds."""
+        from repro.sparse.collection import load_instance
+
+        big = 1750
+        data_kway = exp.collect_kway_runs(
+            max_tier="small", nparts=4, min_nnz=big
+        )
+        entries = [
+            e for e in build_collection(max_tier="small")
+            if load_instance(e.name).nnz >= big
+        ]
+        data_pway = run_methods(
+            entries, PAPER_METHODS, nruns=1, nparts=4, config="patoh",
+            with_bsp=True,
+        )
+        assert data_kway.methods() == ["kway+ml"]
+        assert data_kway.instances() == data_pway.instances()
+        report = exp.run_table2_geomeans(
+            small_data_bsp, data_pway, data_kway
+        )
+        assert "recursive MG vs direct k-way" in report.text
+        header, *rows = report.tables["kway_families"]
+        assert header == ["metric", "p", "MG", "kway+ml"]
+        assert [r[:3] for r in rows] == [
+            ["Vol", "64", 1.0], ["Cost", "64", 1.0],
+        ]
+        pway = report.tables["kway_pway"][1:]
+        assert len(pway) == 2 * len(entries)

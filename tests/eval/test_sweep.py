@@ -15,7 +15,7 @@ from repro.errors import EvaluationError
 from repro.eval.runner import ExperimentData, MethodSpec, run_methods
 from repro.eval.sweep import (
     RunSpec,
-    SweepAggregator,
+    SweepCheckpoint,
     _chunk_by_instance,
     build_runspecs,
     execute_runspec,
@@ -23,7 +23,8 @@ from repro.eval.sweep import (
     run_sweep,
 )
 from repro.sparse.collection import build_collection
-from repro.utils.executor import JobsBudget
+from repro.partitioner.config import PartitionerConfig
+from repro.utils.executor import JobsBudget, RetryPolicy
 from repro.utils.rng import spawn_seeds
 
 FAST_METHODS = (
@@ -174,16 +175,32 @@ class TestJobsBudgetSweep:
         assert _norm(prime) == _norm(serial)
 
     def test_runspec_jobs_is_a_speed_knob(self, entries):
-        """An explicit RunSpec.jobs changes nothing but wall clock."""
-        import dataclasses as dc
-
+        """An explicit execute_runspec jobs changes nothing but wall
+        clock."""
         base = build_runspecs(
             entries[:1], FAST_METHODS[:1], nruns=1, nparts=4, base_seed=5
         )
-        fast = [dc.replace(s, jobs=2) for s in base]
         assert _norm(
             [execute_runspec(s) for s in base]
-        ) == _norm([execute_runspec(s) for s in fast])
+        ) == _norm([execute_runspec(s, jobs=2) for s in base])
+
+    def test_budget_inner_share_reaches_the_run(self, entries, monkeypatch):
+        """One instance under ``JobsBudget(4)``: the chunk runs in the
+        driver and every p-way run gets all four recursion workers."""
+        import repro.eval.sweep as sweep
+
+        seen = []
+
+        def spy(spec, matrix=None, jobs=1):
+            seen.append(jobs)
+            return execute_runspec(spec, matrix=matrix, jobs=jobs)
+
+        monkeypatch.setattr(sweep, "execute_runspec", spy)
+        specs = build_runspecs(
+            entries[:1], FAST_METHODS[:1], nruns=2, nparts=4, base_seed=5
+        )
+        list(run_sweep(specs, jobs=JobsBudget(4)))
+        assert seen == [4, 4]
 
     def test_run_methods_accepts_budget(self, entries):
         d1 = run_methods(
@@ -227,56 +244,6 @@ class TestExecuteRunspec:
         assert record.bsp is not None and record.bsp >= 0
 
 
-class TestSweepAggregator:
-    def test_matches_mean_metric(self, entries, serial_records):
-        agg = SweepAggregator()
-        for r in serial_records:
-            agg.add(r)
-        data = ExperimentData(list(serial_records))
-        for metric in ("volume", "seconds"):
-            means = data.mean_metric(metric)
-            for m in agg.methods():
-                for i, inst in enumerate(agg.instances()):
-                    assert agg.mean(m, inst, metric) == pytest.approx(
-                        means[m][i]
-                    )
-
-    def test_orders_match_experiment_data(self, serial_records):
-        agg = SweepAggregator()
-        data = ExperimentData(list(serial_records))
-        for r in serial_records:
-            agg.add(r)
-        assert agg.instances() == data.instances()
-        assert agg.methods() == data.methods()
-
-    def test_feasible_fraction(self, serial_records):
-        agg = SweepAggregator()
-        assert agg.feasible_fraction() == 1.0  # vacuous
-        for r in serial_records:
-            agg.add(r)
-        data = ExperimentData(list(serial_records))
-        assert agg.feasible_fraction() == data.feasible_fraction()
-
-    def test_missing_cell_raises(self):
-        agg = SweepAggregator()
-        with pytest.raises(EvaluationError, match="no runs"):
-            agg.mean("MG", "nope", "volume")
-
-    def test_unknown_metric_raises(self, serial_records):
-        agg = SweepAggregator()
-        agg.add(serial_records[0])
-        r = serial_records[0]
-        with pytest.raises(EvaluationError, match="unknown metric"):
-            agg.mean(r.method, r.instance, "energy")
-
-    def test_bsp_missing_raises(self, serial_records):
-        agg = SweepAggregator()
-        agg.add(serial_records[0])  # bsp is None in the fast sweep
-        r = serial_records[0]
-        with pytest.raises(EvaluationError, match="lacks"):
-            agg.mean(r.method, r.instance, "bsp")
-
-
 class TestSweepFingerprint:
     """Checkpoint identity must ignore every speed/resilience knob.
 
@@ -300,11 +267,18 @@ class TestSweepFingerprint:
         )
         return _sweep_fingerprint([spec])
 
-    def test_resilience_knobs_do_not_change_identity(self):
-        base = self._spec()
-        assert self._spec(task_timeout=30.0, retries=2) == base
-        assert self._spec(jobs=8) == base
-        assert self._spec(jobs=4, task_timeout=5.0, retries=1) == base
+    def test_resilience_knobs_do_not_change_identity(self, specs, tmp_path):
+        knobs = {"jobs", "task_timeout", "retries", "trace"}
+        for cls in (RunSpec, PartitionerConfig):
+            assert not knobs & {f.name for f in dataclasses.fields(cls)}
+        path = tmp_path / "sweep.jsonl"
+        list(run_sweep(
+            specs, jobs=2, policy=RetryPolicy(timeout=30.0, retries=2),
+            checkpoint=path,
+        ))
+        journal = SweepCheckpoint(path, specs)
+        journal.close()
+        assert sorted(journal.done) == [s.index for s in specs]
 
     def test_kway_vcycles_ignored_for_recursive_specs(self):
         from repro.eval.sweep import _sweep_fingerprint
@@ -338,13 +312,15 @@ class TestSweepFingerprint:
             [dataclasses.replace(spec, eps=0.1)]
         ) != base
 
-    def test_preset_name_and_jobs_still_normalized(self):
-        from repro.eval.sweep import _sweep_fingerprint
-
-        spec = RunSpec(
-            index=0, instance="sym_grid2d_s", matrix_class="sym",
-            label="G1", method="mediumgrain", refine=False, seed=3,
+    def test_preset_name_and_jobs_still_normalized(
+        self, entries, tmp_path
+    ):
+        """A budget's recursion-level jobs ride the chunk, not the spec:
+        a journal written under ``JobsBudget(4)`` replays serially."""
+        pway = build_runspecs(
+            entries[:1], FAST_METHODS[:1], nruns=1, nparts=4, base_seed=5
         )
-        assert _sweep_fingerprint([spec]) == _sweep_fingerprint(
-            [dataclasses.replace(spec, jobs=6)]
-        )
+        path = tmp_path / "sweep.jsonl"
+        budgeted = list(run_sweep(pway, jobs=JobsBudget(4), checkpoint=path))
+        replayed = list(run_sweep(pway, jobs=1, checkpoint=path))
+        assert replayed == budgeted

@@ -23,6 +23,7 @@ from repro.sparse.collection import build_collection, load_instance
 from repro.utils.executor import (
     JobsBudget,
     MatrixHandle,
+    RetryPolicy,
     SharedMatrixStore,
     payload_audit,
 )
@@ -70,9 +71,9 @@ def test_chunk_worker_falls_back_when_segment_gone():
     store = SharedMatrixStore.for_matrix(matrix)
     dead = MatrixHandle("repro_gone_segment", matrix.shape, matrix.nnz)
     specs = build_runspecs(_entries([name]), PAPER_METHODS[:1], nruns=1)
-    via_dead = _execute_chunk_shm((dead, name, specs))
-    via_live = _execute_chunk_shm((store.handle, name, specs))
-    via_name = _execute_chunk_shm((None, name, specs))
+    via_dead = _execute_chunk_shm((dead, name, specs, 1))
+    via_live = _execute_chunk_shm((store.handle, name, specs, 1))
+    via_name = _execute_chunk_shm((None, name, specs, 1))
     assert _strip(via_dead) == _strip(via_live)
     assert _strip(via_name) == _strip(via_live)
 
@@ -122,7 +123,8 @@ def test_sweep_streams_within_its_window(tmp_path, retries):
     tasks = metrics.REGISTRY.get("repro_executor_tasks_total")
     path = tmp_path / "sweep.jsonl"
     before = tasks.value
-    stream = run_sweep(specs, jobs=2, retries=retries, checkpoint=path)
+    stream = run_sweep(specs, jobs=2, policy=RetryPolicy(retries=retries),
+                       checkpoint=path)
     try:
         first = next(stream)
         sent = tasks.value - before

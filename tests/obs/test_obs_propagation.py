@@ -7,7 +7,6 @@ forked pool workers.  And the flip side: with tracing off (the
 default), results are bit-identical and no span objects exist.
 """
 
-import dataclasses
 import os
 import time
 
@@ -23,7 +22,7 @@ from repro.obs.trace import Span, disable, enable
 from repro.sparse.collection import build_collection
 from repro.sparse.generators import grid2d_laplacian
 from repro.utils import faults
-from repro.utils.executor import shutdown_pools
+from repro.utils.executor import RetryPolicy, shutdown_pools
 from repro.utils.faults import FaultRule
 
 
@@ -177,6 +176,22 @@ class TestDisabledPath:
         assert np.array_equal(untraced.parts, reference.parts)
         assert traced.volume == untraced.volume == reference.volume
 
+    def test_untraced_run_after_disable_writes_no_spans(
+        self, tmp_path, matrix
+    ):
+        """Pool workers forked during a traced run must not keep its
+        tracer: an untraced run on the same pool writes nothing."""
+        path = tmp_path / "trace.jsonl"
+        enable(str(path))
+        try:
+            partition(matrix, 8, refine=True, seed=42, jobs=2)
+        finally:
+            disable()
+        traced = len(_traced_records(path))
+        assert traced
+        partition(matrix, 8, refine=True, seed=42, jobs=2)
+        assert len(_traced_records(path)) == traced
+
     def test_disabled_partition_allocates_zero_spans(
         self, monkeypatch, matrix
     ):
@@ -201,22 +216,16 @@ class TestWatchdogOrphans:
     def test_killed_worker_leaves_no_orphan_spans(
         self, tmp_path, matrix, reference
     ):
-        import repro.partitioner.config as config_mod
-
         token = str(tmp_path / "hang.token")
         rule = FaultRule(point="executor.task", kind="hang", hits=(),
                          rate=1.0, once_token=token, delay=60.0)
-        cfg = dataclasses.replace(
-            config_mod.get_config("mondriaan"),
-            task_timeout=1.0, retries=2,
-        )
         path = tmp_path / "trace.jsonl"
         enable(str(path))
         start = time.monotonic()
         try:
             with faults.install([rule]):
                 res = partition(matrix, 8, refine=True, seed=42, jobs=2,
-                                config=cfg)
+                                policy=RetryPolicy(timeout=1.0, retries=2))
         finally:
             disable()
         assert time.monotonic() - start < 30.0, "watchdog failed to fire"

@@ -14,6 +14,7 @@ from repro.obs.trace import (
     TraceContext,
     Tracer,
     activate,
+    adopt,
     current_context,
     current_span,
     detached_span,
@@ -240,7 +241,7 @@ class TestActivation:
         disable()
         assert trace_mod.TRACER is None
 
-        with activate(ctx, "worker.task", item=3) as sp:
+        with adopt(ctx), span("worker.task", item=3) as sp:
             assert trace_mod.TRACER is not None
             assert trace_mod.TRACER.trace_id == ctx.trace_id
             assert sp.parent == ctx.parent
@@ -255,10 +256,8 @@ class TestActivation:
         assert len({r["trace"] for r in recs.values()}) == 1
 
     def test_keeps_existing_tracer_for_inline_backends(self, tmp_path):
-        # Inline executor runs (jobs=1, a lone task, the degraded last
-        # rung) run the "worker" body in the caller's process where a
-        # tracer is already live: activation must reuse it (and not
-        # close it on exit).
+        # The daemon's dispatch thread runs in the process whose tracer
+        # is live: activation must reuse it (and not close it on exit).
         path = str(tmp_path / "t.jsonl")
         tracer = enable(path)
         with span("caller") as caller:
@@ -279,11 +278,11 @@ class TestActivation:
         disable()
 
         with pytest.raises(RuntimeError):
-            with activate(ctx, "worker.task"):
+            with adopt(ctx), span("worker.task"):
                 raise RuntimeError("task blew up")
         assert trace_mod.TRACER is None
         recs = {r["name"]: r for r in _records(path)}
-        # The activation span is closed and carries the error event.
+        # The task span is closed and carries the error event.
         assert recs["worker.task"]["t1"] is not None
         assert any(ev["name"] == "error" for ev in recs["worker.task"]["events"])
 
@@ -297,11 +296,21 @@ class TestActivation:
             ctx = parent.context()
         disable()
         for task in range(3):
-            with activate(ctx, "worker.task", task=task):
+            with adopt(ctx), span("worker.task", task=task):
                 span("worker.sub").end()
         ids = [r["span"] for r in _records(path)]
         assert len(ids) == 7
         assert len(set(ids)) == len(ids)
+
+    def test_adopt_none_runs_untraced_and_restores(self, tmp_path):
+        # A task dispatched from an untraced caller must not write into
+        # a tracer the worker process happens to hold.
+        tracer = enable(str(tmp_path / "t.jsonl"))
+        with adopt(None) as installed:
+            assert installed is None
+            assert trace_mod.TRACER is None
+            assert span("worker.task") is NULL_SPAN
+        assert trace_mod.TRACER is tracer
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_mints_ids_under_its_own_pid(self):

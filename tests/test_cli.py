@@ -133,6 +133,26 @@ class TestPartitionCommand:
         assert parts.size == load_instance("sym_gd97_like").nnz
         assert set(parts.tolist()) <= {0, 1}
 
+    def test_pool_and_hardening_flags(self, tmp_path, capsys):
+        """``--jobs 2 --task-timeout --retries`` run the recursion on the
+        hardened pool and give the ``--jobs 1`` parts."""
+        saved = {}
+        for jobs, extra in (
+            ("1", []), ("2", ["--task-timeout", "30", "--retries", "1"]),
+        ):
+            out_file = tmp_path / f"parts{jobs}.txt"
+            rc = main(
+                [
+                    "partition", "--instance", "sym_gd97_like",
+                    "--nparts", "4", "--seed", "4", "--jobs", jobs,
+                    "--save-parts", str(out_file),
+                ] + extra
+            )
+            assert rc == 0
+            assert f"(jobs = {jobs})" in capsys.readouterr().out
+            saved[jobs] = out_file.read_text()
+        assert saved["2"] == saved["1"]
+
 
 class TestExperimentCommand:
     def test_fig3(self, tmp_path, capsys):

@@ -56,6 +56,13 @@ def _refuse(x):
     raise ValueError(f"task {x} refused")
 
 
+def _spanned_square(x):
+    from repro.obs import trace
+
+    with trace.span("task", x=x):
+        return x * x
+
+
 class TestJobsBudget:
     """split(): outer * inner <= total, outer <= outer_tasks, always >= 1."""
 
@@ -344,6 +351,27 @@ class TestDispatchLoop:
         assert [f.brief() for f in info.value.failures] == [
             "ExecutionError[req]@attempt1", "ExecutionError[req]@attempt2",
         ]
+
+    def test_worker_spans_join_the_callers_span(self, tmp_path):
+        """The loop hands the caller's trace context to every task."""
+        from repro.obs import trace
+        from repro.obs.report import read_trace
+
+        path = tmp_path / "trace.jsonl"
+        trace.enable(str(path))
+        try:
+            with trace.span("caller") as caller:
+                out = list(resilient_map(
+                    2, _spanned_square, range(4), policy=RetryPolicy(),
+                ))
+        finally:
+            trace.disable()
+        assert [v for v, _ in out] == [0, 1, 4, 9]
+        tasks = [r for r in read_trace(str(path)) if r["name"] == "task"]
+        assert sorted(r["attrs"]["x"] for r in tasks) == [0, 1, 2, 3]
+        assert all(r["pid"] != os.getpid() for r in tasks)
+        assert {r["parent"] for r in tasks} == {caller.span_id}
+        assert {r["trace"] for r in tasks} == {caller.trace_id}
 
 
 class TestRecursionIntegration:
