@@ -5,7 +5,9 @@ code: the closure-based FM pass, the convert-per-call matching sweep, the
 per-net ``tobytes()`` identical-net merge, and the independent
 ``np.repeat`` net-id expansions.  The k-way FM pass is frozen as it was
 before its sparse setup: dense ``np.add.at`` scatters (an ``npins x k``
-block for ``connect``) and interpreted scans over all k parts.  They exist
+block for ``connect``) and interpreted scans over all k parts.  The
+communication volume is frozen as the per-line ``lambda`` formula it
+was before it counted pairs.  They exist
 solely as the **before** side of ``bench_regress.py`` so the perf
 trajectory in ``BENCH_kernels.json`` measures real, reproducible deltas
 — do not use them from library code, and do not "fix" them: their
@@ -27,6 +29,7 @@ __all__ = [
     "baseline_derived_structures",
     "baseline_kway_setup",
     "baseline_kway_fm_pass",
+    "baseline_communication_volume",
 ]
 
 
@@ -818,3 +821,35 @@ def baseline_kway_fm_pass(
     if not best_feasible:
         return 0, False
     return best_cum, True
+
+
+def _baseline_axis_lambdas(
+    index: np.ndarray, parts: np.ndarray, extent: int, nparts: int
+) -> np.ndarray:
+    """Per-line ``lambda`` through a 2-D boolean scatter table, or the
+    lexsort + adjacent-pair dedup past the same size rule as the kernel."""
+    cells = extent * nparts
+    if cells <= 1 << 16 or (cells <= 32 * index.size and cells <= 1 << 26):
+        seen = np.zeros((extent, nparts), dtype=bool)
+        seen[index, parts] = True
+        return seen.sum(axis=1, dtype=np.int64)
+    order = np.lexsort((parts, index))
+    si, sp = index[order], parts[order]
+    keep = np.empty(si.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = (si[1:] != si[:-1]) | (sp[1:] != sp[:-1])
+    return np.bincount(si[keep], minlength=extent).astype(np.int64)
+
+
+def baseline_communication_volume(matrix, parts: np.ndarray) -> int:
+    """Eqn (3) as the sum of ``max(lambda - 1, 0)`` over per-line arrays."""
+    parts = np.asarray(parts, dtype=np.int64)
+    if parts.size == 0:
+        return 0
+    m, n = matrix.shape
+    nparts = int(parts.max()) + 1
+    row_l = _baseline_axis_lambdas(matrix.rows, parts, m, nparts)
+    col_l = _baseline_axis_lambdas(matrix.cols, parts, n, nparts)
+    return int(
+        np.maximum(row_l - 1, 0).sum() + np.maximum(col_l - 1, 0).sum()
+    )

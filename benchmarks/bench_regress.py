@@ -25,6 +25,11 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
     The same at k=8, on ``sqr_cl_m`` only: its big nets put every
     vertex next to most parts, so the setup stays dense — the row that
     shows the dense regime keeping its cost.
+``volume``
+    The communication volume of a 64-part column-major contiguous
+    split — per-line ``lambda`` arrays summed as ``max(lambda - 1, 0)``
+    vs. the kernel's count of distinct ``(line, part)`` pairs minus the
+    non-empty lines.
 
 Usage::
 
@@ -65,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._baseline_kernels import (
+    baseline_communication_volume,
     baseline_derived_structures,
     baseline_fm_pass,
     baseline_hot_lists,
@@ -73,8 +79,10 @@ from benchmarks._baseline_kernels import (
     baseline_merge_identical,
 )
 from perfbench.common import slowdown
+from repro.core.floor import contiguous_splits
 from repro.core.medium_grain import build_medium_grain
 from repro.core.split import initial_split
+from repro.core.volume import communication_volume
 from repro.hypergraph.models import row_net_model
 from repro.kernels import PYTHON_KERNELS
 from repro.kernels.python_backend import merge_identical_nets
@@ -87,7 +95,7 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 DEFAULT_MATRICES = ("sqr_cl_m", "sym_grid2d_m", "rec_bp_med")
 KERNELS = (
     "fm_pass", "matching", "contraction", "medium_grain_build",
-    "kway_fm_pass", "kway_fm_pass_k8",
+    "kway_fm_pass", "kway_fm_pass_k8", "volume",
 )
 #: Kernels timed on some matrices only (every other kernel runs on all).
 KERNEL_MATRICES = {"kway_fm_pass_k8": ("sqr_cl_m",)}
@@ -307,6 +315,29 @@ def bench_kway_fm_pass(
     return out
 
 
+def bench_volume(matrix, repeats: int, after_only: bool = False) -> dict:
+    """Per-line-``lambda`` volume vs. the pair-counting kernel on the
+    64-part column-major contiguous split (every column in one part,
+    rows cut: the shape of a real partitioning's boundary)."""
+    ceilings = np.full(KWAY_PARTS, -(-matrix.nnz // KWAY_PARTS))
+    parts = contiguous_splits(matrix, ceilings)[1]
+
+    def run_before():
+        return baseline_communication_volume(matrix, parts)
+
+    def run_after():
+        return communication_volume(matrix, parts)
+
+    if run_before() != run_after():
+        raise AssertionError(
+            f"volume drift: baseline {run_before()} != kernel {run_after()}"
+        )
+    out = {"after_s": _calibrated_time(repeats, run_after)}
+    if not after_only:
+        out["before_s"] = _calibrated_time(repeats, run_before)
+    return out
+
+
 BENCH_FNS = {
     "fm_pass": bench_fm_pass,
     "matching": bench_matching,
@@ -314,6 +345,7 @@ BENCH_FNS = {
     "medium_grain_build": bench_medium_grain_build,
     "kway_fm_pass": bench_kway_fm_pass,
     "kway_fm_pass_k8": functools.partial(bench_kway_fm_pass, k=8),
+    "volume": bench_volume,
 }
 
 

@@ -94,9 +94,13 @@ def _kway_vertex_partition(
     degraded = (result.degraded,) if result.degraded else ()
     parts = result.parts
     if vcycles > 1:
+        # A cut-short construction's result already carries its true
+        # cut and feasibility, and the V-cycles will find the deadline
+        # expired: they need not score the same vector again.
         vres = kway_vcycle_refine(
             h, parts, nparts, ceilings, cfg, rng,
             max_cycles=vcycles - 1, deadline=deadline,
+            score=(result.cut, result.feasible) if degraded else None,
         )
         parts = vres.parts
         if vres.degraded:

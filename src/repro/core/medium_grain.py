@@ -36,6 +36,7 @@ forms it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,15 +79,18 @@ class MediumGrainInstance:
         return self.split.matrix
 
     # ------------------------------------------------------------------ #
+    @cached_property
     def _nonzero_groups(self) -> np.ndarray:
         """Group-vertex id per canonical nonzero (``Ar`` entries map to
         their row group, ``Ac`` entries to their column group) — the
-        shared index both lift directions are built on."""
+        shared index both lift directions are built on.  Built once per
+        instance and read-only."""
         a = self.matrix
         ar = self.split.ar_mask
         group = np.empty(a.nnz, dtype=np.int64)
         group[ar] = self.row_group_vertex[a.rows[ar]]
         group[~ar] = self.col_group_vertex[a.cols[~ar]]
+        group.flags.writeable = False
         return group
 
     def nonzero_parts(self, vertex_parts: np.ndarray) -> np.ndarray:
@@ -100,13 +104,7 @@ class MediumGrainInstance:
                 f"got {vertex_parts.shape}"
             )
         vertex_parts = vertex_parts.astype(np.int64, copy=False)
-        a = self.matrix
-        ar = self.split.ar_mask
-        out = np.empty(a.nnz, dtype=np.int64)
-        out[ar] = vertex_parts[self.row_group_vertex[a.rows[ar]]]
-        ac = ~ar
-        out[ac] = vertex_parts[self.col_group_vertex[a.cols[ac]]]
-        return out
+        return vertex_parts[self._nonzero_groups]
 
     def vertex_parts_from_nonzero(self, parts: np.ndarray) -> np.ndarray:
         """Lift a nonzero partitioning that is *constant on every group* to
@@ -128,7 +126,7 @@ class MediumGrainInstance:
         parts = parts.astype(np.int64, copy=False)
         nv = self.hypergraph.nverts
         vparts = np.full(nv, -1, dtype=np.int64)
-        group = self._nonzero_groups()
+        group = self._nonzero_groups
         # Fancy assignment keeps the last writer per group; constancy is
         # then verified in one vectorized comparison.
         vparts[group] = parts
@@ -175,7 +173,7 @@ class MediumGrainInstance:
         # lowest part id, same discipline as the split-side votes) is a
         # genuine majority.
         return majority_parts(
-            self._nonzero_groups(), parts, self.hypergraph.nverts, k
+            self._nonzero_groups, parts, self.hypergraph.nverts, k
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PartitioningError
-from repro.kernels.spmv import axis_lambdas
+from repro.kernels.spmv import axis_lambdas, axis_pair_count
 from repro.sparse.matrix import SparseMatrix
 from repro.utils.balance import max_allowed_part_size as _max_allowed
 from repro.utils.validation import check_pos_int
@@ -77,11 +77,26 @@ def row_col_lambdas(
 def communication_volume(matrix: SparseMatrix, parts: np.ndarray) -> int:
     """Total SpMV communication volume ``V`` of a nonzero partitioning
     (paper eqn (3)): ``sum_i (lambda_row_i - 1) + sum_j (lambda_col_j - 1)``
-    over non-empty rows and columns."""
-    row_l, col_l = row_col_lambdas(matrix, parts)
-    return int(
-        np.maximum(row_l - 1, 0).sum() + np.maximum(col_l - 1, 0).sum()
+    over non-empty rows and columns.
+
+    Every non-empty line has ``lambda >= 1``, so ``V`` is the number of
+    distinct ``(row, part)`` and ``(column, part)`` pairs minus the
+    number of non-empty rows and columns: two pair counts
+    (:func:`repro.kernels.spmv.axis_pair_count`), with no per-line
+    ``lambda`` array.
+    """
+    parts = check_nonzero_parts(matrix, parts)
+    if parts.size == 0:
+        return 0
+    m, n = matrix.shape
+    nparts = int(parts.max()) + 1
+    pairs = axis_pair_count(matrix.rows, parts, m, nparts) + axis_pair_count(
+        matrix.cols, parts, n, nparts
     )
+    nonempty = np.count_nonzero(matrix.nnz_per_row()) + np.count_nonzero(
+        matrix.nnz_per_col()
+    )
+    return pairs - int(nonempty)
 
 
 @dataclass(frozen=True)

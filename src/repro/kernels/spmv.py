@@ -40,6 +40,7 @@ __all__ = [
     "SpMVState",
     "axis_incidences",
     "axis_lambdas",
+    "axis_pair_count",
     "greedy_owners_reference",
     "partial_sums",
 ]
@@ -120,18 +121,41 @@ class SpMVState:
 # --------------------------------------------------------------------- #
 # Distinct (line, part) incidences — the shared group-by primitive.
 # --------------------------------------------------------------------- #
-def _incidences_sorted(
-    index: np.ndarray, parts: np.ndarray, extent: int
+def _pairs_sorted(
+    index: np.ndarray, parts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-based fallback: the seed's lexsort + adjacent-pair dedup."""
+    """Sort-based fallback: the seed's lexsort + adjacent-pair dedup.
+
+    Returns the distinct ``(line, part)`` pairs, sorted by line, then
+    part.
+    """
     order = np.lexsort((parts, index))
     si, sp = index[order], parts[order]
     keep = np.empty(si.size, dtype=bool)
     keep[0] = True
     keep[1:] = (si[1:] != si[:-1]) | (sp[1:] != sp[:-1])
-    lines, flat = si[keep], sp[keep]
-    counts = np.bincount(lines, minlength=extent)
-    return counts, flat
+    return si[keep], sp[keep]
+
+
+def _incidences_sorted(
+    index: np.ndarray, parts: np.ndarray, extent: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line counts and flat part list of :func:`_pairs_sorted`."""
+    lines, flat = _pairs_sorted(index, parts)
+    return np.bincount(lines, minlength=extent), flat
+
+
+def _scatter_table(
+    index: np.ndarray, parts: np.ndarray, extent: int, nparts: int
+) -> np.ndarray:
+    """The boolean ``(extent, nparts)`` table of touched pairs.
+
+    Scattered through flat ``index * nparts + parts`` offsets: one 1-D
+    fancy assignment costs about half the 2-D ``seen[index, parts]``.
+    """
+    seen = np.zeros(extent * nparts, dtype=bool)
+    seen[index * nparts + parts] = True
+    return seen.reshape(extent, nparts)
 
 
 def axis_incidences(
@@ -154,9 +178,7 @@ def axis_incidences(
     if nparts is None:
         nparts = int(parts.max()) + 1
     if _use_scatter(extent, nparts, index.size):
-        seen = np.zeros((extent, nparts), dtype=bool)
-        seen[index, parts] = True
-        lines, flat = np.nonzero(seen)
+        lines, flat = np.nonzero(_scatter_table(index, parts, extent, nparts))
         counts = np.bincount(lines, minlength=extent)
         flat = flat.astype(np.int64, copy=False)
     else:
@@ -183,11 +205,34 @@ def axis_lambdas(
     if nparts is None:
         nparts = int(parts.max()) + 1
     if _use_scatter(extent, nparts, index.size):
-        seen = np.zeros((extent, nparts), dtype=bool)
-        seen[index, parts] = True
+        seen = _scatter_table(index, parts, extent, nparts)
         return seen.sum(axis=1, dtype=np.int64)
     counts, _ = _incidences_sorted(index, parts, extent)
     return counts.astype(np.int64)
+
+
+def axis_pair_count(
+    index: np.ndarray,
+    parts: np.ndarray,
+    extent: int,
+    nparts: int | None = None,
+) -> int:
+    """Number of distinct ``(line, part)`` pairs on one axis.
+
+    Equals ``axis_lambdas(...).sum()`` without building the per-line
+    array: one ``np.count_nonzero`` over the scatter table, or the
+    number of pairs the sort path keeps.  The volume of eqn (3) is this
+    count over both axes minus the non-empty lines.
+    """
+    if index.size == 0:
+        return 0
+    if nparts is None:
+        nparts = int(parts.max()) + 1
+    if _use_scatter(extent, nparts, index.size):
+        return int(
+            np.count_nonzero(_scatter_table(index, parts, extent, nparts))
+        )
+    return int(_pairs_sorted(index, parts)[0].size)
 
 
 # --------------------------------------------------------------------- #

@@ -159,6 +159,7 @@ def kway_vcycle_refine(
     max_cycles: int = 3,
     *,
     deadline: Deadline | None = None,
+    score: tuple[int, bool] | None = None,
 ) -> VCycleResult:
     """Refine a k-way partitioning of ``h`` with repeated V-cycles.
 
@@ -181,7 +182,9 @@ def kway_vcycle_refine(
     ``feasible`` flag always reports the returned vector's true state.
 
     ``max_cycles=0`` is a pure no-op returning the input cut; so are
-    ``nparts=1`` and empty hypergraphs (nothing to refine).
+    ``nparts=1`` and empty hypergraphs (nothing to refine).  ``score``
+    is the input's ``(cut, feasible)`` when the caller already knows
+    it; the input is then not scored again.
 
     The keep-best contract is what makes an optional ``deadline`` safe
     here: the incumbent is a complete, scored partitioning before every
@@ -208,8 +211,12 @@ def kway_vcycle_refine(
         raise PartitioningError("max_cycles must be non-negative")
 
     best = parts
-    best_cut = connectivity_volume(h, best)
-    best_feasible = _parts_feasible(h, best, nparts, ceilings)
+    if score is None:
+        score = (
+            connectivity_volume(h, best),
+            _parts_feasible(h, best, nparts, ceilings),
+        )
+    best_cut, best_feasible = int(score[0]), bool(score[1])
     cuts = [best_cut]
     cycles = 0
     # A total weight above the combined ceilings is unrepairable by any

@@ -65,15 +65,6 @@ def _seed_for(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def _sym(factory: Callable[[int], SparseMatrix]) -> Callable[[int], SparseMatrix]:
-    """Wrap a factory so its output is symmetrized."""
-
-    def wrapped(seed: int) -> SparseMatrix:
-        return gen.symmetrize(factory(seed))
-
-    return wrapped
-
-
 def _registry() -> list[CollectionEntry]:
     """The full declarative instance table."""
     R = MatrixClass.RECTANGULAR

@@ -22,13 +22,15 @@ bugs in sparse code, so one dtype is enforced at the boundary.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import SparseFormatError
 from repro.utils.validation import check_axis_pair
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["SparseMatrix"]
 
@@ -287,6 +289,10 @@ class SparseMatrix:
     @classmethod
     def from_scipy(cls, a: sp.spmatrix | sp.sparray) -> "SparseMatrix":
         """Build from any SciPy sparse matrix/array (pattern + values)."""
+        # SciPy is imported here, not at module level: it is the only
+        # user, and the import costs most of ``import repro``.
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix(a)
         return cls(coo.shape, coo.row, coo.col, coo.data)
 
@@ -307,6 +313,8 @@ class SparseMatrix:
 
     def to_scipy(self, fmt: str = "csr") -> sp.spmatrix:
         """Convert to a SciPy sparse matrix (``csr``, ``csc``, or ``coo``)."""
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix(
             (self._vals, (self._rows, self._cols)), shape=self._shape
         )

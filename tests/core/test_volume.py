@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.volume import (
     communication_volume,
@@ -15,6 +16,7 @@ from repro.core.volume import (
     volume_breakdown,
 )
 from repro.errors import PartitioningError
+from repro.kernels.spmv import _use_scatter
 from repro.sparse.matrix import SparseMatrix
 from tests.conftest import matrices_with_parts
 
@@ -93,6 +95,49 @@ class TestCommunicationVolume:
         assert communication_volume(matrix, parts) == communication_volume(
             matrix, perm[parts]
         )
+
+
+#: Empty lines that push an axis past the scatter table's size rule, so
+#: its pairs are counted on the sort path.
+_SORT_PATH_PAD = 70_000
+
+
+class TestCountingVolume:
+    """``communication_volume`` counts distinct (line, part) pairs; it must
+    equal the per-line eqn-(2) sum over :func:`row_col_lambdas`."""
+
+    @staticmethod
+    def _lambda_sum(matrix, parts):
+        row_l, col_l = row_col_lambdas(matrix, parts)
+        return int(
+            np.maximum(row_l - 1, 0).sum() + np.maximum(col_l - 1, 0).sum()
+        )
+
+    @given(
+        matrices_with_parts(nparts_max=5),
+        st.integers(1, 3),
+        st.sampled_from([(0, 0), (_SORT_PATH_PAD, 0), (0, _SORT_PATH_PAD)]),
+    )
+    def test_equals_lambda_sum(self, case, stride, pad):
+        """Empty rows and columns, unused part ids (ids spread by
+        ``stride``), p = 1, and an axis long enough for the sort path."""
+        matrix, parts, _nparts = case
+        m, n = matrix.shape
+        matrix = SparseMatrix(
+            (m + pad[0], n + pad[1]), matrix.rows, matrix.cols
+        )
+        parts = parts * stride
+        assert communication_volume(matrix, parts) == self._lambda_sum(
+            matrix, parts
+        )
+
+    def test_padding_takes_the_sort_path(self):
+        assert not _use_scatter(_SORT_PATH_PAD + 1, 1, 60)
+        assert _use_scatter(12, 15, 1)
+
+    def test_empty_matrix(self):
+        a = SparseMatrix((3, 2), [], [])
+        assert communication_volume(a, np.zeros(0, dtype=np.int64)) == 0
 
 
 class TestBalanceMetrics:
