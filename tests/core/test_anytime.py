@@ -578,44 +578,6 @@ def test_contiguous_splits_fit_the_ceilings(matrix, ceilings):
     )
 
 
-def test_floor_is_computed_once_per_ceilings(monkeypatch):
-    import repro.core.floor as floor_mod
-
-    calls = []
-    real = floor_mod.contiguous_splits
-
-    def counting(m, ceilings):
-        calls.append(tuple(np.asarray(ceilings).tolist()))
-        return real(m, ceilings)
-
-    monkeypatch.setattr(floor_mod, "contiguous_splits", counting)
-    fresh = load_instance(INSTANCE).select(np.arange(400))
-    first = floor_split(fresh, (210, 210))
-    again = floor_split(fresh, np.array([210, 210]))
-    assert calls == [(210, 210)]
-    assert again[0] is first[0] and again[1] == first[1]
-    other = floor_split(fresh, (250, 170))
-    assert calls == [(210, 210), (250, 170)]
-    assert floor_split(fresh, (210, 210))[0] is first[0]
-    assert floor_split(fresh, (250, 170))[0] is other[0]
-    assert len(calls) == 2
-
-
-def test_mutating_a_kept_floor_leaves_the_memo_unchanged(matrix):
-    ceilings = (max_allowed_part_size(matrix.nnz, 2, 0.03),) * 2
-    lopsided = np.zeros(matrix.nnz, dtype=np.int64)  # infeasible: floor wins
-    memo, memo_volume = floor_split(matrix, ceilings)
-    expected = memo.copy()
-    kept, volume = keep_best(matrix, lopsided, ceilings)
-    assert volume == memo_volume
-    np.testing.assert_array_equal(kept, expected)
-    kept[:] = 1
-    again, again_volume = floor_split(matrix, ceilings)
-    np.testing.assert_array_equal(again, expected)
-    assert again_volume == memo_volume
-    assert keep_best(matrix, lopsided, ceilings)[1] == memo_volume
-
-
 def test_keep_best_prefers_feasible_then_lower_volume(matrix):
     ceiling = max_allowed_part_size(matrix.nnz, 2, 0.03)
     lopsided = np.zeros(matrix.nnz, dtype=np.int64)  # volume 0, infeasible
