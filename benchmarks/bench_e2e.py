@@ -104,7 +104,6 @@ from repro.eval.sweep import RunSpec, run_sweep
 from repro.partitioner.config import get_config
 from repro.sparse.collection import build_collection, load_instance
 from repro.utils.executor import (
-    JobsBudget,
     MatrixExecutor,
     RetryPolicy,
     payload_audit,
@@ -722,11 +721,10 @@ def run_smoke(jobs: int) -> int:
         strip = lambda rs: [
             dataclasses.replace(r, seconds=0.0) for r in rs
         ]
-        for sweep_jobs in (jobs, JobsBudget(jobs)):
-            records = list(run_sweep(specs, jobs=sweep_jobs))
-            if strip(records) != strip(serial_records):
-                print(f"FAIL sweep {name} jobs={sweep_jobs}")
-                failures += 1
+        records = list(run_sweep(specs, jobs=jobs))
+        if strip(records) != strip(serial_records):
+            print(f"FAIL sweep {name} jobs={jobs}")
+            failures += 1
         serial = partition(
             matrix, 4, method="mediumgrain", seed=BASE_SEED,
             config=cfg, jobs=1,

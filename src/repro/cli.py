@@ -12,9 +12,9 @@ Five subcommands:
 ``experiment``
     Regenerate a paper artifact (fig3, fig4, fig5, table1, fig6, table2,
     or ``all``) and write text + CSV reports to an output directory.
-    ``--jobs N`` runs the underlying sweep on N worker processes
-    (``--jobs 0`` = CPU count); results are bit-identical to the serial
-    sweep.
+    ``--jobs N`` is the underlying sweep's total worker budget
+    (``--jobs 0`` = CPU count), split between sweep and recursion
+    workers; results are bit-identical to the serial sweep.
 
 ``serve``
     Run the always-available partitioning daemon (:mod:`repro.serve`):
@@ -57,7 +57,7 @@ import dataclasses
 from repro.core.methods import ALGO_NAMES, METHOD_NAMES, bipartition
 from repro.core.recursive import partition
 from repro.eval import experiments as exp
-from repro.utils.executor import JobsBudget, RetryPolicy
+from repro.utils.executor import RetryPolicy
 from repro.partitioner.config import get_config
 from repro.sparse.collection import collection_names, load_instance
 from repro.sparse.io_mm import read_matrix_market
@@ -500,10 +500,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
     wanted = args.artifact
-    # One composable budget for the whole run: the sweep engine splits it
-    # between sweep-level workers and the recursion workers inside the
-    # p = 64 artifacts, so nested parallelism never oversubscribes.
-    args.jobs = JobsBudget.resolve(args.jobs) if args.jobs != 1 else 1
     policy = RetryPolicy.resolve(args.task_timeout, args.retries)
     reports: list[exp.ExperimentReport] = []
     if wanted in ("fig3", "all"):

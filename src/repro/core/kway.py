@@ -50,8 +50,9 @@ from repro.core.split import initial_split
 from repro.core.validate import validate_parts
 from repro.core.volume import (
     communication_volume,
-    imbalance,
+    load_balance,
     max_part_size,
+    part_sizes,
 )
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
@@ -231,14 +232,16 @@ def partition_kway(
     validate_parts(parts, n, nparts, context=f"kway:{method}")
     if volume is None:
         volume = communication_volume(matrix, parts)
-    biggest = max_part_size(matrix, parts, nparts)
+    biggest, imbalance = load_balance(
+        part_sizes(matrix, parts, nparts), matrix.nnz
+    )
     return PartitionResult(
         parts=parts,
         nparts=nparts,
         volume=volume,
         max_part=biggest,
         feasible=biggest <= ceiling,
-        imbalance=imbalance(matrix, parts, nparts),
+        imbalance=imbalance,
         seconds=timer.elapsed,
         method=method
         + ("+ml" if nparts > 1 else "")

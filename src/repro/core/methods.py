@@ -33,11 +33,7 @@ from repro.core.floor import keep_best
 from repro.core.medium_grain import build_medium_grain
 from repro.core.refine import RefinementTrace, iterative_refine
 from repro.core.split import initial_split
-from repro.core.volume import (
-    communication_volume,
-    imbalance,
-    max_part_size,
-)
+from repro.core.volume import load_balance, max_part_size, part_sizes
 from repro.errors import PartitioningError
 from repro.hypergraph.models import (
     HypergraphModel,
@@ -201,17 +197,20 @@ def _bipartition(
     details: dict = {}
     timer = Timer()
     with timer:
+        # Every engine returns its answer's connectivity-1 cut, which
+        # *is* the matrix volume (eqn (6)); it seeds Algorithm 2 and the
+        # floor comparison, so the answer is scored once.
         if method == "localbest":
-            parts, degraded = _run_localbest(
+            parts, volume, degraded = _run_localbest(
                 matrix, eps, cfg, rng, max_weights, details, deadline
             )
         elif method == "mediumgrain":
-            parts, degraded = _run_medium_grain(
+            parts, volume, degraded = _run_medium_grain(
                 matrix, eps, cfg, rng, max_weights, details, deadline
             )
         else:
             model = _build_model(matrix, method)
-            parts, degraded = _partition_model(
+            parts, volume, degraded = _partition_model(
                 model, eps, cfg, rng, max_weights, deadline
             )
         trace: Optional[RefinementTrace] = None
@@ -223,38 +222,31 @@ def _bipartition(
                 cfg,
                 rng,
                 max_weights=max_weights,
+                initial_volume=volume,
                 deadline=deadline,
             )
+            volume = trace.final_volume
             if trace.degraded is not None:
                 degraded += (trace.degraded,)
-        volume = None
         if degraded:
-            parts, volume = keep_best(matrix, parts, max_weights)
+            parts, volume = keep_best(matrix, parts, max_weights, volume)
 
-    if volume is None:
-        volume = communication_volume(matrix, parts)
-    biggest = max_part_size(matrix, parts, 2)
+    sizes = part_sizes(matrix, parts, 2)
+    biggest, imbalance = load_balance(sizes, matrix.nnz)
     return BipartitionResult(
         parts=parts,
         volume=volume,
         method=method + ("+ir" if refine else ""),
         max_part=biggest,
-        feasible=biggest <= max(max_weights)
-        and _side_feasible(matrix, parts, max_weights),
-        imbalance=imbalance(matrix, parts, 2),
+        feasible=bool(
+            sizes[0] <= max_weights[0] and sizes[1] <= max_weights[1]
+        ),
+        imbalance=imbalance,
         seconds=timer.elapsed,
         refinement=trace,
         details=details,
         degraded=degraded,
     )
-
-
-def _side_feasible(
-    matrix: SparseMatrix, parts: np.ndarray, max_weights: tuple[int, int]
-) -> bool:
-    n1 = int(parts.sum())
-    n0 = matrix.nnz - n1
-    return n0 <= max_weights[0] and n1 <= max_weights[1]
 
 
 def _build_model(matrix: SparseMatrix, method: str) -> HypergraphModel:
@@ -274,13 +266,15 @@ def _partition_model(
     rng: np.random.Generator,
     max_weights: tuple[int, int],
     deadline: Deadline | None = None,
-) -> tuple[np.ndarray, tuple[Degraded, ...]]:
+) -> tuple[np.ndarray, int, tuple[Degraded, ...]]:
+    """Bipartition ``model``; returns the nonzero parts, their volume
+    (the model's cut) and the degradation records."""
     result = bipartition_hypergraph(
         model.hypergraph, eps, cfg, rng, max_weights=max_weights,
         deadline=deadline,
     )
     degraded = (result.degraded,) if result.degraded else ()
-    return model.nonzero_parts(result.parts), degraded
+    return model.nonzero_parts(result.parts), result.cut, degraded
 
 
 def _run_localbest(
@@ -291,7 +285,7 @@ def _run_localbest(
     max_weights: tuple[int, int],
     details: dict,
     deadline: Deadline | None = None,
-) -> tuple[np.ndarray, tuple[Degraded, ...]]:
+) -> tuple[np.ndarray, int, tuple[Degraded, ...]]:
     """Row-net and column-net, keep the lower communication volume
     (ties: better balance, then row-net)."""
     best_parts: np.ndarray | None = None
@@ -299,20 +293,17 @@ def _run_localbest(
     all_degraded: tuple[Degraded, ...] = ()
     for name in ("rownet", "colnet"):
         model = _build_model(matrix, name)
-        parts, degraded = _partition_model(
+        parts, volume, degraded = _partition_model(
             model, eps, cfg, rng, max_weights, deadline
         )
         all_degraded += degraded
-        key = (
-            communication_volume(matrix, parts),
-            max_part_size(matrix, parts, 2),
-        )
+        key = (volume, max_part_size(matrix, parts, 2))
         if best_key is None or key < best_key:
             best_parts, best_key = parts, key
             details["localbest_choice"] = name
             details["localbest_volume"] = key[0]
     assert best_parts is not None
-    return best_parts, all_degraded
+    return best_parts, best_key[0], all_degraded
 
 
 def _run_medium_grain(
@@ -323,9 +314,11 @@ def _run_medium_grain(
     max_weights: tuple[int, int],
     details: dict,
     deadline: Deadline | None = None,
-) -> tuple[np.ndarray, tuple[Degraded, ...]]:
+) -> tuple[np.ndarray, int, tuple[Degraded, ...]]:
     """Algorithm-1 split, composite hypergraph, multilevel bipartitioning,
-    eqn-(5) mapping back to the nonzeros."""
+    eqn-(5) mapping back to the nonzeros; returns the parts, their
+    volume (the composite hypergraph's cut) and the degradation
+    records."""
     split = initial_split(matrix, rng)
     instance = build_medium_grain(split)
     details["mg_vertices"] = instance.hypergraph.nverts
@@ -335,4 +328,4 @@ def _run_medium_grain(
         deadline=deadline,
     )
     degraded = (result.degraded,) if result.degraded else ()
-    return instance.nonzero_parts(result.parts), degraded
+    return instance.nonzero_parts(result.parts), result.cut, degraded

@@ -54,8 +54,8 @@ from repro.core.methods import _bipartition
 from repro.core.validate import validate_parts
 from repro.core.volume import (
     communication_volume,
-    imbalance,
-    max_part_size,
+    load_balance,
+    part_sizes,
 )
 from repro.errors import PartitioningError, ResultValidationError
 from repro.obs import trace as _trace
@@ -297,14 +297,16 @@ def partition(
     if volume is None:
         volume = communication_volume(matrix, parts)
     observe_overshoot(deadline, "recursive")
-    biggest = max_part_size(matrix, parts, nparts)
+    biggest, imbalance = load_balance(
+        part_sizes(matrix, parts, nparts), matrix.nnz
+    )
     return PartitionResult(
         parts=parts,
         nparts=nparts,
         volume=volume,
         max_part=biggest,
         feasible=biggest <= ceiling,
-        imbalance=imbalance(matrix, parts, nparts),
+        imbalance=imbalance,
         seconds=timer.elapsed,
         method=method + ("+ir" if refine else ""),
         bisection_volumes=[volumes[p] for p in sorted(volumes)],

@@ -28,6 +28,7 @@ __all__ = [
     "part_sizes",
     "max_part_size",
     "imbalance",
+    "load_balance",
     "max_allowed_part_size",
     "satisfies_balance",
 ]
@@ -144,7 +145,17 @@ def imbalance(matrix: SparseMatrix, parts: np.ndarray, nparts: int) -> float:
     """
     if matrix.nnz == 0:
         return 0.0
-    return max_part_size(matrix, parts, nparts) / (matrix.nnz / nparts) - 1.0
+    return load_balance(part_sizes(matrix, parts, nparts), matrix.nnz)[1]
+
+
+def load_balance(sizes: np.ndarray, nnz: int) -> tuple[int, float]:
+    """``max_k |A_k|`` and the :func:`imbalance` of the per-part
+    ``sizes`` (a :func:`part_sizes` vector over ``nnz`` nonzeros), so a
+    caller that needs both pays one :func:`part_sizes` call."""
+    biggest = int(sizes.max(initial=0))
+    if nnz == 0:
+        return biggest, 0.0
+    return biggest, biggest / (nnz / sizes.size) - 1.0
 
 
 def max_allowed_part_size(nnz: int, nparts: int, eps: float) -> int:

@@ -149,9 +149,10 @@ class ResultValidationError(ExecutionError):
 class ShmAttachError(ExecutionError):
     """Attaching a shared-memory matrix segment failed (evicted/unlinked).
 
-    Callers holding the instance name may fall back to rebuilding the
-    matrix by name (the sweep engine does); the message names both the
-    segment and the matrix so the fallback path is obvious from logs.
+    Raised in the worker that attaches (the recursion pool and the
+    serving daemon's workers); the dispatch loop retries the task like
+    any other failure.  The message names both the segment and the
+    matrix, so logs say which matrix vanished.
     """
 
 

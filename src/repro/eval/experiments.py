@@ -154,7 +154,7 @@ def collect_paper_runs(
     with_bsp: bool = False,
     min_nnz: int = 0,
     progress: bool = False,
-    jobs: "int | None | JobsBudget" = 1,
+    jobs: int | None = 1,
     algo: str = "recursive",
     kway_vcycles: int = 1,
     policy: RetryPolicy = RetryPolicy(),
@@ -209,7 +209,7 @@ def collect_kway_runs(
     with_bsp: bool = True,
     min_nnz: int = 6400,
     progress: bool = False,
-    jobs: "int | None | JobsBudget" = 1,
+    jobs: int | None = 1,
     policy: RetryPolicy = RetryPolicy(),
 ) -> ExperimentData:
     """Mediumgrain p-way runs of the direct multilevel k-way engine.

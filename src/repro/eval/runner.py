@@ -179,7 +179,7 @@ def run_methods(
     base_seed: int = 2014,
     with_bsp: bool = False,
     progress: bool = False,
-    jobs: "int | None | JobsBudget" = 1,
+    jobs: int | None = 1,
     algo: str = "recursive",
     kway_vcycles: int = 1,
     policy: RetryPolicy = RetryPolicy(),
@@ -209,12 +209,11 @@ def run_methods(
     progress:
         Print one line per instance (useful for the long benches).
     jobs:
-        Worker processes; 1 (default) runs serially in this process,
-        ``None``/0 uses the CPU count.  A
-        :class:`~repro.utils.executor.JobsBudget` splits its total
-        between sweep-level workers and recursion-level workers inside
-        each p-way run (no nested-pool oversubscription).  Results are
-        bit-identical to the serial sweep apart from the measured
+        Total worker budget; 1 (default) runs serially in this process,
+        ``None``/0 uses the CPU count.  The sweep splits it between
+        sweep-level workers and recursion-level workers inside each
+        p-way run (see :func:`~repro.eval.sweep.run_sweep`).  Results
+        are bit-identical to the serial sweep apart from the measured
         ``seconds``.
     algo:
         p-way partitioning scheme for ``nparts > 2`` runs:

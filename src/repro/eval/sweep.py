@@ -20,19 +20,19 @@ items:
     dispatches chunks to the shared execution layer's persistent worker
     pool (:func:`repro.utils.executor.process_pool` — the same pool
     recursive bisection schedules its tree on, shut down once via
-    atexit).  Chunks follow instance boundaries so each worker's matrix
-    cache (:func:`~repro.sparse.collection.load_instance` is memoized
-    per process, and the kernel/SpMV states hang off the cached objects)
-    stays hot for a whole instance.  Because every record is determined
-    by its spec alone, the parallel sweep is **bit-identical** to the
-    serial one — same seeds, volumes, feasibility, BSP costs, and
-    ordering — apart from the measured wall-clock ``seconds``.
-
-    ``jobs`` also accepts a :class:`~repro.utils.executor.JobsBudget`:
-    the total is then *split* between sweep-level workers and the
-    recursion-level workers inside each p-way run (``outer * inner <=
-    total``), so ``experiment --jobs N`` composes across both levels
-    instead of oversubscribing with nested pools.
+    atexit).  A chunk ships its instance *name*, and chunks follow
+    instance boundaries so each worker's matrix cache
+    (:func:`~repro.sparse.collection.load_instance` is memoized per
+    process, and the kernel/SpMV states hang off the cached objects)
+    stays hot for a whole instance.  ``jobs`` is one total worker
+    budget, split between sweep-level workers and the recursion-level
+    workers inside each p-way run (``outer * inner <= total``, see
+    :func:`~repro.utils.parallel.split_jobs`), so ``experiment --jobs
+    N`` composes across both levels instead of oversubscribing with
+    nested pools.  Because every record is determined by its spec
+    alone, the parallel sweep is **bit-identical** to the serial one —
+    same seeds, volumes, feasibility, BSP costs, and ordering — apart
+    from the measured wall-clock ``seconds``.
 """
 
 from __future__ import annotations
@@ -50,22 +50,11 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.validate import validate_run_record
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.errors import (
-    EvaluationError,
-    ResultValidationError,
-    ShmAttachError,
-)
+from repro.errors import EvaluationError, ResultValidationError
 from repro.sparse.collection import CollectionEntry, load_instance
 from repro.utils import faults
-from repro.utils.executor import (
-    STORE_CAP,
-    JobsBudget,
-    RetryPolicy,
-    SharedMatrixStore,
-    resilient_map,
-    run_inline,
-)
-from repro.utils.parallel import resolve_jobs as _resolve_jobs
+from repro.utils.executor import RetryPolicy, resilient_map, run_inline
+from repro.utils.parallel import resolve_jobs, split_jobs
 from repro.utils.rng import spawn_seeds
 
 _SWEEP_CHUNKS = _metrics.counter(
@@ -82,7 +71,6 @@ __all__ = [
     "execute_runspec",
     "run_sweep",
     "SweepCheckpoint",
-    "resolve_jobs",
 ]
 
 
@@ -174,30 +162,24 @@ def build_runspecs(
     return specs
 
 
-def execute_runspec(spec: RunSpec, matrix=None, jobs: int = 1):
+def execute_runspec(spec: RunSpec, jobs: int = 1):
     """Execute one work item and return its :class:`RunRecord`.
 
     Importable at module level (process-pool workers pickle the function
     by reference).  The heavy per-instance objects — the matrix, its
     hypergraph models, kernel states — are cached per process via
-    :func:`load_instance` and the object caches hanging off it;
-    ``matrix`` short-circuits the load when the caller already holds the
-    instance (shared-memory chunk delivery hands workers the published
-    matrix instead of rebuilding it by name).  ``jobs`` is the
-    recursion-level worker count inside a p-way run (a
-    :class:`~repro.utils.executor.JobsBudget` split hands it down); a
-    speed knob only, the record is bit-identical for every value.
+    :func:`load_instance` and the object caches hanging off it.
+    ``jobs`` is the recursion-level worker count inside a p-way run
+    (:func:`run_sweep` hands down its budget's inner share); a speed
+    knob only, the record is bit-identical for every value.
     """
-    import dataclasses
-
     from repro.core.methods import bipartition
     from repro.core.recursive import partition
     from repro.eval.runner import RunRecord
     from repro.partitioner.config import get_config
     from repro.spmv.bsp import bsp_cost
 
-    if matrix is None:
-        matrix = load_instance(spec.instance)
+    matrix = load_instance(spec.instance)
     cfg = get_config(spec.config)
     if spec.kway_vcycles != cfg.kway_vcycles:
         cfg = dataclasses.replace(cfg, kway_vcycles=spec.kway_vcycles)
@@ -226,12 +208,11 @@ def execute_runspec(spec: RunSpec, matrix=None, jobs: int = 1):
     if spec.with_bsp:
         bsp = bsp_cost(matrix, res.parts, spec.nparts).cost
     if spec.verify_spmv:
-        from repro.errors import EvaluationError as _EvalError
         from repro.spmv.simulate import simulate_spmv
 
         report = simulate_spmv(matrix, res.parts, spec.nparts)
         if report.volume != res.volume:
-            raise _EvalError(
+            raise EvaluationError(
                 f"simulated SpMV volume {report.volume} disagrees with "
                 f"partitioner volume {res.volume} on {spec.instance}"
             )
@@ -251,37 +232,20 @@ def execute_runspec(spec: RunSpec, matrix=None, jobs: int = 1):
     )
 
 
-def _execute_chunk_shm(payload) -> list:
-    """Execute one chunk of specs in order (worker or driver).
+def _execute_chunk(payload) -> list:
+    """Execute one ``(instance, specs, jobs)`` chunk in order (worker or
+    driver).
 
-    The payload carries a :class:`~repro.utils.executor.MatrixHandle`
-    (a few dozen bytes) instead of relying on the worker rebuilding the
-    instance by name; attaching is zero-copy and cached per process, so
-    consecutive chunks of one instance in one worker share the matrix
-    object — and with it the kernel/SpMV state caches — exactly like the
-    name-loaded path did.  A ``None`` handle (the parent paced its
-    publications past the store cap, or the driver runs the chunk
-    itself) or an already-evicted segment falls back to the by-name
-    load; records are identical either way.  ``jobs`` is the
-    recursion-level worker count of every p-way run in the chunk.
+    The payload names the instance; every spec loads it through the
+    memoized :func:`load_instance`, so consecutive chunks of one
+    instance in one worker share the matrix object — and with it the
+    kernel/SpMV state caches.  ``jobs`` is the recursion-level worker
+    count of every p-way run in the chunk.
     """
-    handle, name, specs, jobs = payload
+    name, specs, jobs = payload
     faults.fault_point("sweep.chunk")
-    with _trace.span(
-        "sweep.chunk", instance=name, nspecs=len(specs),
-        shm=handle is not None,
-    ):
-        if handle is None:
-            matrix = load_instance(name)
-        else:
-            try:
-                matrix = handle.open()
-            except ShmAttachError:
-                matrix = load_instance(name)
-        records = [
-            execute_runspec(spec, matrix=matrix, jobs=jobs)
-            for spec in specs
-        ]
+    with _trace.span("sweep.chunk", instance=name, nspecs=len(specs)):
+        records = [execute_runspec(spec, jobs=jobs) for spec in specs]
     return faults.fault_point("sweep.result", records)
 
 
@@ -294,11 +258,6 @@ def _chunk_by_instance(specs: Sequence[RunSpec]) -> list[list[RunSpec]]:
         else:
             chunks.append([spec])
     return chunks
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``jobs`` request: ``None``/``0`` means the CPU count."""
-    return _resolve_jobs(jobs, error=EvaluationError)
 
 
 def _sweep_fingerprint(specs: Sequence[RunSpec]) -> str:
@@ -505,31 +464,31 @@ def _annotate(record, briefs: tuple):
 def run_sweep(
     specs: Sequence[RunSpec],
     *,
-    jobs: "int | None | JobsBudget" = 1,
+    jobs: int | None = 1,
     progress: bool = False,
     policy: RetryPolicy = RetryPolicy(),
     checkpoint=None,
 ) -> Iterator:
     """Execute specs and yield their records in spec order.
 
-    ``jobs=1`` runs inline; ``jobs>=2`` dispatches instance-aligned
-    chunks to the shared persistent process pool (splitting down to
-    per-run items when there are fewer instances than workers) through
-    the execution layer's one dispatch loop
+    ``jobs`` is the total worker budget (``None``/``0`` = CPU count),
+    spent under one rule: the sweep cuts instance-aligned chunks (per-run
+    items when there are fewer instances than workers, so no worker
+    idles), then :func:`~repro.utils.parallel.split_jobs` divides the
+    budget into sweep workers and the recursion workers that ride each
+    chunk into :func:`execute_runspec`'s ``jobs``.  One sweep worker
+    runs inline; more dispatch their chunks to the shared persistent
+    process pool through the execution layer's one dispatch loop
     (:func:`~repro.utils.executor.resilient_map`), which keeps at most
     ``2 * workers`` chunks in flight and streams records in spec order
-    as soon as every earlier chunk is done.  A
-    :class:`~repro.utils.executor.JobsBudget` instead *splits* its total
-    between sweep workers and the recursion workers inside each p-way
-    run — chunks then stay instance-aligned and the remainder of the
-    budget rides each chunk into :func:`execute_runspec`'s ``jobs``.
-    Records are bit-identical across every ``jobs`` value except for the
-    measured ``seconds`` (and any ``failures`` annotations — like
-    ``seconds``, they describe how a run went, not its result).
+    as soon as every earlier chunk is done.  Records are bit-identical
+    across every ``jobs`` value except for the measured ``seconds``
+    (and any ``failures`` annotations — like ``seconds``, they describe
+    how a run went, not its result).
 
-    Each chunk ships a :class:`~repro.utils.executor.MatrixHandle` to its
-    worker, which attaches the published instance zero-copy instead of
-    rebuilding it by name.  Chunk payloads are folded into any active
+    Each chunk ships its instance name, and the worker loads the matrix
+    through the memoized :func:`~repro.sparse.collection.load_instance`.
+    Chunk payloads are folded into any active
     :func:`~repro.utils.executor.payload_audit`.
 
     An armed ``policy`` (a :class:`~repro.utils.executor.RetryPolicy`)
@@ -551,11 +510,7 @@ def run_sweep(
     records in place — merged output bit-identical to an uninterrupted
     sweep.
     """
-    inner = None
-    if isinstance(jobs, JobsBudget):
-        jobs, inner = jobs.split(len(_chunk_by_instance(specs)))
-    else:
-        jobs = resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs, error=EvaluationError)
     journal = (
         SweepCheckpoint(checkpoint, specs) if checkpoint is not None
         else None
@@ -565,9 +520,7 @@ def run_sweep(
             pending = [s for s in specs if s.index not in journal.done]
         else:
             pending = list(specs)
-        stream = _execute_pending(
-            pending, jobs, policy, progress, inner
-        )
+        stream = _execute_pending(pending, jobs, policy, progress)
         try:
             for spec in specs:
                 if journal is not None and spec.index in journal.done:
@@ -594,44 +547,40 @@ def _execute_pending(
     jobs: int,
     policy: RetryPolicy,
     progress: bool,
-    inner: int | None,
 ) -> Iterator:
     """Yield records for ``specs`` in order (the dispatch half of
-    :func:`run_sweep`, after checkpoint filtering).  ``inner`` is a
-    :class:`~repro.utils.executor.JobsBudget`'s recursion-level share,
-    ``None`` without a budget."""
-    inner_jobs = inner or 1
-    if jobs == 1 or len(specs) <= 1:
-        # Inline, one spec at a time: the serial path *is* the
-        # degradation ladder's bottom rung.
-        last = None
-        for spec in specs:
-            if progress and spec.instance != last:  # pragma: no cover
-                print(f"[sweep] {spec.instance}", flush=True)
-                last = spec.instance
-            _SWEEP_CHUNKS.inc()
-            records, fails = run_inline(
-                lambda spec=spec: _checked_chunk([spec], inner_jobs),
-                policy=policy, label=spec.instance,
-            )
-            yield _annotate(records[0], tuple(f.brief() for f in fails))
-        return
+    :func:`run_sweep`, after checkpoint filtering) under the total
+    worker budget ``jobs``."""
     chunks = _chunk_by_instance(specs)
-    if len(chunks) < jobs and inner is None:
+    if len(chunks) < jobs:
         # Fewer instances than workers (e.g. many seeds of one matrix):
         # instance-aligned chunks would leave workers idle, so fall back
         # to per-run items — cache locality matters less than an empty
-        # pool.  (Not under a budget: the leftover went to the inner
-        # level.)
+        # pool.
         chunks = [[spec] for spec in specs]
-    workers = min(jobs, len(chunks))
-    _SWEEP_CHUNKS.inc(len(chunks))
-    yield from _run_chunks(chunks, workers, policy, progress, inner_jobs)
+    workers, inner = split_jobs(jobs, len(chunks))
+    if workers > 1:
+        _SWEEP_CHUNKS.inc(len(chunks))
+        yield from _run_chunks(chunks, workers, policy, progress, inner)
+        return
+    # Inline, one spec at a time: the serial path *is* the degradation
+    # ladder's bottom rung.
+    last = None
+    for spec in specs:
+        if progress and spec.instance != last:  # pragma: no cover
+            print(f"[sweep] {spec.instance}", flush=True)
+            last = spec.instance
+        _SWEEP_CHUNKS.inc()
+        records, fails = run_inline(
+            lambda spec=spec: _checked_chunk([spec], inner),
+            policy=policy, label=spec.instance,
+        )
+        yield _annotate(records[0], tuple(f.brief() for f in fails))
 
 
 def _checked_chunk(chunk: list[RunSpec], jobs: int) -> list:
-    """The driver's own by-name execution of a chunk, validated."""
-    records = _execute_chunk_shm((None, chunk[0].instance, chunk, jobs))
+    """The driver's own execution of a chunk, validated."""
+    records = _execute_chunk((chunk[0].instance, chunk, jobs))
     _validate_chunk_records(chunk, records)
     return records
 
@@ -643,70 +592,31 @@ def _run_chunks(
     progress: bool,
     jobs: int,
 ) -> Iterator:
-    """Dispatch chunks to the shared process pool via the matrix store.
+    """Dispatch chunks to the shared process pool.
 
-    Chunks are instance-aligned, so each ships one
-    :class:`~repro.utils.executor.MatrixHandle` (publishing the instance
-    on first use — repeated chunks of one matrix reuse the live segment)
-    plus the specs and their recursion-level ``jobs``.
-    :func:`~repro.utils.executor.resilient_map` pulls
-    payloads at most ``2 * workers`` chunks ahead of the oldest record
-    not yet yielded — wide enough to keep every worker busy, narrow
-    enough that a long sweep publishes stores just ahead of the workers
-    that need them — and streams records in chunk order, so a
-    checkpointed sweep journals as it goes under every ``policy``.
-    Publication is paced by the store cache's LRU cap: while
-    ``STORE_CAP`` *distinct instances* have handle-shipped chunks in
-    flight, chunks of further instances ship name-only (their worker
-    rebuilds the instance by name) instead of publishing a segment
-    destined for eviction before its worker attaches; chunks of
-    already-published instances always ship the live handle.  The
-    worker-side by-name fallback still covers any remaining eviction
-    race.
+    Each chunk ships as ``(instance, specs, jobs)``, ``jobs`` being the
+    recursion-level share of the budget.
+    :func:`~repro.utils.executor.resilient_map` sends at most ``2 *
+    workers`` chunks ahead of the oldest record not yet yielded and
+    streams records in chunk order, so a checkpointed sweep journals as
+    it goes under every ``policy``.
 
     Under an armed ``policy`` a chunk that exhausts its retries is
-    completed serially in the driver by name (``scope="worker"`` faults
-    and pool pathologies cannot reach there, so degraded completion is
-    genuine completion); chunk-level failure briefs are annotated onto
-    every record of the affected chunk.
+    completed serially in the driver (``scope="worker"`` faults and pool
+    pathologies cannot reach there, so degraded completion is genuine
+    completion); chunk-level failure briefs are annotated onto every
+    record of the affected chunk.
     """
-    #: Distinct instances whose pending chunks shipped a handle -> count.
-    #: The publication gate works on *instances*, not chunks: a repeat
-    #: chunk of an already-published matrix reuses the live segment at
-    #: zero eviction risk, and only genuinely new instances count
-    #: against the cap.
-    live: dict[str, int] = {}
-    shipped: list[bool] = []
-
-    def payloads():
-        for chunk in chunks:
-            name = chunk[0].instance
-            if name in live or len(live) < STORE_CAP:
-                handle = SharedMatrixStore.for_matrix(
-                    load_instance(name)
-                ).handle
-                live[name] = live.get(name, 0) + 1
-            else:
-                handle = None  # past the cap: would be evicted unused
-            shipped.append(handle is not None)
-            yield handle, name, chunk, jobs
-
+    payloads = [(chunk[0].instance, chunk, jobs) for chunk in chunks]
     stream = resilient_map(
-        workers, _execute_chunk_shm, payloads(),
+        workers, _execute_chunk, payloads,
         policy=policy,
-        fallback=lambda i: _execute_chunk_shm(
-            (None, chunks[i][0].instance, chunks[i], jobs)
-        ),
+        fallback=lambda i: _execute_chunk(payloads[i]),
         validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
-        labels=[chunk[0].instance for chunk in chunks],
+        labels=[payload[0] for payload in payloads],
     )
     try:
-        for i, (records, fails) in enumerate(stream):
-            name = chunks[i][0].instance
-            if shipped[i]:
-                live[name] -= 1
-                if not live[name]:
-                    del live[name]
+        for (name, _, _), (records, fails) in zip(payloads, stream):
             if progress:  # pragma: no cover - console side effect
                 print(f"[sweep] {name}", flush=True)
             briefs = tuple(f.brief() for f in fails)

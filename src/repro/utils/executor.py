@@ -37,13 +37,6 @@ One dispatch loop
     raised.  :func:`run_inline` is its in-process counterpart, the one
     retry loop of ``jobs <= 1`` maps and serial sweeps.
 
-Jobs budget
-    :class:`JobsBudget` makes one ``--jobs N`` composable across nesting
-    levels: ``budget.split(n_outer)`` divides the total between
-    outer-level workers (sweep chunks) and inner-level workers (the
-    recursion tree inside each run) so ``outer * inner <= total`` —
-    nested pools can no longer oversubscribe the machine.
-
 The worker pools are persistent (fork/spawn cost paid once per process,
 not once per call) and shut down exactly once through exit hooks that
 cover both plain interpreters (:mod:`atexit`) and multiprocessing
@@ -87,8 +80,6 @@ from repro.utils import faults
 from repro.utils.parallel import resolve_jobs
 
 __all__ = [
-    "STORE_CAP",
-    "JobsBudget",
     "RetryPolicy",
     "MatrixHandle",
     "SharedMatrixStore",
@@ -133,57 +124,6 @@ _PAYLOAD_TASKS = _metrics.counter(
     "repro_executor_payload_tasks_total",
     "Tasks whose payloads were measured by a payload audit",
 )
-
-
-# --------------------------------------------------------------------- #
-# Jobs budget
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class JobsBudget:
-    """A global worker budget composable across nesting levels.
-
-    One ``--jobs N`` request names the *total* number of workers the user
-    wants busy; :meth:`split` divides it between an outer level (sweep
-    chunks) and an inner level (the recursion tree inside each run) so
-    that ``outer * inner <= total`` — the invariant that keeps nested
-    parallelism from oversubscribing the machine.
-
-    The split is a pure function of ``(total, outer_tasks)``, and every
-    ``jobs`` value is a speed knob only (results are bit-identical by the
-    position-keyed seed-stream contract), so budgets never change what a
-    sweep or partitioning computes.
-    """
-
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError(
-                f"JobsBudget.total must be >= 1, got {self.total}"
-            )
-
-    @classmethod
-    def resolve(cls, jobs: int | None) -> "JobsBudget":
-        """Budget from a user ``jobs`` request (``None``/``0`` = CPUs)."""
-        return cls(resolve_jobs(jobs))
-
-    def split(self, outer_tasks: int) -> tuple[int, int]:
-        """Divide the budget over ``outer_tasks`` independent outer items.
-
-        Returns ``(outer_workers, inner_jobs)`` with ``outer_workers <=
-        max(1, outer_tasks)`` and ``outer_workers * inner_jobs <= total``.
-        The outer level is saturated first (outer items are fully
-        independent, so they scale perfectly); whatever remains is handed
-        down — e.g. a budget of 8 over 2 instances runs 2 sweep workers
-        with 4 recursion workers each, while a budget of 8 over 16
-        instances runs 8 sweep workers with serial recursion.
-        """
-        if outer_tasks < 0:
-            raise ValueError(f"outer_tasks must be >= 0, got {outer_tasks}")
-        if self.total <= 1 or outer_tasks <= 1:
-            return (1, self.total)
-        outer = min(self.total, outer_tasks)
-        return outer, max(1, self.total // outer)
 
 
 # --------------------------------------------------------------------- #
@@ -240,7 +180,7 @@ class RetryPolicy:
 #: a worker process forked from a parent that held a live pool inherits
 #: the pool *object* but not its management thread or worker processes,
 #: so using it would hang forever.  Nested parallelism (a sweep worker
-#: running parallel recursion under a :class:`JobsBudget`) therefore
+#: whose runs get recursion workers from the jobs budget) therefore
 #: creates its own pool on first use in each process.
 _PROCESS_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
 
@@ -265,7 +205,7 @@ def _process_worker_init(nested: bool) -> None:
     """Process-pool worker initializer: arm parent-death signalling.
 
     A worker running nested parallelism (a sweep chunk driving parallel
-    recursion under a :class:`JobsBudget`) owns an *inner* pool whose
+    recursion with its share of the jobs budget) owns an *inner* pool whose
     grandchildren inherit every fd of the worker — including the
     sentinel write end the outer pool watches for worker death.  If the
     worker then dies abruptly (``os._exit``, OOM kill, signal), the
@@ -452,8 +392,8 @@ def resilient_map(
     The layer's one dispatch loop — every task the process pool runs is
     submitted here.  ``items`` is consumed lazily and at most ``2 *
     jobs`` tasks are sent ahead of the oldest result not yet yielded, so
-    a producer that builds payloads on demand (the sweep publishing one
-    matrix per chunk) stays just ahead of the workers.  Each task yields
+    a producer that builds payloads on demand stays just ahead of the
+    workers.  Each task yields
     ``(value, failures)`` as soon as it and every earlier task are done;
     ``failures`` lists the structured records
     (:class:`~repro.errors.ExecutionError` instances) the task gathered
@@ -756,9 +696,8 @@ class MatrixHandle:
 
         Raises :class:`~repro.errors.ShmAttachError` when the segment no
         longer exists (evicted past ``STORE_CAP``, or unlinked by an
-        exiting owner) — a clear, catchable signal that callers holding
-        the instance name should rebuild the matrix by name instead
-        (the sweep engine's fallback path).
+        exiting owner) — a clear, catchable signal the caller's retry
+        policy can act on.
         """
         cached = _ATTACHED.get(self.name)
         if cached is not None:
@@ -818,9 +757,7 @@ def _matrix_from_buffer(
 #: How many published matrices stay alive at once (LRU past this).  A
 #: long-running service partitioning many matrices keeps at most this
 #: many segments; evicted stores are closed (and lazily re-published if
-#: their matrix comes back).  Public so producers pacing their
-#: publications (the sweep engine's submission window) can stay inside
-#: the cap instead of racing their own evictions.
+#: their matrix comes back).
 STORE_CAP = 8
 
 #: Live stores in creation order, for exit cleanup and the LRU cap.

@@ -78,6 +78,7 @@ PARTITION_FAULTS = [
     ("executor.result", "poison"),
     ("recursive.bisect", "exception"),
     ("recursive.bisect", "crash"),
+    ("shm.attach", "shm"),
 ]
 
 
@@ -168,7 +169,6 @@ SWEEP_FAULTS = [
     ("sweep.chunk", "exception"),
     ("sweep.chunk", "crash"),
     ("sweep.result", "poison"),
-    ("shm.attach", "shm"),
 ]
 
 
@@ -183,10 +183,7 @@ def test_sweep_recovers_bit_identical(
             policy=RetryPolicy(timeout=60.0, retries=2),
         ))
     assert _strip(records) == sweep_reference
-    if point != "shm.attach":
-        # The by-name fallback absorbs attach faults silently (that is
-        # its contract); every other fault must leave a brief.
-        assert any(r.failures for r in records)
+    assert any(r.failures for r in records)
 
 
 def test_sweep_hang_never_hangs_the_sweep(tmp_path, specs, sweep_reference):

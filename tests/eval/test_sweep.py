@@ -19,12 +19,12 @@ from repro.eval.sweep import (
     _chunk_by_instance,
     build_runspecs,
     execute_runspec,
-    resolve_jobs,
     run_sweep,
 )
 from repro.sparse.collection import build_collection
 from repro.partitioner.config import PartitionerConfig
-from repro.utils.executor import JobsBudget, RetryPolicy
+from repro.utils.executor import RetryPolicy
+from repro.utils.parallel import split_jobs
 from repro.utils.rng import spawn_seeds
 
 FAST_METHODS = (
@@ -133,18 +133,22 @@ class TestRunSweep:
         parallel = list(run_sweep(specs, jobs=3))
         assert _norm(parallel) == _norm(serial)
 
-    def test_resolve_jobs(self):
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) >= 1
+    def test_resolve_jobs(self, specs, serial_records):
+        """``None``/``0`` mean the CPU count; a negative budget is an
+        evaluation error."""
+        for jobs in (None, 0):
+            assert _norm(list(run_sweep(specs[:2], jobs=jobs))) == _norm(
+                serial_records[:2]
+            )
         with pytest.raises(EvaluationError):
-            resolve_jobs(-2)
+            list(run_sweep(specs, jobs=-2))
 
 
 
 class TestJobsBudgetSweep:
-    """One --jobs N composed across sweep x recursion levels."""
+    """One --jobs N composed across sweep x recursion levels: an int
+    ``jobs`` is the total budget, split by
+    :func:`~repro.utils.parallel.split_jobs`."""
 
     @pytest.fixture(scope="class")
     def pway_specs(self, entries):
@@ -154,24 +158,32 @@ class TestJobsBudgetSweep:
 
     def test_budget_bit_identical(self, pway_specs):
         serial = list(run_sweep(pway_specs, jobs=1))
-        budgeted = list(run_sweep(pway_specs, jobs=JobsBudget(4)))
+        budgeted = list(run_sweep(pway_specs, jobs=4))
         assert _norm(budgeted) == _norm(serial)
 
-    def test_budget_of_one_runs_inline(self, pway_specs):
+    def test_budget_of_one_runs_inline(self, pway_specs, monkeypatch):
+        import repro.eval.sweep as sweep
+
         serial = list(run_sweep(pway_specs, jobs=1))
-        one = list(run_sweep(pway_specs, jobs=JobsBudget(1)))
+
+        def no_pool(*args):
+            raise AssertionError("a budget of one dispatched to the pool")
+
+        monkeypatch.setattr(sweep, "_run_chunks", no_pool)
+        one = list(run_sweep(pway_specs, jobs=1))
         assert _norm(one) == _norm(serial)
 
     def test_budget_larger_than_instances(self, pway_specs):
-        """jobs > instances: the leftover goes to recursion, chunks stay
-        instance-aligned, results stay bit-identical."""
+        """jobs > instances: per-run items take the outer level and the
+        leftover goes to recursion; results stay bit-identical."""
+        assert split_jobs(8, len(pway_specs)) == (4, 2)
         serial = list(run_sweep(pway_specs, jobs=1))
-        wide = list(run_sweep(pway_specs, jobs=JobsBudget(8)))
+        wide = list(run_sweep(pway_specs, jobs=8))
         assert _norm(wide) == _norm(serial)
 
     def test_prime_budget(self, pway_specs):
         serial = list(run_sweep(pway_specs, jobs=1))
-        prime = list(run_sweep(pway_specs, jobs=JobsBudget(5)))
+        prime = list(run_sweep(pway_specs, jobs=5))
         assert _norm(prime) == _norm(serial)
 
     def test_runspec_jobs_is_a_speed_knob(self, entries):
@@ -185,22 +197,22 @@ class TestJobsBudgetSweep:
         ) == _norm([execute_runspec(s, jobs=2) for s in base])
 
     def test_budget_inner_share_reaches_the_run(self, entries, monkeypatch):
-        """One instance under ``JobsBudget(4)``: the chunk runs in the
-        driver and every p-way run gets all four recursion workers."""
+        """One run under a budget of 4: the chunk runs in the driver and
+        the p-way run gets all four recursion workers."""
         import repro.eval.sweep as sweep
 
         seen = []
 
-        def spy(spec, matrix=None, jobs=1):
+        def spy(spec, jobs=1):
             seen.append(jobs)
-            return execute_runspec(spec, matrix=matrix, jobs=jobs)
+            return execute_runspec(spec, jobs=jobs)
 
         monkeypatch.setattr(sweep, "execute_runspec", spy)
         specs = build_runspecs(
-            entries[:1], FAST_METHODS[:1], nruns=2, nparts=4, base_seed=5
+            entries[:1], FAST_METHODS[:1], nruns=1, nparts=4, base_seed=5
         )
-        list(run_sweep(specs, jobs=JobsBudget(4)))
-        assert seen == [4, 4]
+        list(run_sweep(specs, jobs=4))
+        assert seen == [4]
 
     def test_run_methods_accepts_budget(self, entries):
         d1 = run_methods(
@@ -208,7 +220,7 @@ class TestJobsBudgetSweep:
         )
         d2 = run_methods(
             entries[:1], FAST_METHODS[:1], nruns=1, nparts=4, base_seed=3,
-            jobs=JobsBudget(4),
+            jobs=4,
         )
         assert _norm(d1.records) == _norm(d2.records)
 
@@ -316,11 +328,11 @@ class TestSweepFingerprint:
         self, entries, tmp_path
     ):
         """A budget's recursion-level jobs ride the chunk, not the spec:
-        a journal written under ``JobsBudget(4)`` replays serially."""
+        a journal written under ``jobs=4`` replays serially."""
         pway = build_runspecs(
             entries[:1], FAST_METHODS[:1], nruns=1, nparts=4, base_seed=5
         )
         path = tmp_path / "sweep.jsonl"
-        budgeted = list(run_sweep(pway, jobs=JobsBudget(4), checkpoint=path))
+        budgeted = list(run_sweep(pway, jobs=4, checkpoint=path))
         replayed = list(run_sweep(pway, jobs=1, checkpoint=path))
         assert replayed == budgeted

@@ -1,32 +1,20 @@
-"""Sweep-level shared-memory delivery and p-way record metrics.
+"""Sweep chunk delivery and p-way record metrics.
 
-PR-4 gave recursive bisection zero-copy workers; these tests pin the
-sweep-level extension: process workers receive a
-:class:`~repro.utils.executor.MatrixHandle` instead of rebuilding the
-instance by name, chunk payloads are audited, and the worker falls back
-to the by-name load when the parent already evicted the segment.
+A sweep chunk ships its instance *name*, never the matrix: workers load
+the instance through the memoized ``load_instance``, chunk payloads are
+audited and stay far below a pickled matrix, and a ``jobs`` budget
+larger than the instance count still gives the serial records.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.eval.runner import PAPER_METHODS
-from repro.eval.sweep import (
-    _execute_chunk_shm,
-    build_runspecs,
-    run_sweep,
-)
+from repro.eval.sweep import build_runspecs, run_sweep
 from repro.obs import metrics
 from repro.sparse.collection import build_collection, load_instance
-from repro.utils.executor import (
-    JobsBudget,
-    MatrixHandle,
-    RetryPolicy,
-    SharedMatrixStore,
-    payload_audit,
-)
+from repro.utils.executor import RetryPolicy, payload_audit
 
 
 def _entries(names):
@@ -48,34 +36,21 @@ def test_parallel_shm_sweep_bit_identical_and_audited():
         parallel = list(run_sweep(specs, jobs=2))
     assert _strip(parallel) == _strip(serial)
     assert audit["tasks"] >= len(NAMES)
-    # Handles + specs only: far below the 24 B/nonzero a pickled matrix
+    # Names + specs only: far below the 24 B/nonzero a pickled matrix
     # would cost (the smallest instance here alone is ~20 kB).
     nnz = min(load_instance(n).nnz for n in NAMES)
     assert 0 < audit["bytes"] < 24 * nnz
 
 
 def test_budget_sweep_still_bit_identical():
+    """Two instances under a budget of 4: per-run items on 2 sweep
+    workers, each run with 2 recursion workers."""
     specs = build_runspecs(
-        _entries(NAMES), PAPER_METHODS[:1], nruns=2, nparts=4
+        _entries(NAMES), PAPER_METHODS[:1], nruns=1, nparts=4
     )
     serial = list(run_sweep(specs, jobs=1))
-    budgeted = list(run_sweep(specs, jobs=JobsBudget(4)))
+    budgeted = list(run_sweep(specs, jobs=4))
     assert _strip(budgeted) == _strip(serial)
-
-
-def test_chunk_worker_falls_back_when_segment_gone():
-    """A dead handle (evicted store) or a None handle (publication paced
-    past the store cap) must not lose the chunk."""
-    name = NAMES[0]
-    matrix = load_instance(name)
-    store = SharedMatrixStore.for_matrix(matrix)
-    dead = MatrixHandle("repro_gone_segment", matrix.shape, matrix.nnz)
-    specs = build_runspecs(_entries([name]), PAPER_METHODS[:1], nruns=1)
-    via_dead = _execute_chunk_shm((dead, name, specs, 1))
-    via_live = _execute_chunk_shm((store.handle, name, specs, 1))
-    via_name = _execute_chunk_shm((None, name, specs, 1))
-    assert _strip(via_dead) == _strip(via_live)
-    assert _strip(via_name) == _strip(via_live)
 
 
 def test_records_carry_balance_metrics():

@@ -6,7 +6,7 @@ weight fits in ``room`` — the closure-free form the kernels use.
 exercise the bucket discipline.
 """
 
-from repro.partitioner.gains import GainBuckets
+from repro.kernels.gains import GainBuckets
 
 FREE = [1] * 16  # unit weights; pair with a large room to accept all
 ROOM = 10**9

@@ -18,7 +18,6 @@ from repro.sparse.generators import erdos_renyi
 from repro.errors import DegradedExecution, ExecutionError
 from repro.obs import metrics
 from repro.utils.executor import (
-    JobsBudget,
     MatrixExecutor,
     RetryPolicy,
     SharedMatrixStore,
@@ -28,6 +27,7 @@ from repro.utils.executor import (
     resilient_map,
     shutdown_pools,
 )
+from repro.utils.parallel import resolve_jobs, split_jobs
 
 SEED = 99
 
@@ -64,42 +64,43 @@ def _spanned_square(x):
 
 
 class TestJobsBudget:
-    """split(): outer * inner <= total, outer <= outer_tasks, always >= 1."""
+    """split_jobs(): outer * inner <= total, outer <= outer_tasks, always
+    >= 1."""
 
     def test_serial_budget(self):
-        assert JobsBudget(1).split(10) == (1, 1)
+        assert split_jobs(1, 10) == (1, 1)
 
     def test_more_tasks_than_jobs(self):
-        assert JobsBudget(4).split(16) == (4, 1)
+        assert split_jobs(4, 16) == (4, 1)
 
     def test_fewer_tasks_than_jobs_hands_down(self):
-        assert JobsBudget(8).split(2) == (2, 4)
+        assert split_jobs(8, 2) == (2, 4)
 
     def test_single_task_gets_everything(self):
-        assert JobsBudget(6).split(1) == (1, 6)
+        assert split_jobs(6, 1) == (1, 6)
 
     def test_zero_tasks(self):
-        assert JobsBudget(6).split(0) == (1, 6)
+        assert split_jobs(6, 0) == (1, 6)
 
     @pytest.mark.parametrize("total", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("tasks", [1, 2, 3, 4, 10])
     def test_invariant_holds_for_primes(self, total, tasks):
-        outer, inner = JobsBudget(total).split(tasks)
+        outer, inner = split_jobs(total, tasks)
         assert outer >= 1 and inner >= 1
         assert outer <= max(1, tasks)
         assert outer * inner <= total
 
     def test_resolve_zero_means_cpu_count(self):
-        assert JobsBudget.resolve(0).total == (os.cpu_count() or 1)
-        assert JobsBudget.resolve(None).total == (os.cpu_count() or 1)
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        assert resolve_jobs(None) == (os.cpu_count() or 1)
 
     def test_invalid_total_rejected(self):
         with pytest.raises(ValueError):
-            JobsBudget(0)
+            split_jobs(0, 3)
         with pytest.raises(ValueError):
-            JobsBudget.resolve(-2)
+            resolve_jobs(-2)
         with pytest.raises(ValueError):
-            JobsBudget(3).split(-1)
+            split_jobs(3, -1)
 
 
 class TestSharedMatrixStore:
@@ -249,8 +250,8 @@ class TestFailurePaths:
         from repro.sparse.collection import build_collection
         from repro.utils.executor import drop_process_pool
 
-        # Seed the shared pool's workers with inner pools: a budget
-        # sweep whose specs carry inner recursion jobs.
+        # Seed the shared pool's workers with inner pools: a budget of 4
+        # over two p = 4 runs gives each run 2 recursion workers.
         entries = [
             e for e in build_collection(tier="small")
             if e.name in ("sym_grid2d_s", "sqr_er_s")
@@ -258,7 +259,7 @@ class TestFailurePaths:
         specs = build_runspecs(
             entries, PAPER_METHODS[:1], nruns=1, nparts=4
         )
-        list(run_sweep(specs, jobs=JobsBudget(4)))
+        list(run_sweep(specs, jobs=4))
 
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[::2], 0), (idx[1::2], 1)]
