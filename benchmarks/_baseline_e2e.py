@@ -49,6 +49,7 @@ import contextlib
 
 import numpy as np
 
+from benchmarks._baseline_kernels import pair_clusters
 import repro.core.recursive as _recursive_mod
 import repro.core.volume as _volume_mod
 import repro.hypergraph.metrics as _metrics_mod
@@ -422,6 +423,18 @@ class BaselineBackend(KernelBackend):
                     match[v] = best_u
                     match[best_u] = v
         return np.asarray(match, dtype=np.int64)
+
+    def cluster_vertices(
+        self, state, order, absorption, max_net, max_cluster_weight,
+        max_members, restrict_parts,
+    ):
+        """The frozen pair sweep behind the clustering interface: it
+        builds pairs whatever ``max_members`` says, so it equals the live
+        kernel only at ``max_members=2``."""
+        return pair_clusters(self.match_vertices(
+            state, order, absorption, max_net, max_cluster_weight,
+            restrict_parts,
+        ))
 
 
 BASELINE_BACKEND = BaselineBackend()

@@ -25,6 +25,8 @@ __all__ = [
     "baseline_hot_lists",
     "baseline_fm_pass",
     "baseline_match_vertices",
+    "pair_clusters",
+    "lowest_labels",
     "baseline_merge_identical",
     "baseline_derived_structures",
     "baseline_kway_setup",
@@ -377,6 +379,26 @@ def baseline_match_vertices(
                 match[v] = best_u
                 match[best_u] = v
     return np.asarray(match, dtype=np.int64)
+
+
+def pair_clusters(match: np.ndarray) -> np.ndarray:
+    """The cluster map of a partner array (``match[v]`` is ``v``'s
+    partner, ``-1`` for none): each pair is labelled by its lower vertex
+    and every unmatched vertex by itself.  It lets the frozen pair sweeps
+    stand in for the live clustering kernel at the pair limit."""
+    match = np.asarray(match, dtype=np.int64)
+    ids = np.arange(match.size, dtype=np.int64)
+    return np.where(match < 0, ids, np.minimum(ids, match))
+
+
+def lowest_labels(cluster: np.ndarray) -> np.ndarray:
+    """A cluster map relabelled by each cluster's lowest vertex, so two
+    maps of the same clustering compare equal element for element."""
+    _, first, inverse = np.unique(
+        np.asarray(cluster, dtype=np.int64),
+        return_index=True, return_inverse=True,
+    )
+    return first[inverse.reshape(-1)]
 
 
 def baseline_merge_identical(

@@ -7,8 +7,9 @@ frozen *seed* implementations in ``_baseline_kernels.py``:
     One FM pass on the medium-grain hypergraph — seed closure-based loop
     vs. the ``repro.kernels`` pass with its reusable pass state.
 ``matching``
-    One greedy matching sweep — seed convert-per-call loop vs. the
-    kernel sweep on cached mirrors.
+    One greedy matching sweep — seed convert-per-call pair loop vs. the
+    clustering kernel at its pair limit (``max_members=2``) on cached
+    mirrors.
 ``contraction``
     Identical-net merging on a duplicate-heavy net list — seed per-net
     ``tobytes()`` hashing vs. the vectorized group-by-size merge.
@@ -77,6 +78,8 @@ from benchmarks._baseline_kernels import (
     baseline_kway_fm_pass,
     baseline_match_vertices,
     baseline_merge_identical,
+    lowest_labels,
+    pair_clusters,
 )
 from perfbench.common import slowdown
 from repro.core.floor import contiguous_splits
@@ -86,7 +89,6 @@ from repro.core.volume import communication_volume
 from repro.hypergraph.models import row_net_model
 from repro.kernels import PYTHON_KERNELS
 from repro.kernels.python_backend import merge_identical_nets
-from repro.partitioner.coarsen import match_vertices
 from repro.partitioner.config import get_config
 from repro.sparse.collection import load_instance
 
@@ -171,11 +173,13 @@ def bench_fm_pass(matrix, repeats: int, after_only: bool = False) -> dict:
 
 
 def bench_matching(matrix, repeats: int, after_only: bool = False) -> dict:
-    """Seed matching sweep vs. the kernel sweep (same RNG per run)."""
+    """Seed pair-matching sweep vs. the clustering kernel at the pair
+    limit (same RNG per run)."""
     h = _medium_grain_hypergraph(matrix)
     cfg = get_config("mondriaan")
     cap = max(1, int(0.35 * h.total_weight() / 2))
-    PYTHON_KERNELS.fm_state(h).list_mirrors()  # warm, like repeated coarsening
+    state = PYTHON_KERNELS.fm_state(h)
+    state.list_mirrors()  # warm, like repeated coarsening
 
     def run_before():
         return baseline_match_vertices(
@@ -183,9 +187,15 @@ def bench_matching(matrix, repeats: int, after_only: bool = False) -> dict:
         )
 
     def run_after():
-        return match_vertices(h, cfg, np.random.default_rng(9), cap)
+        order = np.random.default_rng(9).permutation(h.nverts)
+        return PYTHON_KERNELS.cluster_vertices(
+            state, order, cfg.matching == "absorption",
+            cfg.max_net_size_matching, cap, 2, None,
+        )
 
-    if run_before().tolist() != run_after().tolist():
+    if pair_clusters(run_before()).tolist() != (
+        lowest_labels(run_after()).tolist()
+    ):
         raise AssertionError("matching drift between baseline and kernel")
     out = {"after_s": _calibrated_time(repeats, run_after)}
     if not after_only:

@@ -1,7 +1,7 @@
 """The kernels behind the pipeline's scalar hot loops.
 
 The loops that dominate end-to-end runtime — the 2-way and k-way FM move
-loops, greedy-matching candidate scoring and identical-net merging —
+loops, the coarsening clustering sweep and identical-net merging —
 live in :class:`~repro.kernels.python_backend.PythonBackend`: the seed
 implementation relocated from ``partitioner/`` and tightened (no
 per-move closures, direct bucket linking, vectorized net merging).  It

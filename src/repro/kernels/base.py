@@ -1,7 +1,7 @@
 """Interface of the partitioner's kernels.
 
 A kernel backend owns the scalar hot loops of the partitioner — the
-2-way and k-way FM move loops and greedy-matching candidate scoring —
+2-way and k-way FM move loops and the coarsening clustering sweep —
 behind a uniform, state-passing API.  Everything
 *around* the loops (vectorized pass setup, RNG consumption, validation,
 pass orchestration) lives outside it.  The python kernels
@@ -78,19 +78,31 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def match_vertices(
+    def cluster_vertices(
         self,
         state: FMPassState,
         order: np.ndarray,
         absorption: bool,
         max_net: int,
         max_cluster_weight: int,
+        max_members: int | None,
         restrict_parts: np.ndarray | None,
         deadline=None,
     ) -> np.ndarray:
-        """Greedy matching sweep in the given visit ``order``.
+        """Greedy clustering sweep in the given visit ``order``.
 
-        Returns the partner array (``-1`` for unmatched vertices).  A
+        A visited vertex that no cluster holds yet scores the clusters
+        of the pins on its nets of at most ``max_net`` pins (cost, or
+        ``cost / (size - 1)`` with ``absorption``, per shared net) and
+        joins the best one whose weight plus its own fits
+        ``max_cluster_weight`` and which holds fewer than
+        ``max_members`` vertices (``None``: no limit).  Ties go to the
+        lighter cluster, then to the first one touched.  With
+        ``restrict_parts`` only same-part clusters qualify.
+
+        Returns the cluster map: vertices with equal entries form one
+        cluster, and each entry is a vertex of that cluster.  At
+        ``max_members=2`` the sweep is the greedy pair matching.  A
         ``deadline`` is checked during the sweep, which raises
         :class:`~repro.utils.deadline.Expired` once it has expired;
         callers pass one only when they have one, so a kernel without

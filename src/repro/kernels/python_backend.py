@@ -39,7 +39,7 @@ from repro.utils.deadline import Expired
 
 __all__ = ["MATCH_CHUNK", "PythonBackend", "merge_identical_nets"]
 
-#: Visits between two deadline checks of a deadline-bound matching
+#: Visits between two deadline checks of a deadline-bound clustering
 #: sweep (a few hundred microseconds of interpreted scoring).
 MATCH_CHUNK = 256
 
@@ -780,19 +780,29 @@ class PythonBackend(KernelBackend):
         return best_cum, True, len(moved)
 
     # ------------------------------------------------------------------ #
-    # Greedy matching candidate scoring.
+    # Agglomerative clustering sweep.
     # ------------------------------------------------------------------ #
-    def match_vertices(
+    def cluster_vertices(
         self,
         state: FMPassState,
         order: np.ndarray,
         absorption: bool,
         max_net: int,
         max_cluster_weight: int,
+        max_members: int | None,
         restrict_parts: np.ndarray | None,
         deadline=None,
     ) -> np.ndarray:
-        """Greedy matching sweep on the cached list mirrors.
+        """Greedy clustering sweep on the cached list mirrors.
+
+        A visited vertex that no cluster holds yet scores the clusters of
+        the pins on its nets and joins the best one (see
+        :meth:`~repro.kernels.base.KernelBackend.cluster_vertices`).
+        Each cluster is keyed by its first vertex, its *root*; the
+        returned map holds every vertex's root.  A cluster that has
+        reached ``max_members`` is closed by giving it a weight no cap
+        admits, so at ``max_members=2`` every candidate is a lone vertex
+        and the sweep is the greedy pair matching, visit for visit.
 
         With a ``deadline`` the visit order runs in chunks of
         :data:`MATCH_CHUNK` visits, checked between chunks; once it has
@@ -810,7 +820,12 @@ class PythonBackend(KernelBackend):
         sizes_l: list = mirrors["sizes"]
         nverts = state.h.nverts
 
-        match = [-1] * nverts
+        root = list(range(nverts))
+        # Cluster weight and member count, keyed by root.
+        cw = list(vw_l)
+        members = [1] * nverts
+        closed = max_cluster_weight + 1
+        clustered = [False] * nverts
         parts_l = (
             restrict_parts.tolist() if restrict_parts is not None else None
         )
@@ -827,15 +842,21 @@ class PythonBackend(KernelBackend):
             if i and deadline.expired():
                 raise Expired(i * MATCH_CHUNK)
             for v in chunk:
-                if match[v] != -1:
+                if clustered[v]:
                     continue
-                # Candidate weight cap rewritten as a bound on the
-                # partner's weight; the scoring loops below are
+                # The weight cap rewritten as a bound on the candidate
+                # cluster's weight; the scoring loops below are
                 # specialized on whether coarsening is part-restricted
                 # (the checks are side-effect free, so hoisting the
                 # restrict test out of the unrestricted sweep cannot
-                # change any score).
-                cap = max_cluster_weight - vw_l[v]
+                # change any score).  Every member of a cluster shares
+                # its part, so a pin's own part stands for its
+                # cluster's.
+                # ``v`` closes its own cluster while it scores, which
+                # keeps it from scoring itself.
+                wv = vw_l[v]
+                cap = max_cluster_weight - wv
+                cw[v] = closed
                 touched: list[int] = []
                 tappend = touched.append
                 if parts_l is None:
@@ -848,14 +869,13 @@ class PythonBackend(KernelBackend):
                             continue
                         w = c / (sz - 1) if absorption else float(c)
                         for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
-                            if u == v or match[u] != -1:
+                            r = root[u]
+                            if cw[r] > cap:
                                 continue
-                            if vw_l[u] > cap:
-                                continue
-                            su = score[u]
-                            if su == 0.0:
-                                tappend(u)
-                            score[u] = su + w
+                            sr = score[r]
+                            if sr == 0.0:
+                                tappend(r)
+                            score[r] = sr + w
                 else:
                     pv = parts_l[v]
                     for n in vnets_l[xnets_l[v]:xnets_l[v + 1]]:
@@ -867,34 +887,40 @@ class PythonBackend(KernelBackend):
                             continue
                         w = c / (sz - 1) if absorption else float(c)
                         for u in pins_l[xpins_l[n]:xpins_l[n + 1]]:
-                            if u == v or match[u] != -1:
-                                continue
                             if parts_l[u] != pv:
                                 continue
-                            if vw_l[u] > cap:
+                            r = root[u]
+                            if cw[r] > cap:
                                 continue
-                            su = score[u]
-                            if su == 0.0:
-                                tappend(u)
-                            score[u] = su + w
+                            sr = score[r]
+                            if sr == 0.0:
+                                tappend(r)
+                            score[r] = sr + w
+                cw[v] = wv
                 if touched:
-                    best_u = -1
+                    best = -1
                     best_s = 0.0
-                    for u in touched:
-                        s = score[u]
-                        # Tie-break towards the lighter candidate: keeps
+                    for r in touched:
+                        s = score[r]
+                        # Tie-break towards the lighter cluster: keeps
                         # coarse weights even, which preserves
                         # partitionability.
                         if s > best_s or (
-                            s == best_s and best_u != -1
-                            and vw_l[u] < vw_l[best_u]
+                            s == best_s and best != -1 and cw[r] < cw[best]
                         ):
-                            best_u, best_s = u, s
-                        score[u] = 0.0
-                    if best_u != -1:
-                        match[v] = best_u
-                        match[best_u] = v
-        return np.asarray(match, dtype=np.int64)
+                            best, best_s = r, s
+                        score[r] = 0.0
+                    if best != -1:
+                        root[v] = best
+                        clustered[v] = True
+                        clustered[best] = True
+                        count = members[best] + 1
+                        members[best] = count
+                        if max_members is not None and count >= max_members:
+                            cw[best] = closed
+                        else:
+                            cw[best] += wv
+        return np.asarray(root, dtype=np.int64)
 
 
 #: Size classes below this many nets, or wider than this many pins, use

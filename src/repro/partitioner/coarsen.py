@@ -1,12 +1,17 @@
-"""Multilevel coarsening: matching and contraction.
+"""Multilevel coarsening: clustering and contraction.
 
-Coarsening pairs up strongly connected vertices and contracts each pair into
-one coarse vertex, shrinking the hypergraph until it is cheap to partition
-directly.  Two matching scores are provided (selected by
-``PartitionerConfig.matching``):
+Coarsening groups strongly connected vertices into clusters and contracts
+each cluster into one coarse vertex, shrinking the hypergraph until it is
+cheap to partition directly.  The clustering is agglomerative (PaToH's
+style): vertices are visited in random order, and each one that no
+cluster holds yet joins the best-connected *existing* cluster among its
+neighbours', subject to the cluster weight cap and to
+:data:`MAX_CLUSTER_MEMBERS`.  Two connection scores are provided
+(selected by ``PartitionerConfig.matching``):
 
-* ``"hcm"`` — heavy-connectivity matching: a candidate's score is the total
-  cost of nets shared with the seed vertex (Mondriaan-style);
+* ``"hcm"`` — heavy connectivity: a cluster's score is the total cost of
+  the nets the visited vertex shares with it, one term per member on
+  the net (Mondriaan-style);
 * ``"absorption"`` — PaToH-style absorption score ``cost / (|net| - 1)``,
   which discounts large nets.
 
@@ -16,13 +21,13 @@ deduplicated with one lexsort, nets that shrink below two pins are dropped
 are merged with their costs added, which both shrinks the problem and
 sharpens FM gains on the coarse levels.
 
-The scalar matching sweep and the identical-net merge are kernels
+The scalar clustering sweep and the identical-net merge are kernels
 (:mod:`repro.kernels`).
 
 :func:`coarsen` is the one coarsening loop of the multilevel engines and
 the V-cycles (paper Section II; hMetis's V-cycle, Section III-C, is the
-same loop with restricted matching): it decides how many levels to
-build, when matching has stalled, and when a deadline stops it.
+same loop with restricted clustering): it decides how many levels to
+build, when clustering has stalled, and when a deadline stops it.
 """
 
 from __future__ import annotations
@@ -39,12 +44,17 @@ from repro.partitioner.config import PartitionerConfig
 from repro.utils.deadline import Expired
 
 __all__ = [
-    "match_vertices",
+    "MAX_CLUSTER_MEMBERS",
+    "cluster_vertices",
     "contract",
     "coarsen_level",
     "coarsen",
     "CoarseLevel",
 ]
+
+#: Most vertices one cluster may hold (``None``: no limit beyond the
+#: weight cap).  At 2 the clustering sweep is greedy pair matching.
+MAX_CLUSTER_MEMBERS: int | None = 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class CoarseLevel:
     coarse: Hypergraph
 
 
-def match_vertices(
+def cluster_vertices(
     h: Hypergraph,
     config: PartitionerConfig,
     rng: np.random.Generator,
@@ -65,27 +75,30 @@ def match_vertices(
     restrict_parts: np.ndarray | None = None,
     deadline=None,
 ) -> np.ndarray:
-    """Greedy matching; returns ``match`` with ``match[v]`` the partner of
-    ``v`` or ``-1`` for unmatched vertices.
+    """Greedy agglomerative clustering; returns the cluster map:
+    vertices with equal entries form one cluster.
 
-    Vertices are visited in random order; each unmatched vertex scores all
-    unmatched neighbours sharing a (not too large) net and takes the best,
-    subject to the pair weight not exceeding ``max_cluster_weight``.
+    Vertices are visited in random order; each one that no cluster holds
+    yet scores the clusters of its neighbours on (not too large) nets
+    and joins the best, subject to the cluster's weight plus its own not
+    exceeding ``max_cluster_weight`` and the cluster holding fewer than
+    :data:`MAX_CLUSTER_MEMBERS` vertices.
 
-    ``restrict_parts`` enables hMetis-style *restricted* coarsening: only
-    vertices in the same part may match, so any partitioning constant on
-    the clusters projects exactly (used by V-cycle refinement).
+    ``restrict_parts`` enables hMetis-style *restricted* coarsening:
+    only vertices in the same part may share a cluster, so any
+    partitioning constant on the clusters projects exactly (used by
+    V-cycle refinement).
 
-    The candidate-scoring sweep is a kernel
-    (:meth:`~repro.kernels.base.KernelBackend.match_vertices`); the RNG
-    is consumed here.  A ``deadline`` goes to the kernel, which checks
-    it during the sweep and raises
+    The sweep is a kernel
+    (:meth:`~repro.kernels.base.KernelBackend.cluster_vertices`); the
+    RNG is consumed here.  A ``deadline`` goes to the kernel, which
+    checks it during the sweep and raises
     :class:`~repro.utils.deadline.Expired` once it has expired; without
     one the kernel is called exactly as before.
     """
     nverts = h.nverts
     if nverts == 0 or h.npins == 0:
-        return np.full(nverts, -1, dtype=np.int64)
+        return np.arange(nverts, dtype=np.int64)
     kernels = kernels_for(config)
     order = rng.permutation(nverts)
     args = (
@@ -94,35 +107,37 @@ def match_vertices(
         config.matching == "absorption",
         config.max_net_size_matching,
         max_cluster_weight,
+        MAX_CLUSTER_MEMBERS,
         restrict_parts,
     )
     if deadline is None:
-        return kernels.match_vertices(*args)
-    return kernels.match_vertices(*args, deadline=deadline)
+        return kernels.cluster_vertices(*args)
+    return kernels.cluster_vertices(*args, deadline=deadline)
 
 
 def contract(
     h: Hypergraph,
-    match: np.ndarray,
+    cluster: np.ndarray,
     *,
     merge_identical_nets: bool = True,
 ) -> tuple[np.ndarray, Hypergraph]:
-    """Contract matched pairs; returns ``(cmap, coarse_hypergraph)``.
+    """Contract clusters; returns ``(cmap, coarse_hypergraph)``.
 
-    ``cmap`` maps each fine vertex to its coarse id; matched pairs share an
-    id, unmatched vertices keep their own.  Coarse vertex weights are the
-    sums over their clusters.
+    ``cluster`` labels each fine vertex's cluster (vertices with equal
+    labels form one cluster).  ``cmap`` maps each fine vertex to its
+    coarse id; clusters are numbered in the order of their lowest
+    vertex ids.  Coarse vertex weights are the sums over their clusters.
     """
     nverts = h.nverts
-    ids = np.arange(nverts, dtype=np.int64)
-    match = np.asarray(match, dtype=np.int64)
-    # A vertex is a representative if unmatched or the smaller id of its pair.
-    is_rep = (match < 0) | (ids < match)
-    cmap = np.empty(nverts, dtype=np.int64)
-    cmap[is_rep] = np.cumsum(is_rep)[is_rep] - 1
-    nonrep = ~is_rep
-    cmap[nonrep] = cmap[match[nonrep]]
-    ncoarse = int(is_rep.sum())
+    _, first, inverse = np.unique(
+        np.asarray(cluster, dtype=np.int64),
+        return_index=True, return_inverse=True,
+    )
+    # ``first`` holds each label's lowest vertex; rank labels by it.
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+    cmap = rank[inverse.reshape(nverts)]
+    ncoarse = int(first.size)
 
     cvwgt = np.zeros(ncoarse, dtype=np.int64)
     np.add.at(cvwgt, cmap, h.vwgt)
@@ -180,19 +195,19 @@ def coarsen_level(
     deadline=None,
     restrict_parts: np.ndarray | None = None,
 ) -> CoarseLevel:
-    """Run one matching + contraction step.
+    """Run one clustering + contraction step.
 
-    An expired ``deadline`` stops the matching sweep with
+    An expired ``deadline`` stops the clustering sweep with
     :class:`~repro.utils.deadline.Expired` before anything is contracted.
-    ``restrict_parts`` restricts the matching to same-part pairs (see
-    :func:`match_vertices`).
+    ``restrict_parts`` restricts the clusters to one part each (see
+    :func:`cluster_vertices`).
     """
-    match = match_vertices(
+    cluster = cluster_vertices(
         h, config, rng, max_cluster_weight,
         restrict_parts=restrict_parts, deadline=deadline,
     )
     cmap, coarse = contract(
-        h, match, merge_identical_nets=config.merge_identical_nets
+        h, cluster, merge_identical_nets=config.merge_identical_nets
     )
     return CoarseLevel(fine=h, cmap=cmap, coarse=coarse)
 
@@ -210,17 +225,17 @@ def coarsen(
 
     Adds levels (:func:`coarsen_level`, clusters capped at
     ``cluster_cap``) until the coarsest has at most ``target`` vertices,
-    ``config.max_levels`` levels exist, or matching stalls: a level that
-    removes less than ``config.min_reduction`` of the vertices is
+    ``config.max_levels`` levels exist, or clustering stalls: a level
+    that removes less than ``config.min_reduction`` of the vertices is
     dropped and ends the loop.
 
-    With ``parts``, matching is restricted to same-part pairs, so the
-    partitioning is constant on every cluster; it is projected to each
+    With ``parts``, clustering is restricted to same-part clusters, so
+    the partitioning is constant on every cluster; it is projected to each
     level and the coarsest projection returned.  Without, the returned
     projection is ``None``.
 
-    A ``deadline`` is checked before each level and inside its matching
-    sweep; once it has expired, the unfinished level is dropped and the
+    A ``deadline`` is checked before each level and inside its
+    clustering sweep; once it has expired, the unfinished level is dropped and the
     loop stops.  Either stop is a ``deadline`` event (``where="coarsen"``
     or ``where="match"`` with the sweep's ``visited`` count) on the
     caller's current span.
@@ -242,7 +257,7 @@ def coarsen(
             _trace.event("deadline", where="match", visited=stop.visited)
             return levels, cur_parts, True
         if 1.0 - level.coarse.nverts / cur.nverts < config.min_reduction:
-            break  # matching stalled; further levels would be wasted work
+            break  # clustering stalled; further levels would be wasted work
         levels.append(level)
         cur = level.coarse
         if cur_parts is not None:

@@ -168,10 +168,10 @@ class Degraded:
 
 
 class Expired(Exception):
-    """A matching sweep stopped at an expired deadline.
+    """A clustering sweep stopped at an expired deadline.
 
     Raised inside the sweep (through
-    :func:`repro.partitioner.coarsen.match_vertices` and
+    :func:`repro.partitioner.coarsen.cluster_vertices` and
     :func:`~repro.partitioner.coarsen.coarsen_level`) and caught by the
     coarsening loop (:func:`~repro.partitioner.coarsen.coarsen`), which
     drops the unfinished level; ``visited`` is how many vertices the

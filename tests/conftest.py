@@ -27,11 +27,23 @@ from benchmarks._baseline_kernels import baseline_kway_fm_pass  # noqa: E402
 # --------------------------------------------------------------------- #
 class ReferenceKernels(BaselineBackend):
     """The frozen seed loops behind the kernel interface: the 2-way FM
-    pass and matching sweep of :class:`BaselineBackend`, plus the
+    pass and pair-matching sweep of :class:`BaselineBackend`, plus the
     pre-sparse k-way FM pass.  The frozen passes have no stall cap, and
-    the k-way one does not count the moves it tried (reported as 0)."""
+    the k-way one does not count the moves it tried (reported as 0).
+    The pair sweep stands in for the clustering kernel only at the pair
+    limit, so a comparison run above it fails loudly."""
 
     name = "reference"
+
+    def cluster_vertices(self, state, order, absorption, max_net,
+                         max_cluster_weight, max_members, restrict_parts):
+        assert max_members == 2, (
+            "the frozen pair sweep is a reference only at max_members=2"
+        )
+        return super().cluster_vertices(
+            state, order, absorption, max_net, max_cluster_weight,
+            max_members, restrict_parts,
+        )
 
     def kway_fm_pass(self, state, parts, nparts, ceilings, cfg, rng):
         delta, feasible = baseline_kway_fm_pass(

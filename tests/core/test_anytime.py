@@ -359,7 +359,7 @@ def test_budget_expiring_in_the_first_sweep_returns_the_floor(
     probe = _Probe()
     run(matrix, probe)
     callers = probe.callers()
-    first = callers.index("match_vertices")
+    first = callers.index("cluster_vertices")
     # Level 0's coarsening check is the only one before it.
     assert callers[first - 1] == "coarsen"
     assert callers[:first].count("coarsen") == 1
@@ -379,7 +379,7 @@ def test_sweep_stop_is_a_deadline_event_on_the_coarsen_span(
 ):
     probe = _Probe()
     bipartition(matrix, seed=SEED, deadline=probe)
-    first = probe.callers().index("match_vertices")
+    first = probe.callers().index("cluster_vertices")
     path = str(tmp_path / "trace.jsonl")
     _trace.enable(path)
     try:
@@ -409,7 +409,7 @@ def test_kway_vcycle_sweep_stops_on_the_deadline(matrix, tmp_path):
     run(probe)
     callers = probe.callers()
     cycle = callers.index("kway_vcycle_refine")
-    first = callers.index("match_vertices", cycle)
+    first = callers.index("cluster_vertices", cycle)
     path = str(tmp_path / "trace.jsonl")
     _trace.enable(path)
     try:

@@ -1,4 +1,4 @@
-"""Tests for matching and contraction."""
+"""Tests for clustering and contraction."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume
 from repro.partitioner.coarsen import (
+    cluster_vertices,
     coarsen_level,
     contract,
-    match_vertices,
 )
 from repro.kernels import python_backend
 from repro.partitioner.config import get_config
@@ -27,33 +27,31 @@ def random_hypergraph(rng, n, nnets, max_size=5):
 
 class TestMatching:
     def test_matching_is_symmetric(self, rng):
+        # Every label is a vertex of the cluster it labels.
         h = random_hypergraph(rng, 20, 30)
-        match = match_vertices(h, get_config("mondriaan"), rng, 10**9)
-        for v in range(h.nverts):
-            u = match[v]
-            if u >= 0:
-                assert match[u] == v
-                assert u != v
+        cluster = cluster_vertices(h, get_config("mondriaan"), rng, 10**9)
+        np.testing.assert_array_equal(cluster[cluster], cluster)
 
     def test_connected_pairs_matched(self):
         # Two disjoint heavy pairs must both match.
         h = Hypergraph.from_net_lists(4, [[0, 1], [0, 1], [2, 3], [2, 3]])
         rng = np.random.default_rng(0)
-        match = match_vertices(h, get_config("mondriaan"), rng, 10**9)
-        assert match[0] == 1 and match[1] == 0
-        assert match[2] == 3 and match[3] == 2
+        cluster = cluster_vertices(h, get_config("mondriaan"), rng, 10**9)
+        assert cluster[0] == cluster[1]
+        assert cluster[2] == cluster[3]
+        assert cluster[0] != cluster[2]
 
     def test_weight_cap_respected(self):
         h = Hypergraph.from_net_lists(2, [[0, 1]], vwgt=[5, 5])
         rng = np.random.default_rng(0)
-        match = match_vertices(h, get_config("mondriaan"), rng, 8)
-        assert match[0] == -1 and match[1] == -1
+        cluster = cluster_vertices(h, get_config("mondriaan"), rng, 8)
+        assert cluster.tolist() == [0, 1]
 
     def test_isolated_vertices_unmatched(self):
         h = Hypergraph.from_net_lists(4, [[0, 1]])
         rng = np.random.default_rng(0)
-        match = match_vertices(h, get_config("mondriaan"), rng, 10**9)
-        assert match[2] == -1 and match[3] == -1
+        cluster = cluster_vertices(h, get_config("mondriaan"), rng, 10**9)
+        assert cluster[2] == 2 and cluster[3] == 3
 
     def test_large_nets_skipped(self):
         # One huge net only; with max_net_size_matching below its size no
@@ -62,8 +60,8 @@ class TestMatching:
         small_cfg = type(cfg)(**{**cfg.__dict__, "max_net_size_matching": 3})
         h = Hypergraph.from_net_lists(6, [[0, 1, 2, 3, 4, 5]])
         rng = np.random.default_rng(0)
-        match = match_vertices(h, small_cfg, rng, 10**9)
-        assert (match == -1).all()
+        cluster = cluster_vertices(h, small_cfg, rng, 10**9)
+        assert cluster.tolist() == list(range(6))
 
     def test_absorption_prefers_small_nets(self):
         # v0 shares a 2-net with v1 (absorption score 1) and two 3-nets
@@ -81,14 +79,14 @@ class TestMatching:
             def permutation(self, n):
                 return np.arange(n)
 
-        m_abs = match_vertices(
+        c_abs = cluster_vertices(
             h, get_config("patoh"), FixedOrder(), 10**9
         )
-        m_hcm = match_vertices(
+        c_hcm = cluster_vertices(
             h, get_config("mondriaan"), FixedOrder(), 10**9
         )
-        assert m_abs[0] == 1  # absorption: 2-net partner wins
-        assert m_hcm[0] == 2  # heavy connectivity: shared-net count wins
+        assert c_abs[0] == c_abs[1]  # absorption: 2-net partner wins
+        assert c_hcm[0] == c_hcm[2]  # heavy connectivity: net count wins
 
     def test_deadline_stops_the_sweep_between_chunks(self, monkeypatch):
         # Chunks of 8 visits: the budget lets the checks after 8 and 16
@@ -97,7 +95,7 @@ class TestMatching:
         h = random_hypergraph(np.random.default_rng(5), 40, 60)
         cfg = get_config("mondriaan")
         with pytest.raises(Expired) as stop:
-            match_vertices(
+            cluster_vertices(
                 h, cfg, np.random.default_rng(0), 10**9,
                 deadline=SoftBudget(2),
             )
@@ -113,16 +111,14 @@ class TestMatching:
 class TestContraction:
     def test_weights_summed(self):
         h = Hypergraph.from_net_lists(4, [[0, 1], [2, 3]], vwgt=[1, 2, 3, 4])
-        match = np.array([1, 0, 3, 2])
-        cmap, coarse = contract(h, match)
+        cmap, coarse = contract(h, np.array([0, 0, 2, 2]))
         assert coarse.nverts == 2
         assert coarse.total_weight() == 10
         assert sorted(coarse.vwgt.tolist()) == [3, 7]
 
     def test_cmap_consistent(self):
         h = Hypergraph.from_net_lists(4, [[0, 1], [2, 3]])
-        match = np.array([1, 0, -1, -1])
-        cmap, coarse = contract(h, match)
+        cmap, coarse = contract(h, np.array([0, 0, 2, 3]))
         assert cmap[0] == cmap[1]
         assert cmap[2] != cmap[3]
         assert coarse.nverts == 3
@@ -130,16 +126,16 @@ class TestContraction:
     def test_collapsed_nets_dropped(self):
         # Net {0,1} collapses to a single coarse vertex -> dropped.
         h = Hypergraph.from_net_lists(4, [[0, 1], [1, 2, 3]])
-        match = np.array([1, 0, -1, -1])
-        _, coarse = contract(h, match, merge_identical_nets=False)
+        _, coarse = contract(
+            h, np.array([0, 0, 2, 3]), merge_identical_nets=False
+        )
         assert coarse.nnets == 1
         assert coarse.net_sizes().tolist() == [3]
 
     def test_pins_deduplicated(self):
         # Net {0,1,2} with 0,1 merged must contain the coarse vertex once.
         h = Hypergraph.from_net_lists(3, [[0, 1, 2]])
-        match = np.array([1, 0, -1])
-        _, coarse = contract(h, match)
+        _, coarse = contract(h, np.array([0, 0, 2]))
         assert coarse.net_sizes().tolist() == [2]
         # Revalidate structure fully.
         Hypergraph(
@@ -151,20 +147,23 @@ class TestContraction:
         h = Hypergraph.from_net_lists(
             4, [[0, 2], [1, 2], [2, 3]], ncost=[2, 3, 1]
         )
-        match = np.array([1, 0, -1, -1])  # 0+1 merge -> first two nets equal
-        _, coarse = contract(h, match, merge_identical_nets=True)
+        # 0+1 merge -> first two nets equal
+        _, coarse = contract(
+            h, np.array([0, 0, 2, 3]), merge_identical_nets=True
+        )
         assert coarse.nnets == 2
         assert sorted(coarse.ncost.tolist()) == [1, 5]
 
     def test_identical_nets_kept_when_disabled(self):
         h = Hypergraph.from_net_lists(4, [[0, 2], [1, 2], [2, 3]])
-        match = np.array([1, 0, -1, -1])
-        _, coarse = contract(h, match, merge_identical_nets=False)
+        _, coarse = contract(
+            h, np.array([0, 0, 2, 3]), merge_identical_nets=False
+        )
         assert coarse.nnets == 3
 
     def test_no_pins(self):
         h = Hypergraph(3, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        cmap, coarse = contract(h, np.array([1, 0, -1]))
+        cmap, coarse = contract(h, np.array([0, 0, 2]))
         assert coarse.nverts == 2
         assert coarse.nnets == 0
 

@@ -11,7 +11,7 @@ from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.hypergraph.models import row_net_model
-from repro.partitioner.coarsen import contract, match_vertices
+from repro.partitioner.coarsen import cluster_vertices, contract
 from repro.partitioner.config import get_config
 from repro.partitioner.vcycle import vcycle_refine
 from repro.sparse.generators import erdos_renyi, grid2d_laplacian
@@ -30,20 +30,18 @@ class TestRestrictedMatching:
     def test_never_matches_across_parts(self, rng):
         h = random_h(rng, 24, 40)
         parts = rng.integers(0, 2, size=24).astype(np.int64)
-        match = match_vertices(
+        cluster = cluster_vertices(
             h, get_config("mondriaan"), rng, 10**9, restrict_parts=parts
         )
-        for v in range(24):
-            if match[v] >= 0:
-                assert parts[v] == parts[match[v]]
+        np.testing.assert_array_equal(parts[cluster], parts)
 
     def test_projection_preserves_cut_exactly(self, rng):
         h = random_h(rng, 30, 50)
         parts = rng.integers(0, 2, size=30).astype(np.int64)
-        match = match_vertices(
+        cluster = cluster_vertices(
             h, get_config("mondriaan"), rng, 10**9, restrict_parts=parts
         )
-        cmap, coarse = contract(h, match)
+        cmap, coarse = contract(h, cluster)
         coarse_parts = np.empty(coarse.nverts, dtype=np.int64)
         coarse_parts[cmap] = parts
         # Consistency: every cluster is monochromatic.
