@@ -69,23 +69,27 @@ def keep_best(
     parts: np.ndarray,
     ceilings,
     volume: int | None = None,
+    feasible: bool | None = None,
 ) -> tuple[np.ndarray, int]:
     """The better of ``parts`` and the :func:`floor_split`.
 
     Ranked by feasibility under ``ceilings`` (one per part), then by
     communication volume; a tie keeps ``parts``.  ``volume`` is the
-    volume of ``parts`` when the caller already knows it.  Returns the
+    volume of ``parts`` and ``feasible`` whether it honours
+    ``ceilings``, when the caller already knows them.  Returns the
     chosen part vector and its volume.
     """
     ceilings = np.asarray(ceilings, dtype=np.int64)
 
-    def key(cand: np.ndarray, vol: int) -> tuple[bool, int]:
+    def infeasible(cand: np.ndarray) -> bool:
         sizes = np.bincount(cand, minlength=ceilings.size)
-        return bool((sizes > ceilings).any()), int(vol)
+        return bool((sizes > ceilings).any())
 
     if volume is None:
         volume = communication_volume(matrix, parts)
+    key = (infeasible(parts) if feasible is None else not feasible,
+           int(volume))
     split, split_volume = floor_split(matrix, ceilings)
-    if key(split, split_volume) < key(parts, volume):
+    if (infeasible(split), split_volume) < key:
         return split, split_volume
     return parts, int(volume)

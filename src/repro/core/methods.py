@@ -228,19 +228,22 @@ def _bipartition(
             volume = trace.final_volume
             if trace.degraded is not None:
                 degraded += (trace.degraded,)
+        sizes = part_sizes(matrix, parts, 2)
         if degraded:
-            parts, volume = keep_best(matrix, parts, max_weights, volume)
+            best, volume = keep_best(
+                matrix, parts, max_weights, volume,
+                bool(np.all(sizes <= max_weights)),
+            )
+            if best is not parts:
+                parts, sizes = best, part_sizes(matrix, best, 2)
 
-    sizes = part_sizes(matrix, parts, 2)
     biggest, imbalance = load_balance(sizes, matrix.nnz)
     return BipartitionResult(
         parts=parts,
         volume=volume,
         method=method + ("+ir" if refine else ""),
         max_part=biggest,
-        feasible=bool(
-            sizes[0] <= max_weights[0] and sizes[1] <= max_weights[1]
-        ),
+        feasible=bool(np.all(sizes <= max_weights)),
         imbalance=imbalance,
         seconds=timer.elapsed,
         refinement=trace,

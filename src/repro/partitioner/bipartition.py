@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import connectivity_volume, part_weights
+from repro.hypergraph.metrics import part_weights
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.multilevel import multilevel_bipartition
 from repro.utils.balance import max_allowed_part_size
@@ -102,12 +102,12 @@ def bipartition_hypergraph(
             f"{max_weights}: infeasible"
         )
 
+    # The engine returns its finest vector's true cut, cut short or not.
     result = multilevel_bipartition(h, max_weights, cfg, rng, deadline)
     weights = part_weights(h, result.parts, 2)
-    cut = connectivity_volume(h, result.parts)
     return BipartitionHResult(
         parts=result.parts,
-        cut=cut,
+        cut=int(result.cut),
         weights=(int(weights[0]), int(weights[1])),
         max_weights=max_weights,
         feasible=bool(

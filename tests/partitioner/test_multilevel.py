@@ -13,6 +13,7 @@ from repro.partitioner.bipartition import bipartition_hypergraph
 from repro.partitioner.multilevel import multilevel_bipartition
 from repro.partitioner.config import get_config
 from repro.sparse.generators import erdos_renyi, grid2d_laplacian
+from repro.utils.deadline import SoftBudget
 
 
 class TestMultilevel:
@@ -67,6 +68,26 @@ class TestBipartitionHypergraph:
         assert res.feasible == (
             w[0] <= res.max_weights[0] and w[1] <= res.max_weights[1]
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        checks=st.one_of(st.none(), st.integers(0, 60)),
+    )
+    def test_cut_is_the_connectivity_volume(self, seed, checks):
+        # The engine's cut is reported as is: it must be the finest
+        # vector's true cut, whether the run finishes or a SoftBudget
+        # cuts it short at any of its boundaries.
+        a = erdos_renyi(400, 400, 2000, seed=seed)
+        h = row_net_model(a).hypergraph
+        deadline = None if checks is None else SoftBudget(checks)
+        res = bipartition_hypergraph(
+            h, eps=0.03, seed=seed, deadline=deadline
+        )
+        assert res.cut == connectivity_volume(h, res.parts)
+        w = part_weights(h, res.parts, 2)
+        assert res.weights == (int(w[0]), int(w[1]))
+        assert res.feasible == bool(np.all(w <= res.max_weights))
 
     def test_eps_ceiling_derivation(self):
         h = Hypergraph.from_net_lists(4, [[0, 1], [2, 3]], vwgt=[2, 2, 2, 2])
