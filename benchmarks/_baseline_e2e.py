@@ -38,9 +38,11 @@ swaps the pre-PR lexsort versions in for the duration of a baseline
 timing — otherwise the baseline would silently benefit from this PR's
 own speedups.
 
-Everything here is bit-identical to the live implementations by the
-kernel contract; ``bench_e2e`` asserts that on every timed run before
-trusting the numbers.
+The FM pass is bit-identical to the live kernel by the kernel
+contract.  The matching sweep builds pairs only, so it equals the live
+clustering kernel at the pair limit (``max_members=2``) alone: the
+baseline pipeline's volumes differ from the live ones and ``bench_e2e``
+records both.
 """
 
 from __future__ import annotations
@@ -426,11 +428,12 @@ class BaselineBackend(KernelBackend):
 
     def cluster_vertices(
         self, state, order, absorption, max_net, max_cluster_weight,
-        max_members, restrict_parts,
+        max_members, min_clusters, restrict_parts,
     ):
         """The frozen pair sweep behind the clustering interface: it
-        builds pairs whatever ``max_members`` says, so it equals the live
-        kernel only at ``max_members=2``."""
+        builds pairs and sweeps the whole order whatever ``max_members``
+        and ``min_clusters`` say, so it equals the live kernel only at
+        ``max_members=2`` and ``min_clusters=0``."""
         return pair_clusters(self.match_vertices(
             state, order, absorption, max_net, max_cluster_weight,
             restrict_parts,

@@ -22,9 +22,13 @@ once per seed, three ways:
     the benchmark runs.
 
 Every run is verified before its timing is trusted: the simulated SpMV
-volume must equal the partitioner's volume, the baseline volumes must be
-bit-identical to the live ones (the kernel contract), and the parallel
-sweep's records must equal the serial sweep's (modulo measured seconds).
+volume must equal the partitioner's volume, and the parallel sweep's
+records must equal the serial sweep's (modulo measured seconds).  The
+baseline coarsens by pair matching (its frozen sweep) while the live
+pipeline grows multi-member clusters, so their volumes differ; both are
+recorded (``volumes`` and ``baseline_volumes``), as the p-way stage
+does.  The kernel-level identity at the pair limit is pinned by
+``bench_regress`` and ``tests/kernels/test_equivalence.py``.
 
 A third stage measures the **execution layer** itself: the frozen
 pickled-payload pool
@@ -204,13 +208,9 @@ def bench_matrix(
         entry["current_serial_s"] = round(_best_of(repeats, run_serial), 6)
         return entry
 
-    # Baseline (pre-PR) serial pipeline — verified bit-identical first.
-    baseline_volumes = [baseline_pipeline(matrix, s) for s in seeds]
-    if baseline_volumes != current_volumes:
-        raise AssertionError(
-            f"{name}: baseline volumes {baseline_volumes} != current "
-            f"{current_volumes} — kernels drifted, timings meaningless"
-        )
+    # Baseline (pre-PR) serial pipeline: pair matching, so its volumes
+    # are recorded beside the live ones rather than asserted equal.
+    entry["baseline_volumes"] = [baseline_pipeline(matrix, s) for s in seeds]
 
     def run_baseline():
         for s in seeds:

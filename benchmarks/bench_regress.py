@@ -48,14 +48,15 @@ tier-1 stays fast).
 Every timed pair is verified to produce identical results before the
 numbers are trusted; a benchmark that drifts behaviourally fails loudly.
 
-Timings are *calibrated seconds* (schema 2): every timed call is
-divided by the machine slowdown that ``perfbench.common.slowdown``
-measures just before it, and the median over the repeats is kept, so a
-check run while the machine is slow compares like with like against
-the committed file.  None of the timed FM passes reaches the 512-move
-stall cap (the medium-grain hypergraphs here have at most 2,102
-vertices), so the uncapped frozen baselines stay answer-identical to
-the kernels.
+Timings are *calibrated seconds* (schema 2): every timed sample — a
+batch of calls lasting at least ``MIN_SAMPLE_S`` — is divided by its
+call count and by the machine slowdown that
+``perfbench.common.slowdown`` measures just before it, and the median
+over the repeats is kept, so a check run while the machine is slow
+compares like with like against the committed file.  None of the timed
+FM passes reaches the 512-move stall cap (the medium-grain hypergraphs
+here have at most 2,102 vertices), so the uncapped frozen baselines
+stay answer-identical to the kernels.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from repro.core.floor import contiguous_splits
 from repro.core.medium_grain import build_medium_grain
 from repro.core.split import initial_split
 from repro.core.volume import communication_volume
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.models import row_net_model
 from repro.kernels import PYTHON_KERNELS
 from repro.kernels.python_backend import merge_identical_nets
@@ -109,22 +111,37 @@ KWAY_PARTS = 64
 SCHEMA = 2
 
 
-def _calibrated_time(repeats: int, fn) -> float:
-    """Median over ``repeats`` calls of each call's wall-clock seconds
-    divided by the machine slowdown measured just before it
-    (:func:`perfbench.common.slowdown`): seconds at the reference
-    speed, comparable across runs while the machine's speed drifts.
+#: Least wall-clock seconds one timed sample spans: a kernel faster
+#: than this runs in a batch of calls that long, so a sample measures
+#: warm calls, not one call straight after the calibration probe.
+MIN_SAMPLE_S = 0.010
 
-    One slowdown sample varies by about ±15% within a second, so the
-    median of the per-call ratios is kept; the minimum would keep the
-    call whose sample happened to read slowest.
+
+def _calibrated_time(repeats: int, fn) -> float:
+    """Median over ``repeats`` samples of seconds per call of ``fn`` at
+    the reference speed, comparable across runs while the machine's
+    speed drifts.
+
+    Untimed warm-up calls, as many as fit in :data:`MIN_SAMPLE_S`, size
+    the batch.  Each sample then measures the machine slowdown
+    (:func:`perfbench.common.slowdown`), times one batch of that many
+    calls and divides its wall-clock seconds by the count and by the
+    slowdown.  One slowdown sample varies by about ±15% within a
+    second, so the median of the per-sample ratios is kept; the minimum
+    would keep the sample whose probe happened to read slowest.
     """
+    batch = 0
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < MIN_SAMPLE_S:
+        fn()
+        batch += 1
     samples = []
     for _ in range(repeats):
         scale = slowdown()
         t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) / scale)
+        for _ in range(batch):
+            fn()
+        samples.append((time.perf_counter() - t0) / batch / scale)
     return statistics.median(samples)
 
 
@@ -190,7 +207,7 @@ def bench_matching(matrix, repeats: int, after_only: bool = False) -> dict:
         order = np.random.default_rng(9).permutation(h.nverts)
         return PYTHON_KERNELS.cluster_vertices(
             state, order, cfg.matching == "absorption",
-            cfg.max_net_size_matching, cap, 2, None,
+            cfg.max_net_size_matching, cap, 2, 0, None,
         )
 
     if pair_clusters(run_before()).tolist() != (
@@ -246,22 +263,24 @@ def bench_medium_grain_build(matrix, repeats: int, after_only: bool = False) -> 
     the seed's independent ``np.repeat`` per consumer vs. the shared
     ``Hypergraph.net_ids()`` cache.  The model build itself is identical
     code on both sides and ~30x larger, so it is excluded: it would
-    swamp the delta being tracked.  Hypergraphs are prebuilt outside the
-    timer (one per run; the caches are per-instance).
+    swamp the delta being tracked.  The hypergraph is built once,
+    outside the timer; every call works on a cache-free copy that
+    shares its arrays (the caches are per-instance, and the copy costs
+    microseconds against the half millisecond being timed).
     """
-    split = initial_split(matrix, seed=SEED)
+    base = build_medium_grain(initial_split(matrix, seed=SEED)).hypergraph
 
     def fresh():
-        return build_medium_grain(split).hypergraph
-
-    before_pool = [] if after_only else [fresh() for _ in range(repeats + 1)]
-    after_pool = [fresh() for _ in range(repeats + 1)]
+        return Hypergraph(
+            base.nverts, base.xpins, base.pins, base.vwgt, base.ncost,
+            validate=False,
+        )
 
     def run_before():
-        baseline_derived_structures(before_pool.pop())
+        baseline_derived_structures(fresh())
 
     def run_after():
-        h = after_pool.pop()
+        h = fresh()
         h.xnets  # transpose via cached net_ids
         h.max_vertex_net_cost()
         h.net_ids()

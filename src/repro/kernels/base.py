@@ -86,6 +86,7 @@ class KernelBackend:
         max_net: int,
         max_cluster_weight: int,
         max_members: int | None,
+        min_clusters: int,
         restrict_parts: np.ndarray | None,
         deadline=None,
     ) -> np.ndarray:
@@ -98,11 +99,14 @@ class KernelBackend:
         ``max_cluster_weight`` and which holds fewer than
         ``max_members`` vertices (``None``: no limit).  Ties go to the
         lighter cluster, then to the first one touched.  With
-        ``restrict_parts`` only same-part clusters qualify.
+        ``restrict_parts`` only same-part clusters qualify.  The sweep
+        ends once only ``min_clusters`` clusters are left (``0``: it
+        visits the whole order).
 
         Returns the cluster map: vertices with equal entries form one
         cluster, and each entry is a vertex of that cluster.  At
-        ``max_members=2`` the sweep is the greedy pair matching.  A
+        ``max_members=2`` and ``min_clusters=0`` the sweep is the greedy
+        pair matching.  A
         ``deadline`` is checked during the sweep, which raises
         :class:`~repro.utils.deadline.Expired` once it has expired;
         callers pass one only when they have one, so a kernel without

@@ -45,6 +45,7 @@ from repro.utils.deadline import Expired
 
 __all__ = [
     "MAX_CLUSTER_MEMBERS",
+    "STOP_AT_TARGET",
     "cluster_vertices",
     "contract",
     "coarsen_level",
@@ -54,7 +55,13 @@ __all__ = [
 
 #: Most vertices one cluster may hold (``None``: no limit beyond the
 #: weight cap).  At 2 the clustering sweep is greedy pair matching.
-MAX_CLUSTER_MEMBERS: int | None = 2
+MAX_CLUSTER_MEMBERS: int | None = None
+
+#: Whether :func:`coarsen` ends a level's sweep once the level is down
+#: to the coarse target.  Without it one clustering level can overshoot
+#: the target by far (to a third of it on ``pway``'s bisections), and the
+#: coarsest hypergraph partitions worse.
+STOP_AT_TARGET = True
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,7 @@ def cluster_vertices(
     max_cluster_weight: int,
     restrict_parts: np.ndarray | None = None,
     deadline=None,
+    min_clusters: int = 0,
 ) -> np.ndarray:
     """Greedy agglomerative clustering; returns the cluster map:
     vertices with equal entries form one cluster.
@@ -82,7 +90,8 @@ def cluster_vertices(
     yet scores the clusters of its neighbours on (not too large) nets
     and joins the best, subject to the cluster's weight plus its own not
     exceeding ``max_cluster_weight`` and the cluster holding fewer than
-    :data:`MAX_CLUSTER_MEMBERS` vertices.
+    :data:`MAX_CLUSTER_MEMBERS` vertices.  The sweep ends once only
+    ``min_clusters`` clusters are left (``0``: never early).
 
     ``restrict_parts`` enables hMetis-style *restricted* coarsening:
     only vertices in the same part may share a cluster, so any
@@ -108,6 +117,7 @@ def cluster_vertices(
         config.max_net_size_matching,
         max_cluster_weight,
         MAX_CLUSTER_MEMBERS,
+        min_clusters,
         restrict_parts,
     )
     if deadline is None:
@@ -194,17 +204,20 @@ def coarsen_level(
     max_cluster_weight: int,
     deadline=None,
     restrict_parts: np.ndarray | None = None,
+    min_clusters: int = 0,
 ) -> CoarseLevel:
     """Run one clustering + contraction step.
 
     An expired ``deadline`` stops the clustering sweep with
     :class:`~repro.utils.deadline.Expired` before anything is contracted.
-    ``restrict_parts`` restricts the clusters to one part each (see
+    ``restrict_parts`` restricts the clusters to one part each, and the
+    sweep ends once only ``min_clusters`` clusters are left (see
     :func:`cluster_vertices`).
     """
     cluster = cluster_vertices(
         h, config, rng, max_cluster_weight,
         restrict_parts=restrict_parts, deadline=deadline,
+        min_clusters=min_clusters,
     )
     cmap, coarse = contract(
         h, cluster, merge_identical_nets=config.merge_identical_nets
@@ -224,7 +237,9 @@ def coarsen(
     """Coarsen ``h`` until at most ``target`` vertices remain.
 
     Adds levels (:func:`coarsen_level`, clusters capped at
-    ``cluster_cap``) until the coarsest has at most ``target`` vertices,
+    ``cluster_cap``; with :data:`STOP_AT_TARGET` a level's sweep ends
+    once it is down to ``target`` clusters) until the coarsest has at
+    most ``target`` vertices,
     ``config.max_levels`` levels exist, or clustering stalls: a level
     that removes less than ``config.min_reduction`` of the vertices is
     dropped and ends the loop.
@@ -245,13 +260,15 @@ def coarsen(
     """
     levels: list[CoarseLevel] = []
     cur, cur_parts = h, parts
+    min_clusters = target if STOP_AT_TARGET else 0
     while cur.nverts > target and len(levels) < config.max_levels:
         if deadline is not None and deadline.expired():
             _trace.event("deadline", where="coarsen")
             return levels, cur_parts, True
         try:
             level = coarsen_level(
-                cur, config, rng, cluster_cap, deadline, cur_parts
+                cur, config, rng, cluster_cap, deadline, cur_parts,
+                min_clusters,
             )
         except Expired as stop:
             _trace.event("deadline", where="match", visited=stop.visited)

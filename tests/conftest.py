@@ -31,18 +31,20 @@ class ReferenceKernels(BaselineBackend):
     pre-sparse k-way FM pass.  The frozen passes have no stall cap, and
     the k-way one does not count the moves it tried (reported as 0).
     The pair sweep stands in for the clustering kernel only at the pair
-    limit, so a comparison run above it fails loudly."""
+    limit (pairs, no stop at the coarse target), so a comparison run
+    beyond it fails loudly."""
 
     name = "reference"
 
     def cluster_vertices(self, state, order, absorption, max_net,
-                         max_cluster_weight, max_members, restrict_parts):
-        assert max_members == 2, (
-            "the frozen pair sweep is a reference only at max_members=2"
+                         max_cluster_weight, max_members, min_clusters,
+                         restrict_parts):
+        assert (max_members, min_clusters) == (2, 0), (
+            "the frozen pair sweep is a reference only at the pair limit"
         )
         return super().cluster_vertices(
             state, order, absorption, max_net, max_cluster_weight,
-            max_members, restrict_parts,
+            max_members, min_clusters, restrict_parts,
         )
 
     def kway_fm_pass(self, state, parts, nparts, ceilings, cfg, rng):

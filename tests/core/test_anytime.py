@@ -328,9 +328,9 @@ def test_recursive_expired_root_keeps_best_against_floor(matrix):
 
 
 # --------------------------------------------------------------------- #
-# The matching sweep stops inside, and the floor answers
+# The clustering sweep stops inside, and the floor answers
 # --------------------------------------------------------------------- #
-#: Engines whose first deadline check inside a matching sweep comes
+#: Engines whose first deadline check inside a clustering sweep comes
 #: before they have contracted any level.  On the pool, the root
 #: bisection runs inline on the calling process's deadline, so that check
 #: comes at the same count as on the serial run.
@@ -397,7 +397,7 @@ def test_sweep_stop_is_a_deadline_event_on_the_coarsen_span(
 
 def test_kway_vcycle_sweep_stops_on_the_deadline(matrix, tmp_path):
     # The k-way V-cycle coarsens with the engines' loop, so its
-    # restricted matching sweeps check the deadline too.  Expiring at
+    # restricted clustering sweeps check the deadline too.  Expiring at
     # the first such check ends the cycle; keep-best returns an answer
     # no worse than the multilevel construction the cycle started from.
     def run(deadline):

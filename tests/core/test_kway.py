@@ -15,6 +15,7 @@ from repro.core.volume import (
     max_part_size,
 )
 from repro.errors import PartitioningError, SplitError
+from repro.partitioner import coarsen
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.initial import greedy_kway_vertex_parts
 from repro.sparse.generators import erdos_renyi, grid2d_laplacian, kdiagonal
@@ -123,9 +124,14 @@ def test_kway_ignores_jobs():
         partition(m, 4, algo="kway", jobs=-1)
 
 
-def test_kway_bit_identical_across_kernel_backends(reference_kernels):
+def test_kway_bit_identical_across_kernel_backends(
+    reference_kernels, monkeypatch
+):
     """The python kernels and the frozen reference kernels give the same
-    multilevel k-way partition."""
+    multilevel k-way partition, coarsening at the pair limit, where the
+    frozen pair sweep is the reference."""
+    monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
+    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
     m = MATRICES["kdiag"]()
     py = partition_kway(m, 6, seed=13, vcycles=2)
     ref = partition_kway(

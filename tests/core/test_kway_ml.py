@@ -37,17 +37,17 @@ import pytest
 from repro.core.kway import partition_kway
 from repro.core.recursive import partition
 from repro.errors import PartitioningError
+from repro.partitioner import coarsen
 from repro.partitioner.config import get_config
 from repro.sparse.collection import load_instance
 
 SEED = 2014
 
 # (instance, p, vcycles) -> (volume, sha256(parts int64 bytes)[:16]).
-# On sym_grid2d_s, vcycles=2 coincides with vcycles=1: the extra
-# restricted V-cycle found no improvement and the keep-best contract
-# returned the incumbent.  On sym_gd97_like it improves 102 -> 101.
-# Pinning both protects the keep-best contract either way.
-# The multilevel pins were re-pinned twice, deliberately:
+# The extra restricted V-cycle of vcycles=2 improves sym_grid2d_s
+# 59 -> 58 and sym_gd97_like 102 -> 101; the keep-best contract would
+# have returned the incumbent had it found nothing.
+# The multilevel pins were re-pinned three times, deliberately:
 # * when the 2-way coarsest level (which the recursive-bisection
 #   construction of ``multilevel_kway`` runs) switched to greedy grow +
 #   spectral sweep — previously (64, "7500899f4167cade") and
@@ -55,10 +55,13 @@ SEED = 2014
 # * when recursive bisection became the only k-way coarsest
 #   construction (no ranked restarts) — previously sym_grid2d_s
 #   (59, "f40711c33eb576f9") and sym_gd97_like (101, "77e9819c41cc85d0"),
-#   the same at vcycles 1 and 2.
+#   the same at vcycles 1 and 2;
+# * when clustering replaced pair matching in every coarsening —
+#   previously sym_grid2d_s (59, "016e7be2b4c6d66a") at vcycles 1 and 2
+#   (sym_gd97_like did not move).
 GOLDEN_KWAY = {
-    ("sym_grid2d_s", 4, 1): (59, "016e7be2b4c6d66a"),
-    ("sym_grid2d_s", 4, 2): (59, "016e7be2b4c6d66a"),
+    ("sym_grid2d_s", 4, 1): (59, "e1b0ec0cf3b7faec"),
+    ("sym_grid2d_s", 4, 2): (58, "617409adfc4347fe"),
     ("sym_gd97_like", 8, 1): (102, "661c04d8291c5546"),
     ("sym_gd97_like", 8, 2): (101, "4d1b0a751ae95c76"),
 }
@@ -81,9 +84,13 @@ def test_kway_ml_pinned(instance, p, vcycles):
     assert res.method.endswith("+ml")
 
 
-def test_bit_identical_across_kernel_backends(reference_kernels):
+def test_bit_identical_across_kernel_backends(reference_kernels, monkeypatch):
     """Same parts, bit for bit, from the python kernels and the frozen
-    reference kernels (the RNG must be consumed identically by both)."""
+    reference kernels (the RNG must be consumed identically by both),
+    coarsening at the pair limit, where the frozen pair sweep is the
+    reference."""
+    monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
+    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
     matrix = load_instance("sym_grid2d_s")
     cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=2)
     results = {

@@ -1,23 +1,32 @@
 """The python kernels against the frozen reference kernels.
 
 The reference (``ReferenceKernels`` in ``conftest.py``) is the seed's
-2-way FM pass and matching sweep, frozen in ``benchmarks/``; the python
-kernels must give the same partitions, cuts and matchings on small
-random hypergraphs, and through whole coarsening levels and multilevel
-runs.  The frozen passes have no stall cap, so the cap case checks that
-the python pass stops where the cap says it must.
+2-way FM pass and pair-matching sweep, frozen in ``benchmarks/``; the
+python kernels must give the same partitions, cuts and matchings on
+small random hypergraphs, and through whole coarsening levels and
+multilevel runs.  The clustering sweep equals the pair sweep at its pair
+limit, so every comparison here coarsens at ``MAX_CLUSTER_MEMBERS = 2``.
+The frozen passes have no stall cap, so the cap case checks that the
+python pass stops where the cap says it must.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benchmarks._baseline_kernels import lowest_labels
+from benchmarks._baseline_kernels import (
+    baseline_match_vertices,
+    lowest_labels,
+    pair_clusters,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume
 from repro.kernels import PYTHON_KERNELS, python_backend
-from repro.partitioner.coarsen import cluster_vertices, coarsen_level
+from repro.partitioner import coarsen
+from repro.partitioner.coarsen import cluster_vertices, coarsen_level, contract
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import fm_refine
 from repro.partitioner.multilevel import multilevel_bipartition
@@ -32,6 +41,14 @@ def random_hypergraph(rng: np.random.Generator, nverts: int, nnets: int):
     vwgt = rng.integers(1, 4, size=nverts)
     ncost = rng.integers(0, 3, size=nnets)
     return Hypergraph.from_net_lists(nverts, nets, vwgt=vwgt, ncost=ncost)
+
+
+@pytest.fixture(autouse=True)
+def pair_limit(monkeypatch):
+    """Coarsen at the pair limit, where the frozen pair sweep is the
+    reference."""
+    monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
+    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
 
 
 CONFIGS = [
@@ -201,6 +218,67 @@ def test_deadline_bound_matching_equivalent(
     np.testing.assert_array_equal(lowest_labels(m_py), m_ref)
     # One check between each two chunks, none before the first.
     assert never.checks == (h.nverts - 1) // chunk
+
+
+def _pair_cmap(match: np.ndarray) -> np.ndarray:
+    """The pair contraction's numbering: a vertex represents its pair
+    when unmatched or the lower of the two, and representatives are
+    numbered in vertex order."""
+    ids = np.arange(match.size, dtype=np.int64)
+    is_rep = (match < 0) | (ids < match)
+    cmap = np.empty(match.size, dtype=np.int64)
+    cmap[is_rep] = np.cumsum(is_rep)[is_rep] - 1
+    cmap[~is_rep] = cmap[match[~is_rep]]
+    return cmap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    restricted=st.booleans(),
+    chunk=st.sampled_from([None, 1, 5, 64]),
+    cfg=st.sampled_from(CONFIGS),
+)
+def test_pair_limit_sweep_equals_frozen_pairs(seed, restricted, chunk, cfg):
+    """At ``max_members=2`` the clustering sweep and the contraction are
+    the frozen pair sweep and the pair contraction, with or without a
+    part restriction, and with the visits chunked for a deadline."""
+    rng = np.random.default_rng(seed)
+    h = random_hypergraph(
+        rng, nverts=int(rng.integers(1, 60)), nnets=int(rng.integers(1, 80))
+    )
+    restrict = (
+        rng.integers(0, 3, size=h.nverts).astype(np.int64)
+        if restricted else None
+    )
+    cap = int(rng.integers(1, h.total_weight() + 2))
+    match = baseline_match_vertices(
+        h, cfg, np.random.default_rng(seed), cap, restrict
+    )
+    args = (
+        PYTHON_KERNELS.fm_state(h),
+        np.random.default_rng(seed).permutation(h.nverts),
+        cfg.matching == "absorption",
+        cfg.max_net_size_matching,
+        cap,
+        2,
+        0,
+        restrict,
+    )
+    if chunk is None:
+        cluster = PYTHON_KERNELS.cluster_vertices(*args)
+    else:
+        saved = python_backend.MATCH_CHUNK
+        python_backend.MATCH_CHUNK = chunk
+        try:
+            cluster = PYTHON_KERNELS.cluster_vertices(
+                *args, deadline=_NeverExpires()
+            )
+        finally:
+            python_backend.MATCH_CHUNK = saved
+    np.testing.assert_array_equal(lowest_labels(cluster), pair_clusters(match))
+    cmap, _ = contract(h, cluster)
+    np.testing.assert_array_equal(cmap, _pair_cmap(match))
 
 
 @pytest.mark.parametrize("case_seed", range(3))

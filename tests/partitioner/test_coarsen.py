@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume
+from repro.kernels import PYTHON_KERNELS, python_backend
 from repro.partitioner.coarsen import (
     cluster_vertices,
+    coarsen,
     coarsen_level,
     contract,
 )
-from repro.kernels import python_backend
 from repro.partitioner.config import get_config
 from repro.utils.deadline import Expired, SoftBudget
 
@@ -108,6 +109,115 @@ class TestMatching:
             )
 
 
+def weighted_hypergraph(seed):
+    """A random hypergraph with vertex weights 1..5 and costs 1..3."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    h = random_hypergraph(rng, n, int(rng.integers(1, 60)))
+    return Hypergraph(
+        n, h.xpins, h.pins,
+        vwgt=rng.integers(1, 6, size=n),
+        ncost=rng.integers(1, 4, size=h.nnets),
+    ), rng
+
+
+def kernel_clusters(h, seed, cap, max_members, restrict=None,
+                    min_clusters=0):
+    """The clustering kernel's map for visit order ``seed``."""
+    order = np.random.default_rng(seed).permutation(h.nverts)
+    return PYTHON_KERNELS.cluster_vertices(
+        PYTHON_KERNELS.fm_state(h), order, False, 400, cap, max_members,
+        min_clusters, restrict,
+    )
+
+
+class TestClustering:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        members=st.sampled_from([None, 2, 3, 5]),
+    )
+    def test_clusters_fit_the_weight_cap_and_member_limit(
+        self, seed, members
+    ):
+        h, rng = weighted_hypergraph(seed)
+        cap = int(rng.integers(1, h.total_weight() + 1))
+        cluster = kernel_clusters(h, seed, cap, members)
+        # Every label is a vertex of the cluster it labels.
+        np.testing.assert_array_equal(cluster[cluster], cluster)
+        _, inverse, counts = np.unique(
+            cluster, return_inverse=True, return_counts=True
+        )
+        weights = np.bincount(inverse, weights=h.vwgt)
+        # A vertex heavier than the cap may stay alone; every cluster
+        # that holds more than one vertex fits the cap.
+        assert (weights[counts > 1] <= cap).all()
+        if members is not None:
+            assert counts.max() <= members
+
+    def test_a_vertex_joins_an_existing_cluster(self):
+        # Visiting in id order: 0 joins 1, then 2 scores their cluster
+        # 3 against 1 for vertex 3 and joins it.  The weight cap of 3
+        # leaves 3 alone; at the pair limit 2 pairs with 3 instead.
+        h = Hypergraph.from_net_lists(
+            4, [[0, 1], [0, 1, 2], [1, 2], [3, 2]], ncost=[3, 1, 1, 1]
+        )
+        order = np.arange(4)
+        state = PYTHON_KERNELS.fm_state(h)
+        args = (state, order, False, 400, 3)
+        grown = PYTHON_KERNELS.cluster_vertices(*args, None, 0, None)
+        assert grown[0] == grown[1] == grown[2] != grown[3]
+        pairs = PYTHON_KERNELS.cluster_vertices(*args, 2, 0, None)
+        assert pairs[0] == pairs[1]
+        assert pairs[2] == pairs[3] != pairs[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), stop=st.integers(1, 40))
+    def test_sweep_ends_at_min_clusters(self, seed, stop):
+        # The sweep ends as soon as only ``stop`` clusters are left, so
+        # it leaves exactly that many whenever the whole sweep would
+        # have left fewer.
+        h, _ = weighted_hypergraph(seed)
+        whole = np.unique(kernel_clusters(h, seed, 10**9, None)).size
+        cut = kernel_clusters(h, seed, 10**9, None, min_clusters=stop)
+        assert np.unique(cut).size == max(whole, min(stop, h.nverts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(2, 5))
+    def test_restricted_clusters_project_the_cut_exactly(self, seed, k):
+        h, rng = weighted_hypergraph(seed)
+        parts = rng.integers(0, k, size=h.nverts).astype(np.int64)
+        cluster = kernel_clusters(h, seed, 10**9, None, restrict=parts)
+        np.testing.assert_array_equal(parts[cluster], parts)
+        # Through the coarsening loop: the parts project to every level
+        # and back down unchanged, with the fine cut.
+        levels, coarse_parts, _ = coarsen(
+            h, get_config("mondriaan"), np.random.default_rng(seed),
+            10**9, 2, parts=parts,
+        )
+        down = coarse_parts
+        for level in reversed(levels):
+            down = down[level.cmap]
+        np.testing.assert_array_equal(down, parts)
+        coarsest = levels[-1].coarse if levels else h
+        assert connectivity_volume(coarsest, coarse_parts) == (
+            connectivity_volume(h, parts)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_same_seed_same_map(self, seed):
+        h, _ = weighted_hypergraph(seed)
+        cfg = get_config("mondriaan")
+        runs = [
+            coarsen(h, cfg, np.random.default_rng(seed), 10**9, 2)[0]
+            for _ in range(2)
+        ]
+        assert len(runs[0]) == len(runs[1])
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.cmap, b.cmap)
+
+
 class TestContraction:
     def test_weights_summed(self):
         h = Hypergraph.from_net_lists(4, [[0, 1], [2, 3]], vwgt=[1, 2, 3, 4])
@@ -160,6 +270,16 @@ class TestContraction:
             h, np.array([0, 0, 2, 3]), merge_identical_nets=False
         )
         assert coarse.nnets == 3
+
+    def test_clusters_numbered_by_lowest_vertex(self):
+        # Labels are arbitrary; coarse ids follow each cluster's lowest
+        # vertex: {1, 4} (lowest 1) -> 1, {0, 2, 5} -> 0, {3} -> 2.
+        h = Hypergraph.from_net_lists(
+            6, [[0, 1], [2, 3], [4, 5]], vwgt=[1, 2, 3, 4, 5, 6]
+        )
+        cmap, coarse = contract(h, np.array([9, 7, 9, 3, 7, 9]))
+        assert cmap.tolist() == [0, 1, 0, 2, 1, 0]
+        assert coarse.vwgt.tolist() == [10, 7, 4]
 
     def test_no_pins(self):
         h = Hypergraph(3, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))

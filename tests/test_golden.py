@@ -16,6 +16,13 @@ partitioning changed from eight greedy/random restarts to one greedy
 grow plus one spectral sweep (14 of the 24 bipartition volumes moved,
 by -5 to +3; geomean bipartition volume over the small and medium
 collection tiers stayed within +1.5% for every paper method).
+
+Re-pinned once more when coarsening moved from pair matching to
+clustering (no member limit, each level's sweep stopping at the coarse
+target): 9 of the 24 bipartition volumes moved, by -6 to +3, the
+``sqr_cl_m`` long-pass pin by -1 and the recursive p=8 pin from
+(108, 153) to (111, 155); the paper's Table I volume shape holds (see
+docs/performance.md, "Clustering coarsening").
 """
 
 import pytest
@@ -30,18 +37,18 @@ GOLDEN_BIPARTITION = {
     ("sym_gd97_like", "finegrain", True): 28,
     ("sym_gd97_like", "mediumgrain", False): 30,
     ("sym_gd97_like", "mediumgrain", True): 30,
-    ("sqr_er_s", "localbest", False): 134,
-    ("sqr_er_s", "localbest", True): 124,
-    ("sqr_er_s", "finegrain", False): 130,
-    ("sqr_er_s", "finegrain", True): 129,
-    ("sqr_er_s", "mediumgrain", False): 132,
-    ("sqr_er_s", "mediumgrain", True): 124,
+    ("sqr_er_s", "localbest", False): 137,
+    ("sqr_er_s", "localbest", True): 122,
+    ("sqr_er_s", "finegrain", False): 124,
+    ("sqr_er_s", "finegrain", True): 123,
+    ("sqr_er_s", "mediumgrain", False): 127,
+    ("sqr_er_s", "mediumgrain", True): 123,
     ("rec_td_small_a", "localbest", False): 39,
     ("rec_td_small_a", "localbest", True): 33,
-    ("rec_td_small_a", "finegrain", False): 35,
-    ("rec_td_small_a", "finegrain", True): 35,
+    ("rec_td_small_a", "finegrain", False): 37,
+    ("rec_td_small_a", "finegrain", True): 36,
     ("rec_td_small_a", "mediumgrain", False): 41,
-    ("rec_td_small_a", "mediumgrain", True): 34,
+    ("rec_td_small_a", "mediumgrain", True): 37,
     ("sym_grid2d_s", "localbest", False): 32,
     ("sym_grid2d_s", "localbest", True): 32,
     ("sym_grid2d_s", "finegrain", False): 32,
@@ -57,11 +64,12 @@ SEED = 2014
 # instances run medium-grain hypergraphs of 6,092 and 6,906 vertices,
 # where the 512-move cap binds, and ``sqr_cl_m`` moves (234 -> 240)
 # under a 256-move cap.  Pinned from the uncapped code, so they also
-# pin that the 512 cap leaves these answers unchanged.
+# pin that the 512 cap leaves these answers unchanged (``sqr_cl_m`` was
+# 234 under pair matching).
 GOLDEN_MG_IR_LONG_PASSES = {
     "sym_grid2d_l": 156,
     "sqr_band_l": 6,
-    "sqr_cl_m": 234,
+    "sqr_cl_m": 233,
 }
 
 
@@ -92,14 +100,15 @@ def test_recursive_p8_pinned():
     derives its RNG from the node's tree path (the scheme that makes the
     parallel recursion bit-identical to serial), so this value is stable
     for every ``jobs``.  Regenerated when that scheme replaced the
-    traversal-order stream (previously (110, 152)), and again when the
+    traversal-order stream (previously (110, 152)), again when the
     spectral sweep joined the coarsest-level candidates (previously
-    (107, 153))."""
+    (107, 153)), and when clustering replaced pair matching
+    (previously (108, 153))."""
     matrix = load_instance("sym_grid2d_s")
     result = partition(
         matrix, 8, method="mediumgrain", refine=True, seed=SEED
     )
-    assert (result.volume, result.max_part) == (108, 153)
+    assert (result.volume, result.max_part) == (111, 155)
 
 
 def test_initial_split_pinned():
