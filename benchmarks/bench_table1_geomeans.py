@@ -11,7 +11,9 @@ Time  1.00   1.10   0.62   0.72   1.32   1.43
 
 The reproduction asserts the *shape*: MG+IR lowest volume overall, MG
 fastest, FG slowest, LB+IR best on rectangular, IR always reducing volume.
-Absolute values are recorded in EXPERIMENTS.md.
+The "All" rows measured on the medium tier, before and after coarsening
+moved to clustering, are recorded in docs/performance.md, section
+"Clustering coarsening".
 """
 
 import pytest

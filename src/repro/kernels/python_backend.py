@@ -18,7 +18,9 @@ interpreter throughput while keeping results bit-identical:
 
 Every tie-break — LIFO bucket order, side preference by weight, the
 balance-metric prefix tie-break, the bucket-cursor tightening quirk — is
-preserved exactly; the golden tests pin this.
+preserved exactly; the golden tests pin this.  The clustering sweep at
+``max_members=2`` is the seed's greedy pair matching (checked against
+the frozen seed sweep).
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from repro.utils.deadline import Expired
 __all__ = ["MATCH_CHUNK", "PythonBackend", "merge_identical_nets"]
 
 #: Visits between two deadline checks of a deadline-bound clustering
-#: sweep (a few hundred microseconds of interpreted scoring).  A
-#: clustering visit scores 1.9–2.6× the pins of a pair-matching visit,
-#: whose chunk was 256, so a chunk takes less time than that one did.
+#: sweep.  A level-0 visit scores every pin of its nets, 4–40 µs on the
+#: perfbench matrices, so a chunk stays under about 2.5 ms.
 MATCH_CHUNK = 64
 
 
@@ -853,15 +854,14 @@ class PythonBackend(KernelBackend):
                 if clustered[v]:
                     continue
                 # The weight cap rewritten as a bound on the candidate
-                # cluster's weight; the scoring loops below are
-                # specialized on whether coarsening is part-restricted
-                # (the checks are side-effect free, so hoisting the
-                # restrict test out of the unrestricted sweep cannot
-                # change any score).  Every member of a cluster shares
-                # its part, so a pin's own part stands for its
-                # cluster's.
-                # ``v`` closes its own cluster while it scores, which
-                # keeps it from scoring itself.
+                # cluster's weight; ``v`` closes its own cluster while
+                # it scores, so it never scores itself.  The scoring
+                # loops below are specialized on whether coarsening is
+                # part-restricted (the checks are side-effect free, so
+                # hoisting the restrict test out of the unrestricted
+                # sweep cannot change any score).  Every member of a
+                # cluster shares its part, so a pin's own part stands
+                # for its cluster's.
                 wv = vw_l[v]
                 cap = max_cluster_weight - wv
                 cw[v] = closed

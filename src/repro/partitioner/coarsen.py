@@ -239,10 +239,10 @@ def coarsen(
     Adds levels (:func:`coarsen_level`, clusters capped at
     ``cluster_cap``; with :data:`STOP_AT_TARGET` a level's sweep ends
     once it is down to ``target`` clusters) until the coarsest has at
-    most ``target`` vertices,
-    ``config.max_levels`` levels exist, or clustering stalls: a level
-    that removes less than ``config.min_reduction`` of the vertices is
-    dropped and ends the loop.
+    most ``target`` vertices, ``config.max_levels`` levels exist, or
+    clustering stalls: a level that removes less than
+    ``config.min_reduction`` of the vertices is dropped and ends the
+    loop.
 
     With ``parts``, clustering is restricted to same-part clusters, so
     the partitioning is constant on every cluster; it is projected to each
@@ -250,10 +250,10 @@ def coarsen(
     projection is ``None``.
 
     A ``deadline`` is checked before each level and inside its
-    clustering sweep; once it has expired, the unfinished level is dropped and the
-    loop stops.  Either stop is a ``deadline`` event (``where="coarsen"``
-    or ``where="match"`` with the sweep's ``visited`` count) on the
-    caller's current span.
+    clustering sweep; once it has expired, the unfinished level is
+    dropped and the loop stops.  Either stop is a ``deadline`` event
+    (``where="coarsen"`` or ``where="match"`` with the sweep's
+    ``visited`` count) on the caller's current span.
 
     Returns ``(levels, coarse_parts, cut_short)``; ``cut_short`` says a
     deadline stopped the loop.

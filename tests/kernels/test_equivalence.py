@@ -196,14 +196,15 @@ class _NeverExpires:
         return False
 
 
-@pytest.mark.parametrize("chunk", [7, python_backend.MATCH_CHUNK])
+@pytest.mark.parametrize("chunk", [7, 256])
 @pytest.mark.parametrize("cfg, make_case, case_seed", MATCHING_CASES)
 def test_deadline_bound_matching_equivalent(
     cfg, make_case, case_seed, chunk, reference_kernels, monkeypatch
 ):
     """A sweep checking a deadline that never expires, between chunks
-    of ``chunk`` visits (7 splits every case into several), matches
-    exactly what the frozen reference matches without one."""
+    of ``chunk`` visits (7 splits every case into several, 256 leaves
+    each in one, like the production chunk), matches exactly what the
+    frozen reference matches without one."""
     monkeypatch.setattr(python_backend, "MATCH_CHUNK", chunk)
     h, seed, restrict = make_case(case_seed)
     never = _NeverExpires()
