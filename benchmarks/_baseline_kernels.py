@@ -11,7 +11,9 @@ was before it counted pairs.  They exist
 solely as the **before** side of ``bench_regress.py`` so the perf
 trajectory in ``BENCH_kernels.json`` measures real, reproducible deltas
 — do not use them from library code, and do not "fix" them: their
-slowness is the point.
+slowness is the point.  ``pair_clusters`` and ``lowest_labels`` are not
+frozen code: they let the frozen pair sweep's partner arrays be compared
+with the clustering kernel's cluster maps.
 """
 
 from __future__ import annotations
