@@ -45,7 +45,6 @@ from repro.utils.deadline import Expired
 
 __all__ = [
     "MAX_CLUSTER_MEMBERS",
-    "STOP_AT_TARGET",
     "cluster_vertices",
     "contract",
     "coarsen_level",
@@ -54,14 +53,12 @@ __all__ = [
 ]
 
 #: Most vertices one cluster may hold (``None``: no limit beyond the
-#: weight cap).  At 2 the clustering sweep is greedy pair matching.
+#: weight cap).  At 2 :func:`coarsen` is greedy pair matching, sweeping
+#: every level to the end; otherwise it ends a level's sweep once the
+#: level is down to the coarse target, since one clustering level can
+#: overshoot the target by far (to a third of it on ``pway``'s
+#: bisections), and the coarsest hypergraph then partitions worse.
 MAX_CLUSTER_MEMBERS: int | None = None
-
-#: Whether :func:`coarsen` ends a level's sweep once the level is down
-#: to the coarse target.  Without it one clustering level can overshoot
-#: the target by far (to a third of it on ``pway``'s bisections), and the
-#: coarsest hypergraph partitions worse.
-STOP_AT_TARGET = True
 
 
 @dataclass(frozen=True)
@@ -237,8 +234,8 @@ def coarsen(
     """Coarsen ``h`` until at most ``target`` vertices remain.
 
     Adds levels (:func:`coarsen_level`, clusters capped at
-    ``cluster_cap``; with :data:`STOP_AT_TARGET` a level's sweep ends
-    once it is down to ``target`` clusters) until the coarsest has at
+    ``cluster_cap``; above the pair limit of :data:`MAX_CLUSTER_MEMBERS`
+    a level's sweep ends once it is down to ``target`` clusters) until the coarsest has at
     most ``target`` vertices, ``config.max_levels`` levels exist, or
     clustering stalls: a level that removes less than
     ``config.min_reduction`` of the vertices is dropped and ends the
@@ -260,7 +257,7 @@ def coarsen(
     """
     levels: list[CoarseLevel] = []
     cur, cur_parts = h, parts
-    min_clusters = target if STOP_AT_TARGET else 0
+    min_clusters = 0 if MAX_CLUSTER_MEMBERS == 2 else target
     while cur.nverts > target and len(levels) < config.max_levels:
         if deadline is not None and deadline.expired():
             _trace.event("deadline", where="coarsen")

@@ -131,7 +131,6 @@ def test_kway_bit_identical_across_kernel_backends(
     multilevel k-way partition, coarsening at the pair limit, where the
     frozen pair sweep is the reference."""
     monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
-    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
     m = MATRICES["kdiag"]()
     py = partition_kway(m, 6, seed=13, vcycles=2)
     ref = partition_kway(

@@ -90,7 +90,6 @@ def test_bit_identical_across_kernel_backends(reference_kernels, monkeypatch):
     coarsening at the pair limit, where the frozen pair sweep is the
     reference."""
     monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
-    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
     matrix = load_instance("sym_grid2d_s")
     cfg = dataclasses.replace(get_config("mondriaan"), kway_vcycles=2)
     results = {

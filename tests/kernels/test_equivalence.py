@@ -48,7 +48,6 @@ def pair_limit(monkeypatch):
     """Coarsen at the pair limit, where the frozen pair sweep is the
     reference."""
     monkeypatch.setattr(coarsen, "MAX_CLUSTER_MEMBERS", 2)
-    monkeypatch.setattr(coarsen, "STOP_AT_TARGET", False)
 
 
 CONFIGS = [
