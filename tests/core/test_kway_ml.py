@@ -67,6 +67,16 @@ GOLDEN_KWAY = {
 }
 
 
+# The same two runs followed by the k-way Algorithm-2 loop
+# (``refine=True``, vcycles 1): (volume, parts hash).  Neither run finds
+# a better re-encoding, so the keep-best rule returns the multilevel
+# answer; the pin holds the loop to exactly that.
+GOLDEN_KWAY_IR = {
+    ("sym_grid2d_s", 4): (59, "e1b0ec0cf3b7faec"),
+    ("sym_gd97_like", 8): (102, "661c04d8291c5546"),
+}
+
+
 def parts_hash(parts) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(parts, dtype=np.int64).tobytes()
@@ -82,6 +92,17 @@ def test_kway_ml_pinned(instance, p, vcycles):
     volume, digest = GOLDEN_KWAY[(instance, p, vcycles)]
     assert (res.volume, parts_hash(res.parts)) == (volume, digest)
     assert res.method.endswith("+ml")
+
+
+@pytest.mark.parametrize(
+    "instance,p", sorted(GOLDEN_KWAY_IR), ids=lambda v: str(v)
+)
+def test_kway_ml_ir_pinned(instance, p):
+    matrix = load_instance(instance)
+    res = partition_kway(matrix, p, refine=True, seed=SEED, vcycles=1)
+    volume, digest = GOLDEN_KWAY_IR[(instance, p)]
+    assert (res.volume, parts_hash(res.parts)) == (volume, digest)
+    assert res.method == "mediumgrain+ml+ir"
 
 
 def test_bit_identical_across_kernel_backends(reference_kernels, monkeypatch):

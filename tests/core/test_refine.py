@@ -1,17 +1,20 @@
 """Tests for Algorithm 2 (iterative refinement)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.refine import iterative_refine
+from repro.core.refine import iterative_refine, vcycle_refine_bipartition
 from repro.core.volume import (
     communication_volume,
     max_allowed_part_size,
     max_part_size,
 )
 from repro.errors import PartitioningError
+from repro.sparse.collection import load_instance
 from repro.sparse.generators import arrow, erdos_renyi, grid2d_laplacian
 from repro.sparse.matrix import SparseMatrix
 from tests.conftest import sparse_matrices
@@ -175,3 +178,51 @@ class TestSingleDirectionAblation:
         assert communication_volume(a, alt) <= communication_volume(
             a, single
         )
+
+
+def _parts_hash(parts) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(parts, dtype=np.int64).tobytes()
+    ).hexdigest()[:16]
+
+
+class TestPinned:
+    """Bit-identity pins for the refinement loops, started from the
+    contiguous split of ``sym_gd97_like`` (a start every loop improves):
+    the volume trace and a hash of the returned part vector."""
+
+    @staticmethod
+    def _start(matrix, k):
+        return (np.arange(matrix.nnz) * k // matrix.nnz).astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "nparts,alternate,volumes,directions,digest",
+        [
+            (2, True, [45, 35, 33, 33, 29, 29, 29], [0, 0, 0, 1, 1, 0],
+             "6fa46fe0f180df3e"),
+            (2, False, [45, 35, 33, 33], [0, 0, 0], "0d3c0cf05b476f83"),
+            (4, True, [96, 84, 84, 73, 71, 70, 70, 70],
+             [0, 0, 1, 1, 1, 1, 0], "e5b1858b4aec4880"),
+            (4, False, [96, 84, 84], [0, 0], "f5c44e97f65b0c76"),
+        ],
+    )
+    def test_iterative_refine_pinned(
+        self, nparts, alternate, volumes, directions, digest
+    ):
+        m = load_instance("sym_gd97_like")
+        parts, trace = iterative_refine(
+            m, self._start(m, nparts), nparts=nparts, seed=2014,
+            alternate=alternate,
+        )
+        assert trace.volumes == volumes
+        assert trace.directions == directions
+        assert trace.converged
+        assert _parts_hash(parts) == digest
+
+    def test_vcycle_refine_bipartition_pinned(self):
+        m = load_instance("sym_gd97_like")
+        parts, cuts = vcycle_refine_bipartition(
+            m, self._start(m, 2), eps=0.03, seed=2014
+        )
+        assert cuts == [45, 35, 33, 33]
+        assert _parts_hash(parts) == "1a061f6550b2e5b5"
