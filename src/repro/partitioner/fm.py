@@ -15,22 +15,26 @@ drives it feasible (forced moves off the overweight side) and only tracks
 best prefixes at feasible states.
 
 The pass itself — vectorized setup plus the sequential move loop — lives
-in :mod:`repro.kernels`: this module validates inputs, orchestrates the
-pass schedule, and delegates each pass to the kernels, reusing one
-:class:`~repro.kernels.state.FMPassState` per hypergraph so repeated
-refinement calls pay the array-to-list conversions only once.
+in :mod:`repro.kernels`: this module validates inputs, runs the pass
+schedule, and delegates each pass to the kernels, reusing the
+:class:`~repro.kernels.state.FMPassState` cached on each hypergraph so
+repeated refinement calls pay the array-to-list conversions only once.
+Both arities share the input checks (:func:`_checked`) and the pass
+schedule (:func:`_run_passes`); only the kernel call, the initial
+feasibility test and k-way's :func:`kway_rebalance` repair differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import FMPassState, kernels_for
+from repro.kernels import kernels_for
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.partitioner.config import PartitionerConfig, get_config
@@ -65,16 +69,6 @@ _FM_GAIN = _metrics.counter(
     "Total cut reduction achieved by improving FM passes",
     ("kind",),
 )
-# Label children bound once: every pass would otherwise pay a locked
-# ``.labels()`` lookup per counter.
-_FM_PASSES_BI = _FM_PASSES.labels(kind="bi")
-_FM_MOVES_BI = _FM_MOVES.labels(kind="bi")
-_FM_TRIED_BI = _FM_TRIED.labels(kind="bi")
-_FM_GAIN_BI = _FM_GAIN.labels(kind="bi")
-_FM_PASSES_KWAY = _FM_PASSES.labels(kind="kway")
-_FM_MOVES_KWAY = _FM_MOVES.labels(kind="kway")
-_FM_TRIED_KWAY = _FM_TRIED.labels(kind="kway")
-_FM_GAIN_KWAY = _FM_GAIN.labels(kind="kway")
 
 
 @dataclass
@@ -116,7 +110,6 @@ def fm_refine(
     seed: SeedLike = None,
     max_passes: int | None = None,
     *,
-    state: FMPassState | None = None,
     deadline: Deadline | None = None,
 ) -> FMResult:
     """Refine a bipartitioning of ``h`` with repeated FM passes.
@@ -128,7 +121,7 @@ def fm_refine(
     parts:
         Initial part vector (0/1 per vertex); not modified.
     max_weights:
-        Per-side weight ceilings ``(maxW0, maxW1)``.
+        Per-side weight ceilings ``(maxW0, maxW1)``, non-negative.
     config:
         Preset name or :class:`PartitionerConfig` (controls pass count,
         early exit, boundary-only seeding).
@@ -136,9 +129,6 @@ def fm_refine(
         RNG for tie-breaking insertion order.
     max_passes:
         Overrides ``config.fm_max_passes`` when given.
-    state:
-        Explicit reusable pass state for ``h``.  Defaults to the state
-        cached on the hypergraph; results are identical either way.
     deadline:
         Optional cooperative deadline, checked **between** passes only
         (each pass rolls back to its best prefix, so the incumbent is
@@ -151,78 +141,14 @@ def fm_refine(
         With ``parts`` a fresh array; the cut never exceeds the input cut
         when the input is feasible.
     """
-    cfg = get_config(config)
+    cfg, parts, ceilings = _checked(h, parts, 2, max_weights, config)
     kb = kernels_for(cfg)
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    if state is None:
-        state = kb.fm_state(h)
-    elif state.h is not h:
-        raise PartitioningError(
-            "FMPassState belongs to a different hypergraph"
-        )
-    rng = as_generator(seed)
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() > 1):
-        raise PartitioningError("fm_refine expects a 0/1 part vector")
-    maxw = (int(max_weights[0]), int(max_weights[1]))
-    if h.total_weight() > maxw[0] + maxw[1]:
-        raise PartitioningError(
-            f"total weight {h.total_weight()} exceeds combined ceilings "
-            f"{maxw[0]} + {maxw[1]}: no feasible bipartitioning exists"
-        )
-
-    passes_budget = max_passes if max_passes is not None else cfg.fm_max_passes
-    cut = connectivity_volume(h, parts)
-    total_delta = 0
-    passes_run = 0
-    feasible = _is_feasible(h, parts, maxw)
-    degraded = None
-    for _ in range(passes_budget):
-        if deadline is not None and deadline.expired():
-            degraded = Degraded(
-                "fm", completed=passes_run,
-                skipped=passes_budget - passes_run,
-            )
-            _trace.event("deadline", where="fm", completed=passes_run)
-            break
-        started_feasible = feasible
-        before = parts.copy()
-        with _trace.span("fm.pass") as sp:
-            delta, feasible, tried = kb.fm_pass(
-                state, parts, maxw, cfg, rng
-            )
-            moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved, tried=tried, nverts=h.nverts)
-        passes_run += 1
-        total_delta += delta
-        _FM_PASSES_BI.inc()
-        _FM_MOVES_BI.inc(moved)
-        _FM_TRIED_BI.inc(tried)
-        if delta > 0:
-            _FM_GAIN_BI.inc(delta)
-        # Stop once a pass that started from a feasible state no longer
-        # reduces the cut; a rebalancing pass (infeasible start) may have
-        # delta <= 0 yet unlock further improvement, so it never stops us.
-        if started_feasible and delta <= 0:
-            break
-    return FMResult(
-        parts=parts,
-        cut=cut - total_delta,
-        feasible=feasible,
-        passes=passes_run,
-        improvement=total_delta,
-        degraded=degraded,
+    state, rng = kb.fm_state(h), as_generator(seed)
+    maxw = (int(ceilings[0]), int(ceilings[1]))
+    return _run_passes(
+        h, parts, _feasible(h, parts, ceilings), cfg, max_passes,
+        deadline, _BI, lambda p: kb.fm_pass(state, p, maxw, cfg, rng),
     )
-
-
-def _is_feasible(h: Hypergraph, parts: np.ndarray, maxw: tuple[int, int]) -> bool:
-    w1 = int(np.dot(parts, h.vwgt))
-    w0 = h.total_weight() - w1
-    return w0 <= maxw[0] and w1 <= maxw[1]
 
 
 def kway_refine(
@@ -234,7 +160,6 @@ def kway_refine(
     seed: SeedLike = None,
     max_passes: int | None = None,
     *,
-    state: FMPassState | None = None,
     deadline: Deadline | None = None,
 ) -> FMResult:
     """Refine a k-way partitioning of ``h`` with repeated k-way FM passes.
@@ -251,88 +176,143 @@ def kway_refine(
     Parameters mirror :func:`fm_refine`; ``parts`` holds ids in
     ``[0, nparts)`` and is not modified.  Requires ``nparts >= 2``.
     """
-    cfg = get_config(config)
-    kb = kernels_for(cfg)
     nparts = int(nparts)
     if nparts < 2:
         raise PartitioningError(
             f"kway_refine needs nparts >= 2, got {nparts}"
         )
+    cfg, parts, ceilings = _checked(h, parts, nparts, ceilings, config)
+    kb = kernels_for(cfg)
+    state, rng = kb.fm_state(h), as_generator(seed)
+    # The FM pass rebalances with *single* forced moves; when every
+    # single move off an overweight part would blow another ceiling
+    # (coarse V-cycle levels: few, heavy vertices against snug
+    # ceilings) the pass cannot make progress.  The swap-capable
+    # rebalancer covers exactly that case — and it never touches a
+    # feasible input, so the fast path is unchanged.
+    feasible = kway_rebalance(h, parts, nparts, ceilings)
+    return _run_passes(
+        h, parts, feasible, cfg, max_passes, deadline, _KWAY,
+        lambda p: kb.kway_fm_pass(state, p, nparts, ceilings, cfg, rng),
+        k=nparts,
+    )
+
+
+def _checked(
+    h: Hypergraph,
+    parts: np.ndarray,
+    nparts: int,
+    ceilings,
+    config: PartitionerConfig | str,
+) -> tuple[PartitionerConfig, np.ndarray, np.ndarray]:
+    """The input checks both refiners share.  Returns the resolved
+    config, a fresh int64 copy of ``parts`` and the ceilings as an int64
+    array; raises :class:`PartitioningError` on a wrong shape, a part id
+    outside ``[0, nparts)``, a negative ceiling, or a total weight no
+    partitioning can fit."""
+    cfg = get_config(config)
     parts = np.asarray(parts)
     if parts.shape != (h.nverts,):
         raise PartitioningError(
             f"parts must have shape ({h.nverts},), got {parts.shape}"
         )
-    if state is None:
-        state = kb.fm_state(h)
-    elif state.h is not h:
-        raise PartitioningError(
-            "FMPassState belongs to a different hypergraph"
-        )
-    rng = as_generator(seed)
     parts = parts.astype(np.int64, copy=True)
     if h.nverts and (parts.min() < 0 or parts.max() >= nparts):
-        raise PartitioningError(
-            f"kway_refine expects part ids in [0, {nparts})"
+        want = "a 0/1 part vector" if nparts == 2 else (
+            f"part ids in [0, {nparts})"
         )
+        raise PartitioningError(f"FM refinement expects {want}")
     ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
     if ceilings.shape != (nparts,):
         raise PartitioningError(
             f"ceilings must have shape ({nparts},), got {ceilings.shape}"
         )
-    if ceilings.size and int(ceilings.min()) < 0:
+    if int(ceilings.min()) < 0:
         raise PartitioningError("ceilings must be non-negative")
     if h.total_weight() > int(ceilings.sum()):
         raise PartitioningError(
             f"total weight {h.total_weight()} exceeds combined ceilings "
             f"{int(ceilings.sum())}: no feasible partitioning exists"
         )
+    return cfg, parts, ceilings
 
+
+def _feasible(h: Hypergraph, parts: np.ndarray, ceilings: np.ndarray) -> bool:
+    return bool(np.all(part_weights(h, parts, len(ceilings)) <= ceilings))
+
+
+@dataclass(frozen=True)
+class _Arity:
+    """What tells 2-way and k-way passes apart in the trace and the
+    metrics: the deadline boundary name, the pass span, and the
+    counters' label children (bound once: every pass would otherwise
+    pay a locked ``.labels()`` lookup per counter)."""
+
+    where: str
+    span: str
+    passes: _metrics.Counter
+    moves: _metrics.Counter
+    tried: _metrics.Counter
+    gain: _metrics.Counter
+
+    @classmethod
+    def of(cls, where: str, span: str, kind: str) -> "_Arity":
+        return cls(where, span, *(
+            c.labels(kind=kind)
+            for c in (_FM_PASSES, _FM_MOVES, _FM_TRIED, _FM_GAIN)
+        ))
+
+
+_BI = _Arity.of("fm", "fm.pass", "bi")
+_KWAY = _Arity.of("kway-fm", "kway_fm.pass", "kway")
+
+
+def _run_passes(
+    h: Hypergraph,
+    parts: np.ndarray,
+    feasible: bool,
+    cfg: PartitionerConfig,
+    max_passes: int | None,
+    deadline: Deadline | None,
+    arity: _Arity,
+    fm_pass: Callable[[np.ndarray], tuple[int, bool, int]],
+    **span_attrs,
+) -> FMResult:
+    """The pass schedule of both refiners: run ``fm_pass(parts)`` (one
+    kernel pass, in place, returning ``(delta, feasible, tried)``) until
+    the budget is spent, the ``deadline`` expires between two passes,
+    or a pass that started feasible does not reduce the cut.  A
+    rebalancing pass (infeasible start) may have ``delta <= 0`` yet
+    unlock further improvement, so it never stops the schedule."""
     passes_budget = max_passes if max_passes is not None else cfg.fm_max_passes
     cut = connectivity_volume(h, parts)
     total_delta = 0
     passes_run = 0
-    feasible = bool(np.all(part_weights(h, parts, nparts) <= ceilings))
-    if not feasible:
-        # The FM pass rebalances with *single* forced moves; when every
-        # single move off an overweight part would blow another ceiling
-        # (coarse V-cycle levels: few, heavy vertices against snug
-        # ceilings) the pass cannot make progress.  The swap-capable
-        # rebalancer covers exactly that case — and it never touches a
-        # feasible input, so the fast path is unchanged.
-        kway_rebalance(h, parts, nparts, ceilings)
-        cut = connectivity_volume(h, parts)
-        feasible = bool(np.all(part_weights(h, parts, nparts) <= ceilings))
     degraded = None
     for _ in range(passes_budget):
         if deadline is not None and deadline.expired():
             degraded = Degraded(
-                "kway-fm", completed=passes_run,
+                arity.where, completed=passes_run,
                 skipped=passes_budget - passes_run,
             )
-            _trace.event("deadline", where="kway-fm", completed=passes_run)
+            _trace.event("deadline", where=arity.where, completed=passes_run)
             break
         started_feasible = feasible
         before = parts.copy()
-        with _trace.span("kway_fm.pass") as sp:
-            delta, feasible, tried = kb.kway_fm_pass(
-                state, parts, nparts, ceilings, cfg, rng
-            )
+        with _trace.span(arity.span) as sp:
+            delta, feasible, tried = fm_pass(parts)
             moved = int(np.count_nonzero(parts != before))
             sp.set(
                 delta=delta, moved=moved, tried=tried, nverts=h.nverts,
-                k=nparts,
+                **span_attrs,
             )
         passes_run += 1
         total_delta += delta
-        _FM_PASSES_KWAY.inc()
-        _FM_MOVES_KWAY.inc(moved)
-        _FM_TRIED_KWAY.inc(tried)
+        arity.passes.inc()
+        arity.moves.inc(moved)
+        arity.tried.inc(tried)
         if delta > 0:
-            _FM_GAIN_KWAY.inc(delta)
-        # Same stopping rule as fm_refine: a feasible-start pass that no
-        # longer reduces the cut ends the call; a rebalancing pass never
-        # does.
+            arity.gain.inc(delta)
         if started_feasible and delta <= 0:
             break
     return FMResult(

@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import PYTHON_KERNELS, FMPassState
 from repro.kernels.state import (
@@ -94,36 +93,18 @@ class TestReuse:
             reused.append((r.parts.copy(), r.cut, r.improvement))
             parts = r.parts
 
-        # Fresh path: identical schedule on a structurally identical
-        # hypergraph (so nothing is cached from the first run).
-        h2 = Hypergraph(h.nverts, h.xpins, h.pins, h.vwgt, h.ncost)
+        # Fresh path: identical schedule, each call on a new,
+        # structurally identical hypergraph (so no state is cached).
         parts2 = np.random.default_rng(3).integers(
             0, 2, size=h.nverts
         ).astype(np.int64)
         for seed, (p_ref, cut_ref, imp_ref) in enumerate(reused):
-            state = FMPassState(h2, "python")  # brand-new, uncached
-            r = fm_refine(h2, parts2, (cap, cap), seed=seed, state=state)
+            h2 = Hypergraph(h.nverts, h.xpins, h.pins, h.vwgt, h.ncost)
+            r = fm_refine(h2, parts2, (cap, cap), seed=seed)
             np.testing.assert_array_equal(r.parts, p_ref)
             assert r.cut == cut_ref
             assert r.improvement == imp_ref
             parts2 = r.parts
-
-    def test_explicit_state_accepted(self, h):
-        state = PYTHON_KERNELS.fm_state(h)
-        rng = np.random.default_rng(4)
-        parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
-        cap = h.total_weight()
-        r1 = fm_refine(h, parts, (cap, cap), seed=0, state=state)
-        r2 = fm_refine(h, parts, (cap, cap), seed=0)
-        np.testing.assert_array_equal(r1.parts, r2.parts)
-
-    def test_state_for_wrong_hypergraph_rejected(self, h):
-        h2 = random_hypergraph(np.random.default_rng(9), 40, 60)
-        state = FMPassState.for_hypergraph(h2, "python")
-        parts = np.zeros(h.nverts, dtype=np.int64)
-        with pytest.raises(PartitioningError, match="different hypergraph"):
-            fm_refine(h, parts, (h.total_weight(), h.total_weight()),
-                      state=state)
 
     def test_input_parts_never_mutated(self, h):
         parts = np.random.default_rng(5).integers(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.partitioner.fm import fm_refine
+from repro.partitioner.fm import fm_refine, kway_refine
 
 
 def chain_hypergraph(n: int) -> Hypergraph:
@@ -113,6 +113,16 @@ class TestInfeasibleInputs:
         h = chain_hypergraph(4)
         with pytest.raises(PartitioningError, match="shape"):
             fm_refine(h, np.zeros(3, dtype=np.int64), (4, 4))
+
+    def test_negative_ceiling_rejected_by_both_arities(self):
+        # A negative ceiling can never hold; both refiners refuse it
+        # rather than return a vector that is infeasible by fiat.
+        h = chain_hypergraph(4)
+        parts = np.array([0, 0, 1, 1])
+        with pytest.raises(PartitioningError, match="non-negative"):
+            fm_refine(h, parts, (-1, 100))
+        with pytest.raises(PartitioningError, match="non-negative"):
+            kway_refine(h, parts, 2, np.array([-1, 100]))
 
 
 class TestEdgeCases:
