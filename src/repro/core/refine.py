@@ -15,6 +15,11 @@ stagnate (``V_k == V_{k-2}``, Algorithm 2 line 21).  The volume sequence is
 monotonically non-increasing, which makes this a safe, cheap
 post-processing step for *any* bipartitioning method — the LB+IR and FG+IR
 columns of the paper's tables.
+
+:func:`iterative_refine` runs the same loop for ``k > 2`` parts; only
+the re-encoding step (a majority split, lifted by group majority, refined
+by k-way FM) and the accept rule (keep the best by feasibility, then
+volume) differ.
 """
 
 from __future__ import annotations
@@ -169,158 +174,96 @@ def iterative_refine(
         raise PartitioningError(
             f"start_direction must be 0 or 1, got {start_direction}"
         )
-    if k > 2:
-        return _kway_iterative_refine(
-            matrix, parts, k, eps, cfg, rng,
-            max_weights=max_weights,
-            max_iterations=max_iterations,
-            start_direction=start_direction,
-            alternate=alternate,
-            initial_volume=initial_volume,
-            deadline=deadline,
-        )
+    if initial_volume is None:
+        initial_volume = communication_volume(matrix, parts)
+    trace = RefinementTrace()
+    volumes = [int(initial_volume)]
     if k == 1:
-        trace = RefinementTrace(converged=True)
-        trace.volumes = [
-            int(initial_volume)
-            if initial_volume is not None
-            else communication_volume(matrix, parts)
-        ]
+        trace.volumes, trace.converged = volumes, True
         return parts, trace
     if max_weights is None:
         check_eps(eps)
-        ceiling = max_allowed_part_size(matrix.nnz, 2, eps)
-        max_weights = (ceiling, ceiling)
-
-    trace = RefinementTrace()
-    if initial_volume is None:
-        initial_volume = communication_volume(matrix, parts)
-    volumes = [int(initial_volume)]
-    direction = start_direction
-    k = 1
-    while k <= max_iterations:
-        if deadline is not None and deadline.expired():
-            trace.degraded = Degraded(
-                "iterate", completed=k - 1,
-                skipped=max_iterations - (k - 1),
-            )
-            break
-        split = split_from_bipartition(matrix, parts, direction)
-        instance = build_medium_grain(split)
-        vparts = instance.vertex_parts_from_nonzero(parts)
-        result = fm_refine(
-            instance.hypergraph, vparts, max_weights, cfg, rng,
-            deadline=deadline,
+        max_weights = np.full(k, max_allowed_part_size(matrix.nnz, k, eps))
+    ceilings = np.ascontiguousarray(max_weights, dtype=np.int64)
+    if ceilings.shape != (k,):
+        raise PartitioningError(
+            f"max_weights must have length {k}, got shape {ceilings.shape}"
         )
-        parts = instance.nonzero_parts(result.parts)
-        vk = communication_volume(matrix, parts)
-        volumes.append(vk)
-        trace.directions.append(direction)
-        if vk == volumes[k - 1]:
-            if not alternate:
-                trace.converged = True
-                k += 1
-                break
-            direction = 1 - direction
-        if k > 1 and vk == volumes[k - 2]:
-            trace.converged = True
-            k += 1
-            break
-        k += 1
 
-    trace.volumes = volumes
-    trace.iterations = len(trace.directions)
-    return parts, trace
-
-
-def _kway_iterative_refine(
-    matrix: SparseMatrix,
-    parts: np.ndarray,
-    nparts: int,
-    eps: float,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    *,
-    max_weights,
-    max_iterations: int,
-    start_direction: int,
-    alternate: bool,
-    initial_volume: int | None,
-    deadline: Deadline | None = None,
-) -> tuple[np.ndarray, RefinementTrace]:
-    """The ``nparts > 2`` body of :func:`iterative_refine` (keep-best
-    alternation over majority re-encodings; see its docstring)."""
-    if max_weights is None:
-        check_eps(eps)
-        ceiling = max_allowed_part_size(matrix.nnz, nparts, eps)
-        ceilings = np.full(nparts, ceiling, dtype=np.int64)
+    # One iteration: re-encode ``best`` in ``direction``, lift it to the
+    # medium-grain vertices, FM-refine, and map back to the nonzeros.
+    # A bipartitioning is exactly representable in either encoding; a
+    # k-way one is lifted by group majority (no split can express an
+    # arbitrary k-way partitioning exactly).
+    if k == 2:
+        def step(best: np.ndarray, direction: int) -> np.ndarray:
+            instance = build_medium_grain(
+                split_from_bipartition(matrix, best, direction)
+            )
+            result = fm_refine(
+                instance.hypergraph,
+                instance.vertex_parts_from_nonzero(best),
+                ceilings, cfg, rng, deadline=deadline,
+            )
+            return instance.nonzero_parts(result.parts)
     else:
-        ceilings = np.ascontiguousarray(max_weights, dtype=np.int64)
-        if ceilings.shape != (nparts,):
-            raise PartitioningError(
-                f"max_weights must have length {nparts}, "
-                f"got shape {ceilings.shape}"
+        def step(best: np.ndarray, direction: int) -> np.ndarray:
+            instance = build_medium_grain(
+                split_from_kway(matrix, best, direction, nparts=k)
             )
-    trace = RefinementTrace()
-    if initial_volume is None:
-        initial_volume = communication_volume(matrix, parts)
+            result = kway_refine(
+                instance.hypergraph,
+                instance.vertex_parts_majority(best, k),
+                k, ceilings, cfg, rng, deadline=deadline,
+            )
+            return instance.nonzero_parts(result.parts)
 
-    def _feasible(p: np.ndarray) -> bool:
-        return bool(
-            (np.bincount(p, minlength=nparts) <= ceilings).all()
-        )
+    def feasible(p: np.ndarray) -> bool:
+        return bool((np.bincount(p, minlength=k) <= ceilings).all())
 
-    volumes = [int(initial_volume)]
-    best = parts
-    best_feasible = _feasible(parts)
+    best, best_feasible = parts, feasible(parts)
     direction = start_direction
-    k = 1
-    while k <= max_iterations:
+    while len(volumes) <= max_iterations:
+        done = len(volumes) - 1
         if deadline is not None and deadline.expired():
             trace.degraded = Degraded(
-                "iterate", completed=k - 1,
-                skipped=max_iterations - (k - 1),
+                "iterate", completed=done, skipped=max_iterations - done,
             )
             break
-        split = split_from_kway(matrix, best, direction, nparts=nparts)
-        instance = build_medium_grain(split)
-        vparts = instance.vertex_parts_majority(best, nparts)
-        result = kway_refine(
-            instance.hypergraph, vparts, nparts, ceilings, cfg, rng,
-            deadline=deadline,
-        )
-        cand = instance.nonzero_parts(result.parts)
+        cand = step(best, direction)
         vol = communication_volume(matrix, cand)
-        # The majority lift may not reproduce ``best`` exactly, so an
-        # iteration can regress — in volume OR in balance (an infeasible
-        # encoding the FM pass failed to rebalance comes back with its
-        # low volume intact).  Keep-best is therefore *lexicographic*,
-        # balance first: a feasible candidate always replaces an
-        # infeasible best (even at higher volume — restoring eqn (1) is
-        # worth volume, the same priority the FM pass itself applies),
-        # and within equal feasibility only a strictly lower volume
-        # wins.  The traced sequence is monotone non-increasing except
-        # for at most one jump, when feasibility is first restored.
-        cand_feasible = _feasible(cand)
-        if (cand_feasible, -vol) > (best_feasible, -volumes[k - 1]):
+        # The 2-way re-encoding reproduces ``best`` exactly, so FM can
+        # only keep or lower its volume: every candidate is taken.  The
+        # majority lift may not reproduce ``best``, so a k-way iteration
+        # can regress — in volume OR in balance (an infeasible encoding
+        # the FM pass failed to rebalance comes back with its low volume
+        # intact).  Keep-best is therefore *lexicographic*, balance
+        # first: a feasible candidate always replaces an infeasible best
+        # (even at higher volume — restoring eqn (1) is worth volume,
+        # the same priority the FM pass itself applies), and within
+        # equal feasibility only a strictly lower volume wins.  The
+        # traced k-way sequence is monotone non-increasing except for at
+        # most one jump, when feasibility is first restored.
+        if k == 2:
             best = cand
-            best_feasible = cand_feasible
-            vk = vol
         else:
-            vk = volumes[k - 1]
-        volumes.append(vk)
+            cand_feasible = feasible(cand)
+            if (cand_feasible, -vol) > (best_feasible, -volumes[-1]):
+                best, best_feasible = cand, cand_feasible
+            else:
+                vol = volumes[-1]
+        volumes.append(vol)
         trace.directions.append(direction)
-        if vk == volumes[k - 1]:
+        # Algorithm 2, lines 17-21: switch direction on stagnation, stop
+        # once both directions stagnate (V_k == V_{k-2}).
+        if vol == volumes[-2]:
             if not alternate:
                 trace.converged = True
-                k += 1
                 break
             direction = 1 - direction
-        if k > 1 and vk == volumes[k - 2]:
+        if len(volumes) > 2 and vol == volumes[-3]:
             trace.converged = True
-            k += 1
             break
-        k += 1
 
     trace.volumes = volumes
     trace.iterations = len(trace.directions)

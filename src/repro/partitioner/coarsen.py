@@ -17,9 +17,9 @@ neighbours', subject to the cluster weight cap and to
 
 Contraction is fully vectorized: pins are mapped through the cluster map,
 deduplicated with one lexsort, nets that shrink below two pins are dropped
-(they can never be cut), and — optionally — nets with identical pin sets
-are merged with their costs added, which both shrinks the problem and
-sharpens FM gains on the coarse levels.
+(they can never be cut), and nets with identical pin sets are merged with
+their costs added, which both shrinks the problem and sharpens FM gains
+on the coarse levels.
 
 The scalar clustering sweep and the identical-net merge are kernels
 (:mod:`repro.kernels`).
@@ -45,6 +45,8 @@ from repro.utils.deadline import Expired
 
 __all__ = [
     "MAX_CLUSTER_MEMBERS",
+    "CLUSTER_WEIGHT_FRAC",
+    "cluster_cap",
     "cluster_vertices",
     "contract",
     "coarsen_level",
@@ -59,6 +61,26 @@ __all__ = [
 #: overshoot the target by far (to a third of it on ``pway``'s
 #: bisections), and the coarsest hypergraph then partitions worse.
 MAX_CLUSTER_MEMBERS: int | None = None
+
+#: A cluster may weigh at most this fraction of the smallest part-weight
+#: ceiling, keeping the coarsest hypergraph partitionable (see
+#: :func:`cluster_cap`).
+CLUSTER_WEIGHT_FRAC = 0.35
+
+#: A level that removes less than this fraction of the vertices means
+#: clustering has stalled: :func:`coarsen` drops it and stops.
+MIN_REDUCTION = 0.03
+
+#: Most levels :func:`coarsen` builds.
+MAX_LEVELS = 48
+
+
+def cluster_cap(ceilings, divisor: int = 1) -> int:
+    """The cluster weight cap under the part-weight ``ceilings``:
+    :data:`CLUSTER_WEIGHT_FRAC` of the smallest ceiling, divided by
+    ``divisor`` (the k-way engine coarsens under a quarter of it), and
+    at least 1."""
+    return max(1, int(CLUSTER_WEIGHT_FRAC * int(np.min(ceilings))) // divisor)
 
 
 @dataclass(frozen=True)
@@ -123,17 +145,15 @@ def cluster_vertices(
 
 
 def contract(
-    h: Hypergraph,
-    cluster: np.ndarray,
-    *,
-    merge_identical_nets: bool = True,
+    h: Hypergraph, cluster: np.ndarray
 ) -> tuple[np.ndarray, Hypergraph]:
     """Contract clusters; returns ``(cmap, coarse_hypergraph)``.
 
     ``cluster`` labels each fine vertex's cluster (vertices with equal
     labels form one cluster).  ``cmap`` maps each fine vertex to its
     coarse id; clusters are numbered in the order of their lowest
-    vertex ids.  Coarse vertex weights are the sums over their clusters.
+    vertex ids.  Coarse vertex weights are the sums over their clusters,
+    and nets with identical pin sets merge into one, their costs added.
     """
     nverts = h.nverts
     _, first, inverse = np.unique(
@@ -185,7 +205,7 @@ def contract(
     np.cumsum(live_sizes, out=xpins[1:])
     pins = sp  # already grouped by net in ascending net order
 
-    if merge_identical_nets and live_ids.size > 1:
+    if live_ids.size > 1:
         xpins, pins, ncost = _merge_nets(xpins, pins, ncost)
 
     coarse = Hypergraph(
@@ -216,9 +236,7 @@ def coarsen_level(
         restrict_parts=restrict_parts, deadline=deadline,
         min_clusters=min_clusters,
     )
-    cmap, coarse = contract(
-        h, cluster, merge_identical_nets=config.merge_identical_nets
-    )
+    cmap, coarse = contract(h, cluster)
     return CoarseLevel(fine=h, cmap=cmap, coarse=coarse)
 
 
@@ -236,10 +254,9 @@ def coarsen(
     Adds levels (:func:`coarsen_level`, clusters capped at
     ``cluster_cap``; above the pair limit of :data:`MAX_CLUSTER_MEMBERS`
     a level's sweep ends once it is down to ``target`` clusters) until the coarsest has at
-    most ``target`` vertices, ``config.max_levels`` levels exist, or
+    most ``target`` vertices, :data:`MAX_LEVELS` levels exist, or
     clustering stalls: a level that removes less than
-    ``config.min_reduction`` of the vertices is dropped and ends the
-    loop.
+    :data:`MIN_REDUCTION` of the vertices is dropped and ends the loop.
 
     With ``parts``, clustering is restricted to same-part clusters, so
     the partitioning is constant on every cluster; it is projected to each
@@ -258,7 +275,7 @@ def coarsen(
     levels: list[CoarseLevel] = []
     cur, cur_parts = h, parts
     min_clusters = 0 if MAX_CLUSTER_MEMBERS == 2 else target
-    while cur.nverts > target and len(levels) < config.max_levels:
+    while cur.nverts > target and len(levels) < MAX_LEVELS:
         if deadline is not None and deadline.expired():
             _trace.event("deadline", where="coarsen")
             return levels, cur_parts, True
@@ -270,7 +287,7 @@ def coarsen(
         except Expired as stop:
             _trace.event("deadline", where="match", visited=stop.visited)
             return levels, cur_parts, True
-        if 1.0 - level.coarse.nverts / cur.nverts < config.min_reduction:
+        if 1.0 - level.coarse.nverts / cur.nverts < MIN_REDUCTION:
             break  # clustering stalled; further levels would be wasted work
         levels.append(level)
         cur = level.coarse

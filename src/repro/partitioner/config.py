@@ -35,23 +35,13 @@ class PartitionerConfig:
         Preset identifier (informational).
     coarse_target:
         Stop coarsening once the hypergraph has at most this many vertices.
-    min_reduction:
-        Abort coarsening early if a level shrinks the vertex count by less
-        than this fraction (matching has stalled).
-    max_levels:
-        Hard cap on the number of coarsening levels.
     matching:
-        ``"hcm"`` — heavy-connectivity matching, candidate score is the sum
-        of shared net costs; ``"absorption"`` — PaToH-style scaled score
-        ``cost / (|net| - 1)``.
+        The clustering score: ``"hcm"`` — heavy connectivity, the sum of
+        the net costs a vertex shares with a cluster; ``"absorption"`` —
+        PaToH-style scaled score ``cost / (|net| - 1)``.
     max_net_size_matching:
-        Nets larger than this are ignored while scoring matches (dense rows
-        would otherwise make matching quadratic).
-    cluster_weight_frac:
-        A matched pair may weigh at most this fraction of the *smaller*
-        part-weight ceiling, keeping the coarsest hypergraph partitionable.
-    merge_identical_nets:
-        Merge nets with identical pin sets during contraction (costs add).
+        Nets larger than this are ignored while scoring clusters (dense
+        rows would otherwise make clustering quadratic).
     fm_max_passes:
         Maximum FM passes per refinement call.
     fm_early_exit_frac:
@@ -97,16 +87,15 @@ class PartitionerConfig:
     The knobs that only decide how a run executes — the worker count
     and the retry policy — are not fields: they are the ``jobs`` and
     ``policy`` arguments of :func:`repro.core.recursive.partition`.
+    The coarsening limits both presets share — the cluster weight cap,
+    the stall threshold and the level cap — are not fields either: they
+    are constants of :mod:`repro.partitioner.coarsen`.
     """
 
     name: str = "mondriaan"
     coarse_target: int = 144
-    min_reduction: float = 0.03
-    max_levels: int = 48
     matching: str = "hcm"
     max_net_size_matching: int = 400
-    cluster_weight_frac: float = 0.35
-    merge_identical_nets: bool = True
     fm_max_passes: int = 4
     fm_early_exit_frac: float = 0.22
     boundary_only: bool = False
@@ -129,8 +118,6 @@ class PartitionerConfig:
             )
         if self.coarse_target < 2:
             raise PartitioningError("coarse_target must be at least 2")
-        if not 0.0 < self.cluster_weight_frac <= 1.0:
-            raise PartitioningError("cluster_weight_frac must be in (0, 1]")
         if self.fm_max_passes < 1:
             raise PartitioningError("fm_max_passes must be at least 1")
         if self.algo not in ALGO_CHOICES:

@@ -1,15 +1,20 @@
 """The multilevel V-cycle driver.
 
-Coarsen until the hypergraph is small (or matching stalls), partition the
-coarsest level with the better of two FM-refined constructions (greedy
-growing and a spectral sweep), then project the partition back up level
-by level, refining with FM at each level — the scheme shared by
+Coarsen until the hypergraph is small (or clustering stalls), partition
+the coarsest level with the better of two FM-refined constructions
+(greedy growing and a spectral sweep), then project the partition back
+up level by level, refining with FM at each level — the scheme shared by
 Mondriaan, PaToH, hMetis, and MLpart (paper Section II).
+
+:func:`_uncoarsen` is the one project-and-refine loop of both engines
+and of the V-cycles (:mod:`repro.partitioner.vcycle`), with one rule for
+cutting it short.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.partitioner.coarsen import coarsen
+from repro.partitioner.coarsen import CoarseLevel, cluster_cap, coarsen
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import (
     FMResult,
@@ -65,7 +70,7 @@ def multilevel_bipartition(
 
     An expired ``deadline`` degrades each phase at its boundary, as in
     :func:`multilevel_kway`: coarsening stops adding levels (the
-    matching sweep checks it too, and a sweep it stops leaves no
+    clustering sweep checks it too, and a sweep it stops leaves no
     level), the coarsest level gets one unrefined greedy grow (see
     :func:`~repro.partitioner.initial.initial_partition`), and
     uncoarsening projects the remaining levels without refining them.
@@ -84,12 +89,10 @@ def multilevel_bipartition(
     # ------------------------------------------------------------------ #
     # Cap cluster weights so the coarsest level stays partitionable well
     # within the ceilings.
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
-    )
     with _trace.span("multilevel.coarsen") as sp:
         levels, _, cut_short = coarsen(
-            h, cfg, rng, cluster_cap, cfg.coarse_target, deadline
+            h, cfg, rng, cluster_cap(max_weights), cfg.coarse_target,
+            deadline,
         )
         cur = levels[-1].coarse if levels else h
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
@@ -106,39 +109,70 @@ def multilevel_bipartition(
     # ------------------------------------------------------------------ #
     with _trace.span("multilevel.initial"):
         result = initial_partition(cur, max_weights, cfg, rng, deadline)
-    parts = result.parts
-    cut_short = cut_short or result.degraded is not None
 
     # ------------------------------------------------------------------ #
     # Uncoarsening: project and refine at every level.
     # ------------------------------------------------------------------ #
-    refined_levels = 0
-    skipped_levels = 0
+    parts, result, degraded = _uncoarsen(
+        levels, result,
+        lambda fine, parts: fm_refine(
+            fine, parts, max_weights, cfg, rng, deadline=deadline
+        ),
+        deadline, "multilevel.uncoarsen_level", cut_short,
+    )
+    if degraded is not None:
+        return _finest_result(h, parts, max_weights, degraded, result)
+    return result
+
+
+def _uncoarsen(
+    levels: list[CoarseLevel],
+    coarsest: FMResult,
+    refine: Callable[[Hypergraph, np.ndarray], FMResult],
+    deadline: Deadline | None,
+    span_name: str | None,
+    cut_short: bool = False,
+) -> tuple[np.ndarray, FMResult, Degraded | None]:
+    """Project the refined coarsest level ``coarsest`` up through
+    ``levels`` (finest first, as :func:`~repro.partitioner.coarsen.
+    coarsen` returns them), refining each level with
+    ``refine(fine_hypergraph, parts)``.
+
+    Each refinement runs in a span ``span_name`` (with the level index
+    from the coarsest and the level's vertex count), or in no span of
+    its own when ``span_name`` is ``None``.  Once ``deadline`` has
+    expired, the remaining levels are projected without refinement:
+    projection keeps the assignment complete and the part weights
+    unchanged, so only the per-level polish is lost.
+
+    Returns the finest-level part vector, the last refinement's result
+    (``coarsest`` when no level was refined), and a
+    ``Degraded[multilevel]`` record counting the refined and skipped
+    levels when a level was skipped, a refinement was cut short, or
+    ``cut_short`` (an earlier phase was) is set — ``None`` otherwise.
+    """
+    parts, last = coarsest.parts, coarsest
+    cut_short = cut_short or coarsest.degraded is not None
+    refined = skipped = 0
     for i, level in enumerate(reversed(levels)):
         parts = parts[level.cmap]
         if deadline is not None and deadline.expired():
-            # Projection keeps the assignment complete and the side
-            # weights unchanged; only the per-level polish is lost.
-            skipped_levels += 1
+            skipped += 1
             _trace.event("level_skipped", level=i)
             continue
-        with _trace.span("multilevel.uncoarsen_level", level=i):
-            result = fm_refine(
-                level.fine, parts, max_weights, cfg, rng, deadline=deadline
-            )
-        parts = result.parts
-        refined_levels += 1
-        cut_short = cut_short or result.degraded is not None
-    if skipped_levels or cut_short:
-        return _finest_result(
-            h, parts, max_weights,
-            Degraded(
-                "multilevel", completed=refined_levels,
-                skipped=skipped_levels,
-            ),
-            result,
+        if span_name is None:
+            last = refine(level.fine, parts)
+        else:
+            with _trace.span(span_name, level=i, nverts=level.fine.nverts):
+                last = refine(level.fine, parts)
+        parts = last.parts
+        refined += 1
+        cut_short = cut_short or last.degraded is not None
+    if skipped or cut_short:
+        return parts, last, Degraded(
+            "multilevel", completed=refined, skipped=skipped
         )
-    return result
+    return parts, last, None
 
 
 def _finest_result(
@@ -261,7 +295,7 @@ def multilevel_kway(
     """Partition ``h`` into ``nparts`` parts under per-part ``ceilings``.
 
     The direct k-way analogue of :func:`multilevel_bipartition`: coarsen
-    with *unrestricted* matching until at most
+    with *unrestricted* clustering until at most
     ``max(config.coarse_target, 8 * nparts)`` vertices remain (enough
     headroom that the coarsest level stays k-way partitionable), build
     the coarsest partitioning by recursive bisection
@@ -276,7 +310,7 @@ def multilevel_kway(
     optimize — callers short-circuit it).
 
     An expired ``deadline`` degrades each phase at its natural boundary:
-    coarsening stops adding levels (the matching sweep checks it too,
+    coarsening stops adding levels (the clustering sweep checks it too,
     and a sweep it stops leaves no level), the construction splits its
     remaining part ranges contiguously (see
     :func:`recursive_kway_parts`), and uncoarsening projects the
@@ -311,13 +345,10 @@ def multilevel_kway(
     # per-part ceiling (a quarter of the 2-way cap), or the initial
     # k-way construction cannot place boundaries anywhere useful.
     # ------------------------------------------------------------------ #
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * int(ceilings.min())) // 4
-    )
     coarse_target = max(cfg.coarse_target, 8 * nparts)
     with _trace.span("multilevel_kway.coarsen") as sp:
         levels, _, cut_short = coarsen(
-            h, cfg, rng, cluster_cap, coarse_target, deadline
+            h, cfg, rng, cluster_cap(ceilings, 4), coarse_target, deadline
         )
         cur = levels[-1].coarse if levels else h
         sp.set(levels=len(levels), coarse_nverts=cur.nverts)
@@ -349,44 +380,22 @@ def multilevel_kway(
         result = kway_refine(
             cur, parts, nparts, ceilings, cfg, rng, deadline=deadline
         )
-    parts = result.parts
-    cut_short = cut_short or result.degraded is not None
 
     # ------------------------------------------------------------------ #
     # Uncoarsening: project and k-way-refine at every level.  One pass
     # per intermediate level — the hierarchy itself provides the
     # repeated refinement (every vertex is revisited at each of the
     # O(log n) levels), so extra same-level passes buy little cut for a
-    # lot of time; only the finest level gets the full pass budget.
+    # lot of time; the finest level (``h`` itself) gets two.
     # ------------------------------------------------------------------ #
-    refined_levels = 0
-    skipped_levels = 0
-    for i, level in enumerate(reversed(levels)):
-        parts = parts[level.cmap]
-        if deadline is not None and deadline.expired():
-            # Projection alone keeps the assignment complete and its
-            # per-part weights identical — only the per-level polish is
-            # forfeited.
-            skipped_levels += 1
-            _trace.event("level_skipped", level=i)
-            continue
-        finest = i == len(levels) - 1
-        with _trace.span("multilevel_kway.uncoarsen_level", level=i,
-                         nverts=level.fine.nverts):
-            result = kway_refine(
-                level.fine, parts, nparts, ceilings, cfg, rng,
-                max_passes=2 if finest else 1,
-                deadline=deadline,
-            )
-        parts = result.parts
-        refined_levels += 1
-    if skipped_levels or cut_short:
-        return _finest_result(
-            h, parts, ceilings,
-            Degraded(
-                "multilevel", completed=refined_levels,
-                skipped=skipped_levels,
-            ),
-            result,
-        )
+    parts, result, degraded = _uncoarsen(
+        levels, result,
+        lambda fine, parts: kway_refine(
+            fine, parts, nparts, ceilings, cfg, rng,
+            max_passes=2 if fine is h else 1, deadline=deadline,
+        ),
+        deadline, "multilevel_kway.uncoarsen_level", cut_short,
+    )
+    if degraded is not None:
+        return _finest_result(h, parts, ceilings, degraded, result)
     return result

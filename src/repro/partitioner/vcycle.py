@@ -9,9 +9,9 @@ partitioner and as the comparator for the IR-vs-V-cycle ablation.
 
 One V-cycle:
 
-1. coarsen with *restricted* matching — only vertices of the same part
-   may merge — so the current partitioning projects to every level with
-   an identical cut;
+1. coarsen with *restricted* clustering — only vertices of the same part
+   may share a cluster — so the current partitioning projects to every
+   level with an identical cut;
 2. refine the coarsest projection with FM;
 3. uncoarsen, FM-refining at every level.
 
@@ -21,9 +21,11 @@ clusters across the cut at the coarse levels.
 
 :func:`vcycle_refine` is the 2-way engine used inside recursive
 bisection; :func:`kway_vcycle_refine` generalizes the same procedure to
-k parts (restricted matching already only merges vertices with *equal*
+k parts (restricted clustering already only merges vertices with *equal*
 part ids, so it works for arbitrary part vectors unchanged) and refines
-every level with the connectivity-(λ−1) k-way FM pass instead.
+every level with the connectivity-(λ−1) k-way FM pass instead.  Both
+uncoarsen with the multilevel engines' loop
+(:func:`repro.partitioner.multilevel._uncoarsen`).
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from repro.hypergraph.metrics import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.partitioner.coarsen import coarsen
+from repro.partitioner.coarsen import cluster_cap, coarsen
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import FMResult, fm_refine, kway_refine
+from repro.partitioner.multilevel import _uncoarsen
 from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 
@@ -116,15 +119,13 @@ def vcycle_refine(
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
 
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
-    )
+    cap = cluster_cap(max_weights)
     refine = partial(fm_refine, max_weights=max_weights, config=cfg, seed=rng)
     cuts = [connectivity_volume(h, parts)]
     cycles = 0
     for _ in range(max_cycles):
         with _trace.span("vcycle.cycle", kind="bi", cycle=cycles):
-            parts, _ = _one_cycle(h, parts, cluster_cap, cfg, rng, refine)
+            parts, _ = _one_cycle(h, parts, cap, cfg, rng, refine)
         cuts.append(connectivity_volume(h, parts))
         cycles += 1
         _VCYCLE_CYCLES_BI.inc()
@@ -164,7 +165,7 @@ def kway_vcycle_refine(
     """Refine a k-way partitioning of ``h`` with repeated V-cycles.
 
     The k-way generalization of :func:`vcycle_refine`: each cycle
-    re-coarsens with *restricted* matching (only same-part vertices may
+    re-coarsens with *restricted* clustering (only same-part vertices may
     merge, so the k-way assignment projects to every level with an
     identical connectivity-(λ−1) cut), refines the coarsest projection
     with :func:`~repro.partitioner.fm.kway_refine`, then uncoarsens,
@@ -189,7 +190,7 @@ def kway_vcycle_refine(
     The keep-best contract is what makes an optional ``deadline`` safe
     here: the incumbent is a complete, scored partitioning before every
     cycle, so an expiry observed at a cycle boundary (or inside a
-    cycle: its restricted matching sweeps or its per-level refinements)
+    cycle: its restricted clustering sweeps or its per-level refinements)
     simply ends the loop with the best vector found so far and a
     ``degraded`` record on the result; a cut-short cycle counts as
     completed.
@@ -225,11 +226,10 @@ def kway_vcycle_refine(
     repairable = h.total_weight() <= int(ceilings.sum())
     degraded = None
     cut_short = False  # a deadline stopped a cycle midway
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * int(ceilings.min()))
-    )
+    cap = cluster_cap(ceilings)
     refine = partial(
-        kway_refine, nparts=nparts, ceilings=ceilings, config=cfg, seed=rng
+        kway_refine, nparts=nparts, ceilings=ceilings, config=cfg, seed=rng,
+        deadline=deadline,
     )
     if nparts >= 2 and h.nverts and repairable:
         for _ in range(max_cycles):
@@ -243,7 +243,7 @@ def kway_vcycle_refine(
             with _trace.span("vcycle.cycle", kind="kway",
                              cycle=cycles) as sp:
                 cand, cut_short = _one_cycle(
-                    h, best, cluster_cap, cfg, rng, refine, deadline
+                    h, best, cap, cfg, rng, refine, deadline
                 )
                 cand_cut = connectivity_volume(h, cand)
                 cand_feasible = _parts_feasible(h, cand, nparts, ceilings)
@@ -277,41 +277,32 @@ def kway_vcycle_refine(
 def _one_cycle(
     h: Hypergraph,
     parts: np.ndarray,
-    cluster_cap: int,
+    cap: int,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    refine: Callable[..., FMResult],
+    refine: Callable[[Hypergraph, np.ndarray], FMResult],
     deadline: Deadline | None = None,
 ) -> tuple[np.ndarray, bool]:
     """One restricted-coarsen / refine-up pass.
 
-    ``refine(hypergraph, parts, deadline=...)`` is the FM refinement of
-    the cycle's arity (:func:`~repro.partitioner.fm.fm_refine` or
-    :func:`~repro.partitioner.fm.kway_refine` with its ceilings bound).
-    Restricted matching keeps every cluster within one part, so the
-    projected partitioning is well defined at every level (and each
-    nonempty part retains at least one coarse vertex — the coarsest
-    level is always k-way partitionable).
+    ``refine(hypergraph, parts)`` is the FM refinement of the cycle's
+    arity (:func:`~repro.partitioner.fm.fm_refine` or
+    :func:`~repro.partitioner.fm.kway_refine` with its ceilings and
+    deadline bound).  Restricted clustering keeps every cluster within
+    one part, so the projected partitioning is well defined at every
+    level (and each nonempty part retains at least one coarse vertex —
+    the coarsest level is always k-way partitionable); skipping a
+    refinement under an expired deadline degrades quality, never
+    validity.
 
     Returns the refined vector and whether ``deadline`` cut the pass
     short (fewer levels, a skipped level, or a cut-short refinement).
     """
     levels, cur_parts, cut_short = coarsen(
-        h, cfg, rng, cluster_cap, cfg.coarse_target, deadline, parts
+        h, cfg, rng, cap, cfg.coarse_target, deadline, parts
     )
     cur_h = levels[-1].coarse if levels else h
-    result = refine(cur_h, cur_parts, deadline=deadline)
-    cur_parts = result.parts
-    cut_short = cut_short or result.degraded is not None
-    for level in reversed(levels):
-        # Restricted coarsening means projection alone reproduces the
-        # incoming assignment at every level — skipping a refinement
-        # under an expired deadline degrades quality, never validity.
-        cur_parts = cur_parts[level.cmap]
-        if deadline is not None and deadline.expired():
-            cut_short = True
-            continue
-        result = refine(level.fine, cur_parts, deadline=deadline)
-        cur_parts = result.parts
-        cut_short = cut_short or result.degraded is not None
-    return cur_parts, cut_short
+    parts, _, degraded = _uncoarsen(
+        levels, refine(cur_h, cur_parts), refine, deadline, None, cut_short
+    )
+    return parts, degraded is not None

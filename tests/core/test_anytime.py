@@ -31,6 +31,7 @@ from repro.core.methods import bipartition
 from repro.core.recursive import partition
 from repro.core.validate import validate_partition
 from repro.core.volume import communication_volume
+from repro.hypergraph.metrics import connectivity_volume
 from repro.hypergraph.models import row_net_model
 from repro.kernels.python_backend import MATCH_CHUNK
 from repro.obs import trace as _trace
@@ -39,7 +40,10 @@ from repro.obs.report import count_events, read_trace
 from repro.partitioner.bipartition import bipartition_hypergraph
 from repro.partitioner.config import get_config
 from repro.partitioner.initial import contiguous_parts
-from repro.partitioner.multilevel import recursive_kway_parts
+from repro.partitioner.multilevel import (
+    multilevel_kway,
+    recursive_kway_parts,
+)
 from repro.sparse.collection import load_instance
 from repro.utils.balance import max_allowed_part_size
 from repro.utils.deadline import Deadline, SoftBudget
@@ -236,12 +240,12 @@ class _Probe:
     def boundaries(self) -> dict[str, int]:
         """Check index of the first and the last check at each
         multilevel boundary.  The coarsening loop (``coarsen``) checks
-        before each level; ``multilevel_bipartition`` itself checks
-        only before each uncoarsening level."""
+        before each level; the uncoarsening loop (``_uncoarsen``)
+        before each uncoarsening level."""
         stage_of = {
             "coarsen": "coarsen",
             "initial_partition": "initial",
-            "multilevel_bipartition": "uncoarsen",
+            "_uncoarsen": "uncoarsen",
         }
         found: dict[str, int] = {}
         for i, (name, _) in enumerate(self.checks):
@@ -479,6 +483,44 @@ def test_kway_construction_expiring_midway_splits_the_rest(matrix):
         parts[rest],
         8 + contiguous_parts(h.induce(rest), ceilings[8:]),
     )
+
+
+def test_kway_deadline_inside_the_finest_refinement_degrades_multilevel(
+    matrix,
+):
+    # The last check of a k-way multilevel run sits between two FM
+    # passes of the finest level.  Expiring there cuts that refinement
+    # short, and the engine reports its own record with the level
+    # counts, as the 2-way engine does, not the bare FM brief.
+    h = row_net_model(matrix).hypergraph
+    ceilings = np.full(4, max_allowed_part_size(matrix.nnz, 4, 0.03))
+
+    def run(deadline):
+        return multilevel_kway(h, 4, ceilings, "mondriaan", SEED, deadline)
+
+    probe = _Probe()
+    full = run(probe)
+    assert full.degraded is None
+    res = run(SoftBudget(len(probe.checks) - 1))
+    assert res.degraded is not None
+    assert res.degraded.where == "multilevel"
+    assert res.degraded.skipped == 0
+    assert res.degraded.completed >= 1
+    assert res.cut == connectivity_volume(h, res.parts)
+    assert res.feasible is True
+
+    whole = partition_kway(matrix, 4, seed=SEED, vcycles=1)
+    probe = _Probe()
+    partition_kway(matrix, 4, seed=SEED, vcycles=1, deadline=probe)
+    cut = partition_kway(
+        matrix, 4, seed=SEED, vcycles=1,
+        deadline=SoftBudget(len(probe.checks) - 1),
+    )
+    _assert_valid_and_within_floor(matrix, cut, 4)
+    assert cut.volume >= whole.volume
+    assert [b.split("@")[0] for b in cut.failures] == [
+        "Degraded[multilevel]"
+    ], cut.failures
 
 
 # --------------------------------------------------------------------- #

@@ -286,15 +286,14 @@ class TestModuleRegistry:
         from repro.partitioner import fm, multilevel, vcycle
 
         prebound = {
-            ("repro_fm_passes_total", "kind", "bi"): fm._FM_PASSES_BI,
-            ("repro_fm_moves_total", "kind", "bi"): fm._FM_MOVES_BI,
-            ("repro_fm_moves_tried_total", "kind", "bi"): fm._FM_TRIED_BI,
-            ("repro_fm_gain_total", "kind", "bi"): fm._FM_GAIN_BI,
-            ("repro_fm_passes_total", "kind", "kway"): fm._FM_PASSES_KWAY,
-            ("repro_fm_moves_total", "kind", "kway"): fm._FM_MOVES_KWAY,
-            ("repro_fm_moves_tried_total", "kind", "kway"):
-                fm._FM_TRIED_KWAY,
-            ("repro_fm_gain_total", "kind", "kway"): fm._FM_GAIN_KWAY,
+            ("repro_fm_passes_total", "kind", "bi"): fm._BI.passes,
+            ("repro_fm_moves_total", "kind", "bi"): fm._BI.moves,
+            ("repro_fm_moves_tried_total", "kind", "bi"): fm._BI.tried,
+            ("repro_fm_gain_total", "kind", "bi"): fm._BI.gain,
+            ("repro_fm_passes_total", "kind", "kway"): fm._KWAY.passes,
+            ("repro_fm_moves_total", "kind", "kway"): fm._KWAY.moves,
+            ("repro_fm_moves_tried_total", "kind", "kway"): fm._KWAY.tried,
+            ("repro_fm_gain_total", "kind", "kway"): fm._KWAY.gain,
             ("repro_coarsen_levels_total", "engine", "bi"):
                 multilevel._COARSEN_LEVELS_BI,
             ("repro_coarsen_levels_total", "engine", "kway"):
@@ -347,8 +346,8 @@ class TestFMMoveAccounting:
         from repro.partitioner import fm
 
         counters = (
-            fm._FM_MOVES_BI, fm._FM_TRIED_BI,
-            fm._FM_MOVES_KWAY, fm._FM_TRIED_KWAY,
+            fm._BI.moves, fm._BI.tried,
+            fm._KWAY.moves, fm._KWAY.tried,
         )
         before = [c.value for c in counters]
         path = str(tmp_path / "fm.jsonl")

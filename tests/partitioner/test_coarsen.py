@@ -236,9 +236,7 @@ class TestContraction:
     def test_collapsed_nets_dropped(self):
         # Net {0,1} collapses to a single coarse vertex -> dropped.
         h = Hypergraph.from_net_lists(4, [[0, 1], [1, 2, 3]])
-        _, coarse = contract(
-            h, np.array([0, 0, 2, 3]), merge_identical_nets=False
-        )
+        _, coarse = contract(h, np.array([0, 0, 2, 3]))
         assert coarse.nnets == 1
         assert coarse.net_sizes().tolist() == [3]
 
@@ -258,18 +256,9 @@ class TestContraction:
             4, [[0, 2], [1, 2], [2, 3]], ncost=[2, 3, 1]
         )
         # 0+1 merge -> first two nets equal
-        _, coarse = contract(
-            h, np.array([0, 0, 2, 3]), merge_identical_nets=True
-        )
+        _, coarse = contract(h, np.array([0, 0, 2, 3]))
         assert coarse.nnets == 2
         assert sorted(coarse.ncost.tolist()) == [1, 5]
-
-    def test_identical_nets_kept_when_disabled(self):
-        h = Hypergraph.from_net_lists(4, [[0, 2], [1, 2], [2, 3]])
-        _, coarse = contract(
-            h, np.array([0, 0, 2, 3]), merge_identical_nets=False
-        )
-        assert coarse.nnets == 3
 
     def test_clusters_numbered_by_lowest_vertex(self):
         # Labels are arbitrary; coarse ids follow each cluster's lowest

@@ -43,10 +43,6 @@ class TestValidation:
         with pytest.raises(PartitioningError):
             PartitionerConfig(coarse_target=1)
 
-    def test_bad_cluster_frac(self):
-        with pytest.raises(PartitioningError):
-            PartitionerConfig(cluster_weight_frac=0.0)
-
     def test_bad_kway_vcycles(self):
         with pytest.raises(PartitioningError, match="kway_vcycles"):
             PartitionerConfig(kway_vcycles=-1)
