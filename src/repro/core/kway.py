@@ -14,7 +14,7 @@ Pipeline (``method="mediumgrain"``):
    (:mod:`repro.core.medium_grain`) — one build, no recursion tree;
 2. the multilevel k-way engine
    (:func:`repro.partitioner.multilevel.multilevel_kway`): coarsen by
-   matching, build the coarsest level by recursive bisection, and
+   clustering, build the coarsest level by recursive bisection, and
    uncoarsen with k-way FM
    (:func:`repro.partitioner.fm.kway_refine`), whose move loop keeps
    per-net part-occupancy counts and exact connectivity-λ gains;
@@ -146,7 +146,7 @@ def partition_kway(
     An optional ``deadline`` (:class:`~repro.utils.deadline.Deadline` or
     the deterministic :class:`~repro.utils.deadline.SoftBudget`) makes
     the run *anytime*: every engine stops at its next pass/level/cycle
-    boundary, or within its current matching sweep, once it expires
+    boundary, or within its current clustering sweep, once it expires
     (see :func:`repro.partitioner.multilevel.multilevel_kway`), and each
     cut-short loop contributes a
     ``Degraded[...]`` brief to the result's ``failures`` tuple.  A

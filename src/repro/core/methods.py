@@ -151,7 +151,7 @@ def bipartition(
     deadline:
         Optional anytime deadline.  The multilevel run checks it at its
         coarsening, coarsest-level and uncoarsening boundaries and
-        inside its matching sweeps
+        inside its clustering sweeps
         (:func:`repro.partitioner.multilevel.multilevel_bipartition`),
         and the ``refine=True`` iterate loop between iterations
         (:func:`repro.core.refine.iterative_refine`).  A cut-short run

@@ -1,6 +1,6 @@
-"""Reusable per-hypergraph state for the FM / matching kernels.
+"""Reusable per-hypergraph state for the FM / clustering kernels.
 
-:class:`FMPassState` owns every buffer an FM pass (or a matching sweep)
+:class:`FMPassState` owns every buffer an FM pass (or a clustering sweep)
 needs beyond the partition vector itself: the Python-list mirrors of the
 CSR arrays the move loops read, and the derived scalars (gain bound,
 bucket count, transit slack, total weight).
@@ -10,7 +10,7 @@ The state is keyed on the hypergraph and cached in ``Hypergraph._cache``
 contract for callers:
 
 * a state object may be reused across any number of FM passes, refinement
-  calls, and matching sweeps on *the same hypergraph*;
+  calls, and clustering sweeps on *the same hypergraph*;
 * the topology mirrors are read-only; the scratch buffers are reset at
   the start of every pass, so concurrent passes on one state are not
   allowed (the partitioner is sequential, as is the paper's);

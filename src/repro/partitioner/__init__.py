@@ -2,15 +2,15 @@
 
 A from-scratch reimplementation of the algorithm family every partitioner
 compared in the paper uses (Section II): multilevel coarsening by
-heavy-connectivity matching, greedy/random initial partitioning, and
+heavy-connectivity clustering, greedy/random initial partitioning, and
 Kernighan–Lin/Fiduccia–Mattheyses refinement with gain buckets under the
 connectivity-1 (= cut-net, for two parts) metric.
 
 Two presets substitute for the paper's two partitioners (see DESIGN.md):
 
 * ``"mondriaan"`` — stands in for Mondriaan's internal hypergraph
-  bipartitioner (unscaled heavy-connectivity matching, full FM sweeps);
-* ``"patoh"`` — stands in for PaToH (absorption-scaled matching, deeper
+  bipartitioner (unscaled heavy-connectivity clustering, full FM sweeps);
+* ``"patoh"`` — stands in for PaToH (absorption-scaled clustering, deeper
   coarsening, more initial attempts, boundary-only FM).
 """
 

@@ -11,7 +11,7 @@ record a cut-short loop attaches to its result.
 
 Deadlines are **cooperative**: a loop asks ``deadline.expired()``
 between passes/levels/cycles, and the one kernel that runs long before
-any such boundary — the greedy matching sweep — between fixed chunks of
+any such boundary — the greedy clustering sweep — between fixed chunks of
 its visit order, where it stops by raising :class:`Expired`.  A call
 without a deadline makes no check at all, so the no-deadline path
 executes byte-for-byte the same instructions as before (one
