@@ -145,9 +145,10 @@ def fm_refine(
     kb = kernels_for(cfg)
     state, rng = kb.fm_state(h), as_generator(seed)
     maxw = (int(ceilings[0]), int(ceilings[1]))
+    feasible = bool(np.all(part_weights(h, parts, 2) <= ceilings))
     return _run_passes(
-        h, parts, _feasible(h, parts, ceilings), cfg, max_passes,
-        deadline, _BI, lambda p: kb.fm_pass(state, p, maxw, cfg, rng),
+        h, parts, feasible, cfg, max_passes, deadline, _BI,
+        lambda p: kb.fm_pass(state, p, maxw, cfg, rng),
     )
 
 
@@ -235,10 +236,6 @@ def _checked(
             f"{int(ceilings.sum())}: no feasible partitioning exists"
         )
     return cfg, parts, ceilings
-
-
-def _feasible(h: Hypergraph, parts: np.ndarray, ceilings: np.ndarray) -> bool:
-    return bool(np.all(part_weights(h, parts, len(ceilings)) <= ceilings))
 
 
 @dataclass(frozen=True)
