@@ -224,8 +224,8 @@ def iterative_refine(
     best, best_feasible = parts, feasible(parts)
     direction = start_direction
     while len(volumes) <= max_iterations:
-        done = len(volumes) - 1
         if deadline is not None and deadline.expired():
+            done = len(volumes) - 1
             trace.degraded = Degraded(
                 "iterate", completed=done, skipped=max_iterations - done,
             )
@@ -254,8 +254,8 @@ def iterative_refine(
                 vol = volumes[-1]
         volumes.append(vol)
         trace.directions.append(direction)
-        # Algorithm 2, lines 17-21: switch direction on stagnation, stop
-        # once both directions stagnate (V_k == V_{k-2}).
+        # Algorithm 2: switch direction on stagnation, and stop once
+        # both directions stagnate (V_k == V_{k-2}, line 21).
         if vol == volumes[-2]:
             if not alternate:
                 trace.converged = True
