@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import connectivity_volume, part_weights
+from repro.hypergraph.metrics import connectivity_volume
 from repro.kernels import kernels_for
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -145,7 +145,8 @@ def fm_refine(
     kb = kernels_for(cfg)
     state, rng = kb.fm_state(h), as_generator(seed)
     maxw = (int(ceilings[0]), int(ceilings[1]))
-    feasible = bool(np.all(part_weights(h, parts, 2) <= ceilings))
+    w1 = int(np.dot(parts, h.vwgt))
+    feasible = h.total_weight() - w1 <= maxw[0] and w1 <= maxw[1]
     return _run_passes(
         h, parts, feasible, cfg, max_passes, deadline, _BI,
         lambda p: kb.fm_pass(state, p, maxw, cfg, rng),
